@@ -1,8 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is deliberately small: rank-0/1/2 arrays and only the operations
-the allocation models need. While a :class:`Tape` is active, every op that
-touches a differentiable tensor appends one node; :func:`backward` replays
+The engine is deliberately small: dense arrays and only the operations the
+allocation models need. Matrix operations act on the last two axes, so a
+leading batch axis carries a whole minibatch of windows through one node per
+op; ``matmul`` and ``add`` broadcast a shared weight, bias or mask over it.
+While a :class:`Tape` is active, every op that touches a differentiable
+tensor appends one node; :func:`backward` replays
 the tape once in reverse and accumulates gradients into ``Tensor.grad``.
 Tapes are thread-local, so a tape and its tensors belong to one thread for
 the duration of a forward/backward pass.
@@ -192,23 +195,46 @@ def backward(loss: Tensor, tape: Tape) -> None:
 # primitives
 
 
+def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum a gradient over the leading axes that broadcasting added."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    """Matrix product over the last two axes.
+
+    ``(..., m, k) @ (k, n)`` shares one matrix across the leading axes;
+    ``(..., m, k) @ (..., k, n)`` multiplies matching slices.
+    """
     ad, bd = a.data, b.data
+    if (
+        ad.ndim < 2
+        or bd.ndim < 2
+        or ad.shape[-1] != bd.shape[-2]
+        or (bd.ndim > 2 and bd.shape[:-2] != ad.shape[:-2])
+    ):
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
 
     def back(g):
-        return g @ bd.T, ad.T @ g
+        ga = g @ np.swapaxes(bd, -1, -2)
+        if bd.ndim == 2:
+            # a shared matrix: one product over every leading index at once
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.swapaxes(ad, -1, -2) @ g
+        return ga, gb
 
     return _emit((a, b), ad @ bd, back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
+    (a bias row or an attention mask shared over leading axes)."""
     if a.shape == b.shape:
         return _emit((a, b), a.data + b.data, lambda g: (g, g))
-    # row-wise bias: (m, n) + (n,)
-    if a.data.ndim == 2 and b.data.ndim == 1 and b.shape[0] == a.shape[1]:
-        return _emit((a, b), a.data + b.data[None, :], lambda g: (g, g.sum(axis=0)))
+    if b.data.ndim < a.data.ndim and a.shape[a.data.ndim - b.data.ndim :] == b.shape:
+        return _emit((a, b), a.data + b.data, lambda g: (g, _sum_to(g, b.shape)))
     raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
 
 
@@ -297,15 +323,24 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected rank-2 tensor, got shape {x.shape}")
-    return _emit((x,), x.data.T.copy(), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose: expected a tensor of rank >= 2, got shape {x.shape}")
+    return _emit((x,), np.swapaxes(x.data, -1, -2).copy(), lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Repeat ``x`` over new leading axes, e.g. a matrix shared by a batch."""
+    shape = tuple(shape)
+    if x.data.ndim > len(shape) or shape[len(shape) - x.data.ndim :] != x.shape:
+        raise ShapeError(f"broadcast_to: cannot broadcast {x.shape} to {shape}")
+    return _emit((x,), np.broadcast_to(x.data, shape), lambda g: (_sum_to(g, x.shape),))
 
 
 def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[axis]):
+    if not -x.data.ndim <= axis < x.data.ndim or not (0 <= start < stop <= x.shape[axis]):
         raise ShapeError(f"slice: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
-    key = tuple(slice(start, stop) if d == axis else slice(None) for d in range(x.data.ndim))
+    key = (slice(None),) * (axis % x.data.ndim) + (slice(start, stop),)
 
     def back(g):
         full = np.zeros_like(x.data)

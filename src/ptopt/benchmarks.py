@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
-from ptopt.model import Dense, _uniform_init, register_model_kind, scores_to_weights
+from ptopt.model import Dense, _uniform_init, batched_weights, last_rows, register_model_kind, scores_to_weights
 
 # ---------------------------------------------------------------------------
 # mean-variance
@@ -110,23 +111,28 @@ class MLPModel:
         return out
 
     def _scores(self, x: np.ndarray) -> Tensor:
-        h = Tensor(np.asarray(x, dtype=np.float64).reshape(1, -1))
+        """Scores for flattened trailing windows, rows of shape (..., window*n_assets)."""
+        h = Tensor(x)
         for layer in self.layers[:-1]:
             h = ag.elu(layer(h))
         return self.layers[-1](h)
 
     def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
-        """One weight row per decoder position of a 2*window training block."""
-        tau = self.config.window
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (2 * tau, self.config.n_assets):
-            raise ShapeError(f"block shape {block.shape} != {(2 * tau, self.config.n_assets)}")
-        rows = [self._scores(block[j + 1 : tau + j + 1]) for j in range(tau)]
-        return scores_to_weights(ag.concat(rows, axis=0))
+        """One weight row per decoder position of each 2*window block.
+
+        Row j of a block reads the trailing window block[j+1 : window+j+1];
+        all of them, for every block of a stack, go through one matmul.
+        """
+        return batched_weights(self._trailing_weights, block, self.config)
+
+    def _trailing_weights(self, blocks: np.ndarray) -> Tensor:
+        tau, n = self.config.window, self.config.n_assets
+        # (B, tau+1, n, tau) views of every length-tau run; drop the oldest
+        trailing = sliding_window_view(blocks, tau, axis=1)[:, 1:].transpose(0, 1, 3, 2)
+        return scores_to_weights(self._scores(trailing.reshape(blocks.shape[0], tau, tau * n)))
 
     def day_weights(self, block: np.ndarray) -> np.ndarray:
-        with ag.no_grad():
-            return self.window_weights(block).data[-1].copy()
+        return last_rows(self, block)
 
 
 def mlp_forward(x: np.ndarray, model: MLPModel) -> Tensor:
@@ -134,7 +140,7 @@ def mlp_forward(x: np.ndarray, model: MLPModel) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.config.window, model.config.n_assets):
         raise ShapeError(f"window shape {x.shape} != {(model.config.window, model.config.n_assets)}")
-    w = scores_to_weights(model._scores(x))
+    w = scores_to_weights(model._scores(x.reshape(1, -1)))
     return ag.reshape(w, (model.config.n_assets,))
 
 
@@ -180,36 +186,39 @@ class LSTMModel:
         return out
 
     def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
+        """One weight row per row of the newer half of each 2*window block."""
         tau = self.config.window
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (2 * tau, self.config.n_assets):
-            raise ShapeError(f"block shape {block.shape} != {(2 * tau, self.config.n_assets)}")
-        return lstm_forward(block[tau:], self)
+        return batched_weights(lambda b: lstm_forward(b[:, tau:], self), block, self.config)
 
     def day_weights(self, block: np.ndarray) -> np.ndarray:
-        with ag.no_grad():
-            return self.window_weights(block).data[-1].copy()
+        return last_rows(self, block)
 
 
 def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:
-    """Run the recurrence over a window; weight row t uses rows 0..t only."""
+    """Run the recurrence over a window; weight row t uses rows 0..t only.
+
+    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack. The
+    state of each window is a (1, hidden) row, so every window takes the
+    same vector-matrix kernel whatever the batch size.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.config.n_assets:
+    if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
         raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
     h_size = model.config.hidden
-    h = Tensor(np.zeros((1, h_size)))
-    c = Tensor(np.zeros((1, h_size)))
-    scores = []
-    for t in range(x.shape[0]):
-        z = ag.add(ag.add(ag.matmul(Tensor(x[t : t + 1]), model.wx), ag.matmul(h, model.wh)), model.b)
-        gate_in = ag.sigmoid(ag.slice_(z, 1, 0, h_size))
-        gate_forget = ag.sigmoid(ag.slice_(z, 1, h_size, 2 * h_size))
-        candidate = ag.tanh(ag.slice_(z, 1, 2 * h_size, 3 * h_size))
-        gate_out = ag.sigmoid(ag.slice_(z, 1, 3 * h_size, 4 * h_size))
+    inputs = ag.add(ag.matmul(Tensor(x), model.wx), model.b)
+    h = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
+    c = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
+    states = []
+    for t in range(x.shape[-2]):
+        z = ag.add(ag.slice_(inputs, -2, t, t + 1), ag.matmul(h, model.wh))
+        gate_in = ag.sigmoid(ag.slice_(z, -1, 0, h_size))
+        gate_forget = ag.sigmoid(ag.slice_(z, -1, h_size, 2 * h_size))
+        candidate = ag.tanh(ag.slice_(z, -1, 2 * h_size, 3 * h_size))
+        gate_out = ag.sigmoid(ag.slice_(z, -1, 3 * h_size, 4 * h_size))
         c = ag.add(ag.mul(gate_forget, c), ag.mul(gate_in, candidate))
         h = ag.mul(gate_out, ag.tanh(c))
-        scores.append(model.head(h))
-    return scores_to_weights(ag.concat(scores, axis=0))
+        states.append(h)
+    return scores_to_weights(model.head(ag.concat(states, axis=-2)))
 
 
 register_model_kind("mlp", lambda cfg: MLPModel(MLPConfig(**{**cfg, "hidden": tuple(cfg["hidden"])})))

@@ -7,8 +7,9 @@ identical splits and cost model and renders a side-by-side table.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Every ``run``/``compare`` writes a manifest.json recording the effective
-config, seed, package version, and a checksum of the input file, so any
-result can be traced back to exactly what produced it.
+config (every flag that changes results), seed, package, Python and numpy
+versions, and a checksum of the input file, so any result can be traced
+back to exactly what produced it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import asdict, dataclass
@@ -67,6 +69,9 @@ class RunConfig:
     window: int = 8
     space_path: str | None = None
     budget: int = 0
+    max_epochs: int = 100
+    patience: int = 10
+    search_once: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -118,6 +123,8 @@ def write_manifest(out: Path, command: str, cfg: dict, seed: int, data_path: str
         "config": cfg,
         "seed": seed,
         "version": version_string(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "input_sha256": file_sha256(data_path),
     }
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -153,12 +160,12 @@ def _write_all_trials(outcomes, path) -> None:
 def _execute_strategy(table, schedule, strategy: str, cfg: RunConfig, seed: int, args):
     space = _resolve_space(cfg, strategy)
     base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
-    base_cfg = TrainConfig(max_epochs=args.max_epochs, patience=args.patience, seed=seed)
+    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=seed)
     result = walk_forward(
         table, schedule, strategy,
         tau=cfg.window, space=space, base_cfg=base_cfg,
         costs=CostModel(cfg.cost_rate), seed=seed, jobs=args.jobs,
-        search_each_split=not args.search_once, base_combo=base_combo,
+        search_each_split=not cfg.search_once, base_combo=base_combo,
     )
     curve = run_backtest(result.stream, table, CostModel(cfg.cost_rate))
     return result, curve, compute_metrics(curve)
@@ -278,6 +285,9 @@ def _run_config(args, strategy: str | None = None) -> RunConfig:
         window=args.window,
         space_path=args.space,
         budget=args.budget,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        search_once=args.search_once,
     )
 
 

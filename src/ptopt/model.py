@@ -9,6 +9,10 @@ every weight row satisfy sum(|w|) = 1 by construction.
 Time is encoded per window position (0-based) with a learned linear-plus
 sinusoidal feature vector that is concatenated to the asset returns before
 a shared linear projection into model width.
+
+Every layer works on activations of shape ``(..., rows, width)``: a
+minibatch of B windows is one ``(B, rows, width)`` tensor, and a single
+window is the batch of one.
 """
 
 from __future__ import annotations
@@ -103,21 +107,24 @@ def time2vec_encode(t_index: int, layer: Time2VecLayer) -> Tensor:
 
 
 def _time2vec_matrix(n_rows: int, layer: Time2VecLayer) -> Tensor:
-    """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1)."""
+    """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1).
+
+    The matrix depends on position only, so one copy serves a whole batch.
+    """
     t = Tensor(np.arange(n_rows, dtype=np.float64).reshape(n_rows, 1))
     a = ag.add(ag.matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
     return ag.concat([ag.slice_(a, 1, 0, 1), ag.sin(ag.slice_(a, 1, 1, layer.k + 1))], axis=1)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention with an optional additive mask."""
-    if q.shape[1] != k.shape[1]:
+    """Scaled dot-product attention with an optional additive (rows, rows) mask."""
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value row mismatch: {k.shape} vs {v.shape}")
     scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / scale)
     if mask is not None:
-        if mask.shape != scores.shape:
+        if mask.shape != scores.shape[-2:]:
             raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
         if np.any(np.all(mask <= MASK_BLOCK / 2, axis=1)):
             raise ContractError("attention mask blocks an entire row")
@@ -160,7 +167,7 @@ def multi_head_attention(
         )
         for i in range(layer.n_heads)
     ]
-    mixed = heads[0] if layer.n_heads == 1 else ag.concat(heads, axis=1)
+    mixed = heads[0] if layer.n_heads == 1 else ag.concat(heads, axis=-1)
     return ag.matmul(mixed, layer.wo)
 
 
@@ -310,26 +317,34 @@ class PortfolioTransformer:
         return pt_forward(x_enc, x_dec, self, rng=rng)
 
     def window_weights(self, block: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
-        """Weights for a training block of 2*window consecutive return rows."""
+        """Weight rows for blocks of 2*window consecutive return rows.
+
+        ``block`` is one (2*window, n_assets) block or a (B, 2*window,
+        n_assets) stack; the result is (window, n_assets) or (B, window,
+        n_assets) accordingly.
+        """
         tau = self.config.window
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (2 * tau, self.config.n_assets):
-            raise ShapeError(f"block shape {block.shape} != {(2 * tau, self.config.n_assets)}")
-        return self.forward(block[:tau], block[tau:], rng=rng)
+        return batched_weights(lambda b: self.forward(b[:, :tau], b[:, tau:], rng=rng), block, self.config)
 
     def day_weights(self, block: np.ndarray) -> np.ndarray:
-        """Next-day allocation: the last decoder row, gradient-free."""
-        with ag.no_grad():
-            return self.window_weights(block).data[-1].copy()
+        """Next-day allocation: the last decoder row, gradient-free.
+
+        A stack of B blocks gives B allocations from one forward pass.
+        """
+        return last_rows(self, block)
 
 
 def embed_window(x: np.ndarray, model: PortfolioTransformer) -> Tensor:
-    """Project asset returns plus per-position time features to model width."""
+    """Project asset returns plus per-position time features to model width.
+
+    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.config.n_assets:
+    if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
         raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
-    t2v = _time2vec_matrix(x.shape[0], model.time2vec)
-    return model.input_proj(ag.concat([Tensor(x), t2v], axis=1))
+    t2v = _time2vec_matrix(x.shape[-2], model.time2vec)
+    t2v = ag.broadcast_to(t2v, x.shape[:-1] + t2v.shape[-1:])
+    return model.input_proj(ag.concat([Tensor(x), t2v], axis=-1))
 
 
 def pt_forward(
@@ -341,13 +356,14 @@ def pt_forward(
     """Map an (older, newer) pair of return windows to weight rows.
 
     Output row j is the allocation decided at the j-th position of the newer
-    window; only the final row is used for live inference.
+    window; only the final row is used for live inference. Both windows may
+    carry the same leading batch axis.
     """
     tau = model.config.window
     x_enc = np.asarray(x_enc, dtype=np.float64)
     x_dec = np.asarray(x_dec, dtype=np.float64)
     want = (tau, model.config.n_assets)
-    if x_enc.shape != want or x_dec.shape != want:
+    if x_enc.shape[-2:] != want or x_dec.shape != x_enc.shape:
         raise ShapeError(f"window shapes {x_enc.shape}/{x_dec.shape} != {want}")
     drop = model._drop_fn(rng)
 
@@ -364,6 +380,32 @@ def pt_forward(
         dec = layer.forward(dec, enc, model.mask, drop)
 
     return scores_to_weights(model.head(dec))
+
+
+# ---------------------------------------------------------------------------
+# block batching shared by every window model
+
+
+def batched_weights(forward: Callable[[np.ndarray], Tensor], block: np.ndarray, config) -> Tensor:
+    """Run ``forward`` on a (B, 2*window, n_assets) stack of blocks.
+
+    A single (2*window, n_assets) block runs as the batch of one and its
+    weights come back without the batch axis. The stack is made contiguous
+    first, so every window meets the same matrix kernels whatever the batch.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    want = (2 * config.window, config.n_assets)
+    if block.ndim not in (2, 3) or block.shape[-2:] != want:
+        raise ShapeError(f"block shape {block.shape} != {want} or (B, *{want})")
+    single = block.ndim == 2
+    weights = forward(np.ascontiguousarray(block[None] if single else block))
+    return ag.reshape(weights, weights.shape[1:]) if single else weights
+
+
+def last_rows(model, block: np.ndarray) -> np.ndarray:
+    """Gradient-free next-day allocation(s): the last weight row per block."""
+    with ag.no_grad():
+        return model.window_weights(block).data[..., -1, :].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The loss of a window is the negated per-period Sharpe ratio of the net
 portfolio returns. Net returns subtract a proportional transaction cost on
 turnover, where the position before the first row of a window is taken from
-``ReturnsWindow.prev_weights`` (an all-cash zero book by default).
+``ReturnsWindow.prev_weights`` (an all-cash zero book by default). Every
+function also takes a stack of windows along a leading axis and returns one
+value per window.
 
 Annualization is intentionally absent here: it is a constant factor that
 cannot move the optimum, so it lives with the backtest statistics instead.
@@ -37,8 +39,9 @@ class CostModel:
 class ReturnsWindow:
     """Realized next-day returns aligned with the weights that earn them.
 
-    ``realized[t]`` accrues to weight row t; turnover of row 0 is charged
-    against ``prev_weights`` (zero book when omitted).
+    ``realized[..., t, :]`` accrues to weight row t; turnover of row 0 is
+    charged against ``prev_weights`` (zero book when omitted), the same book
+    for every window of a stack.
     """
 
     realized: np.ndarray
@@ -46,14 +49,16 @@ class ReturnsWindow:
 
     def __post_init__(self):
         self.realized = np.asarray(self.realized, dtype=np.float64)
-        if self.realized.ndim != 2:
-            raise ShapeError(f"realized must be a (days, assets) matrix, got shape {self.realized.shape}")
+        if self.realized.ndim not in (2, 3):
+            raise ShapeError(
+                f"realized must be (days, assets) or (windows, days, assets), got shape {self.realized.shape}"
+            )
         if self.prev_weights is not None:
             self.prev_weights = np.asarray(self.prev_weights, dtype=np.float64)
-            if self.prev_weights.shape != (self.realized.shape[1],):
+            if self.prev_weights.shape != self.realized.shape[-1:]:
                 raise ShapeError(
                     f"prev_weights shape {self.prev_weights.shape} does not match "
-                    f"{self.realized.shape[1]} assets"
+                    f"{self.realized.shape[-1]} assets"
                 )
 
 
@@ -65,34 +70,36 @@ def arithmetic_return(p_now: float, p_prev: float) -> float:
 
 
 def portfolio_returns(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
-    """Net daily portfolio returns for a window of weight rows.
+    """Net daily portfolio returns for a window (or a stack) of weight rows.
 
     Row t contributes sum(weights[t] * realized[t]) minus ``cost_rate`` times
-    the L1 distance between weight row t and the previous row.
+    the L1 distance between weight row t and the previous row. The result
+    drops the asset axis: (days,) or (windows, days).
     """
-    if weights.data.ndim != 2:
-        raise ShapeError(f"weights must be a (days, assets) matrix, got shape {weights.shape}")
-    t, n = weights.shape
-    if window.realized.shape != (t, n):
+    if weights.data.ndim not in (2, 3):
+        raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
+    *lead, t, n = weights.shape
+    if window.realized.shape != weights.shape:
         raise ShapeError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
     prev0 = window.prev_weights if window.prev_weights is not None else np.zeros(n)
 
-    gross = ag.reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=1)
-    first = Tensor(prev0.reshape(1, n))
-    prev = ag.concat([first, ag.slice_(weights, 0, 0, t - 1)], axis=0) if t > 1 else first
-    turnover = ag.reduce_sum(ag.absolute(ag.sub(weights, prev)), axis=1)
+    gross = ag.reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
+    first = Tensor(np.broadcast_to(prev0, (*lead, 1, n)))
+    prev = ag.concat([first, ag.slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
+    turnover = ag.reduce_sum(ag.absolute(ag.sub(weights, prev)), axis=-1)
     return ag.sub(gross, turnover * costs.cost_rate)
 
 
 def sharpe(returns: Tensor, eps: float = EPS) -> Tensor:
-    """Per-period Sharpe ratio with an eps-guarded variance."""
-    if returns.data.ndim != 1 or returns.size < 2:
-        raise ContractError(f"sharpe needs a vector of at least 2 returns, got shape {returns.shape}")
-    m = ag.mean(returns)
-    var = ag.sub(ag.mean(ag.mul(returns, returns)), ag.mul(m, m))
+    """Per-period Sharpe ratio over the last axis, eps-guarded variance."""
+    if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
+        raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
+    m = ag.mean(returns, axis=-1)
+    var = ag.sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
     return ag.div(m, ag.sqrt(var + eps))
 
 
 def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel, eps: float = EPS) -> Tensor:
-    """Negated Sharpe of the cost-adjusted window returns (to be minimized)."""
+    """Negated Sharpe of the cost-adjusted window returns (to be minimized),
+    one loss per window of a stack."""
     return -sharpe(portfolio_returns(weights, window, costs), eps)

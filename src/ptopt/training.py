@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
@@ -70,7 +71,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 100
     patience: int = 10
-    validation_fraction: float = 0.10
     seed: int = 0
 
     def __post_init__(self):
@@ -82,44 +82,57 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.validation_fraction < 0.5:
-            raise ValueError(f"validation_fraction must be in (0, 0.5), got {self.validation_fraction}")
 
 
 @dataclass
-class TrainWindow:
-    """One training sample: an input block and the returns its weights earn.
+class Windows:
+    """Training samples stacked along a leading window axis.
 
-    ``block`` holds 2*tau consecutive return rows ending at the decision
-    row; ``realized`` holds the tau rows shifted one day forward of the
-    weight rows the model emits for the newer half of the block.
+    ``blocks[i]`` holds the 2*tau consecutive return rows ending at decision
+    row ``decision_index[i]``; ``realized[i]`` holds the tau rows shifted one
+    day forward of the weight rows the model emits for the newer half of the
+    block. Indexing with an index array selects a subset.
     """
 
-    block: np.ndarray
+    blocks: np.ndarray
     realized: np.ndarray
-    decision_index: int
+    decision_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.decision_index)
+
+    def __getitem__(self, index) -> "Windows":
+        return Windows(self.blocks[index], self.realized[index], self.decision_index[index])
 
 
-def build_windows(table: ReturnTable, tau: int, lo: int, hi: int) -> list[TrainWindow]:
+def _stacked(r: np.ndarray, length: int, first: int, count: int) -> np.ndarray:
+    """Read-only (count, length, n) view of the runs r[first+i : first+i+length]."""
+    if count <= 0:
+        return np.empty((0, length, r.shape[1]))
+    return sliding_window_view(r, length, axis=0)[first : first + count].transpose(0, 2, 1)
+
+
+def build_windows(table: ReturnTable, tau: int, lo: int, hi: int) -> Windows:
     """All daily-stride windows whose realized rows lie inside rows [lo, hi)."""
     r = table.returns
-    out = []
     first = max(2 * tau - 1, lo + tau - 2)
-    for d in range(first, min(hi - 2, r.shape[0] - 2) + 1):
-        block = r[d - 2 * tau + 1 : d + 1]
-        realized = r[d - tau + 2 : d + 2]
-        out.append(TrainWindow(block=block, realized=realized, decision_index=d))
-    return out
+    decisions = np.arange(first, min(hi - 2, r.shape[0] - 2) + 1)
+    count = len(decisions)
+    return Windows(
+        blocks=_stacked(r, 2 * tau, first - 2 * tau + 1, count),
+        realized=_stacked(r, tau, first - tau + 2, count),
+        decision_index=decisions,
+    )
 
 
-def make_batches(windows: list, batch_size: int, seed: int) -> list[list]:
-    if not windows:
+def make_batches(windows, batch_size: int, seed: int) -> list:
+    """Shuffle ``windows`` (anything indexable by an index array) into batches."""
+    if not len(windows):
         raise TrainingError("cannot batch an empty window list")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed).permutation(len(windows))
-    shuffled = [windows[i] for i in order]
-    return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
+    return [windows[order[i : i + batch_size]] for i in range(0, len(order), batch_size)]
 
 
 @dataclass
@@ -136,15 +149,13 @@ class FitResult:
     best_val: float
 
 
-def _mean_window_loss(model, windows, costs: CostModel, rng=None) -> Tensor:
-    losses = [
-        ag.reshape(sharpe_loss(model.window_weights(w.block, rng=rng), ReturnsWindow(w.realized), costs), (1,))
-        for w in windows
-    ]
-    return ag.mean(ag.concat(losses, axis=0)) if len(losses) > 1 else ag.reshape(losses[0], ())
+def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
+    weights = model.window_weights(windows.blocks, rng=rng)
+    return ag.mean(sharpe_loss(weights, ReturnsWindow(windows.realized), costs))
 
 
-def evaluate_loss(model, windows, costs: CostModel) -> float:
+def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
+    """Mean window loss from one gradient-free forward over every window."""
     with ag.no_grad():
         return _mean_window_loss(model, windows, costs).item()
 
@@ -158,13 +169,13 @@ def _restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
         p.data = snap[name].copy()
 
 
-def fit(model, train_windows: list, valid_windows: list, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
+def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
     """Train with the Sharpe loss until patience on validation runs out.
 
     The model is left holding the parameters of its best validation epoch.
     """
     if not train_windows or not valid_windows:
-        raise TrainingError("fit needs non-empty train and validation window lists")
+        raise TrainingError("fit needs non-empty train and validation window sets")
     params = model.parameters()
     optimizer = Adam(params, cfg.learning_rate)
     drop_rng = np.random.default_rng(cfg.seed)
@@ -267,35 +278,41 @@ def default_space(strategy: str) -> HyperparamSpace:
     raise ValueError(f"no hyperparameter space for strategy {strategy!r}")
 
 
-def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
-    """Instantiate a trainable strategy model from sampled hyperparameters."""
+def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
+    """The validated architecture config of a trainable strategy."""
     if strategy == "pt":
-        return PortfolioTransformer(
-            PTConfig(
-                n_assets=n_assets,
-                window=tau,
-                d_model=int(combo.get("d_model", 16)),
-                n_heads=int(combo.get("n_heads", 2)),
-                t2v_k=int(combo.get("t2v_k", 3)),
-                n_layers=int(combo.get("n_layers", 1)),
-                attention_scale_mode=str(combo.get("attention_scale_mode", "d_model")),
-                dropout=float(combo.get("dropout", 0.0)),
-                seed=seed,
-            )
+        return PTConfig(
+            n_assets=n_assets,
+            window=tau,
+            d_model=int(combo.get("d_model", 16)),
+            n_heads=int(combo.get("n_heads", 2)),
+            t2v_k=int(combo.get("t2v_k", 3)),
+            n_layers=int(combo.get("n_layers", 1)),
+            attention_scale_mode=str(combo.get("attention_scale_mode", "d_model")),
+            dropout=float(combo.get("dropout", 0.0)),
+            seed=seed,
         )
     if strategy == "lstm":
-        return LSTMModel(LSTMConfig(n_assets=n_assets, window=tau, hidden=int(combo.get("hidden", 16)), seed=seed))
+        return LSTMConfig(n_assets=n_assets, window=tau, hidden=int(combo.get("hidden", 16)), seed=seed)
     if strategy == "mlp":
         hidden = combo.get("hidden", (32,))
         if isinstance(hidden, (int, np.integer)):
             hidden = (hidden,)
-        return MLPModel(MLPConfig(n_assets=n_assets, window=tau, hidden=tuple(int(h) for h in hidden), seed=seed))
+        return MLPConfig(n_assets=n_assets, window=tau, hidden=tuple(int(h) for h in hidden), seed=seed)
     raise ValueError(f"not a trainable strategy: {strategy!r}")
+
+
+_MODEL_CLASSES = {"pt": PortfolioTransformer, "lstm": LSTMModel, "mlp": MLPModel}
+
+
+def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
+    """Instantiate a trainable strategy model from sampled hyperparameters."""
+    return _MODEL_CLASSES[strategy](model_config(strategy, n_assets, tau, combo, seed))
 
 
 def _combo_is_valid(strategy: str, n_assets: int, tau: int, combo: dict) -> bool:
     try:
-        build_model(strategy, n_assets, tau, combo, seed=0)
+        model_config(strategy, n_assets, tau, combo, seed=0)
     except ValueError:
         return False
     return True
@@ -341,8 +358,8 @@ def random_grid_search(
     strategy: str,
     n_assets: int,
     tau: int,
-    train_windows: list,
-    valid_windows: list,
+    train_windows: Windows,
+    valid_windows: Windows,
     base_cfg: TrainConfig,
     costs: CostModel = CostModel(),
     seed: int = 0,
@@ -474,7 +491,10 @@ def walk_forward(
             )
             model = build_model(strategy, n, tau, combo, seed=final_seed)
             result = fit(model, train_windows, valid_windows, cfg, costs)
-            dates, rows = _test_day_weights(lambda p: model.day_weights(table.returns[p - 2 * tau + 1 : p + 1]), table, split)
+            # every test day of the split in one gradient-free forward
+            first = split.train_end - 1
+            dates = table.dates[first : split.test_end - 1]
+            rows = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
             outcomes.append(SplitOutcome(split.test_year, combo, trials, model, result.history))
         all_dates.extend(dates)
         all_weights.append(rows)

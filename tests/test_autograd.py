@@ -45,6 +45,12 @@ C3 = RNG.standard_normal(3)
 C22 = RNG.standard_normal((2, 2))
 X23 = RNG.standard_normal((2, 3))
 P23 = RNG.uniform(0.5, 1.5, (2, 3))
+# a batch of two (2, 3) matrices and coefficient arrays to match
+X423 = RNG.standard_normal((4, 2, 3))
+X432 = RNG.standard_normal((4, 3, 2))
+C423 = RNG.standard_normal((4, 2, 3))
+C422 = RNG.standard_normal((4, 2, 2))
+C432 = RNG.standard_normal((4, 3, 2))
 
 
 def weighted_sum(y, coef):
@@ -86,6 +92,20 @@ GRAD_CASES = [
     ("layer_norm_x", X23, lambda x: weighted_sum(ag.layer_norm(x, Tensor(C3 + 2.0), Tensor(C3)), C23)),
     ("layer_norm_gain", C3 + 2.0, lambda g: weighted_sum(ag.layer_norm(Tensor(X23), g, Tensor(C3)), C23)),
     ("layer_norm_bias", C3, lambda b: weighted_sum(ag.layer_norm(Tensor(X23), Tensor(C3 + 2.0), b), C23)),
+    ("batched_matmul_left", X423, lambda x: weighted_sum(ag.matmul(x, Tensor(C32)), C422)),
+    ("batched_matmul_shared", C32, lambda w: weighted_sum(ag.matmul(Tensor(X423), w), C422)),
+    ("batched_matmul_pairs_left", X423, lambda x: weighted_sum(ag.matmul(x, Tensor(X432)), C422)),
+    ("batched_matmul_pairs_right", X432, lambda y: weighted_sum(ag.matmul(Tensor(X423), y), C422)),
+    ("batched_add_bias", C3, lambda b: weighted_sum(ag.add(Tensor(X423), b), C423)),
+    ("batched_add_mask", X23, lambda m: weighted_sum(ag.add(Tensor(X423), m), C423)),
+    ("batched_transpose", X423, lambda x: weighted_sum(ag.transpose(x), C432)),
+    ("broadcast_to", X23, lambda x: weighted_sum(ag.broadcast_to(x, (4, 2, 3)), C423)),
+    ("batched_slice_last", X423, lambda x: weighted_sum(ag.slice_(x, -1, 1, 3), C422)),
+    ("batched_concat_last", X423, lambda x: weighted_sum(ag.concat([x, Tensor(C423)], axis=-1), np.concatenate([C423, X423], axis=-1))),
+    ("batched_mean_last", X423, lambda x: weighted_sum(ag.mean(x, axis=-1), C422[..., 0])),
+    ("batched_softmax", X423, lambda x: weighted_sum(ag.softmax(x), C423)),
+    ("batched_layer_norm", X423, lambda x: weighted_sum(ag.layer_norm(x, Tensor(C3 + 2.0), Tensor(C3)), C423)),
+    ("batched_layer_norm_gain", C3 + 2.0, lambda g: weighted_sum(ag.layer_norm(Tensor(X423), g, Tensor(C3)), C423)),
     (
         "composite",
         X23,
@@ -137,6 +157,19 @@ def test_matmul_value():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[5.0], [6.0]])
     np.testing.assert_array_equal(ag.matmul(a, b).data, [[17.0], [39.0]])
+
+
+def test_batched_ops_match_per_slice_results():
+    """A leading batch axis gives, slice by slice, the unbatched result."""
+    w = Tensor(C32)
+    bias = Tensor(C22[0])
+    shared = ag.add(ag.matmul(Tensor(X423), w), bias).data
+    pairs = ag.matmul(Tensor(X423), Tensor(X432)).data
+    flipped = ag.transpose(Tensor(X423)).data
+    for i in range(4):
+        np.testing.assert_array_equal(shared[i], ag.add(ag.matmul(Tensor(X423[i]), w), bias).data)
+        np.testing.assert_array_equal(pairs[i], ag.matmul(Tensor(X423[i]), Tensor(X432[i])).data)
+        np.testing.assert_array_equal(flipped[i], X423[i].T)
 
 
 def test_reductions_and_reshapes():
@@ -273,6 +306,12 @@ def test_backward_is_deterministic():
         lambda: ag.mul(Tensor(np.zeros(3)), Tensor(np.zeros(2))),
         lambda: ag.div(Tensor(np.zeros(3)), Tensor(np.ones(2))),
         lambda: ag.transpose(Tensor(np.zeros(3))),
+        lambda: ag.matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((5, 3, 2)))),
+        lambda: ag.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
+        lambda: ag.add(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((3, 3)))),
+        lambda: ag.add(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))),
+        lambda: ag.broadcast_to(Tensor(np.zeros((2, 3))), (4, 3, 2)),
+        lambda: ag.slice_(Tensor(np.zeros((2, 3))), 2, 0, 1),
         lambda: ag.slice_(Tensor(np.zeros((2, 3))), 0, 1, 5),
         lambda: ag.slice_(Tensor(np.zeros((2, 3))), 1, 2, 2),
         lambda: ag.concat([], axis=0),

@@ -1,0 +1,110 @@
+"""A stack of windows through one forward pass equals the windows one by one.
+
+Every trainable model takes (B, 2*tau, n) block stacks; a single block is
+the batch of one. These tests pin the batched path to the single-window
+results it replaces: weights bit for bit, the mean Sharpe loss and every
+parameter gradient within 1e-12, and the walk-forward's test-day weights
+bit for bit against a checkpoint replayed one day at a time.
+"""
+
+import numpy as np
+import pytest
+
+import ptopt.autograd as ag
+import ptopt.training as tr
+from helpers import model_grad_errors
+from ptopt.benchmarks import LSTMConfig, LSTMModel, MLPConfig, MLPModel
+from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
+from ptopt.model import PTConfig, PortfolioTransformer, load_checkpoint, save_checkpoint
+from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
+
+# The sizes of the default configs: at toy widths a vector-matrix and a
+# matrix-matrix product can round alike and hide a kernel mismatch.
+TAU, N = 8, 4
+TOL = 1e-12
+
+MODELS = {
+    "pt": lambda: PortfolioTransformer(PTConfig(n_assets=N, window=TAU, d_model=16, n_heads=2, t2v_k=3, n_layers=2, seed=5)),
+    "lstm": lambda: LSTMModel(LSTMConfig(n_assets=N, window=TAU, hidden=16, seed=6)),
+    "mlp": lambda: MLPModel(MLPConfig(n_assets=N, window=TAU, hidden=(32, 16), seed=7)),
+}
+
+
+def stack(batch, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, 0.02, (batch, 2 * TAU, N)), rng.normal(0.0005, 0.01, (batch, TAU, N))
+
+
+def loss_and_grads(model, blocks, realized):
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    with ag.Tape() as tape:
+        loss = ag.mean(sharpe_loss(model.window_weights(blocks), ReturnsWindow(realized), CostModel()))
+        ag.backward(loss, tape)
+    return loss.item(), {name: p.grad.copy() for name, p in params.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_batched_weights_equal_single_windows(kind):
+    model = MODELS[kind]()
+    blocks, _ = stack(7)
+    batched = model.window_weights(blocks).data
+    assert batched.shape == (7, TAU, N)
+    for i, block in enumerate(blocks):
+        assert np.array_equal(batched[i], model.window_weights(block).data)
+        assert np.array_equal(model.day_weights(blocks)[i], model.day_weights(block))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_batched_loss_and_gradients_equal_single_window_mean(kind):
+    model = MODELS[kind]()
+    blocks, realized = stack(6, seed=1)
+    loss, grads = loss_and_grads(model, blocks, realized)
+
+    # reference: one tape per window, losses and gradients averaged by hand
+    single = [loss_and_grads(model, b[None], r[None]) for b, r in zip(blocks, realized)]
+    ref_loss = np.mean([s[0] for s in single])
+    assert abs(loss - ref_loss) <= TOL
+    for name, g in grads.items():
+        ref = np.mean([s[1][name] for s in single], axis=0)
+        assert np.max(np.abs(g - ref)) <= TOL * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_batched_loss_gradients_match_finite_differences(kind):
+    model = MODELS[kind]()
+    blocks, realized = stack(3, seed=2)
+
+    def loss_fn():
+        return ag.mean(sharpe_loss(model.window_weights(blocks), ReturnsWindow(realized), CostModel()))
+
+    errs = model_grad_errors(model, loss_fn, coords_per_param=4, rng=np.random.default_rng(3))
+    assert max(errs.values()) < 1e-4, max(errs, key=errs.get)
+
+
+def test_block_stack_rejects_bad_shapes():
+    model = MODELS["pt"]()
+    for bad in (np.zeros((2 * TAU, N + 1)), np.zeros((3, 2 * TAU - 1, N)), np.zeros((1, 1, 2 * TAU, N))):
+        with pytest.raises(ag.ShapeError):
+            model.window_weights(bad)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_walk_forward_test_days_equal_checkpoint_replay(kind, tmp_path):
+    """The split's one-forward test-day weights equal day_weights of the
+    saved checkpoint replayed one block at a time, bit for bit."""
+    table = clean_and_return(synth_generate(SynthConfig(n_assets=N, n_days=560, seed=8, momentum=0.4)))
+    schedule = yearly_splits(table, 2015)
+    combo = {"d_model": 16, "n_heads": 2, "t2v_k": 3} if kind == "pt" else {}
+    result = tr.walk_forward(
+        table, schedule, kind, tau=TAU, base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=3, base_combo=combo
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(result.outcomes[0].model, path)
+    replay = load_checkpoint(path)
+    split = schedule.splits[0]
+    days = range(split.train_end - 1, split.test_end - 1)
+    assert len(result.stream.weights) == len(days)
+    for row, p in zip(result.stream.weights, days):
+        assert np.array_equal(row, replay.day_weights(table.returns[p - 2 * TAU + 1 : p + 1]))

@@ -72,6 +72,29 @@ def test_run_manifest_records_config_seed_version_checksum(prices_csv, tmp_path)
     assert manifest["version"]
 
 
+def test_run_manifest_records_result_flags_and_versions(prices_csv, tmp_path):
+    import platform
+
+    import numpy as np
+
+    out = tmp_path / "run"
+    assert cli.main(
+        ["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out),
+         "--max-epochs", "7", "--patience", "3", "--search-once"]
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["max_epochs"] == 7
+    assert manifest["config"]["patience"] == 3
+    assert manifest["config"]["search_once"] is True
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+
+    defaults = tmp_path / "defaults"
+    assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(defaults)]) == 0
+    config = json.loads((defaults / "manifest.json").read_text())["config"]
+    assert (config["max_epochs"], config["patience"], config["search_once"]) == (100, 10, False)
+
+
 def test_run_unknown_strategy_lists_valid_choices(prices_csv, tmp_path, capsys):
     code = cli.main(["run", "--strategy", "nosuch", "--data", str(prices_csv), "--out", str(tmp_path / "x")])
     assert code == 1

@@ -78,9 +78,6 @@ def test_adam_rejects_mismatched_gradient_shape():
         {"learning_rate": -0.1},
         {"max_epochs": 0},
         {"patience": 0},
-        {"validation_fraction": 0.0},
-        {"validation_fraction": 0.5},
-        {"validation_fraction": -0.1},
     ],
 )
 def test_train_config_rejects_bad_values(kwargs):
@@ -97,28 +94,28 @@ def test_build_windows_alignment():
     tau = 4
     windows = tr.build_windows(table, tau, 0, 50)
     r = table.returns
-    assert windows[0].decision_index == 2 * tau - 1
-    assert windows[-1].decision_index == 48
-    for w in windows:
-        d = w.decision_index
-        assert np.array_equal(w.block, r[d - 2 * tau + 1 : d + 1])
-        assert np.array_equal(w.realized, r[d - tau + 2 : d + 2])
-        assert w.block.shape == (2 * tau, 3)
-        assert w.realized.shape == (tau, 3)
+    assert windows.decision_index[0] == 2 * tau - 1
+    assert windows.decision_index[-1] == 48
+    assert len(windows) == len(windows.blocks) == len(windows.realized)
+    for block, realized, d in zip(windows.blocks, windows.realized, windows.decision_index):
+        assert np.array_equal(block, r[d - 2 * tau + 1 : d + 1])
+        assert np.array_equal(realized, r[d - tau + 2 : d + 2])
+        assert block.shape == (2 * tau, 3)
+        assert realized.shape == (tau, 3)
 
 
 def test_build_windows_daily_stride():
     table = make_table(60)
-    idx = [w.decision_index for w in tr.build_windows(table, 4, 0, 40)]
+    idx = list(tr.build_windows(table, 4, 0, 40).decision_index)
     assert idx == list(range(idx[0], idx[0] + len(idx)))
 
 
 def test_build_windows_respects_realized_range():
     table = make_table(80)
     tau = 5
-    for w in tr.build_windows(table, tau, 30, 60):
-        first_realized = w.decision_index - tau + 2
-        last_realized = w.decision_index + 1
+    for d in tr.build_windows(table, tau, 30, 60).decision_index:
+        first_realized = d - tau + 2
+        last_realized = d + 1
         assert first_realized >= 30
         assert last_realized <= 59
 
@@ -128,31 +125,31 @@ def test_build_windows_realized_is_one_day_ahead_of_block():
     table = make_table(60)
     w = tr.build_windows(table, 4, 0, 40)[0]
     assert np.array_equal(w.realized[-1], table.returns[w.decision_index + 1])
-    assert np.array_equal(w.block[-1], table.returns[w.decision_index])
+    assert np.array_equal(w.blocks[-1], table.returns[w.decision_index])
 
 
 def test_make_batches_sizes_with_remainder():
-    windows = list(range(10))
+    windows = np.arange(10)
     sizes = [len(b) for b in tr.make_batches(windows, 4, seed=0)]
     assert sizes == [4, 4, 2]
 
 
 def test_make_batches_is_a_partition():
-    windows = list(range(23))
+    windows = np.arange(23)
     batches = tr.make_batches(windows, 5, seed=3)
     flat = [x for b in batches for x in b]
-    assert sorted(flat) == windows
+    assert sorted(flat) == list(windows)
 
 
 def test_make_batches_same_seed_same_order():
-    windows = list(range(12))
+    windows = np.arange(12)
     a = tr.make_batches(windows, 4, seed=9)
     b = tr.make_batches(windows, 4, seed=9)
-    assert a == b
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
 
 def test_make_batches_seed_varies_order():
-    windows = list(range(12))
+    windows = np.arange(12)
     orders = {tuple(x for b in tr.make_batches(windows, 4, seed=s) for x in b) for s in range(5)}
     assert len(orders) >= 2
 
@@ -169,8 +166,9 @@ def test_make_batches_rejects_empty_list():
 class Steerable:
     """One-parameter model whose loss direction is planted in the block.
 
-    Scores are [[k * theta, 0]] * 2 where k is block[0, 0], so the training
-    data can be arranged to push theta up while validation data punishes it.
+    Scores of a block are [[k * theta, 0]] * 2 where k is block[0, 0], so the
+    training data can be arranged to push theta up while validation data
+    punishes it.
     """
 
     kind = "steerable"
@@ -181,23 +179,23 @@ class Steerable:
     def parameters(self):
         return {"theta": self.theta}
 
-    def window_weights(self, block, rng=None):
-        k = float(block[0, 0])
-        scaled = ag.scale(ag.reshape(self.theta, (1,)), k)
-        row = ag.reshape(ag.concat([scaled, Tensor(np.zeros(1))], axis=0), (1, 2))
-        return scores_to_weights(ag.concat([row, row], axis=0))
+    def window_weights(self, blocks, rng=None):
+        k = Tensor(blocks[:, :1, :1])
+        scaled = ag.matmul(k, self.theta)
+        row = ag.concat([scaled, Tensor(np.zeros_like(k.data))], axis=-1)
+        return scores_to_weights(ag.concat([row, row], axis=-2))
 
 
 def steer_window(up, realized_first):
     block = np.array([[1.0 if up else -1.0, 0.0]])
     realized = np.array([[realized_first, 0.0], [realized_first, 0.0]])
-    return tr.TrainWindow(block=block, realized=realized, decision_index=0)
+    return tr.Windows(blocks=block[None], realized=realized[None], decision_index=np.array([0]))
 
 
 def test_fit_patience_one_stops_after_two_epochs_and_restores():
     # training pushes theta up, validation strictly worsens as it rises
-    train = [steer_window(True, 0.02)]
-    valid = [steer_window(True, -0.02)]
+    train = steer_window(True, 0.02)
+    valid = steer_window(True, -0.02)
     model = Steerable()
     cfg = tr.TrainConfig(batch_size=1, learning_rate=0.1, max_epochs=50, patience=1, seed=0)
     result = tr.fit(model, train, valid, cfg, CostModel(0.0))
@@ -240,8 +238,8 @@ def test_fit_identical_seeds_identical_history():
 
 
 def test_fit_aborts_on_non_finite_loss_naming_batch():
-    train = [steer_window(True, 0.02)]
-    valid = [steer_window(True, 0.01)]
+    train = steer_window(True, 0.02)
+    valid = steer_window(True, 0.01)
     model = Steerable(theta=np.nan)
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0"):
         tr.fit(model, train, valid, tr.TrainConfig(batch_size=1, max_epochs=2))
@@ -250,9 +248,9 @@ def test_fit_aborts_on_non_finite_loss_naming_batch():
 def test_fit_rejects_empty_window_lists():
     model = Steerable()
     with pytest.raises(TrainingError):
-        tr.fit(model, [], [steer_window(True, 0.01)], tr.TrainConfig())
+        tr.fit(model, steer_window(True, 0.01)[[]], steer_window(True, 0.01), tr.TrainConfig())
     with pytest.raises(TrainingError):
-        tr.fit(model, [steer_window(True, 0.01)], [], tr.TrainConfig())
+        tr.fit(model, steer_window(True, 0.01), steer_window(True, 0.01)[[]], tr.TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +318,26 @@ def test_search_filters_invalid_combinations():
         space, "pt", 3, 4, train, valid, tr.TrainConfig(max_epochs=1), seed=0
     )
     assert all(t.params["n_heads"] == 2 for t in result.trials)
+
+
+def test_combo_filter_validates_configs_like_built_models():
+    # oracle: the filter as it was, building every model to catch ValueError
+    def builds(strategy, combo):
+        try:
+            tr.build_model(strategy, 4, 8, combo, seed=0)
+        except ValueError:
+            return False
+        return True
+
+    for strategy in tr.TRAINED_STRATEGIES:
+        combos = tr.default_space(strategy).combinations()
+        kept = [c for c in combos if tr._combo_is_valid(strategy, 4, 8, c)]
+        assert kept == [c for c in combos if builds(strategy, c)]
+        assert len(kept) == len(combos)
+    user = tr.HyperparamSpace(axes={"d_model": [8, 12], "n_heads": [2, 3], "t2v_k": [2]}).combinations()
+    kept = [c for c in user if tr._combo_is_valid("pt", 4, 8, c)]
+    assert kept == [c for c in user if builds("pt", c)]
+    assert kept == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 3, "t2v_k": 2}]
 
 
 def test_search_no_valid_combination_raises():
