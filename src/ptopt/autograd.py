@@ -17,7 +17,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 Array = np.ndarray
 
@@ -59,68 +58,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars go through shift/scale so they stay off the tape
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else shift(self, float(other))
-
-    def __radd__(self, other):
-        return shift(self, float(other))
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else shift(self, -float(other))
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __truediv__(self, other):
-        return div(self, other) if isinstance(other, Tensor) else scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis: int | None = None):
-        return reduce_sum(self, axis)
-
-    def mean(self, axis: int | None = None):
-        return mean(self, axis)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return absolute(self)
-
-    def sin(self):
-        return sin(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 class _Node:
@@ -373,7 +315,9 @@ def elu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = expit(x.data)
+    # exp(-x) overflows to inf for x < -709, which gives exactly 0
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
     return _emit((x,), y, lambda g: (g * y * (1.0 - y),))
 
 

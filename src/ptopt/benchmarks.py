@@ -135,15 +135,6 @@ class MLPModel:
         return last_rows(self, block)
 
 
-def mlp_forward(x: np.ndarray, model: MLPModel) -> Tensor:
-    """Allocation for one trailing window, shape (n_assets,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.config.window, model.config.n_assets):
-        raise ShapeError(f"window shape {x.shape} != {(model.config.window, model.config.n_assets)}")
-    w = scores_to_weights(model._scores(x.reshape(1, -1)))
-    return ag.reshape(w, (model.config.n_assets,))
-
-
 # ---------------------------------------------------------------------------
 # LSTM
 

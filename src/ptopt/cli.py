@@ -110,6 +110,8 @@ def file_sha256(path) -> str:
 
 def prepare_out_dir(path: str, force: bool) -> Path:
     out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"output path {out} exists and is not a directory")
     if out.exists() and any(out.iterdir()):
         if not force:
             raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")

@@ -57,12 +57,6 @@ class ReturnTable:
     def n_assets(self) -> int:
         return len(self.tickers)
 
-    def index_of(self, d: dt.date) -> int:
-        try:
-            return self.dates.index(d)
-        except ValueError:
-            raise DataError(f"date {d} not in return table") from None
-
 
 def load_csv(path) -> PriceTable:
     with open(path, encoding="utf-8") as fh:
@@ -158,18 +152,6 @@ class Split:
     train_end: int
     val_start: int
     test_end: int
-
-    def train_slice(self) -> slice:
-        return slice(0, self.train_end)
-
-    def fit_slice(self) -> slice:
-        return slice(0, self.val_start)
-
-    def val_slice(self) -> slice:
-        return slice(self.val_start, self.train_end)
-
-    def test_slice(self) -> slice:
-        return slice(self.train_end, self.test_end)
 
 
 @dataclass

@@ -71,19 +71,15 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
 class Dense:
     """Affine map x @ W + b on row-major activations."""
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
         self.W = _uniform_init(rng, fan_in, (fan_in, fan_out))
-        self.b = Tensor(np.zeros(fan_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ag.matmul(x, self.W)
-        return ag.add(y, self.b) if self.b is not None else y
+        return ag.add(ag.matmul(x, self.W), self.b)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"W": self.W}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
+        return {"W": self.W, "b": self.b}
 
 
 class Time2VecLayer:
@@ -98,12 +94,6 @@ class Time2VecLayer:
 
     def parameters(self) -> dict[str, Tensor]:
         return {"omega": self.omega, "phi": self.phi}
-
-
-def time2vec_encode(t_index: int, layer: Time2VecLayer) -> Tensor:
-    """Feature vector of a window position: [w0*t+p0, sin(wi*t+pi)...]."""
-    a = ag.add(ag.scale(layer.omega, float(t_index)), layer.phi)
-    return ag.concat([ag.slice_(a, 0, 0, 1), ag.sin(ag.slice_(a, 0, 1, layer.k + 1))], axis=0)
 
 
 def _time2vec_matrix(n_rows: int, layer: Time2VecLayer) -> Tensor:
@@ -313,9 +303,6 @@ class PortfolioTransformer:
 
         return drop
 
-    def forward(self, x_enc: np.ndarray, x_dec: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
-        return pt_forward(x_enc, x_dec, self, rng=rng)
-
     def window_weights(self, block: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Weight rows for blocks of 2*window consecutive return rows.
 
@@ -324,7 +311,7 @@ class PortfolioTransformer:
         n_assets) accordingly.
         """
         tau = self.config.window
-        return batched_weights(lambda b: self.forward(b[:, :tau], b[:, tau:], rng=rng), block, self.config)
+        return batched_weights(lambda b: pt_forward(b[:, :tau], b[:, tau:], self, rng=rng), block, self.config)
 
     def day_weights(self, block: np.ndarray) -> np.ndarray:
         """Next-day allocation: the last decoder row, gradient-free.

@@ -19,7 +19,6 @@ import numpy as np
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tensor
-from ptopt.errors import DataError
 
 EPS = 1e-12
 
@@ -62,13 +61,6 @@ class ReturnsWindow:
                 )
 
 
-def arithmetic_return(p_now: float, p_prev: float) -> float:
-    """Simple return between two consecutive prices."""
-    if p_prev <= 0:
-        raise DataError(f"previous price must be positive, got {p_prev}")
-    return p_now / p_prev - 1.0
-
-
 def portfolio_returns(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
     """Net daily portfolio returns for a window (or a stack) of weight rows.
 
@@ -87,7 +79,7 @@ def portfolio_returns(weights: Tensor, window: ReturnsWindow, costs: CostModel) 
     first = Tensor(np.broadcast_to(prev0, (*lead, 1, n)))
     prev = ag.concat([first, ag.slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
     turnover = ag.reduce_sum(ag.absolute(ag.sub(weights, prev)), axis=-1)
-    return ag.sub(gross, turnover * costs.cost_rate)
+    return ag.sub(gross, ag.scale(turnover, costs.cost_rate))
 
 
 def sharpe(returns: Tensor, eps: float = EPS) -> Tensor:
@@ -96,10 +88,10 @@ def sharpe(returns: Tensor, eps: float = EPS) -> Tensor:
         raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
     m = ag.mean(returns, axis=-1)
     var = ag.sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
-    return ag.div(m, ag.sqrt(var + eps))
+    return ag.div(m, ag.sqrt(ag.shift(var, eps)))
 
 
 def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel, eps: float = EPS) -> Tensor:
     """Negated Sharpe of the cost-adjusted window returns (to be minimized),
     one loss per window of a stack."""
-    return -sharpe(portfolio_returns(weights, window, costs), eps)
+    return ag.scale(sharpe(portfolio_returns(weights, window, costs), eps), -1.0)

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
 from ptopt.benchmarks import LSTMConfig, LSTMModel, MLPConfig, MLPModel, MVConfig, equal_weights, mv_weights
-from ptopt.data import ReturnTable, Split, WalkForwardSchedule
+from ptopt.data import ReturnTable, WalkForwardSchedule
 from ptopt.errors import DataError, TrainingError
 from ptopt.metrics import WeightStream
 from ptopt.model import PTConfig, PortfolioTransformer
@@ -243,7 +243,10 @@ class HyperparamSpace:
     @classmethod
     def from_json(cls, text: str) -> "HyperparamSpace":
         doc = json.loads(text)
-        return cls(axes=doc["axes"], budget=int(doc.get("budget", 100)))
+        axes = doc.get("axes") if isinstance(doc, dict) else None
+        if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
+            raise ValueError("space JSON must be an object whose 'axes' maps names to lists")
+        return cls(axes=axes, budget=int(doc.get("budget", 100)))
 
 
 def default_space(strategy: str) -> HyperparamSpace:
@@ -388,16 +391,6 @@ def random_grid_search(
     return SearchResult(best=best.params, trials=trials)
 
 
-def write_trials_csv(trials: list[Trial], path) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "params", "train_loss", "val_loss", "seconds"])
-        for t in trials:
-            writer.writerow([t.index, json.dumps(t.params, sort_keys=True), repr(t.train_loss), repr(t.val_loss), repr(t.seconds)])
-
-
 # ---------------------------------------------------------------------------
 # walk-forward
 
@@ -417,15 +410,6 @@ class WalkForwardResult:
     outcomes: list[SplitOutcome]
 
 
-def _test_day_weights(model_fn, table: ReturnTable, split: Split) -> tuple[list, np.ndarray]:
-    """One decision per test-year return row, dated the prior trading day."""
-    dates, rows = [], []
-    for p in range(split.train_end - 1, split.test_end - 1):
-        dates.append(table.dates[p])
-        rows.append(model_fn(p))
-    return dates, np.vstack(rows)
-
-
 def walk_forward(
     table: ReturnTable,
     schedule: WalkForwardSchedule,
@@ -434,7 +418,6 @@ def walk_forward(
     space: HyperparamSpace | None = None,
     base_cfg: TrainConfig = TrainConfig(),
     costs: CostModel = CostModel(),
-    mv_cfg: MVConfig = MVConfig(),
     seed: int = 0,
     jobs: int = 1,
     search_each_split: bool = True,
@@ -455,17 +438,20 @@ def walk_forward(
     all_weights: list[np.ndarray] = []
     outcomes: list[SplitOutcome] = []
     chosen: dict | None = None
+    mv_config = MVConfig()
 
     for split_idx, split in enumerate(schedule.splits):
+        # one decision per test-year return row, dated the prior trading day
+        first = split.train_end - 1
+        dates = table.dates[first : split.test_end - 1]
         if strategy == "equal_weight":
-            w = equal_weights(n)
-            dates, rows = _test_day_weights(lambda p: w, table, split)
+            rows = np.tile(equal_weights(n), (len(dates), 1))
             outcomes.append(SplitOutcome(split.test_year, {}, [], None))
         elif strategy == "mv":
-            if split.train_end < mv_cfg.lookback:
-                raise DataError(f"need {mv_cfg.lookback} rows before {split.test_year} for the mean-variance window")
-            dates, rows = _test_day_weights(lambda p: mv_weights(table.returns[: p + 1], mv_cfg), table, split)
-            outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_cfg.lookback, "ridge": mv_cfg.ridge}, [], None))
+            if split.train_end < mv_config.lookback:
+                raise DataError(f"need {mv_config.lookback} rows before {split.test_year} for the mean-variance window")
+            rows = np.vstack([mv_weights(table.returns[: p + 1], mv_config) for p in range(first, split.test_end - 1)])
+            outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
             train_windows = build_windows(table, tau, 0, split.val_start)
             valid_windows = build_windows(table, tau, split.val_start, split.train_end)
@@ -492,8 +478,6 @@ def walk_forward(
             model = build_model(strategy, n, tau, combo, seed=final_seed)
             result = fit(model, train_windows, valid_windows, cfg, costs)
             # every test day of the split in one gradient-free forward
-            first = split.train_end - 1
-            dates = table.dates[first : split.test_end - 1]
             rows = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
             outcomes.append(SplitOutcome(split.test_year, combo, trials, model, result.history))
         all_dates.extend(dates)

@@ -50,6 +50,22 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def time2vec_encode(t_index: int, layer) -> np.ndarray:
+    """Time2Vec features of one window position: [w0*t+p0, sin(wi*t+pi)...]."""
+    a = layer.omega.data * float(t_index) + layer.phi.data
+    return np.concatenate([a[:1], np.sin(a[1:])])
+
+
+def mlp_forward(x: np.ndarray, model) -> np.ndarray:
+    """Allocation of an MLP model for one (window, n_assets) trailing window."""
+    h = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    for layer in model.layers[:-1]:
+        z = h @ layer.W.data + layer.b.data
+        h = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+    s = (h @ model.layers[-1].W.data + model.layers[-1].b.data)[0]
+    return np.where(s >= 0, 1.0, -1.0) * softmax_rows(s)
+
+
 def portfolio_returns_oracle(
     weights: np.ndarray, returns: np.ndarray, cost: float, prev0: np.ndarray | None = None
 ) -> np.ndarray:

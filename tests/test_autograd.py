@@ -5,6 +5,8 @@ difference oracle; forward values are checked against direct numpy
 expressions evaluated in the test itself.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,8 +67,8 @@ GRAD_CASES = [
     ("mul", X23, lambda x: weighted_sum(ag.mul(x, Tensor(C23)), C23 - 0.2)),
     ("div_num", X23, lambda x: weighted_sum(ag.div(x, Tensor(P23)), C23)),
     ("div_den", P23, lambda x: weighted_sum(ag.div(Tensor(C23), x), C23)),
-    ("shift_scale", X23, lambda x: ag.reduce_sum(ag.mul((x + 2.5) * 3.0, Tensor(C23)))),
-    ("neg", X23, lambda x: weighted_sum(-x, C23)),
+    ("shift_scale", X23, lambda x: ag.reduce_sum(ag.mul(ag.scale(ag.shift(x, 2.5), 3.0), Tensor(C23)))),
+    ("neg", X23, lambda x: weighted_sum(ag.scale(x, -1.0), C23)),
     ("matmul_left", X23, lambda x: weighted_sum(ag.matmul(x, Tensor(C32)), C22)),
     ("matmul_right", C32, lambda x: weighted_sum(ag.matmul(Tensor(X23), x), C22)),
     ("concat0", X23, lambda x: weighted_sum(ag.concat([x, Tensor(C23)], axis=0), np.vstack([C23, X23]))),
@@ -132,7 +134,7 @@ def test_tensor_is_float64():
     t = Tensor([[1, 2], [3, 4]])
     assert t.data.dtype == np.float64
     assert t.shape == (2, 2)
-    assert t.size == 4
+    assert t.data.size == 4
 
 
 def test_elementwise_values():
@@ -203,8 +205,13 @@ def test_elu_matches_definition_and_survives_large_negatives():
 
 
 def test_sigmoid_matches_expit():
-    x = np.array([-30.0, -1.0, 0.0, 1.0, 30.0])
-    np.testing.assert_allclose(ag.sigmoid(Tensor(x)).data, expit(x))
+    x = np.array([-1000.0, -745.0, -709.0, -30.0, -1.0, 0.0, 1.0, 30.0, 709.0, 745.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ag.sigmoid(Tensor(x)).data
+    assert np.all(np.isfinite(out))
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    np.testing.assert_allclose(out, expit(x), rtol=0, atol=1e-15)
 
 
 def test_layer_norm_hand_case():
@@ -245,7 +252,7 @@ def test_sign_const_blocks_gradient():
 def test_fanout_gradients_accumulate():
     with Tape() as tape:
         x = Tensor([2.0, -3.0], requires_grad=True)
-        y = ag.reduce_sum(ag.add(ag.mul(x, x), x * 3.0))
+        y = ag.reduce_sum(ag.add(ag.mul(x, x), ag.scale(x, 3.0)))
         ag.backward(y, tape)
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
 

@@ -12,7 +12,6 @@ from ptopt.benchmarks import (
     MVConfig,
     equal_weights,
     lstm_forward,
-    mlp_forward,
     mv_weights,
     tangency_weights,
 )
@@ -20,7 +19,7 @@ from ptopt.errors import DataError, NumericError
 from ptopt.model import load_checkpoint, save_checkpoint
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
-from helpers import model_grad_errors
+from helpers import mlp_forward, model_grad_errors
 
 RNG = np.random.default_rng(31)
 
@@ -103,7 +102,7 @@ def test_mv_config_validation():
 
 def test_mlp_forward_shape_and_constraint():
     model = MLPModel(MLPConfig(n_assets=3, window=4, hidden=(8,), seed=2))
-    w = mlp_forward(RNG.standard_normal((4, 3)) * 0.02, model).data
+    w = model.day_weights(RNG.standard_normal((8, 3)) * 0.02)
     assert w.shape == (3,)
     assert abs(np.abs(w).sum() - 1.0) < 1e-9
 
@@ -112,7 +111,7 @@ def test_mlp_zero_output_layer_gives_equal_long_weights():
     model = MLPModel(MLPConfig(n_assets=4, window=3, hidden=(5,), seed=3))
     model.layers[-1].W.data = np.zeros_like(model.layers[-1].W.data)
     model.layers[-1].b.data = np.zeros_like(model.layers[-1].b.data)
-    w = mlp_forward(RNG.standard_normal((3, 4)), model).data
+    w = model.day_weights(RNG.standard_normal((6, 4)))
     np.testing.assert_allclose(w, equal_weights(4), atol=1e-15)
 
 
@@ -125,7 +124,7 @@ def test_mlp_window_weights_use_trailing_blocks():
     rows = model.window_weights(block).data
     assert rows.shape == (tau, 2)
     for j in range(tau):
-        np.testing.assert_allclose(rows[j], mlp_forward(block[j + 1 : tau + j + 1], model).data, atol=1e-14)
+        np.testing.assert_allclose(rows[j], mlp_forward(block[j + 1 : tau + j + 1], model), atol=1e-14)
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -143,7 +142,7 @@ def test_mlp_gradients_match_finite_differences():
 def test_mlp_shape_errors():
     model = MLPModel(MLPConfig(n_assets=3, window=4))
     with pytest.raises(ShapeError):
-        mlp_forward(np.zeros((4, 2)), model)
+        model.window_weights(np.zeros((8, 2)))
     with pytest.raises(ShapeError):
         model.window_weights(np.zeros((7, 3)))
 

@@ -1,6 +1,10 @@
 """End-to-end command-line tests driven through main() in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,25 @@ def test_run_refuses_nonempty_dir_without_force(prices_csv, tmp_path):
     assert cli.main(base + ["--force"]) == 0
 
 
+def test_run_out_naming_a_file_is_usage_error(prices_csv, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out.read_text() == "keep\n"
+
+
+def test_run_malformed_space_file_is_usage_error(prices_csv, tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text("[1, 2]")
+    code = cli.main(
+        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(tmp_path / "o"), "--space", str(space)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_run_missing_data_file_exits_2(tmp_path):
     assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path / "o")]) == 2
 
@@ -221,3 +244,11 @@ def test_render_table_flags_max_and_min_correctly():
 def test_run_config_rejects_unknown_strategy():
     with pytest.raises(cli.UsageError):
         cli.RunConfig(data="x", strategy="bogus", out_dir="y")
+
+
+def test_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import sys, ptopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -167,17 +167,17 @@ def test_three_splits_2014_to_2018():
     schedule = yearly_splits(table, 2016)
     assert [s.test_year for s in schedule.splits] == [2016, 2017, 2018]
     for s in schedule.splits:
-        train_dates = table.dates[s.train_slice()]
-        test_dates = table.dates[s.test_slice()]
+        train_dates = table.dates[: s.train_end]
+        test_dates = table.dates[s.train_end : s.test_end]
         assert max(train_dates) < min(test_dates)
         assert {d.year for d in test_dates} == {s.test_year}
-        val_dates = table.dates[s.val_slice()]
+        val_dates = table.dates[s.val_start : s.train_end]
         assert len(val_dates) == s.train_end // 10
         assert set(val_dates) <= set(train_dates)
     # expanding train: each next split consumes the previous test year
     for a, b in zip(schedule.splits, schedule.splits[1:]):
         assert b.train_end == a.test_end
-        assert set(table.dates[a.train_slice()]) < set(table.dates[b.train_slice()])
+        assert set(table.dates[: a.train_end]) < set(table.dates[: b.train_end])
 
 
 def test_partial_last_year_excluded():

@@ -13,6 +13,7 @@ from ptopt.model import (
     PTConfig,
     PortfolioTransformer,
     Time2VecLayer,
+    _time2vec_matrix,
     attention,
     causal_mask,
     embed_window,
@@ -22,11 +23,10 @@ from ptopt.model import (
     pt_forward,
     save_checkpoint,
     scores_to_weights,
-    time2vec_encode,
 )
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
-from helpers import model_grad_errors, softmax_rows
+from helpers import model_grad_errors, softmax_rows, time2vec_encode
 
 RNG = np.random.default_rng(11)
 
@@ -77,17 +77,16 @@ def test_time2vec_linear_component():
     layer = Time2VecLayer(2, np.random.default_rng(0))
     layer.omega.data = np.array([1.0, np.pi / 2, 0.3])
     layer.phi.data = np.array([0.0, 0.0, 0.1])
-    out3 = time2vec_encode(3, layer).data
-    assert out3[0] == pytest.approx(3.0)
-    out1 = time2vec_encode(1, layer).data
-    assert out1[1] == pytest.approx(1.0)
+    out = _time2vec_matrix(4, layer).data
+    assert out[3, 0] == pytest.approx(3.0)
+    assert out[1, 1] == pytest.approx(1.0)
 
 
 @given(st.integers(0, 1000), st.integers(0, 2**31 - 1))
 def test_time2vec_periodic_range(t, seed):
     layer = Time2VecLayer(4, np.random.default_rng(seed))
-    out = time2vec_encode(t, layer).data
-    assert np.all(np.abs(out[1:]) <= 1.0 + 1e-12)
+    out = _time2vec_matrix(t + 1, layer).data
+    assert np.all(np.abs(out[:, 1:]) <= 1.0 + 1e-12)
 
 
 def test_time2vec_matrix_matches_per_position():
@@ -96,7 +95,7 @@ def test_time2vec_matrix_matches_per_position():
     m = embed_window(x, model)
     for t in range(4):
         row = model.input_proj(
-            ag.reshape(ag.concat([Tensor(x[t]), time2vec_encode(t, model.time2vec)], axis=0), (1, 6))
+            ag.reshape(ag.concat([Tensor(x[t]), Tensor(time2vec_encode(t, model.time2vec))], axis=0), (1, 6))
         )
         np.testing.assert_allclose(m.data[t], row.data[0], atol=1e-14)
 

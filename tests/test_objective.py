@@ -7,24 +7,11 @@ from hypothesis import strategies as st
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tape, Tensor
-from ptopt.errors import DataError
-from ptopt.objective import EPS, CostModel, ReturnsWindow, arithmetic_return, portfolio_returns, sharpe, sharpe_loss
+from ptopt.objective import EPS, CostModel, ReturnsWindow, portfolio_returns, sharpe, sharpe_loss
 
 from helpers import finite_diff_grad, max_rel_err, portfolio_returns_oracle, sharpe_oracle
 
 RNG = np.random.default_rng(7)
-
-
-def test_arithmetic_return_values():
-    assert arithmetic_return(102.0, 100.0) == pytest.approx(0.02)
-    assert arithmetic_return(100.0, 100.0) == 0.0
-    assert arithmetic_return(95.0, 100.0) == pytest.approx(-0.05)
-
-
-@pytest.mark.parametrize("p_prev", [0.0, -1.0])
-def test_arithmetic_return_rejects_nonpositive_prev(p_prev):
-    with pytest.raises(DataError):
-        arithmetic_return(100.0, p_prev)
 
 
 def test_cost_model_rejects_negative_rate():

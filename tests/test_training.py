@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ptopt.autograd as ag
+import ptopt.cli as cli
 import ptopt.training as tr
 from ptopt.autograd import Tensor
 from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
@@ -275,6 +276,9 @@ def test_space_json_roundtrip():
     space = tr.HyperparamSpace.from_json('{"axes": {"hidden": [4, 8]}, "budget": 7}')
     assert space.axes == {"hidden": [4, 8]}
     assert space.budget == 7
+    for bad in ("{}", "[1, 2]", '{"axes": [4, 8]}', '{"axes": {"hidden": 4}}'):
+        with pytest.raises(ValueError):
+            tr.HyperparamSpace.from_json(bad)
 
 
 def search_fixture(momentum=0.5):
@@ -374,13 +378,14 @@ def test_trials_csv_roundtrip(tmp_path):
         tr.Trial(index=1, params={"hidden": 8, "learning_rate": 3e-3}, train_loss=-0.3, val_loss=np.inf, seconds=0.75),
     ]
     path = tmp_path / "trials.csv"
-    tr.write_trials_csv(trials, path)
+    cli._write_all_trials([tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=None)], path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["trial", "params", "train_loss", "val_loss", "seconds"]
-    assert json.loads(rows[1][1]) == {"hidden": 4, "learning_rate": 1e-3}
-    assert float(rows[1][3]) == -0.125
-    assert float(rows[2][3]) == np.inf
+    assert rows[0] == ["test_year", "trial", "params", "train_loss", "val_loss", "seconds"]
+    assert [row[0] for row in rows[1:]] == ["2016", "2016"]
+    assert json.loads(rows[1][2]) == {"hidden": 4, "learning_rate": 1e-3}
+    assert float(rows[1][4]) == -0.125
+    assert float(rows[2][4]) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +432,7 @@ def test_walk_forward_mv_ignores_future_rows():
     b = tr.walk_forward(bent, schedule, "mv").stream
     date_to_row = {d: i for i, d in enumerate(a.dates)}
     for d, i in date_to_row.items():
-        decision_row = table.index_of(d)
+        decision_row = table.dates.index(d)
         if decision_row < cut - 1:
             assert np.array_equal(a.weights[i], b.weights[i])
 
