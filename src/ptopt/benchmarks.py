@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
-from ptopt.model import Dense, _uniform_init, batched_weights, last_rows, register_model_kind, scores_to_weights
+from ptopt.model import Dense, PortfolioTransformer, _uniform_init, batched_weights, last_rows, scores_to_weights
 
 # ---------------------------------------------------------------------------
 # mean-variance
@@ -88,6 +88,8 @@ class MLPConfig:
     def __post_init__(self):
         if self.n_assets < 2 or self.window < 2:
             raise ValueError("need n_assets >= 2 and window >= 2")
+        # a checkpoint's JSON list, a combo's int or list: always a tuple of ints
+        object.__setattr__(self, "hidden", tuple(int(h) for h in np.atleast_1d(self.hidden)))
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"bad hidden sizes {self.hidden}")
 
@@ -96,6 +98,7 @@ class MLPModel:
     """Dense stack over the flattened trailing window, one weight row out."""
 
     kind = "mlp"
+    config_class = MLPConfig
 
     def __init__(self, config: MLPConfig):
         self.config = config
@@ -161,6 +164,7 @@ class LSTMModel:
     """
 
     kind = "lstm"
+    config_class = LSTMConfig
 
     def __init__(self, config: LSTMConfig):
         self.config = config
@@ -212,5 +216,5 @@ def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:
     return scores_to_weights(model.head(ag.concat(states, axis=-2)))
 
 
-register_model_kind("mlp", lambda cfg: MLPModel(MLPConfig(**{**cfg, "hidden": tuple(cfg["hidden"])})))
-register_model_kind("lstm", lambda cfg: LSTMModel(LSTMConfig(**cfg)))
+# every trainable model class by its strategy and checkpoint kind
+MODEL_KINDS = {cls.kind: cls for cls in (PortfolioTransformer, LSTMModel, MLPModel)}

@@ -108,14 +108,18 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def prepare_out_dir(path: str, force: bool) -> Path:
+def check_out_dir(path: str, force: bool) -> Path:
+    """Refuse an output path that cannot take this run, before any work.
+
+    The directory is created only when the artifacts are written, so a run
+    that fails on its inputs leaves nothing behind.
+    """
     out = Path(path)
-    if out.exists() and not out.is_dir():
-        raise UsageError(f"output path {out} exists and is not a directory")
-    if out.exists() and any(out.iterdir()):
-        if not force:
-            raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"output path {out}: {existing} exists and is not a directory")
+    if existing == out and any(out.iterdir()) and not force:
+        raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")
     return out
 
 
@@ -174,6 +178,7 @@ def _execute_strategy(table, schedule, strategy: str, cfg: RunConfig, seed: int,
 
 
 def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_equity_csv(curve, out / "equity.csv")
     if len(curve.daily_returns) >= TRADING_DAYS:
@@ -226,7 +231,7 @@ def cmd_synth(args) -> int:
 def cmd_run(args) -> int:
     cfg = _run_config(args)
     seed = effective_seed(cfg.seed)
-    out = prepare_out_dir(cfg.out_dir, args.force)
+    out = check_out_dir(cfg.out_dir, args.force)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
     result, curve, report = _execute_strategy(table, schedule, cfg.strategy, cfg, seed, args)
@@ -243,7 +248,7 @@ def cmd_compare(args) -> int:
         raise UsageError("duplicate strategy in compare list")
     cfg = _run_config(args, strategy=args.strategies[0])
     seed = effective_seed(cfg.seed)
-    out = prepare_out_dir(cfg.out_dir, args.force)
+    out = check_out_dir(cfg.out_dir, args.force)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
 
@@ -254,6 +259,7 @@ def cmd_compare(args) -> int:
         rows.append((strategy, report))
         curves[strategy] = curve
 
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
         fh.write("strategy," + ",".join(METRIC_COLUMNS) + "\n")
         for name, report in rows:

@@ -187,12 +187,15 @@ class GRNLayer:
         return out
 
 
-def grn(z: Tensor, layer: GRNLayer, drop: Callable[[Tensor], Tensor] | None = None) -> Tensor:
+def _no_drop(x: Tensor) -> Tensor:
+    """Dropout switched off: the activation itself, with no tape node."""
+    return x
+
+
+def grn(z: Tensor, layer: GRNLayer, drop: Callable[[Tensor], Tensor] = _no_drop) -> Tensor:
     g2 = ag.elu(layer.inner(z))
     g1 = layer.outer(g2)
-    gated = ag.mul(layer.glu_value(g1), ag.sigmoid(layer.glu_gate(g1)))
-    if drop is not None:
-        gated = drop(gated)
+    gated = drop(ag.mul(layer.glu_value(g1), ag.sigmoid(layer.glu_gate(g1))))
     return ag.layer_norm(ag.add(z, gated), layer.ln_gain, layer.ln_bias)
 
 
@@ -203,10 +206,8 @@ class EncoderLayer:
         self.ln_bias = Tensor(np.zeros(d_model), requires_grad=True)
         self.grn = GRNLayer(d_model, rng)
 
-    def forward(self, x: Tensor, drop=None) -> Tensor:
-        attended = multi_head_attention(x, x, x, self.mha)
-        if drop is not None:
-            attended = drop(attended)
+    def forward(self, x: Tensor, drop=_no_drop) -> Tensor:
+        attended = drop(multi_head_attention(x, x, x, self.mha))
         a = ag.layer_norm(ag.add(x, attended), self.ln_gain, self.ln_bias)
         return grn(a, self.grn, drop)
 
@@ -228,14 +229,10 @@ class DecoderLayer:
         self.ln2_bias = Tensor(np.zeros(d_model), requires_grad=True)
         self.grn = GRNLayer(d_model, rng)
 
-    def forward(self, x: Tensor, enc_out: Tensor, mask: np.ndarray, drop=None) -> Tensor:
-        self_att = multi_head_attention(x, x, x, self.self_mha, mask)
-        if drop is not None:
-            self_att = drop(self_att)
+    def forward(self, x: Tensor, enc_out: Tensor, mask: np.ndarray, drop=_no_drop) -> Tensor:
+        self_att = drop(multi_head_attention(x, x, x, self.self_mha, mask))
         a = ag.layer_norm(ag.add(x, self_att), self.ln1_gain, self.ln1_bias)
-        cross = multi_head_attention(a, enc_out, enc_out, self.cross_mha)
-        if drop is not None:
-            cross = drop(cross)
+        cross = drop(multi_head_attention(a, enc_out, enc_out, self.cross_mha))
         b = ag.layer_norm(ag.add(a, cross), self.ln2_gain, self.ln2_bias)
         return grn(b, self.grn, drop)
 
@@ -269,6 +266,7 @@ class PortfolioTransformer:
     """The full allocation network; see the module docstring for layout."""
 
     kind = "pt"
+    config_class = PTConfig
 
     def __init__(self, config: PTConfig):
         self.config = config
@@ -295,7 +293,7 @@ class PortfolioTransformer:
     def _drop_fn(self, rng: np.random.Generator | None):
         p = self.config.dropout
         if rng is None or p <= 0.0:
-            return None
+            return _no_drop
 
         def drop(x: Tensor) -> Tensor:
             keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
@@ -354,15 +352,11 @@ def pt_forward(
         raise ShapeError(f"window shapes {x_enc.shape}/{x_dec.shape} != {want}")
     drop = model._drop_fn(rng)
 
-    enc = embed_window(x_enc, model)
-    if drop is not None:
-        enc = drop(enc)
+    enc = drop(embed_window(x_enc, model))
     for layer in model.encoder:
         enc = layer.forward(enc, drop)
 
-    dec = embed_window(x_dec, model)
-    if drop is not None:
-        dec = drop(dec)
+    dec = drop(embed_window(x_dec, model))
     for layer in model.decoder:
         dec = layer.forward(dec, enc, model.mask, drop)
 
@@ -398,17 +392,6 @@ def last_rows(model, block: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-_MODEL_KINDS: dict[str, Callable[[dict], object]] = {}
-
-
-def register_model_kind(kind: str, factory: Callable[[dict], object]) -> None:
-    """Register a constructor taking a config dict, used by checkpoint load."""
-    _MODEL_KINDS[kind] = factory
-
-
-register_model_kind("pt", lambda cfg: PortfolioTransformer(PTConfig(**cfg)))
-
-
 def save_checkpoint(model, path) -> None:
     """Write a self-describing parameter snapshot (versioned text format)."""
     params = {
@@ -428,15 +411,16 @@ def save_checkpoint(model, path) -> None:
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint file, restoring every parameter."""
+    from ptopt.benchmarks import MODEL_KINDS  # not at the top: benchmarks imports this module
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
         doc = json.load(fh)
-    kind = doc["kind"]
-    if kind not in _MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r} in checkpoint")
-    model = _MODEL_KINDS[kind](doc["config"])
+    cls = MODEL_KINDS.get(doc["kind"])
+    if cls is None:
+        raise ValueError(f"unknown model kind {doc['kind']!r} in checkpoint")
+    model = cls(cls.config_class(**doc["config"]))
     params = model.parameters()
     if set(params) != set(doc["params"]):
         raise ValueError("checkpoint parameter names do not match the model")

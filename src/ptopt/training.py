@@ -25,11 +25,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
-from ptopt.benchmarks import LSTMConfig, LSTMModel, MLPConfig, MLPModel, MVConfig, equal_weights, mv_weights
-from ptopt.data import ReturnTable, WalkForwardSchedule
+from ptopt.benchmarks import MODEL_KINDS, LSTMConfig, MLPConfig, MVConfig, equal_weights, mv_weights
+from ptopt.data import ReturnTable, Split, WalkForwardSchedule
 from ptopt.errors import DataError, TrainingError
 from ptopt.metrics import WeightStream
-from ptopt.model import PTConfig, PortfolioTransformer
+from ptopt.model import PTConfig
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 STRATEGIES = ("pt", "lstm", "mlp", "mv", "equal_weight")
@@ -123,6 +123,11 @@ def build_windows(table: ReturnTable, tau: int, lo: int, hi: int) -> Windows:
         realized=_stacked(r, tau, first - tau + 2, count),
         decision_index=decisions,
     )
+
+
+def split_windows(table: ReturnTable, split: Split, tau: int) -> tuple[Windows, Windows]:
+    """The train and validation windows of a split: before and from ``val_start``."""
+    return build_windows(table, tau, 0, split.val_start), build_windows(table, tau, split.val_start, split.train_end)
 
 
 def make_batches(windows, batch_size: int, seed: int) -> list:
@@ -246,7 +251,10 @@ class HyperparamSpace:
         axes = doc.get("axes") if isinstance(doc, dict) else None
         if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
             raise ValueError("space JSON must be an object whose 'axes' maps names to lists")
-        return cls(axes=axes, budget=int(doc.get("budget", 100)))
+        budget = doc.get("budget", 100)
+        if isinstance(budget, bool) or not isinstance(budget, int):
+            raise ValueError(f"space JSON 'budget' must be an integer, got {budget!r}")
+        return cls(axes=axes, budget=budget)
 
 
 def default_space(strategy: str) -> HyperparamSpace:
@@ -298,19 +306,29 @@ def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int)
     if strategy == "lstm":
         return LSTMConfig(n_assets=n_assets, window=tau, hidden=int(combo.get("hidden", 16)), seed=seed)
     if strategy == "mlp":
-        hidden = combo.get("hidden", (32,))
-        if isinstance(hidden, (int, np.integer)):
-            hidden = (hidden,)
-        return MLPConfig(n_assets=n_assets, window=tau, hidden=tuple(int(h) for h in hidden), seed=seed)
+        return MLPConfig(n_assets=n_assets, window=tau, hidden=combo.get("hidden", (32,)), seed=seed)
     raise ValueError(f"not a trainable strategy: {strategy!r}")
-
-
-_MODEL_CLASSES = {"pt": PortfolioTransformer, "lstm": LSTMModel, "mlp": MLPModel}
 
 
 def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     """Instantiate a trainable strategy model from sampled hyperparameters."""
-    return _MODEL_CLASSES[strategy](model_config(strategy, n_assets, tau, combo, seed))
+    return MODEL_KINDS[strategy](model_config(strategy, n_assets, tau, combo, seed))
+
+
+def fit_combo(
+    strategy: str, n_assets: int, tau: int, combo: dict, seed: int,
+    train: Windows, valid: Windows, base_cfg: TrainConfig, costs: CostModel,
+):
+    """Build the model ``combo`` describes and fit it: ``(model, FitResult)``.
+
+    Search trials and the final fit of a split both train through here, so a
+    combo scores on validation exactly the model it would become.
+    """
+    learning_rate = float(combo.get("learning_rate", base_cfg.learning_rate))
+    batch_size = int(combo.get("batch_size", base_cfg.batch_size))
+    cfg = replace(base_cfg, learning_rate=learning_rate, batch_size=batch_size, seed=seed)
+    model = build_model(strategy, n_assets, tau, combo, seed=seed)
+    return model, fit(model, train, valid, cfg, costs)
 
 
 def _combo_is_valid(strategy: str, n_assets: int, tau: int, combo: dict) -> bool:
@@ -337,18 +355,12 @@ class SearchResult:
 
 
 def _run_trial(payload) -> Trial:
-    index, combo, strategy, n_assets, tau, train_windows, valid_windows, base_cfg, costs, master_seed = payload
-    trial_seed = master_seed + index
-    cfg = replace(
-        base_cfg,
-        learning_rate=float(combo.get("learning_rate", base_cfg.learning_rate)),
-        batch_size=int(combo.get("batch_size", base_cfg.batch_size)),
-        seed=trial_seed,
-    )
-    model = build_model(strategy, n_assets, tau, combo, seed=trial_seed)
+    index, combo, strategy, table, split, tau, base_cfg, costs, master_seed = payload
+    # the windows are views cut from the table, so a payload carries only the table
+    train, valid = split_windows(table, split, tau)
     start = time.perf_counter()
     try:
-        result = fit(model, train_windows, valid_windows, cfg, costs)
+        _, result = fit_combo(strategy, table.n_assets, tau, combo, master_seed + index, train, valid, base_cfg, costs)
         train_loss = result.history[result.best_epoch].train_loss
         val_loss = result.best_val
     except TrainingError:
@@ -359,10 +371,9 @@ def _run_trial(payload) -> Trial:
 def random_grid_search(
     space: HyperparamSpace,
     strategy: str,
-    n_assets: int,
+    table: ReturnTable,
+    split: Split,
     tau: int,
-    train_windows: Windows,
-    valid_windows: Windows,
     base_cfg: TrainConfig,
     costs: CostModel = CostModel(),
     seed: int = 0,
@@ -370,15 +381,16 @@ def random_grid_search(
 ) -> SearchResult:
     """Sample the grid uniformly with replacement and pick the best trial.
 
-    Ties on validation loss go to the earliest trial index.
+    Each trial fits on the train and validation windows of ``split``. Ties on
+    validation loss go to the earliest trial index.
     """
-    combos = [c for c in space.combinations() if _combo_is_valid(strategy, n_assets, tau, c)]
+    combos = [c for c in space.combinations() if _combo_is_valid(strategy, table.n_assets, tau, c)]
     if not combos:
         raise ValueError("hyperparameter space contains no valid combination")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(combos), size=space.budget)
     payloads = [
-        (i, combos[k], strategy, n_assets, tau, train_windows, valid_windows, base_cfg, costs, seed)
+        (i, combos[k], strategy, table, split, tau, base_cfg, costs, seed)
         for i, k in enumerate(picks)
     ]
     if jobs > 1:
@@ -427,9 +439,11 @@ def walk_forward(
 
     For trained strategies each split runs (optionally) a fresh grid search
     scored on the chronological validation slice, then a final fit with the
-    winning hyperparameters. Rule-based strategies skip straight to daily
-    weight emission. Weight rows are dated the decision day and earn the
-    following trading day's returns.
+    winning hyperparameters. A ``base_combo`` key the space leaves out joins
+    it as a one-value axis, so trials fit the same model as the final fit.
+    Rule-based strategies skip straight to daily weight emission. Weight
+    rows are dated the decision day and earn the following trading day's
+    returns.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -439,6 +453,8 @@ def walk_forward(
     outcomes: list[SplitOutcome] = []
     chosen: dict | None = None
     mv_config = MVConfig()
+    if space is not None and base_combo:
+        space = replace(space, axes={**space.axes, **{k: [v] for k, v in base_combo.items() if k not in space.axes}})
 
     for split_idx, split in enumerate(schedule.splits):
         # one decision per test-year return row, dated the prior trading day
@@ -453,30 +469,19 @@ def walk_forward(
             rows = np.vstack([mv_weights(table.returns[: p + 1], mv_config) for p in range(first, split.test_end - 1)])
             outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
-            train_windows = build_windows(table, tau, 0, split.val_start)
-            valid_windows = build_windows(table, tau, split.val_start, split.train_end)
+            train_windows, valid_windows = split_windows(table, split, tau)
             if not train_windows or not valid_windows:
                 raise DataError(f"training range before {split.test_year} too short for window length {tau}")
             trials: list[Trial] = []
             if space is not None and (search_each_split or chosen is None):
                 search = random_grid_search(
-                    space, strategy, n, tau, train_windows, valid_windows, base_cfg,
+                    space, strategy, table, split, tau, base_cfg,
                     costs=costs, seed=seed + 104729 * split_idx, jobs=jobs,
                 )
                 chosen = search.best
                 trials = search.trials
-            combo = dict(base_combo or {})
-            if chosen is not None:
-                combo.update(chosen)
-            final_seed = seed + split_idx
-            cfg = replace(
-                base_cfg,
-                learning_rate=float(combo.get("learning_rate", base_cfg.learning_rate)),
-                batch_size=int(combo.get("batch_size", base_cfg.batch_size)),
-                seed=final_seed,
-            )
-            model = build_model(strategy, n, tau, combo, seed=final_seed)
-            result = fit(model, train_windows, valid_windows, cfg, costs)
+            combo = {**(base_combo or {}), **(chosen or {})}
+            model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
             # every test day of the split in one gradient-free forward
             rows = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
             outcomes.append(SplitOutcome(split.test_year, combo, trials, model, result.history))

@@ -1,8 +1,14 @@
 """Tests for the mean-variance, MLP, and LSTM baseline strategies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ptopt
 from ptopt.autograd import ShapeError
 from ptopt.benchmarks import (
     LSTMConfig,
@@ -207,6 +213,24 @@ def test_lstm_shape_errors():
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+def test_mlp_config_hidden_is_a_tuple_of_ints():
+    want = MLPConfig(n_assets=3, window=4, hidden=(6, 4))
+    assert MLPConfig(n_assets=3, window=4, hidden=[6, 4]) == want
+    assert MLPConfig(n_assets=3, window=4, hidden=6).hidden == (6,)
+    with pytest.raises(ValueError):
+        MLPConfig(n_assets=3, window=4, hidden=[])
+
+
+def test_checkpoint_loads_with_only_the_model_module_imported(tmp_path):
+    path = tmp_path / "lstm.ckpt"
+    save_checkpoint(LSTMModel(LSTMConfig(n_assets=3, window=4, hidden=5, seed=15)), path)
+    env = {**os.environ, "PYTHONPATH": str(Path(ptopt.__file__).resolve().parents[1])}
+    probe = f"from ptopt.model import load_checkpoint; print(load_checkpoint({str(path)!r}).kind)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "lstm"
 
 
 def test_benchmark_checkpoint_round_trips(tmp_path):

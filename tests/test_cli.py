@@ -125,26 +125,29 @@ def test_run_refuses_nonempty_dir_without_force(prices_csv, tmp_path):
 
 
 def test_run_out_naming_a_file_is_usage_error(prices_csv, tmp_path, capsys):
-    out = tmp_path / "taken"
-    out.write_text("keep\n")
-    assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert out.read_text() == "keep\n"
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for out in (taken, taken / "sub"):
+        assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert taken.read_text() == "keep\n"
 
 
 def test_run_malformed_space_file_is_usage_error(prices_csv, tmp_path, capsys):
     space = tmp_path / "space.json"
     space.write_text("[1, 2]")
-    code = cli.main(
-        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(tmp_path / "o"), "--space", str(space)]
-    )
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--space", str(space)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_run_missing_data_file_exits_2(tmp_path):
-    assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / "no.csv"), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch):

@@ -421,9 +421,11 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_text("NOTACKPT\n{}")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    # a bad header, then a good header naming no model kind
+    for text in ("NOTACKPT\n{}", 'PTCKPT1\n{"kind": "nosuch", "config": {}, "params": {}}'):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_survives_parameter_mutation(tmp_path):

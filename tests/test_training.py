@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import ptopt.autograd as ag
 import ptopt.cli as cli
 import ptopt.training as tr
 from ptopt.autograd import Tensor
-from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
+from ptopt.data import ReturnTable, Split, SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.errors import TrainingError
 from ptopt.metrics import run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, scores_to_weights
@@ -276,23 +277,25 @@ def test_space_json_roundtrip():
     space = tr.HyperparamSpace.from_json('{"axes": {"hidden": [4, 8]}, "budget": 7}')
     assert space.axes == {"hidden": [4, 8]}
     assert space.budget == 7
-    for bad in ("{}", "[1, 2]", '{"axes": [4, 8]}', '{"axes": {"hidden": 4}}'):
+    for bad in (
+        "{}", "[1, 2]", '{"axes": [4, 8]}', '{"axes": {"hidden": 4}}',
+        '{"axes": {"hidden": [4]}, "budget": null}', '{"axes": {"hidden": [4]}, "budget": [1]}',
+        '{"axes": {"hidden": [4]}, "budget": true}', '{"axes": {"hidden": [4]}, "budget": 2.5}',
+    ):
         with pytest.raises(ValueError):
             tr.HyperparamSpace.from_json(bad)
 
 
 def search_fixture(momentum=0.5):
     table = make_table(170, seed=3, momentum=momentum)
-    train = tr.build_windows(table, 4, 0, 110)
-    valid = tr.build_windows(table, 4, 110, 150)
-    return train, valid
+    return table, Split(test_year=2014, train_end=150, val_start=110, test_end=170)
 
 
 def test_search_budget_and_single_combo():
-    train, valid = search_fixture()
+    table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [4]}, budget=3)
     result = tr.random_grid_search(
-        space, "lstm", 3, 4, train, valid, tr.TrainConfig(max_epochs=1), seed=0
+        space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=0
     )
     assert len(result.trials) == 3
     assert all(t.params == {"hidden": 4} for t in result.trials)
@@ -300,10 +303,10 @@ def test_search_budget_and_single_combo():
 
 
 def test_search_zero_learning_rate_loses():
-    train, valid = search_fixture()
+    table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [4], "learning_rate": [0.0, 1e-2]}, budget=6)
     result = tr.random_grid_search(
-        space, "mlp", 3, 4, train, valid, tr.TrainConfig(max_epochs=10), seed=1
+        space, "mlp", table, split, 4, tr.TrainConfig(max_epochs=10), seed=1
     )
     sampled = {t.params["learning_rate"] for t in result.trials}
     assert sampled == {0.0, 1e-2}
@@ -314,12 +317,12 @@ def test_search_zero_learning_rate_loses():
 
 
 def test_search_filters_invalid_combinations():
-    train, valid = search_fixture()
+    table, split = search_fixture()
     space = tr.HyperparamSpace(
         axes={"d_model": [8], "n_heads": [3, 2], "t2v_k": [2], "n_layers": [1]}, budget=2
     )
     result = tr.random_grid_search(
-        space, "pt", 3, 4, train, valid, tr.TrainConfig(max_epochs=1), seed=0
+        space, "pt", table, split, 4, tr.TrainConfig(max_epochs=1), seed=0
     )
     assert all(t.params["n_heads"] == 2 for t in result.trials)
 
@@ -345,17 +348,17 @@ def test_combo_filter_validates_configs_like_built_models():
 
 
 def test_search_no_valid_combination_raises():
-    train, valid = search_fixture()
+    table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"d_model": [8], "n_heads": [3], "t2v_k": [2], "n_layers": [1]})
     with pytest.raises(ValueError):
-        tr.random_grid_search(space, "pt", 3, 4, train, valid, tr.TrainConfig(max_epochs=1))
+        tr.random_grid_search(space, "pt", table, split, 4, tr.TrainConfig(max_epochs=1))
 
 
 def test_search_deterministic_across_runs():
-    train, valid = search_fixture()
+    table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=3)
     runs = [
-        tr.random_grid_search(space, "lstm", 3, 4, train, valid, tr.TrainConfig(max_epochs=1), seed=2)
+        tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2)
         for _ in range(2)
     ]
     a, b = ([(t.params["hidden"], t.train_loss, t.val_loss) for t in r.trials] for r in runs)
@@ -363,13 +366,41 @@ def test_search_deterministic_across_runs():
 
 
 def test_search_parallel_matches_serial():
-    train, valid = search_fixture()
+    table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    serial = tr.random_grid_search(space, "lstm", 3, 4, train, valid, tr.TrainConfig(max_epochs=1), seed=2, jobs=1)
-    parallel = tr.random_grid_search(space, "lstm", 3, 4, train, valid, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
+    serial = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=1)
+    parallel = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
     assert [(t.params, t.train_loss, t.val_loss) for t in serial.trials] == [
         (t.params, t.train_loss, t.val_loss) for t in parallel.trials
     ]
+
+
+def test_search_payloads_carry_the_table_not_windows(monkeypatch):
+    table, split = search_fixture()
+    payloads = []
+
+    class RecordingPool:
+        # runs the trials in-process, keeping what a worker pool would be sent
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            payloads.extend(items)
+            return map(fn, payloads)
+
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", RecordingPool)
+    space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
+    tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
+    assert len(payloads) == 2
+    for payload in payloads:
+        assert any(isinstance(item, ReturnTable) for item in payload)
+        assert not any(isinstance(item, tr.Windows) for item in payload)
 
 
 def test_trials_csv_roundtrip(tmp_path):
@@ -394,6 +425,29 @@ def test_trials_csv_roundtrip(tmp_path):
 
 def wf_table(n_days=790, seed=5, momentum=0.0):
     return make_table(n_days, seed=seed, momentum=momentum)
+
+
+def test_search_trials_fit_the_final_model_architecture(monkeypatch):
+    # a base_combo key that the space leaves out reaches every trial too
+    built = []
+    build = tr.build_model
+
+    def recording_build(strategy, n_assets, tau, combo, seed):
+        model = build(strategy, n_assets, tau, combo, seed)
+        built.append(replace(model.config, seed=0))
+        return model
+
+    monkeypatch.setattr(tr, "build_model", recording_build)
+    table = wf_table()
+    space = tr.HyperparamSpace(axes={"d_model": [8], "n_heads": [2]}, budget=2)
+    result = tr.walk_forward(
+        table, yearly_splits(table, 2016), "pt", tau=4, space=space,
+        base_cfg=tr.TrainConfig(max_epochs=1), base_combo={"t2v_k": 2},
+    )
+    assert len(built) == 3  # two trials, then the final fit
+    assert built[-1].t2v_k == 2
+    assert all(cfg == built[-1] for cfg in built)
+    assert [t.params for t in result.outcomes[0].trials] == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}] * 2
 
 
 def test_walk_forward_equal_weight_dates_and_rows():
