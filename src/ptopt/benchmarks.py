@@ -48,30 +48,43 @@ def equal_weights(n_assets: int) -> np.ndarray:
 def tangency_weights(mu: np.ndarray, sigma: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Max-Sharpe direction inv(sigma + ridge*I) @ mu, L1-normalized.
 
-    A zero direction (for example mu = 0) falls back to equal weights.
+    ``mu`` may be one ``(n,)`` vector with an ``(n, n)`` sigma or a ``(D, n)``
+    stack with ``(D, n, n)``; all D systems go through one solve. A zero
+    direction (for example mu = 0) falls back to equal weights, row by row.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    n = mu.shape[0]
-    loaded = np.asarray(sigma, dtype=np.float64) + ridge * np.eye(n)
+    n = mu.shape[-1]
+    loaded = np.array(sigma, dtype=np.float64)  # a copy, loaded with the ridge in place
+    diagonal = np.arange(n)
+    loaded[..., diagonal, diagonal] += ridge
     try:
-        raw = np.linalg.solve(loaded, mu)
+        raw = np.linalg.solve(loaded, mu[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"covariance not invertible: {exc}") from exc
-    gross = np.abs(raw).sum()
-    if gross == 0.0:
-        return equal_weights(n)
-    return raw / gross
+    gross = np.abs(raw).sum(axis=-1, keepdims=True)
+    return np.divide(raw, gross, out=np.full_like(raw, 1.0 / n), where=gross != 0.0)
 
 
 def mv_weights(history: np.ndarray, cfg: MVConfig) -> np.ndarray:
-    """Tangency weights from the trailing ``lookback`` rows of returns."""
+    """Tangency weights from the trailing ``lookback`` rows of returns.
+
+    ``history`` is one ``(rows, n)`` history, giving ``(n,)`` weights, or a
+    ``(D, rows, n)`` stack of them, giving ``(D, n)``.
+    """
     history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 2 or history.shape[0] < cfg.lookback:
+    if history.ndim not in (2, 3) or history.shape[-2] < cfg.lookback:
         raise DataError(f"need at least {cfg.lookback} return rows, got shape {history.shape}")
-    window = history[-cfg.lookback :]
-    mu = window.mean(axis=0)
-    sigma = np.cov(window, rowvar=False, ddof=1)
-    return tangency_weights(mu, np.atleast_2d(sigma), cfg.ridge)
+    mu, sigma = _moments(history[..., -cfg.lookback :, :])
+    return tangency_weights(mu, sigma, cfg.ridge)
+
+
+def _moments(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance over the rows of each window, as np.cov computes them."""
+    mu = window.mean(axis=-2)
+    centred = window - mu[..., None, :]
+    sigma = np.matmul(centred.swapaxes(-1, -2), centred)
+    sigma *= 1.0 / (window.shape[-2] - 1)
+    return mu, sigma
 
 
 # ---------------------------------------------------------------------------

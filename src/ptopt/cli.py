@@ -45,6 +45,7 @@ from ptopt.training import (
     TRAINED_STRATEGIES,
     HyperparamSpace,
     TrainConfig,
+    check_axes,
     default_space,
     walk_forward,
 )
@@ -141,6 +142,8 @@ def _resolve_space(cfg: RunConfig, strategy: str) -> HyperparamSpace | None:
         space = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
         if cfg.budget > 0:
             space.budget = cfg.budget
+        if strategy in TRAINED_STRATEGIES:
+            check_axes(space, strategy)
         return space
     if cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
         space = default_space(strategy)
@@ -163,8 +166,7 @@ def _write_all_trials(outcomes, path) -> None:
                 )
 
 
-def _execute_strategy(table, schedule, strategy: str, cfg: RunConfig, seed: int, args):
-    space = _resolve_space(cfg, strategy)
+def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, seed: int, args):
     base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
     base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=seed)
     result = walk_forward(
@@ -232,9 +234,10 @@ def cmd_run(args) -> int:
     cfg = _run_config(args)
     seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
+    space = _resolve_space(cfg, cfg.strategy)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
-    result, curve, report = _execute_strategy(table, schedule, cfg.strategy, cfg, seed, args)
+    result, curve, report = _execute_strategy(table, schedule, cfg.strategy, space, cfg, seed, args)
     _write_run_artifacts(out, result, curve, report)
     write_manifest(out, "run", asdict(cfg), seed, cfg.data)
     print(f"{cfg.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
@@ -249,13 +252,14 @@ def cmd_compare(args) -> int:
     cfg = _run_config(args, strategy=args.strategies[0])
     seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
+    spaces = {strategy: _resolve_space(cfg, strategy) for strategy in args.strategies}
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
 
     rows: list[tuple[str, MetricsReport]] = []
     curves = {}
     for strategy in args.strategies:
-        result, curve, report = _execute_strategy(table, schedule, strategy, cfg, seed, args)
+        result, curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, seed, args)
         rows.append((strategy, report))
         curves[strategy] = curve
 

@@ -10,6 +10,7 @@ observation are dropped.
 from __future__ import annotations
 
 import datetime as dt
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,37 @@ class ReturnTable:
         return len(self.tickers)
 
 
+def _price(path, lineno: int, ticker: str, cell: str) -> float:
+    """One cell: empty is missing, anything else a finite positive number."""
+    if cell == "":
+        return np.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: bad price {cell!r} for {ticker}") from None
+    if not 0 < value < np.inf:
+        raise DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
+    return value
+
+
+def _check_prices(path, lines: list[str], tickers: list[str], rows: list, prices: np.ndarray) -> None:
+    """Raise the error of the first bad cell in file order, if ``prices`` has one.
+
+    ``prices`` holds the parsed values of ``rows``. A literal ``nan`` parses
+    to the NaN of an empty cell, so a row with more NaNs than empty cells
+    holds one.
+    """
+    if not rows:
+        return
+    linenos = np.array([r[1] for r in rows], dtype=np.int64)
+    empties = np.array([r[2] for r in rows], dtype=np.int64)
+    bad = ((prices <= 0) | np.isinf(prices)).any(axis=1) | (np.isnan(prices).sum(axis=1) > empties)
+    if bad.any():
+        lineno = int(linenos[bad].min())
+        for ticker, cell in zip(tickers, lines[lineno - 1].split(",")[1:]):
+            _price(path, lineno, ticker, cell)
+
+
 def load_csv(path) -> PriceTable:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -70,37 +102,39 @@ def load_csv(path) -> PriceTable:
     if any(t == "" for t in tickers):
         raise ParseError(f"{path}:1: empty ticker name in header")
 
-    rows: list[tuple[dt.date, list[float]]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
-        try:
-            day = dt.date.fromisoformat(cells[0])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad date {cells[0]!r}") from None
-        prices = []
-        for ticker, cell in zip(tickers, cells[1:]):
-            if cell == "":
-                prices.append(np.nan)
+    # (date, line number, empty cells, prices); values are checked once, as a matrix
+    rows: list[tuple[dt.date, int, int, array]] = []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line == "":
                 continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
             try:
-                value = float(cell)
+                day = dt.date.fromisoformat(cells[0])
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad price {cell!r} for {ticker}") from None
-            if not np.isfinite(value) or value <= 0:
-                raise DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
-            prices.append(value)
-        rows.append((day, prices))
+                raise ParseError(f"{path}:{lineno}: bad date {cells[0]!r}") from None
+            try:
+                prices = [float(cell) if cell else np.nan for cell in cells[1:]]
+            except ValueError:
+                prices = [_price(path, lineno, t, cell) for t, cell in zip(tickers, cells[1:])]
+            # packed doubles: 8 bytes a price where a list of floats holds 32
+            rows.append((day, lineno, cells.count(""), array("d", prices)))
+    except (ParseError, DataError):
+        # a bad price on an earlier line is reported first, as a cell-by-cell read would
+        _check_prices(path, lines, tickers, rows, np.array([r[3] for r in rows]))
+        raise
 
     rows.sort(key=lambda r: r[0])
-    for (a, _), (b, _) in zip(rows, rows[1:]):
+    prices = np.empty((len(rows), len(tickers)))
+    for i, row in enumerate(rows):
+        prices[i] = row[3]
+    _check_prices(path, lines, tickers, rows, prices)
+    for (a, *_), (b, *_) in zip(rows, rows[1:]):
         if a == b:
             raise DataError(f"{path}: duplicate date {a}")
-    dates = [r[0] for r in rows]
-    return PriceTable(dates, tickers, np.array([r[1] for r in rows], dtype=np.float64))
+    return PriceTable([r[0] for r in rows], tickers, prices)
 
 
 def _format_price(x: float) -> str:
@@ -114,24 +148,27 @@ def write_csv(table: PriceTable, path) -> None:
             fh.write(",".join([day.isoformat(), *(_format_price(x) for x in row)]) + "\n")
 
 
+def _forward_filled(prices: np.ndarray, observed: np.ndarray, start: int) -> np.ndarray:
+    """Rows ``start:`` of ``prices``, each gap holding its column's latest observed price."""
+    t, n = prices.shape
+    # each row reads the latest observed row of its column at or above it
+    last = np.where(observed, np.arange(t)[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    return prices[last[start:], np.arange(n)]
+
+
 def clean_and_return(table: PriceTable) -> ReturnTable:
     """Forward-fill gaps, align starts, and convert prices to simple returns."""
-    prices = table.prices.copy()
-    t, n = prices.shape
-    first_seen = []
-    for j in range(n):
-        present = np.flatnonzero(~np.isnan(prices[:, j]))
-        if len(present) < 2:
-            raise DataError(f"ticker {table.tickers[j]} has fewer than 2 observations")
-        first_seen.append(present[0])
-        for i in range(present[0] + 1, t):
-            if np.isnan(prices[i, j]):
-                prices[i, j] = prices[i - 1, j]
-    start = max(first_seen)
-    if t - start < 2:
+    observed = ~np.isnan(table.prices)
+    short = np.flatnonzero(observed.sum(axis=0) < 2)
+    if short.size:
+        raise DataError(f"ticker {table.tickers[short[0]]} has fewer than 2 observations")
+    start = int(observed.argmax(axis=0).max())
+    if len(observed) - start < 2:
         raise DataError("fewer than 2 rows after aligning ticker starts")
-    block = prices[start:]
-    returns = block[1:] / block[:-1] - 1.0
+    block = _forward_filled(table.prices, observed, start)
+    returns = block[1:] / block[:-1]
+    returns -= 1.0
     return ReturnTable(table.dates[start + 1 :], list(table.tickers), returns)
 
 

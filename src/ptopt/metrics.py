@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ptopt.autograd import ContractError
 from ptopt.data import ReturnTable
@@ -107,11 +108,11 @@ def rolling_sharpe(curve: EquityCurve, window: int = TRADING_DAYS) -> tuple[list
     r = curve.daily_returns
     if r.size < window:
         raise ContractError(f"curve length {r.size} shorter than window {window}")
-    root_days = math.sqrt(TRADING_DAYS)
-    values = np.empty(r.size - window + 1)
-    for i in range(values.size):
-        chunk = r[i : i + window]
-        values[i] = _ratio_or_sentinel(float(chunk.mean()), float(chunk.std()), root_days)
+    chunks = sliding_window_view(r, window)
+    mean, sd = chunks.mean(axis=-1), chunks.std(axis=-1)
+    sentinel = np.where(mean >= 0, math.inf, -math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(sd == 0.0, sentinel, mean / sd * math.sqrt(TRADING_DAYS))
     return curve.dates[window - 1 :], values
 
 

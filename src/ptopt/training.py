@@ -32,6 +32,9 @@ from ptopt.metrics import WeightStream
 from ptopt.model import PTConfig
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
+# test days per mv_weights call: a whole split in one call costs megabytes of temporaries
+_MV_CHUNK = 64
+
 STRATEGIES = ("pt", "lstm", "mlp", "mv", "equal_weight")
 TRAINED_STRATEGIES = ("pt", "lstm", "mlp")
 
@@ -289,6 +292,23 @@ def default_space(strategy: str) -> HyperparamSpace:
     raise ValueError(f"no hyperparameter space for strategy {strategy!r}")
 
 
+# the combo keys each trainable strategy's model_config reads; fit_combo reads FIT_AXES
+MODEL_AXES = {
+    "pt": ("d_model", "n_heads", "t2v_k", "n_layers", "attention_scale_mode", "dropout"),
+    "lstm": ("hidden",),
+    "mlp": ("hidden",),
+}
+FIT_AXES = ("learning_rate", "batch_size")
+
+
+def check_axes(space: HyperparamSpace, strategy: str) -> None:
+    """Reject an axis that neither the strategy's model nor its fit reads."""
+    known = MODEL_AXES[strategy] + FIT_AXES
+    unknown = [name for name in space.axes if name not in known]
+    if unknown:
+        raise ValueError(f"{strategy} reads no hyperparameter {unknown[0]!r}; its axes are {', '.join(known)}")
+
+
 def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     """The validated architecture config of a trainable strategy."""
     if strategy == "pt":
@@ -384,6 +404,7 @@ def random_grid_search(
     Each trial fits on the train and validation windows of ``split``. Ties on
     validation loss go to the earliest trial index.
     """
+    check_axes(space, strategy)
     combos = [c for c in space.combinations() if _combo_is_valid(strategy, table.n_assets, tau, c)]
     if not combos:
         raise ValueError("hyperparameter space contains no valid combination")
@@ -466,7 +487,9 @@ def walk_forward(
         elif strategy == "mv":
             if split.train_end < mv_config.lookback:
                 raise DataError(f"need {mv_config.lookback} rows before {split.test_year} for the mean-variance window")
-            rows = np.vstack([mv_weights(table.returns[: p + 1], mv_config) for p in range(first, split.test_end - 1)])
+            # each test day's trailing lookback rows, as views, solved a chunk at a time
+            histories = _stacked(table.returns, mv_config.lookback, first - mv_config.lookback + 1, len(dates))
+            rows = np.vstack([mv_weights(histories[i : i + _MV_CHUNK], mv_config) for i in range(0, len(dates), _MV_CHUNK)])
             outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
             train_windows, valid_windows = split_windows(table, split, tau)

@@ -128,6 +128,54 @@ def metrics_oracle(returns) -> dict:
     }
 
 
+def rolling_sharpe_oracle(r: np.ndarray, window: int) -> np.ndarray:
+    """Annualized Sharpe of each trailing window, one window at a time.
+
+    Zero dispersion reads as a signed infinity, +inf for a non-negative mean.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    out = np.empty(r.size - window + 1)
+    for i in range(out.size):
+        chunk = r[i : i + window]
+        mean, sd = float(chunk.mean()), float(chunk.std())
+        if sd == 0.0:
+            out[i] = np.inf if mean >= 0 else -np.inf
+        else:
+            out[i] = mean / sd * np.sqrt(252.0)
+    return out
+
+
+def mv_weights_oracle(returns: np.ndarray, decision_rows, lookback: int, ridge: float) -> np.ndarray:
+    """Per-day mean-variance weights: np.cov and one solve for each decision row.
+
+    Row p of ``decision_rows`` reads the ``lookback`` return rows ending at p.
+    """
+    out = []
+    for p in decision_rows:
+        window = returns[p + 1 - lookback : p + 1]
+        mu = window.mean(axis=0)
+        sigma = np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
+        raw = np.linalg.solve(sigma + ridge * np.eye(len(mu)), mu)
+        gross = np.abs(raw).sum()
+        out.append(np.full(len(mu), 1.0 / len(mu)) if gross == 0.0 else raw / gross)
+    return np.array(out)
+
+
+def forward_fill_oracle(prices: np.ndarray) -> np.ndarray:
+    """Each missing cell takes the cell above it once its column has been observed."""
+    out = np.array(prices, dtype=np.float64)
+    t, n = out.shape
+    for j in range(n):
+        seen = False
+        for i in range(t):
+            if np.isnan(out[i, j]):
+                if seen:
+                    out[i, j] = out[i - 1, j]
+            else:
+                seen = True
+    return out
+
+
 def lag1_autocorr(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     return float(np.corrcoef(x[:-1], x[1:])[0, 1])

@@ -21,11 +21,13 @@ from ptopt.benchmarks import (
     mv_weights,
     tangency_weights,
 )
+from ptopt.data import PriceTable, SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.errors import DataError, NumericError
 from ptopt.model import load_checkpoint, save_checkpoint
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
+from ptopt.training import walk_forward
 
-from helpers import mlp_forward, model_grad_errors
+from helpers import mlp_forward, model_grad_errors, mv_weights_oracle
 
 RNG = np.random.default_rng(31)
 
@@ -93,6 +95,63 @@ def test_mv_weights_unit_gross_exposure():
 def test_mv_requires_enough_history():
     with pytest.raises(DataError):
         mv_weights(np.zeros((30, 2)), MVConfig(lookback=50))
+
+
+def test_mv_weights_stack_equals_single_histories():
+    cfg = MVConfig(lookback=50, ridge=0.0)
+    stack = RNG.standard_normal((5, 60, 4)) * 0.01 + 2e-4
+    pairs = RNG.standard_normal((30, 4)) * 0.01
+    stack[2, 0::2], stack[2, 1::2] = pairs, -pairs  # each row followed by its negative: zero mean
+    np.testing.assert_array_equal(mv_weights(stack[2], cfg), equal_weights(4))
+    weights = mv_weights(stack, cfg)
+    assert weights.shape == (5, 4)
+    np.testing.assert_array_equal(weights, np.array([mv_weights(history, cfg) for history in stack]))
+    np.testing.assert_array_equal(weights[2], equal_weights(4))
+    assert np.all(np.abs(np.abs(weights).sum(axis=1) - 1.0) < 1e-12)
+
+
+def test_tangency_stack_matches_rows_and_keeps_sigma():
+    mu = RNG.standard_normal((3, 4)) * 0.01
+    a = RNG.standard_normal((3, 4, 4))
+    sigma = a @ a.swapaxes(-1, -2) * 1e-4
+    before = sigma.copy()
+    w = tangency_weights(mu, sigma, ridge=0.5)
+    np.testing.assert_array_equal(sigma, before)
+    np.testing.assert_array_equal(w, np.array([tangency_weights(m, s, ridge=0.5) for m, s in zip(mu, sigma)]))
+
+
+def test_mv_weights_singular_matrix_in_a_stack_raises():
+    stack = RNG.standard_normal((3, 50, 3)) * 0.01
+    stack[1, :, 2] = 0.0  # a flat asset: one singular covariance among three
+    with pytest.raises(NumericError):
+        mv_weights(stack, MVConfig(lookback=50, ridge=0.0))
+    assert np.all(np.isfinite(mv_weights(stack, MVConfig(lookback=50, ridge=1e-6))))
+
+
+def test_mv_weights_rejects_short_or_misshapen_stacks():
+    with pytest.raises(DataError):
+        mv_weights(np.zeros((3, 30, 2)), MVConfig(lookback=50))
+    with pytest.raises(DataError):
+        mv_weights(np.zeros((2, 3, 60, 2)), MVConfig(lookback=50))
+
+
+def test_walk_forward_mv_equals_per_day_oracle():
+    """Chunked, batched weights equal np.cov plus one solve per test day."""
+    raw = synth_generate(SynthConfig(n_assets=24, n_days=820, seed=4))
+    rng = np.random.default_rng(4)
+    prices = raw.prices.copy()
+    prices[rng.random(prices.shape) < 0.05] = np.nan
+    for j, lead in enumerate(rng.integers(0, 40, 24)):
+        prices[:lead, j] = np.nan
+        prices[lead, j] = 100.0
+    table = clean_and_return(PriceTable(raw.dates, raw.tickers, prices))
+    schedule = yearly_splits(table, 2015)
+    assert [s.test_year for s in schedule.splits] == [2015, 2016]
+    assert all(s.test_end - s.train_end > 64 for s in schedule.splits)  # chunk boundaries inside each split
+    cfg = MVConfig()
+    weights = walk_forward(table, schedule, "mv").stream.weights
+    decisions = range(schedule.splits[0].train_end - 1, schedule.splits[-1].test_end - 1)
+    np.testing.assert_array_equal(weights, mv_weights_oracle(table.returns, decisions, cfg.lookback, cfg.ridge))
 
 
 def test_mv_config_validation():

@@ -144,6 +144,29 @@ def test_run_malformed_space_file_is_usage_error(prices_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_space_axis_no_model_reads_is_usage_error(prices_csv, tmp_path, capsys, monkeypatch):
+    def no_work(*a, **k):
+        raise AssertionError("the data was read before the space was checked")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)
+    space = tmp_path / "space.json"
+    space.write_text('{"axes": {"d_modle": [8, 16]}, "budget": 2}')
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "pt", "--data", str(prices_csv), "--out", str(out), "--space", str(space)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'d_modle'" in err
+    assert not out.exists()
+    # compare checks the space against every trained strategy before any work
+    space.write_text('{"axes": {"hidden": [4]}, "budget": 1}')
+    code = cli.main(
+        ["compare", "--strategies", "mv", "lstm", "pt", "--data", str(prices_csv), "--out", str(out), "--space", str(space)]
+    )
+    assert code == 1
+    assert "'hidden'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_data_file_exits_2(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / "no.csv"), "--out", str(out)]) == 2

@@ -18,7 +18,7 @@ from ptopt.data import (
 )
 from ptopt.errors import DataError, ParseError
 
-from helpers import lag1_autocorr
+from helpers import forward_fill_oracle, lag1_autocorr
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -83,6 +83,46 @@ def test_load_rejects_nonpositive_price(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400", "-0", "0.0", "-5"])
+def test_load_rejects_non_finite_and_non_positive_cells(tmp_path, cell):
+    path = write(tmp_path, f"date,AAA,BBB\n2020-01-02,100,50\n2020-01-03,101,{cell}\n")
+    with pytest.raises(DataError, match=f":3: non-positive price {cell} for BBB$"):
+        load_csv(path)
+
+
+def test_load_rejects_literal_nan_beside_an_empty_cell(tmp_path):
+    # an empty cell and a literal nan parse to the same NaN
+    path = write(tmp_path, "date,AAA,BBB,CCC\n2020-01-02,100,50,20\n2020-01-03,,nan,21\n")
+    with pytest.raises(DataError, match=":3: non-positive price nan for BBB$"):
+        load_csv(path)
+
+
+def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
+    # line 4 sorts first by date, but line 3 comes first in the file
+    text = "date,AAA,BBB\n2020-01-03,100,50\n2020-01-06,inf,51\n2020-01-02,99,-5\n"
+    with pytest.raises(DataError, match=":3: non-positive price inf for AAA$"):
+        load_csv(write(tmp_path, text))
+    # within a row, the leftmost bad cell
+    with pytest.raises(DataError, match=":2: non-positive price 0 for AAA$"):
+        load_csv(write(tmp_path, "date,AAA,BBB\n2020-01-02,0,-1\n", name="row.csv"))
+
+
+@pytest.mark.parametrize(
+    "text,error,match",
+    [
+        ("date,AAA\n2020-01-02,-5\n2020-01-03,abc\n", DataError, ":2: non-positive price -5 for AAA"),
+        ("date,AAA\n2020-01-02,-5\n2020-01-03,1,2\n", DataError, ":2: non-positive price -5 for AAA"),
+        ("date,AAA\n2020-01-02,-5\nxx,1\n", DataError, ":2: non-positive price -5 for AAA"),
+        ("date,AAA,BBB\n2020-01-02,-5,abc\n", DataError, ":2: non-positive price -5 for AAA"),
+        ("date,AAA,BBB\n2020-01-02,abc,-5\n", ParseError, ":2: bad price 'abc' for AAA"),
+        ("date,AAA\n2020-01-02,-5\n2020-01-02,1\n", DataError, ":2: non-positive price -5 for AAA"),
+    ],
+)
+def test_load_reports_the_first_fault_in_file_order(tmp_path, text, error, match):
+    with pytest.raises(error, match=match):
+        load_csv(write(tmp_path, text))
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     prices = 100.0 * np.exp(rng.standard_normal((30, 4)) * 0.05)
@@ -134,6 +174,31 @@ def test_too_few_observations_rejected():
     table = PriceTable(days(3), ["AAA", "BBB"], np.array([[100.0, np.nan], [101.0, np.nan], [102.0, 5.0]]))
     with pytest.raises(DataError, match="BBB"):
         clean_and_return(table)
+
+
+def test_too_few_observations_names_the_first_such_ticker():
+    prices = np.array([[100.0, np.nan, np.nan], [101.0, np.nan, 7.0], [102.0, 5.0, np.nan]])
+    with pytest.raises(DataError, match="ticker BBB has"):
+        clean_and_return(PriceTable(days(3), ["AAA", "BBB", "CCC"], prices))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_fill_matches_per_cell_oracle(seed):
+    rng = np.random.default_rng(seed)
+    t, n = 120, 7
+    prices = 50 * np.exp(np.cumsum(rng.standard_normal((t, n)) * 0.02, axis=0))
+    prices[rng.random((t, n)) < 0.25] = np.nan
+    for j, lead in enumerate(rng.permutation(n) * 3):  # leading gaps of 0, 3, ..., 18 rows
+        prices[:lead, j] = np.nan
+        prices[lead, j] = 50.0
+    prices[-1, n - 1] = np.nan  # a gap on the last row
+    table = PriceTable(days(t), [f"T{j}" for j in range(n)], prices)
+    filled = forward_fill_oracle(prices)
+    start = int(np.max(np.argmax(~np.isnan(prices), axis=0)))
+    out = clean_and_return(table)
+    assert start >= 18 and out.dates == table.dates[start + 1 :]
+    np.testing.assert_array_equal(out.returns, filled[start + 1 :] / filled[start:-1] - 1.0)
+    np.testing.assert_array_equal(out.returns[-1, n - 1], 0.0)
 
 
 def test_cleaning_leaves_no_gaps():

@@ -21,7 +21,7 @@ from ptopt.metrics import (
 )
 from ptopt.objective import CostModel
 
-from helpers import metrics_oracle
+from helpers import metrics_oracle, rolling_sharpe_oracle
 
 ROOT252 = math.sqrt(252)
 
@@ -149,6 +149,18 @@ def test_rolling_sharpe_detects_regime_change():
     assert values[0] > 1.0
     assert values[-1] < 1.0
     assert values[0] > values[-1]
+
+
+@pytest.mark.parametrize("window", [2, 5, 63, 252])
+def test_rolling_sharpe_matches_per_window_loop(window):
+    r = np.random.default_rng(window).standard_normal(1500) * 0.01
+    r[300:600] = 0.0  # zero dispersion, zero mean: +inf
+    r[900:1200] = -0.0078125  # zero dispersion, negative mean: -inf (2**-7 sums exactly)
+    dates, values = rolling_sharpe(curve_from(r), window=window)
+    expected = rolling_sharpe_oracle(r, window)
+    np.testing.assert_array_equal(values, expected)
+    assert np.isposinf(expected).any() and np.isneginf(expected).any()
+    assert len(dates) == len(values)
 
 
 def test_rolling_sharpe_rejects_short_curve():

@@ -347,6 +347,59 @@ def test_combo_filter_validates_configs_like_built_models():
     assert kept == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 3, "t2v_k": 2}]
 
 
+class _ReadKeys(dict):
+    """A combo that records which keys are read from it."""
+
+    def __init__(self, *a, **k):
+        super().__init__(*a, **k)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("strategy", tr.TRAINED_STRATEGIES)
+def test_axes_are_exactly_the_keys_a_fit_reads(strategy, monkeypatch):
+    combo = _ReadKeys()
+    tr.model_config(strategy, 4, 8, combo, seed=0)
+    assert combo.read == set(tr.MODEL_AXES[strategy])
+    monkeypatch.setattr(tr, "fit", lambda *a, **k: None)
+    combo = _ReadKeys()
+    tr.fit_combo(strategy, 4, 8, combo, 0, None, None, tr.TrainConfig(), CostModel())
+    assert combo.read == set(tr.MODEL_AXES[strategy]) | set(tr.FIT_AXES)
+
+
+@pytest.mark.parametrize(
+    "strategy,axes",
+    [
+        ("pt", {"d_modle": [8, 16]}),
+        ("pt", {"d_model": [8], "hidden": [4]}),
+        ("lstm", {"hidden": [4], "d_model": [8]}),
+        ("mlp", {"dropout": [0.1]}),
+    ],
+)
+def test_search_rejects_an_axis_no_model_reads(strategy, axes):
+    table, split = search_fixture()
+    space = tr.HyperparamSpace(axes=axes, budget=2)
+    unknown = next(a for a in axes if a not in tr.MODEL_AXES[strategy])
+    with pytest.raises(ValueError, match=repr(unknown)):
+        tr.random_grid_search(space, strategy, table, split, 4, tr.TrainConfig(max_epochs=1))
+    schedule = yearly_splits(make_table(600), 2015)
+    with pytest.raises(ValueError, match=repr(unknown)):
+        tr.walk_forward(make_table(600), schedule, strategy, tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
+
+
+def test_search_accepts_every_default_axis_and_the_fit_axes():
+    for strategy in tr.TRAINED_STRATEGIES:
+        tr.check_axes(tr.default_space(strategy), strategy)
+        tr.check_axes(tr.HyperparamSpace(axes={"learning_rate": [1e-3], "batch_size": [8]}), strategy)
+
+
 def test_search_no_valid_combination_raises():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"d_model": [8], "n_heads": [3], "t2v_k": [2], "n_layers": [1]})
