@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 Array = np.ndarray
+LAYER_NORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -173,9 +174,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
     (a bias row or an attention mask shared over leading axes)."""
-    if a.shape == b.shape:
-        return _emit((a, b), a.data + b.data, lambda g: (g, g))
-    if b.data.ndim < a.data.ndim and a.shape[a.data.ndim - b.data.ndim :] == b.shape:
+    if b.data.ndim <= a.data.ndim and a.shape[a.data.ndim - b.data.ndim :] == b.shape:
         return _emit((a, b), a.data + b.data, lambda g: (g, _sum_to(g, b.shape)))
     raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
 
@@ -321,11 +320,11 @@ def sigmoid(x: Tensor) -> Tensor:
     return _emit((x,), y, lambda g: (g * y * (1.0 - y),))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
-    Population variance; ``gain`` and ``bias`` must be 1-D of the last-axis
-    length.
+    Population variance plus ``LAYER_NORM_EPS``; ``gain`` and ``bias`` must
+    be 1-D of the last-axis length.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -334,7 +333,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def back(g):
@@ -344,10 +343,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
         )
-        lead = tuple(range(xd.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        dbias = g.sum(axis=lead) if lead else g.copy()
-        return dx, dgain, dbias
+        return dx, _sum_to(g * xhat, gd.shape), _sum_to(g, gd.shape)
 
     return _emit((x, gain, bias), xhat * gd + bias.data, back)
 

@@ -17,7 +17,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
-from ptopt.model import Dense, PortfolioTransformer, _uniform_init, batched_weights, last_rows, scores_to_weights
+from ptopt.model import (
+    Dense, PortfolioTransformer, _cast_fields, _collect, _uniform_init, batched_weights, last_rows, scores_to_weights,
+)
 
 # ---------------------------------------------------------------------------
 # mean-variance
@@ -120,11 +122,7 @@ class MLPModel:
         self.layers = [Dense(a, b, rng) for a, b in zip(widths, widths[1:])]
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.parameters().items():
-                out[f"layer{i}.{name}"] = t
-        return out
+        return _collect(layer=self.layers)
 
     def _scores(self, x: np.ndarray) -> Tensor:
         """Scores for flattened trailing windows, rows of shape (..., window*n_assets)."""
@@ -163,6 +161,7 @@ class LSTMConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _cast_fields(self)
         if self.n_assets < 2 or self.window < 2:
             raise ValueError("need n_assets >= 2 and window >= 2")
         if self.hidden < 1:
@@ -189,9 +188,7 @@ class LSTMModel:
         self.head = Dense(h, n, rng)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"wx": self.wx, "wh": self.wh, "b": self.b}
-        out.update({f"head.{k}": v for k, v in self.head.parameters().items()})
-        return out
+        return _collect(wx=self.wx, wh=self.wh, b=self.b, head=self.head)
 
     def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
         """One weight row per row of the newer half of each 2*window block."""

@@ -21,7 +21,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +31,14 @@ from ptopt.autograd import ContractError
 from ptopt.data import SynthConfig, clean_and_return, load_csv, synth_generate, write_csv, yearly_splits
 from ptopt.errors import DataError, NumericError
 from ptopt.metrics import (
-    TRADING_DAYS,
     MetricsReport,
     compute_metrics,
     run_backtest,
     write_equity_csv,
     write_rolling_sharpe_csv,
+    write_series_csv,
 )
-from ptopt.model import save_checkpoint
+from ptopt.model import PTConfig, save_checkpoint
 from ptopt.objective import CostModel
 from ptopt.training import (
     STRATEGIES,
@@ -50,7 +50,7 @@ from ptopt.training import (
     walk_forward,
 )
 
-METRIC_COLUMNS = ("returns", "vol", "sharpe", "sortino", "mdd", "calmar", "pct_positive")
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 LOWER_IS_BETTER = {"vol", "mdd"}
 
 
@@ -60,18 +60,20 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The result-affecting flags of run/compare; its defaults are the flags' defaults."""
+
     data: str
     strategy: str
     out_dir: str
     seed: int = 0
-    cost_rate: float = 0.0002
+    cost_rate: float = CostModel.cost_rate
     first_test_year: int = 2016
-    t2v_k: int = 3
+    t2v_k: int = PTConfig.t2v_k
     window: int = 8
     space_path: str | None = None
     budget: int = 0
-    max_epochs: int = 100
-    patience: int = 10
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     search_once: bool = False
 
     def __post_init__(self):
@@ -140,16 +142,15 @@ def write_manifest(out: Path, command: str, cfg: dict, seed: int, data_path: str
 def _resolve_space(cfg: RunConfig, strategy: str) -> HyperparamSpace | None:
     if cfg.space_path is not None:
         space = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
-        if cfg.budget > 0:
-            space.budget = cfg.budget
-        if strategy in TRAINED_STRATEGIES:
-            check_axes(space, strategy)
-        return space
-    if cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
+    elif cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
         space = default_space(strategy)
+    else:
+        return None
+    if cfg.budget > 0:
         space.budget = cfg.budget
-        return space
-    return None
+    if strategy in TRAINED_STRATEGIES:
+        check_axes(space, strategy)
+    return space
 
 
 def _write_all_trials(outcomes, path) -> None:
@@ -183,10 +184,7 @@ def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> Non
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_equity_csv(curve, out / "equity.csv")
-    if len(curve.daily_returns) >= TRADING_DAYS:
-        write_rolling_sharpe_csv(curve, out / "rolling_sharpe.csv")
-    else:
-        (out / "rolling_sharpe.csv").write_text("date,value\n", encoding="utf-8")
+    write_rolling_sharpe_csv(curve, out / "rolling_sharpe.csv")
     _write_all_trials(result.outcomes, out / "trials.csv")
     for outcome in result.outcomes:
         if outcome.model is not None:
@@ -274,11 +272,7 @@ def cmd_compare(args) -> int:
     (out / "comparison.txt").write_text(table_text, encoding="utf-8")
 
     dates = curves[args.strategies[0]].dates
-    with open(out / "equity_curves.csv", "w", encoding="utf-8") as fh:
-        fh.write("date," + ",".join(args.strategies) + "\n")
-        stacked = [curves[s].cumulative for s in args.strategies]
-        for i, d in enumerate(dates):
-            fh.write(d.isoformat() + "," + ",".join(repr(float(c[i])) for c in stacked) + "\n")
+    write_series_csv(dates, {s: curves[s].cumulative for s in args.strategies}, out / "equity_curves.csv")
 
     write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, seed, cfg.data)
     print(table_text, end="")
@@ -286,21 +280,8 @@ def cmd_compare(args) -> int:
 
 
 def _run_config(args, strategy: str | None = None) -> RunConfig:
-    return RunConfig(
-        data=args.data,
-        strategy=strategy if strategy is not None else args.strategy,
-        out_dir=args.out,
-        seed=args.seed,
-        cost_rate=args.cost_rate,
-        first_test_year=args.first_test_year,
-        t2v_k=args.t2v_k,
-        window=args.window,
-        space_path=args.space,
-        budget=args.budget,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        search_once=args.search_once,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "strategy"}
+    return RunConfig(strategy=strategy if strategy is not None else args.strategy, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +297,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_shared_run_flags(p) -> None:
+    """The run/compare flags; each one that sets a RunConfig field shares its name and default."""
     p.add_argument("--data", required=True, help="input price CSV")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost-rate", type=float, default=0.0002, help="cost per unit turnover")
-    p.add_argument("--first-test-year", type=int, default=2016)
-    p.add_argument("--t2v-k", type=int, default=3, help="periodic embedding components")
-    p.add_argument("--window", type=int, default=8, help="decision window length")
-    p.add_argument("--space", default=None, help="hyperparameter space JSON file")
-    p.add_argument("--budget", type=int, default=0, help="grid-search trials per split (0 = no search)")
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cost-rate", type=float, help="cost per unit turnover")
+    p.add_argument("--first-test-year", type=int)
+    p.add_argument("--t2v-k", type=int, help="periodic embedding components")
+    p.add_argument("--window", type=int, help="decision window length")
+    p.add_argument("--space", dest="space_path", help="hyperparameter space JSON file")
+    p.add_argument("--budget", type=int, help="grid-search trials per split (0 = no search)")
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
     p.add_argument("--jobs", type=int, default=1, help="parallel grid-search trials")
     p.add_argument("--search-once", action="store_true", help="reuse the first split's search result")
     p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
+    p.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic price CSV")
     p_synth.add_argument("--assets", type=int, required=True)
     p_synth.add_argument("--days", type=int, required=True)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--momentum", type=float, default=0.0)
+    p_synth.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p_synth.add_argument("--momentum", type=float, default=SynthConfig.momentum)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

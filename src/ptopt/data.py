@@ -137,15 +137,11 @@ def load_csv(path) -> PriceTable:
     return PriceTable([r[0] for r in rows], tickers, prices)
 
 
-def _format_price(x: float) -> str:
-    return "" if np.isnan(x) else repr(float(x))
-
-
 def write_csv(table: PriceTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["date", *table.tickers]) + "\n")
         for day, row in zip(table.dates, table.prices):
-            fh.write(",".join([day.isoformat(), *(_format_price(x) for x in row)]) + "\n")
+            fh.write(",".join([day.isoformat(), *("" if np.isnan(x) else repr(float(x)) for x in row)]) + "\n")
 
 
 def _forward_filled(prices: np.ndarray, observed: np.ndarray, start: int) -> np.ndarray:
@@ -196,14 +192,11 @@ class WalkForwardSchedule:
     splits: list[Split]
 
     def __post_init__(self):
-        prev = None
-        for s in self.splits:
+        for prev, s in zip([None, *self.splits], self.splits):
             if not (0 < s.val_start < s.train_end < s.test_end):
                 raise ValueError(f"malformed split for {s.test_year}")
-            if prev is not None:
-                if s.test_year != prev.test_year + 1 or s.train_end != prev.test_end:
-                    raise ValueError(f"splits not consecutive at {s.test_year}")
-            prev = s
+            if prev is not None and (s.test_year != prev.test_year + 1 or s.train_end != prev.test_end):
+                raise ValueError(f"splits not consecutive at {s.test_year}")
 
 
 def yearly_splits(table: ReturnTable, first_test_year: int) -> WalkForwardSchedule:

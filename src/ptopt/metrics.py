@@ -121,30 +121,33 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
 
     The weight dated d is held over the following trading day and earns that
     day's returns; turnover is charged against the previous day's book, with
-    an all-zero book before the first day.
+    an all-zero book before the first day. The table's dates ascend, as
+    ``load_csv`` sorts them.
     """
     if stream.weights.shape[1] != table.n_assets:
         raise AlignmentError(
             f"weight stream has {stream.weights.shape[1]} assets, return table {table.n_assets}"
         )
-    index = {d: i for i, d in enumerate(table.dates)}
-    rows = []
-    for d in stream.dates:
-        i = index.get(d)
-        if i is None:
+    table_days = np.fromiter(map(dt.date.toordinal, table.dates), np.int64)
+    stream_days = np.fromiter(map(dt.date.toordinal, stream.dates), np.int64)
+    rows = np.searchsorted(table_days, stream_days)
+    found = np.append(table_days, 0)[rows] == stream_days  # a row past the end reads 0, no date's ordinal
+    bad = np.flatnonzero(~found | (rows + 1 >= len(table_days)))
+    if bad.size:
+        d = stream.dates[bad[0]]
+        if not found[bad[0]]:
             raise AlignmentError(f"weight date {d} not present in the return table")
-        if i + 1 >= len(table.dates):
-            raise AlignmentError(f"no realized return after weight date {d}")
-        rows.append(i)
-    for prev_row, row, d in zip(rows, rows[1:], stream.dates[1:]):
-        if row != prev_row + 1:
-            raise AlignmentError(f"weight dates skip trading days before {d}")
+        raise AlignmentError(f"no realized return after weight date {d}")
+    skips = np.flatnonzero(np.diff(rows) != 1)
+    if skips.size:
+        raise AlignmentError(f"weight dates skip trading days before {stream.dates[skips[0] + 1]}")
 
     w = stream.weights
-    realized = table.returns[[i + 1 for i in rows]]
-    prev = np.vstack([np.zeros(table.n_assets), w[:-1]])
-    net = (w * realized).sum(axis=1) - costs.cost_rate * np.abs(w - prev).sum(axis=1)
-    earn_dates = [table.dates[i + 1] for i in rows]
+    held = table.returns[rows + 1]  # a gathered copy, so the product can form in place
+    held *= w
+    turnover = np.abs(np.diff(w, axis=0, prepend=0.0))
+    net = held.sum(axis=1) - costs.cost_rate * turnover.sum(axis=1)
+    earn_dates = table.dates[rows[0] + 1 : rows[-1] + 2] if len(rows) else []
     return EquityCurve(earn_dates, net)
 
 
@@ -152,17 +155,20 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
 # plot-ready serialization
 
 
-def write_series_csv(dates: list[dt.date], values: np.ndarray, path) -> None:
+def write_series_csv(dates: list[dt.date], columns: dict[str, np.ndarray], path) -> None:
+    """A ``date`` column, then one column per name, each value as ``repr(float)``."""
+    series = [np.asarray(values, dtype=np.float64).tolist() for values in columns.values()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("date,value\n")
-        for d, v in zip(dates, values):
-            fh.write(f"{d.isoformat()},{float(v)!r}\n")
+        fh.write(",".join(["date", *columns]) + "\n")
+        for d, *values in zip(dates, *series):
+            fh.write(",".join([d.isoformat(), *map(repr, values)]) + "\n")
 
 
 def write_equity_csv(curve: EquityCurve, path) -> None:
-    write_series_csv(curve.dates, curve.cumulative, path)
+    write_series_csv(curve.dates, {"value": curve.cumulative}, path)
 
 
-def write_rolling_sharpe_csv(curve: EquityCurve, path, window: int = TRADING_DAYS) -> None:
-    dates, values = rolling_sharpe(curve, window)
-    write_series_csv(dates, values, path)
+def write_rolling_sharpe_csv(curve: EquityCurve, path) -> None:
+    """The trailing-year Sharpe series; a curve shorter than a year writes the header alone."""
+    dates, values = rolling_sharpe(curve) if len(curve.daily_returns) >= TRADING_DAYS else ([], [])
+    write_series_csv(dates, {"value": values}, path)

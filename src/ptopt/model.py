@@ -18,7 +18,7 @@ window is the batch of one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -30,21 +30,43 @@ MASK_BLOCK = -1e9
 CHECKPOINT_MAGIC = "PTCKPT1"
 
 
+def _cast_fields(config) -> None:
+    """Store each int/float/str field of a frozen config as its declared type.
+
+    A space file may give ``8.0`` or ``"2"`` for an int. A bool, or a number
+    the type cannot hold exactly (``8.5`` for an int), raises ValueError.
+    """
+    casts = {"int": int, "float": float, "str": str}  # annotations are strings under __future__.annotations
+    for f in fields(config):
+        if f.type not in casts:
+            continue
+        value = getattr(config, f.name)
+        try:
+            cast = casts[f.type](value)
+            exact = not isinstance(value, bool) and (isinstance(value, str) or cast == value)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        object.__setattr__(config, f.name, cast)
+
+
 @dataclass(frozen=True)
 class PTConfig:
-    """Architecture hyperparameters of the allocation network."""
+    """Architecture hyperparameters of the allocation network; a combo's missing axes take these defaults."""
 
     n_assets: int
     window: int
-    d_model: int
-    n_heads: int
-    t2v_k: int
-    n_layers: int = 4
+    d_model: int = 16
+    n_heads: int = 2
+    t2v_k: int = 3
+    n_layers: int = 1
     attention_scale_mode: str = "d_model"
     dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        _cast_fields(self)
         if self.n_assets < 2:
             raise ValueError(f"n_assets must be >= 2, got {self.n_assets}")
         if self.window < 2:
@@ -68,6 +90,21 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
+def _collect(**parts) -> dict[str, Tensor]:
+    """Name the parameters of ``parts`` in keyword order, as checkpoints key them: a
+    Tensor by its keyword, a layer's names under ``keyword.``, a list's under ``keyword0.``, ..."""
+    out = {}
+    for name, part in parts.items():
+        if isinstance(part, Tensor):
+            out[name] = part
+        elif isinstance(part, list):
+            for i, layer in enumerate(part):
+                out.update(_collect(**{f"{name}{i}": layer}))
+        else:
+            out.update({f"{name}.{k}": v for k, v in part.parameters().items()})
+    return out
+
+
 class Dense:
     """Affine map x @ W + b on row-major activations."""
 
@@ -79,21 +116,19 @@ class Dense:
         return ag.add(ag.matmul(x, self.W), self.b)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"W": self.W, "b": self.b}
+        return _collect(W=self.W, b=self.b)
 
 
 class Time2VecLayer:
     """Learned time features: one linear component plus k sinusoids."""
 
     def __init__(self, k: int, rng: np.random.Generator):
-        if k < 1:
-            raise ValueError(f"need at least one periodic component, got k={k}")
         self.k = k
         self.omega = Tensor(rng.uniform(-1.0, 1.0, k + 1), requires_grad=True)
         self.phi = Tensor(rng.uniform(-1.0, 1.0, k + 1), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"omega": self.omega, "phi": self.phi}
+        return _collect(omega=self.omega, phi=self.phi)
 
 
 def _time2vec_matrix(n_rows: int, layer: Time2VecLayer) -> Tensor:
@@ -135,13 +170,10 @@ class MHALayer:
         self.wo = _uniform_init(rng, n_heads * d_k, (n_heads * d_k, d_model))
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
+        heads = {}
         for i in range(self.n_heads):
-            out[f"q{i}"] = self.wq[i]
-            out[f"k{i}"] = self.wk[i]
-            out[f"v{i}"] = self.wv[i]
-        out["o"] = self.wo
-        return out
+            heads.update({f"q{i}": self.wq[i], f"k{i}": self.wk[i], f"v{i}": self.wv[i]})
+        return _collect(**heads, o=self.wo)
 
 
 def multi_head_attention(
@@ -173,18 +205,10 @@ class GRNLayer:
         self.ln_bias = Tensor(np.zeros(d_model), requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, dense in (
-            ("inner", self.inner),
-            ("outer", self.outer),
-            ("glu_value", self.glu_value),
-            ("glu_gate", self.glu_gate),
-        ):
-            for name, t in dense.parameters().items():
-                out[f"{prefix}.{name}"] = t
-        out["ln_gain"] = self.ln_gain
-        out["ln_bias"] = self.ln_bias
-        return out
+        return _collect(
+            inner=self.inner, outer=self.outer, glu_value=self.glu_value, glu_gate=self.glu_gate,
+            ln_gain=self.ln_gain, ln_bias=self.ln_bias,
+        )
 
 
 def _no_drop(x: Tensor) -> Tensor:
@@ -212,11 +236,7 @@ class EncoderLayer:
         return grn(a, self.grn, drop)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {f"mha.{k}": v for k, v in self.mha.parameters().items()}
-        out["ln_gain"] = self.ln_gain
-        out["ln_bias"] = self.ln_bias
-        out.update({f"grn.{k}": v for k, v in self.grn.parameters().items()})
-        return out
+        return _collect(mha=self.mha, ln_gain=self.ln_gain, ln_bias=self.ln_bias, grn=self.grn)
 
 
 class DecoderLayer:
@@ -237,14 +257,10 @@ class DecoderLayer:
         return grn(b, self.grn, drop)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {f"self_mha.{k}": v for k, v in self.self_mha.parameters().items()}
-        out["ln1_gain"] = self.ln1_gain
-        out["ln1_bias"] = self.ln1_bias
-        out.update({f"cross_mha.{k}": v for k, v in self.cross_mha.parameters().items()})
-        out["ln2_gain"] = self.ln2_gain
-        out["ln2_bias"] = self.ln2_bias
-        out.update({f"grn.{k}": v for k, v in self.grn.parameters().items()})
-        return out
+        return _collect(
+            self_mha=self.self_mha, ln1_gain=self.ln1_gain, ln1_bias=self.ln1_bias,
+            cross_mha=self.cross_mha, ln2_gain=self.ln2_gain, ln2_bias=self.ln2_bias, grn=self.grn,
+        )
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -281,14 +297,7 @@ class PortfolioTransformer:
         self.mask = causal_mask(config.window)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {f"t2v.{k}": v for k, v in self.time2vec.parameters().items()}
-        out.update({f"input_proj.{k}": v for k, v in self.input_proj.parameters().items()})
-        for i, layer in enumerate(self.encoder):
-            out.update({f"enc{i}.{k}": v for k, v in layer.parameters().items()})
-        for i, layer in enumerate(self.decoder):
-            out.update({f"dec{i}.{k}": v for k, v in layer.parameters().items()})
-        out.update({f"head.{k}": v for k, v in self.head.parameters().items()})
-        return out
+        return _collect(t2v=self.time2vec, input_proj=self.input_proj, enc=self.encoder, dec=self.decoder, head=self.head)
 
     def _drop_fn(self, rng: np.random.Generator | None):
         p = self.config.dropout

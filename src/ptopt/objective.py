@@ -82,16 +82,16 @@ def portfolio_returns(weights: Tensor, window: ReturnsWindow, costs: CostModel) 
     return ag.sub(gross, ag.scale(turnover, costs.cost_rate))
 
 
-def sharpe(returns: Tensor, eps: float = EPS) -> Tensor:
-    """Per-period Sharpe ratio over the last axis, eps-guarded variance."""
+def sharpe(returns: Tensor) -> Tensor:
+    """Per-period Sharpe ratio over the last axis, ``EPS``-guarded variance."""
     if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
         raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
     m = ag.mean(returns, axis=-1)
     var = ag.sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
-    return ag.div(m, ag.sqrt(ag.shift(var, eps)))
+    return ag.div(m, ag.sqrt(ag.shift(var, EPS)))
 
 
-def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel, eps: float = EPS) -> Tensor:
+def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
     """Negated Sharpe of the cost-adjusted window returns (to be minimized),
     one loss per window of a stack."""
-    return ag.scale(sharpe(portfolio_returns(weights, window, costs), eps), -1.0)
+    return ag.scale(sharpe(portfolio_returns(weights, window, costs)), -1.0)

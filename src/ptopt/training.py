@@ -18,36 +18,35 @@ import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
-from ptopt.benchmarks import MODEL_KINDS, LSTMConfig, MLPConfig, MVConfig, equal_weights, mv_weights
+from ptopt.benchmarks import MODEL_KINDS, MVConfig, equal_weights, mv_weights
 from ptopt.data import ReturnTable, Split, WalkForwardSchedule
 from ptopt.errors import DataError, TrainingError
 from ptopt.metrics import WeightStream
-from ptopt.model import PTConfig
+from ptopt.model import _cast_fields
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 # test days per mv_weights call: a whole split in one call costs megabytes of temporaries
 _MV_CHUNK = 64
 
-STRATEGIES = ("pt", "lstm", "mlp", "mv", "equal_weight")
-TRAINED_STRATEGIES = ("pt", "lstm", "mlp")
+TRAINED_STRATEGIES = tuple(MODEL_KINDS)
+STRATEGIES = (*TRAINED_STRATEGIES, "mv", "equal_weight")
 
 
 class Adam:
     """Bias-corrected Adam over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -61,11 +60,11 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1**t)
-            v_hat = self.v[name] / (1.0 - self.beta2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
+            m_hat = self.m[name] / (1.0 - self.BETA1**t)
+            v_hat = self.v[name] / (1.0 - self.BETA2**t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _cast_fields(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
@@ -245,8 +245,7 @@ class HyperparamSpace:
             raise ValueError("every axis needs at least one candidate")
 
     def combinations(self) -> list[dict]:
-        names = list(self.axes)
-        return [dict(zip(names, combo)) for combo in itertools.product(*(self.axes[n] for n in names))]
+        return [dict(zip(self.axes, combo)) for combo in itertools.product(*self.axes.values())]
 
     @classmethod
     def from_json(cls, text: str) -> "HyperparamSpace":
@@ -254,49 +253,48 @@ class HyperparamSpace:
         axes = doc.get("axes") if isinstance(doc, dict) else None
         if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
             raise ValueError("space JSON must be an object whose 'axes' maps names to lists")
-        budget = doc.get("budget", 100)
+        budget = doc.get("budget", cls.budget)
         if isinstance(budget, bool) or not isinstance(budget, int):
             raise ValueError(f"space JSON 'budget' must be an integer, got {budget!r}")
         return cls(axes=axes, budget=budget)
 
 
+_FIT_CANDIDATES = {
+    "learning_rate": [1e-3, 3e-3, 1e-2],
+    "batch_size": [16, 32],
+}
+_DEFAULT_AXES = {
+    "pt": {
+        "d_model": [8, 16, 32],
+        "n_heads": [2, 4],
+        "t2v_k": [3, 5],
+        "n_layers": [1, 2],
+        **_FIT_CANDIDATES,
+        "dropout": [0.0, 0.1],
+    },
+    "lstm": {
+        "hidden": [8, 16, 32],
+        **_FIT_CANDIDATES,
+    },
+    "mlp": {
+        "hidden": [[32], [64], [32, 16]],
+        **_FIT_CANDIDATES,
+    },
+}
+
+
 def default_space(strategy: str) -> HyperparamSpace:
-    if strategy == "pt":
-        return HyperparamSpace(
-            axes={
-                "d_model": [8, 16, 32],
-                "n_heads": [2, 4],
-                "t2v_k": [3, 5],
-                "n_layers": [1, 2],
-                "learning_rate": [1e-3, 3e-3, 1e-2],
-                "batch_size": [16, 32],
-                "dropout": [0.0, 0.1],
-            }
-        )
-    if strategy == "lstm":
-        return HyperparamSpace(
-            axes={
-                "hidden": [8, 16, 32],
-                "learning_rate": [1e-3, 3e-3, 1e-2],
-                "batch_size": [16, 32],
-            }
-        )
-    if strategy == "mlp":
-        return HyperparamSpace(
-            axes={
-                "hidden": [[32], [64], [32, 16]],
-                "learning_rate": [1e-3, 3e-3, 1e-2],
-                "batch_size": [16, 32],
-            }
-        )
-    raise ValueError(f"no hyperparameter space for strategy {strategy!r}")
+    """The grid a ``--budget`` search samples when no ``--space`` file is given."""
+    if strategy not in _DEFAULT_AXES:
+        raise ValueError(f"no hyperparameter space for strategy {strategy!r}")
+    return HyperparamSpace(axes={name: list(values) for name, values in _DEFAULT_AXES[strategy].items()})
 
 
-# the combo keys each trainable strategy's model_config reads; fit_combo reads FIT_AXES
+# the combo keys each trainable strategy's model_config reads: every field of its
+# config but the three a run sets itself. fit_combo reads FIT_AXES.
 MODEL_AXES = {
-    "pt": ("d_model", "n_heads", "t2v_k", "n_layers", "attention_scale_mode", "dropout"),
-    "lstm": ("hidden",),
-    "mlp": ("hidden",),
+    kind: tuple(f.name for f in fields(cls.config_class) if f.name not in ("n_assets", "window", "seed"))
+    for kind, cls in MODEL_KINDS.items()
 }
 FIT_AXES = ("learning_rate", "batch_size")
 
@@ -310,24 +308,12 @@ def check_axes(space: HyperparamSpace, strategy: str) -> None:
 
 
 def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
-    """The validated architecture config of a trainable strategy."""
-    if strategy == "pt":
-        return PTConfig(
-            n_assets=n_assets,
-            window=tau,
-            d_model=int(combo.get("d_model", 16)),
-            n_heads=int(combo.get("n_heads", 2)),
-            t2v_k=int(combo.get("t2v_k", 3)),
-            n_layers=int(combo.get("n_layers", 1)),
-            attention_scale_mode=str(combo.get("attention_scale_mode", "d_model")),
-            dropout=float(combo.get("dropout", 0.0)),
-            seed=seed,
-        )
-    if strategy == "lstm":
-        return LSTMConfig(n_assets=n_assets, window=tau, hidden=int(combo.get("hidden", 16)), seed=seed)
-    if strategy == "mlp":
-        return MLPConfig(n_assets=n_assets, window=tau, hidden=combo.get("hidden", (32,)), seed=seed)
-    raise ValueError(f"not a trainable strategy: {strategy!r}")
+    """The validated architecture config of a trainable strategy; an axis the combo leaves out keeps its default."""
+    if strategy not in MODEL_AXES:
+        raise ValueError(f"not a trainable strategy: {strategy!r}")
+    cls = MODEL_KINDS[strategy].config_class
+    axes = {name: combo.get(name, getattr(cls, name)) for name in MODEL_AXES[strategy]}
+    return cls(n_assets=n_assets, window=tau, seed=seed, **axes)
 
 
 def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
@@ -344,9 +330,7 @@ def fit_combo(
     Search trials and the final fit of a split both train through here, so a
     combo scores on validation exactly the model it would become.
     """
-    learning_rate = float(combo.get("learning_rate", base_cfg.learning_rate))
-    batch_size = int(combo.get("batch_size", base_cfg.batch_size))
-    cfg = replace(base_cfg, learning_rate=learning_rate, batch_size=batch_size, seed=seed)
+    cfg = replace(base_cfg, seed=seed, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
     model = build_model(strategy, n_assets, tau, combo, seed=seed)
     return model, fit(model, train, valid, cfg, costs)
 

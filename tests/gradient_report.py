@@ -4,7 +4,9 @@ Compares tape gradients of the cost-adjusted Sharpe loss against central
 finite differences for every parameter group and prints the worst relative
 error per group. A healthy build stays below 1e-4 everywhere.
 
-    python3 scripts/gradient_report.py --d-model 8 --heads 2 --layers 1
+    PYTHONPATH=src python3 tests/gradient_report.py --d-model 8 --heads 2 --layers 1
+
+It lives beside ``helpers.py``, whose finite-difference oracle it runs.
 """
 
 import argparse
@@ -16,8 +18,7 @@ import numpy as np
 from ptopt.model import PTConfig, PortfolioTransformer
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "tests"))
-from helpers import model_grad_errors  # noqa: E402
+from helpers import model_grad_errors
 
 
 def main() -> int:

@@ -84,6 +84,33 @@ def portfolio_returns_oracle(
     return gross - cost * turnover
 
 
+def run_backtest_oracle(stream, table, cost_rate: float):
+    """``metrics.run_backtest`` as a date dict and a Python contiguity loop.
+
+    Returns ``(earn_dates, net)``; raises the library's ``AlignmentError``
+    with the library's messages.
+    """
+    from ptopt.errors import AlignmentError
+
+    index = {d: i for i, d in enumerate(table.dates)}
+    rows = []
+    for d in stream.dates:
+        i = index.get(d)
+        if i is None:
+            raise AlignmentError(f"weight date {d} not present in the return table")
+        if i + 1 >= len(table.dates):
+            raise AlignmentError(f"no realized return after weight date {d}")
+        rows.append(i)
+    for prev_row, row, d in zip(rows, rows[1:], stream.dates[1:]):
+        if row != prev_row + 1:
+            raise AlignmentError(f"weight dates skip trading days before {d}")
+    w = stream.weights
+    realized = table.returns[[i + 1 for i in rows]]
+    prev = np.vstack([np.zeros(table.n_assets), w[:-1]])
+    net = (w * realized).sum(axis=1) - cost_rate * np.abs(w - prev).sum(axis=1)
+    return [table.dates[i + 1] for i in rows], net
+
+
 def sharpe_oracle(r: np.ndarray, eps: float = 1e-12) -> float:
     """Mean over uncentered-std Sharpe with the stabilizing eps under the root."""
     r = np.asarray(r, dtype=np.float64)

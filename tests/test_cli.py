@@ -11,6 +11,7 @@ import pytest
 import ptopt.cli as cli
 from ptopt.errors import NumericError
 from ptopt.metrics import MetricsReport
+from ptopt.model import PTConfig
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,14 @@ def test_render_table_flags_max_and_min_correctly():
 def test_run_config_rejects_unknown_strategy():
     with pytest.raises(cli.UsageError):
         cli.RunConfig(data="x", strategy="bogus", out_dir="y")
+
+
+@pytest.mark.parametrize("head", [["run", "--strategy", "pt"], ["compare", "--strategies", "pt", "mv"]])
+def test_flag_defaults_are_the_run_config_defaults(head):
+    args = cli.build_parser().parse_args([*head, "--data", "d.csv", "--out", "o"])
+    built = cli._run_config(args, strategy="pt")
+    assert built == cli.RunConfig(data="d.csv", strategy="pt", out_dir="o")
+    assert cli.RunConfig.t2v_k == PTConfig.t2v_k
 
 
 def test_import_loads_no_scipy():

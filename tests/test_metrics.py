@@ -17,11 +17,12 @@ from ptopt.metrics import (
     rolling_sharpe,
     run_backtest,
     write_equity_csv,
+    write_rolling_sharpe_csv,
     write_series_csv,
 )
 from ptopt.objective import CostModel
 
-from helpers import metrics_oracle, rolling_sharpe_oracle
+from helpers import metrics_oracle, rolling_sharpe_oracle, run_backtest_oracle
 
 ROOT252 = math.sqrt(252)
 
@@ -213,19 +214,39 @@ def test_costless_static_book_reproduces_dot_product():
     np.testing.assert_array_equal(curve.daily_returns, table.returns[1:] @ w[0])
 
 
+def test_backtest_matches_the_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    table = table_from(rng.standard_normal((320, 5)) * 0.01)
+    w = rng.standard_normal((300, 5))
+    w /= np.abs(w).sum(axis=1, keepdims=True)
+    stream = WeightStream(table.dates[10:310], w)
+    curve = run_backtest(stream, table, CostModel(0.0007))
+    dates, net = run_backtest_oracle(stream, table, 0.0007)
+    assert curve.dates == dates
+    assert np.array_equal(curve.daily_returns, net)
+
+
 def test_alignment_errors():
-    table = table_from(np.zeros((5, 2)))
-    good = np.zeros((2, 2))
-    with pytest.raises(AlignmentError, match="2021-06-01"):
-        run_backtest(WeightStream([dt.date(2021, 6, 1), table.dates[1]], good), table, CostModel())
-    # weight on the final table date has no next-day return to earn
+    table = table_from(np.zeros((8, 2)))
+    days = table.dates
+    cases = [
+        ([dt.date(2021, 6, 1), days[1]], "weight date 2021-06-01 not present"),
+        ([days[0], days[1], dt.date(2020, 1, 4), days[3]], "weight date 2020-01-04 not present"),
+        # weight on the final table date has no next-day return to earn
+        ([days[-1]], f"no realized return after weight date {days[-1]}"),
+        # skipping a trading day breaks the daily-adjustment contract
+        ([days[0], days[2]], f"skip trading days before {days[2]}"),
+        ([*days[:5], days[6]], f"skip trading days before {days[6]}"),
+    ]
+    for dates, message in cases:
+        stream = WeightStream(dates, np.zeros((len(dates), 2)))
+        with pytest.raises(AlignmentError, match=message) as caught:
+            run_backtest(stream, table, CostModel())
+        with pytest.raises(AlignmentError) as expected:
+            run_backtest_oracle(stream, table, 0.0002)
+        assert str(caught.value) == str(expected.value)
     with pytest.raises(AlignmentError):
-        run_backtest(WeightStream([table.dates[-1]], np.zeros((1, 2))), table, CostModel())
-    # skipping a trading day breaks the daily-adjustment contract
-    with pytest.raises(AlignmentError):
-        run_backtest(WeightStream([table.dates[0], table.dates[2]], good), table, CostModel())
-    with pytest.raises(AlignmentError):
-        run_backtest(WeightStream(table.dates[:2], np.zeros((2, 3))), table, CostModel())
+        run_backtest(WeightStream(days[:2], np.zeros((2, 3))), table, CostModel())
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +257,26 @@ def test_series_csv_round_trips_floats(tmp_path):
     dates = trading_days(dt.date(2020, 1, 2), 3)
     values = np.array([1.0, 1.0 + 1e-16, 0.1 + 0.2])
     path = tmp_path / "series.csv"
-    write_series_csv(dates, values, path)
+    write_series_csv(dates, {"value": values}, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "date,value"
     got = [float(line.split(",")[1]) for line in lines[1:]]
     assert got == [float(v) for v in values]
+    write_series_csv(dates, {"a": values, "b": -values}, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "date,a,b"
+    assert lines[3] == f"2020-01-06,{0.1 + 0.2!r},{-(0.1 + 0.2)!r}"
+
+
+def test_rolling_sharpe_csv_of_a_curve_shorter_than_a_year_is_the_header(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "rolling.csv"
+    write_rolling_sharpe_csv(curve_from(rng.normal(0.0, 0.01, 251)), path)
+    assert path.read_bytes() == b"date,value\n"
+    curve = curve_from(rng.normal(0.0, 0.01, 252))
+    write_rolling_sharpe_csv(curve, path)
+    dates, values = rolling_sharpe(curve)
+    assert path.read_text().splitlines() == ["date,value", f"{dates[0].isoformat()},{float(values[0])!r}"]
 
 
 def test_equity_csv_writes_cumulative(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the attention allocation network and its building blocks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +66,7 @@ def test_config_invariants_rejected(bad):
 
 def test_config_defaults():
     cfg = PTConfig(n_assets=5, window=6, d_model=16, n_heads=4, t2v_k=3)
-    assert cfg.n_layers == 4
+    assert cfg.n_layers == 1
     assert cfg.attention_scale_mode == "d_model"
     assert cfg.dropout == 0.0
 
@@ -435,3 +437,25 @@ def test_checkpoint_survives_parameter_mutation(tmp_path):
     model.head.W.data = model.head.W.data + 1.0
     clone = load_checkpoint(path)
     assert not np.array_equal(clone.head.W.data, model.head.W.data)
+
+
+@pytest.mark.parametrize("kind", ["pt", "lstm", "mlp"])
+def test_committed_checkpoints_resave_byte_for_byte(kind, tmp_path):
+    """``tests/data/<kind>.ckpt`` came from ``save_checkpoint`` at commit 7721424,
+    before parameter naming moved into ``model._collect``: a 2-layer, 2-head PT
+    (d_model=4, t2v_k=1), an LSTM (hidden=3) and an MLP (hidden=(4, 3)), all on
+    2 assets and window 2. Names, order, config and values must all survive."""
+    fixture = Path(__file__).parent / "data" / f"{kind}.ckpt"
+    model = load_checkpoint(fixture)
+    assert model.kind == kind
+    save_checkpoint(model, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == fixture.read_bytes()
+
+
+def test_checkpoint_config_with_a_bool_for_an_int_is_rejected(tmp_path):
+    text = (Path(__file__).parent / "data" / "pt.ckpt").read_text()
+    assert '"n_layers": 2' in text
+    path = tmp_path / "bool.ckpt"
+    path.write_text(text.replace('"n_layers": 2', '"n_layers": true'))
+    with pytest.raises(ValueError, match="n_layers"):
+        load_checkpoint(path)

@@ -347,6 +347,43 @@ def test_combo_filter_validates_configs_like_built_models():
     assert kept == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 3, "t2v_k": 2}]
 
 
+@pytest.mark.parametrize("strategy", tr.TRAINED_STRATEGIES)
+def test_an_empty_combo_builds_the_config_class_defaults(strategy):
+    config_class = tr.MODEL_KINDS[strategy].config_class
+    assert tr.model_config(strategy, 4, 8, {}, 3) == config_class(n_assets=4, window=8, seed=3)
+
+
+def test_axes_and_strategies_derive_from_the_model_table():
+    assert tr.MODEL_AXES == {
+        "pt": ("d_model", "n_heads", "t2v_k", "n_layers", "attention_scale_mode", "dropout"),
+        "lstm": ("hidden",),
+        "mlp": ("hidden",),
+    }
+    assert tr.TRAINED_STRATEGIES == ("pt", "lstm", "mlp")
+    assert tr.STRATEGIES == ("pt", "lstm", "mlp", "mv", "equal_weight")
+
+
+def test_space_file_numbers_become_declared_field_types():
+    cfg = tr.model_config("pt", 4, 8, {"d_model": 8.0, "n_heads": "2", "dropout": 0}, 0)
+    assert (cfg.d_model, cfg.n_heads, cfg.dropout) == (8, 2, 0.0)
+    assert (type(cfg.d_model), type(cfg.n_heads), type(cfg.dropout)) == (int, int, float)
+    assert type(tr.model_config("lstm", 4, 8, {"hidden": 4.0}, 0).hidden) is int
+    # a value the field cannot hold exactly is rejected, never truncated
+    for combo in ({"d_model": 8.5}, {"n_layers": True}, {"dropout": False}, {"t2v_k": [3]}, {"attention_scale_mode": 1}):
+        with pytest.raises(ValueError):
+            tr.model_config("pt", 4, 8, combo, 0)
+    with pytest.raises(ValueError, match="d_model"):
+        PTConfig(n_assets=4, window=8, d_model=8.5, n_heads=2)
+    with pytest.raises(ValueError):
+        tr.model_config("lstm", 4, 8, {"hidden": 3.9}, 0)
+    for bad in ({"max_epochs": 1.5}, {"batch_size": True}, {"learning_rate": "fast"}):
+        with pytest.raises(ValueError):
+            tr.TrainConfig(**bad)
+    # so a search drops a combo holding one, as it drops any invalid combo
+    space = tr.HyperparamSpace(axes={"d_model": [8.5, 8.0], "n_heads": [2]})
+    assert [c for c in space.combinations() if tr._combo_is_valid("pt", 4, 8, c)] == [{"d_model": 8.0, "n_heads": 2}]
+
+
 class _ReadKeys(dict):
     """A combo that records which keys are read from it."""
 
