@@ -66,26 +66,18 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class _Node:
-    __slots__ = ("inputs", "out", "back")
-
-    def __init__(self, inputs: tuple[Tensor, ...], out: Tensor, back: Callable):
-        self.inputs = inputs
-        self.out = out
-        self.back = back
-
-
 class Tape:
     """Ordered record of the operations of one forward pass.
 
-    Nodes are appended in execution order, so every node's inputs precede
-    it and a single reverse sweep visits each node exactly once.
+    Each node is an ``(inputs, out, back)`` tuple. Nodes are appended in
+    execution order, so every node's inputs precede it and a single reverse
+    sweep visits each node exactly once.
     """
 
     __slots__ = ("nodes",)
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -111,7 +103,7 @@ def _emit(inputs: tuple[Tensor, ...], out_data: Array, back: Callable) -> Tensor
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(inputs, out, back))
+        tape.nodes.append((inputs, out, back))
     return out
 
 
@@ -124,11 +116,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        g = node.out.grad
+    for inputs, out, back in reversed(tape.nodes):
+        g = out.grad
         if g is None:
             continue
-        for t, gi in zip(node.inputs, node.back(g)):
+        for t, gi in zip(inputs, back(g)):
             if gi is None or not t.requires_grad:
                 continue
             t.grad = gi if t.grad is None else t.grad + gi

@@ -101,10 +101,9 @@ class MLPConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _cast_fields(self)
         if self.n_assets < 2 or self.window < 2:
             raise ValueError("need n_assets >= 2 and window >= 2")
-        # a checkpoint's JSON list, a combo's int or list: always a tuple of ints
-        object.__setattr__(self, "hidden", tuple(int(h) for h in np.atleast_1d(self.hidden)))
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"bad hidden sizes {self.hidden}")
 

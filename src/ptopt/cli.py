@@ -347,6 +347,8 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
+        if getattr(args, "jobs", 1) < 1:  # checked here, not in RunConfig: --jobs never changes results
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -28,27 +28,35 @@ from ptopt.autograd import ContractError, ShapeError, Tensor
 
 MASK_BLOCK = -1e9
 CHECKPOINT_MAGIC = "PTCKPT1"
+_CASTS = {"int": int, "float": float, "str": str}  # config annotations are strings under __future__.annotations
 
 
-def _cast_fields(config) -> None:
-    """Store each int/float/str field of a frozen config as its declared type.
+def _cast(name: str, type_name: str, value):
+    """``value`` as the type named ``int``, ``float`` or ``str``.
 
     A space file may give ``8.0`` or ``"2"`` for an int. A bool, or a number
     the type cannot hold exactly (``8.5`` for an int), raises ValueError.
     """
-    casts = {"int": int, "float": float, "str": str}  # annotations are strings under __future__.annotations
+    try:
+        cast = _CASTS[type_name](value)
+        exact = not isinstance(value, bool) and (isinstance(value, str) or cast == value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be {type_name}, got {value!r}")
+    return cast
+
+
+def _cast_fields(config) -> None:
+    """Store each int/float/str field of a frozen config as its declared type (see
+    ``_cast``), and a ``tuple[int, ...]`` field, given one int or a list, as a tuple of ints."""
     for f in fields(config):
-        if f.type not in casts:
-            continue
         value = getattr(config, f.name)
-        try:
-            cast = casts[f.type](value)
-            exact = not isinstance(value, bool) and (isinstance(value, str) or cast == value)
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:
-            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        object.__setattr__(config, f.name, cast)
+        if f.type == "tuple[int, ...]":
+            items = value if isinstance(value, (list, tuple)) else [value]
+            object.__setattr__(config, f.name, tuple(_cast(f.name, "int", v) for v in items))
+        elif f.type in _CASTS:
+            object.__setattr__(config, f.name, _cast(f.name, f.type, value))
 
 
 @dataclass(frozen=True)

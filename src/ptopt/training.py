@@ -40,31 +40,27 @@ STRATEGIES = (*TRAINED_STRATEGIES, "mv", "equal_weight")
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over one flat parameter vector, updated in place."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float):
+    def __init__(self, params: np.ndarray, lr: float):
         self.params = params
         self.lr = lr
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, g: np.ndarray) -> None:
+        if g.shape != self.params.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {self.params.shape}")
         self.step_count += 1
         t = self.step_count
-        for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
-            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
-            m_hat = self.m[name] / (1.0 - self.BETA1**t)
-            v_hat = self.v[name] / (1.0 - self.BETA2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g * g
+        m_hat = self.m / (1.0 - self.BETA1**t)
+        v_hat = self.v / (1.0 - self.BETA2**t)
+        self.params -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -168,30 +164,31 @@ def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
         return _mean_window_loss(model, windows, costs).item()
 
 
-def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in params.items()}
-
-
-def _restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
-    for name, p in params.items():
-        p.data = snap[name].copy()
+def _flatten(params: list[Tensor]) -> np.ndarray:
+    """Copy ``params`` into one vector and make each tensor's data a view of its slice."""
+    flat = np.concatenate([p.data for p in params], axis=None)
+    for p, part in zip(params, np.split(flat, np.cumsum([p.data.size for p in params])[:-1])):
+        p.data = part.reshape(p.shape)
+    return flat
 
 
 def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
     """Train with the Sharpe loss until patience on validation runs out.
 
-    The model is left holding the parameters of its best validation epoch.
+    The model's parameters become views into one vector, which Adam updates
+    as a whole; the model is left holding those of its best validation epoch.
     """
     if not train_windows or not valid_windows:
         raise TrainingError("fit needs non-empty train and validation window sets")
-    params = model.parameters()
-    optimizer = Adam(params, cfg.learning_rate)
+    params = list(model.parameters().values())
+    flat = _flatten(params)
+    optimizer = Adam(flat, cfg.learning_rate)
     drop_rng = np.random.default_rng(cfg.seed)
 
     history: list[EpochStats] = []
     best_val = np.inf
     best_epoch = -1
-    best_params = _snapshot(params)
+    best_params = flat.copy()
     since_best = 0
 
     for epoch in range(cfg.max_epochs):
@@ -199,7 +196,7 @@ def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig,
         seen = 0
         loss_sum = 0.0
         for b_idx, batch in enumerate(batches):
-            for p in params.values():
+            for p in params:
                 p.grad = None
             with ag.Tape() as tape:
                 loss = _mean_window_loss(model, batch, costs, rng=drop_rng)
@@ -207,7 +204,7 @@ def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig,
                 if not np.isfinite(value):
                     raise TrainingError(f"non-finite loss {value} in epoch {epoch}, batch {b_idx}")
                 ag.backward(loss, tape)
-            optimizer.step({name: p.grad for name, p in params.items() if p.grad is not None})
+            optimizer.step(np.concatenate([p.grad for p in params], axis=None))
             loss_sum += value * len(batch)
             seen += len(batch)
         val_loss = evaluate_loss(model, valid_windows, costs)
@@ -216,14 +213,14 @@ def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = _snapshot(params)
+            best_params = flat.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
 
-    _restore(params, best_params)
+    flat[:] = best_params
     return FitResult(history=history, best_epoch=best_epoch, best_val=best_val)
 
 

@@ -246,3 +246,31 @@ def model_grad_errors(model, loss_fn, coords_per_param=None, rng=None, h=FD_STEP
             numeric[j] = (fp - fm) / (2.0 * h)
         errs[name] = max_rel_err(g[idx], numeric)
     return errs
+
+
+class NamedAdam:
+    """Bias-corrected Adam as a loop over named arrays, one update per array.
+
+    The oracle of ``ptopt.training.Adam``, which runs the same elementwise
+    expressions once over a flat vector.
+    """
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.params = params
+        self.lr = lr
+        self.step_count = 0
+        self.m = {name: np.zeros_like(x) for name, x in params.items()}
+        self.v = {name: np.zeros_like(x) for name, x in params.items()}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        self.step_count += 1
+        t = self.step_count
+        for name, x in self.params.items():
+            g = grads[name]
+            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
+            m_hat = self.m[name] / (1.0 - self.BETA1**t)
+            v_hat = self.v[name] / (1.0 - self.BETA2**t)
+            self.params[name] = x - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)

@@ -278,8 +278,10 @@ def test_mlp_config_hidden_is_a_tuple_of_ints():
     want = MLPConfig(n_assets=3, window=4, hidden=(6, 4))
     assert MLPConfig(n_assets=3, window=4, hidden=[6, 4]) == want
     assert MLPConfig(n_assets=3, window=4, hidden=6).hidden == (6,)
-    with pytest.raises(ValueError):
-        MLPConfig(n_assets=3, window=4, hidden=[])
+    # an entry that is not exactly an int is refused, not truncated
+    for bad in ([], [32.5], [True], True):
+        with pytest.raises(ValueError):
+            MLPConfig(n_assets=3, window=4, hidden=bad)
 
 
 def test_checkpoint_loads_with_only_the_model_module_imported(tmp_path):

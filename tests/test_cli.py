@@ -168,6 +168,31 @@ def test_run_space_axis_no_model_reads_is_usage_error(prices_csv, tmp_path, caps
     assert not out.exists()
 
 
+def test_run_space_with_no_valid_combo_is_usage_error(prices_csv, tmp_path, capsys):
+    # an MLP hidden size of 32.5 is refused, not truncated to 32, which leaves no combo
+    space = tmp_path / "space.json"
+    space.write_text('{"axes": {"hidden": [[32.5]]}, "budget": 1}')
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "mlp", "--data", str(prices_csv), "--out", str(out), "--space", str(space)])
+    assert code == 1
+    assert "no valid combination" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeypatch, jobs):
+    def no_work(*a, **k):
+        raise AssertionError("the data was read before --jobs was checked")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", "--budget", "1", "--jobs", jobs, "--data", str(prices_csv), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--jobs" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_run_missing_data_file_exits_2(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / "no.csv"), "--out", str(out)]) == 2

@@ -17,6 +17,8 @@ from ptopt.metrics import run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, scores_to_weights
 from ptopt.objective import CostModel
 
+from helpers import NamedAdam
+
 
 def make_table(n_days, n_assets=3, seed=5, momentum=0.0):
     prices = synth_generate(SynthConfig(n_assets=n_assets, n_days=n_days, seed=seed, momentum=momentum))
@@ -29,48 +31,71 @@ def make_table(n_days, n_assets=3, seed=5, momentum=0.0):
 
 @pytest.mark.parametrize("g", [7.3, -0.2, 1e-4, -250.0])
 def test_adam_first_step_moves_by_lr_times_sign(g):
-    p = {"x": Tensor(np.array([1.5]), requires_grad=True)}
-    opt = tr.Adam(p, lr=0.1)
-    opt.step({"x": np.array([g])})
+    x = np.array([1.5])
+    tr.Adam(x, lr=0.1).step(np.array([g]))
     # eps in the denominator shades the step slightly below lr for tiny g
-    assert np.isclose(p["x"].data[0] - 1.5, -0.1 * np.sign(g), rtol=1e-3)
+    assert np.isclose(x[0] - 1.5, -0.1 * np.sign(g), rtol=1e-3)
 
 
 def test_adam_zero_gradient_leaves_parameter_unchanged():
-    p = {"x": Tensor(np.array([2.0, -3.0]), requires_grad=True)}
-    tr.Adam(p, lr=0.1).step({"x": np.zeros(2)})
-    assert np.array_equal(p["x"].data, [2.0, -3.0])
+    x = np.array([2.0, -3.0])
+    tr.Adam(x, lr=0.1).step(np.zeros(2))
+    assert np.array_equal(x, [2.0, -3.0])
 
 
 def test_adam_matches_reference_update_and_converges_on_quadratic():
     # oracle: the same update rule in plain scalar arithmetic
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
     x_ref, m, v = 1.0, 0.0, 0.0
-    p = {"x": Tensor(np.array([1.0]), requires_grad=True)}
-    opt = tr.Adam(p, lr=lr)
+    x = np.array([1.0])
+    opt = tr.Adam(x, lr=lr)
     for t in range(1, 201):
         g = 2.0 * x_ref
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         x_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        opt.step({"x": np.array([2.0 * p["x"].data[0]])})
-        assert np.isclose(p["x"].data[0], x_ref, atol=1e-12)
-    assert abs(p["x"].data[0]) < 0.05
-
-
-def test_adam_skips_parameters_without_gradients():
-    p = {
-        "a": Tensor(np.array([1.0]), requires_grad=True),
-        "b": Tensor(np.array([4.0]), requires_grad=True),
-    }
-    tr.Adam(p, lr=0.1).step({"a": np.array([1.0])})
-    assert p["b"].data[0] == 4.0
+        opt.step(2.0 * x)
+        assert np.isclose(x[0], x_ref, atol=1e-12)
+    assert abs(x[0]) < 0.05
 
 
 def test_adam_rejects_mismatched_gradient_shape():
-    p = {"x": Tensor(np.zeros(3), requires_grad=True)}
     with pytest.raises(ValueError):
-        tr.Adam(p, lr=0.1).step({"x": np.zeros(2)})
+        tr.Adam(np.zeros(3), lr=0.1).step(np.zeros(2))
+
+
+def test_flat_adam_equals_the_per_name_oracle_over_pt_parameters():
+    params = PortfolioTransformer(PTConfig(n_assets=4, window=8)).parameters()
+    oracle = NamedAdam({name: p.data.copy() for name, p in params.items()}, lr=3e-3)
+    opt = tr.Adam(tr._flatten(list(params.values())), lr=3e-3)
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        # magnitudes from 1e-6 to 1e2, so eps and the bias corrections both matter
+        grads = {name: rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2) for name, p in params.items()}
+        oracle.step(grads)
+        opt.step(np.concatenate(list(grads.values()), axis=None))
+    for name, p in params.items():
+        assert np.array_equal(p.data, oracle.params[name]), name
+
+
+@pytest.mark.parametrize(
+    "strategy, combo",
+    [
+        ("pt", {"n_layers": 2, "n_heads": 4, "t2v_k": 5, "dropout": 0.1}),
+        ("lstm", {}),
+        ("mlp", {"hidden": [32, 16]}),
+    ],
+    ids=["pt", "lstm", "mlp"],
+)
+def test_one_training_step_gives_every_parameter_a_gradient(strategy, combo):
+    # fit gathers one flat gradient from every parameter, so none may be left without one
+    table = make_table(120, momentum=0.4)
+    batch = tr.build_windows(table, 8, 0, 100)[np.arange(16)]
+    model = tr.build_model(strategy, 3, 8, combo, seed=4)
+    with ag.Tape() as tape:
+        ag.backward(tr._mean_window_loss(model, batch, CostModel(), rng=np.random.default_rng(0)), tape)
+    missing = [name for name, p in model.parameters().items() if p.grad is None or p.grad.shape != p.shape]
+    assert not missing
 
 
 @pytest.mark.parametrize(
