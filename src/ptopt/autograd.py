@@ -9,6 +9,14 @@ tensor appends one node; :func:`backward` replays
 the tape once in reverse and accumulates gradients into ``Tensor.grad``.
 Tapes are thread-local, so a tape and its tensors belong to one thread for
 the duration of a forward/backward pass.
+
+A node costs a few microseconds of Python dispatch, so the models run on a
+few coarse ops, each one node with a closed-form backward: ``dense``
+(matmul plus bias), ``embed`` (Time2Vec features, concat and projection),
+``mha`` (every attention head at once), ``glu``, ``residual_layer_norm``
+and ``sharpe_loss`` (turnover, net returns and Sharpe). Their op-by-op
+compositions from the fine-grained primitives are the test oracles in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 
 Array = np.ndarray
 LAYER_NORM_EPS = 1e-5
+MASK_BLOCK = -1e9  # an additive attention-mask entry that blocks a pair
 
 
 class ShapeError(ValueError):
@@ -136,6 +145,11 @@ def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
     return g.sum(axis=tuple(range(extra))) if extra else g
 
 
+def _shared_grad(x: Array, g: Array) -> Array:
+    """Gradient of a matrix that multiplies every row of ``x``: one product over all rows."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes.
 
@@ -154,8 +168,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
         ga = g @ np.swapaxes(bd, -1, -2)
         if bd.ndim == 2:
-            # a shared matrix: one product over every leading index at once
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            gb = _shared_grad(ad, g)
         else:
             gb = np.swapaxes(ad, -1, -2) @ g
         return ga, gb
@@ -288,13 +301,25 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _emit((x,), x.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+def _row_max(x: Array) -> Array:
+    """``np.max(x, axis=-1, keepdims=True)``, one column at a time.
+
+    Rows of a window's width are short, and numpy reduces a short last axis
+    row by row; a maximum is exact in any order, so the result is the same.
+    """
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    e = np.exp(x.data - _row_max(x.data))
+    y = e / np.sum(e, axis=-1, keepdims=True)
 
     def back(g):
-        return (y * (g - np.sum(g * y, axis=axis, keepdims=True)),)
+        return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
 
     return _emit((x,), y, back)
 
@@ -318,26 +343,30 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     Population variance plus ``LAYER_NORM_EPS``; ``gain`` and ``bias`` must
     be 1-D of the last-axis length.
     """
-    d = x.shape[-1]
+    return _normalize((x,), x.data, gain, bias)
+
+
+def _row_mean(x: Array) -> Array:
+    """``x.mean(axis=-1, keepdims=True)``, the same arithmetic without its Python wrapper."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
+def _normalize(inputs: tuple[Tensor, ...], xd: Array, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer norm of ``xd``, the sum of ``inputs``; each input gets the same gradient."""
+    d = xd.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last axis of {x.shape}")
-    xd, gd = x.data, gain.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+        raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last axis of {xd.shape}")
+    gd = gain.data
+    xc = xd - _row_mean(xd)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LAYER_NORM_EPS)
     xhat = xc * inv
 
     def back(g):
         dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        )
-        return dx, _sum_to(g * xhat, gd.shape), _sum_to(g, gd.shape)
+        dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+        return (dx,) * len(inputs) + (_sum_to(g * xhat, gd.shape), _sum_to(g, gd.shape))
 
-    return _emit((x, gain, bias), xhat * gd + bias.data, back)
+    return _emit((*inputs, gain, bias), xhat * gd + bias.data, back)
 
 
 def sign_const(x: Tensor) -> Tensor:
@@ -347,3 +376,175 @@ def sign_const(x: Tensor) -> Tensor:
     derivative is zero almost everywhere.
     """
     return Tensor(np.where(x.data >= 0, 1.0, -1.0))
+
+
+# ---------------------------------------------------------------------------
+# fused blocks: one node each, with a closed-form backward
+
+
+def _affine_check(op: str, x: Array, w: Tensor, b: Tensor) -> None:
+    if x.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: a (k, n) matrix and an (n,) bias shared over the leading axes of ``x``."""
+    xd, wd = x.data, w.data
+    _affine_check("dense", xd, w, b)
+
+    def back(g):
+        return (g @ wd.T if x.requires_grad else None), _shared_grad(xd, g), _sum_to(g, b.shape)
+
+    return _emit((x, w, b), xd @ wd + b.data, back)
+
+
+def glu(x: Tensor, w_value: Tensor, b_value: Tensor, w_gate: Tensor, b_gate: Tensor) -> Tensor:
+    """Gated linear unit ``(x @ w_value + b_value) * sigmoid(x @ w_gate + b_gate)``."""
+    xd, wv, wg = x.data, w_value.data, w_gate.data
+    _affine_check("glu", xd, w_value, b_value)
+    _affine_check("glu", xd, w_gate, b_gate)
+    a = xd @ wv + b_value.data
+    with np.errstate(over="ignore"):  # as in sigmoid
+        s = 1.0 / (1.0 + np.exp(-(xd @ wg + b_gate.data)))
+
+    def back(g):
+        ga = g * s
+        gz = g * a * s * (1.0 - s)
+        gx = ga @ wv.T + gz @ wg.T if x.requires_grad else None
+        return gx, _shared_grad(xd, ga), _sum_to(ga, b_value.shape), _shared_grad(xd, gz), _sum_to(gz, b_gate.shape)
+
+    return _emit((x, w_value, b_value, w_gate, b_gate), a * s, back)
+
+
+def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``layer_norm(x + y, gain, bias)``: a residual connection and its norm."""
+    if x.shape != y.shape:
+        raise ShapeError(f"residual_layer_norm: incompatible shapes {x.shape} + {y.shape}")
+    return _normalize((x, y), x.data + y.data, gain, bias)
+
+
+def embed(x: Tensor, omega: Tensor, phi: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Append Time2Vec features of each row's position to ``x`` (..., rows, n), then ``@ w + b``.
+
+    Position t has the features ``[omega_0*t + phi_0, sin(omega_i*t + phi_i)...]``,
+    ``omega`` and ``phi`` of length k+1 and ``w`` of shape (n+k+1, width). The
+    features depend on position only, so one copy serves every window of a batch.
+    """
+    xd = x.data
+    if xd.ndim < 2 or omega.data.ndim != 1 or phi.shape != omega.shape:
+        raise ShapeError(f"embed: incompatible shapes {x.shape}, omega {omega.shape}, phi {phi.shape}")
+    *lead, rows, n = xd.shape
+    pos = np.arange(rows, dtype=np.float64)
+    a = pos[:, None] * omega.data + phi.data
+    feats = np.concatenate([a[:, :1], np.sin(a[:, 1:])], axis=1)
+    z = np.concatenate([xd, np.broadcast_to(feats, (*lead, *feats.shape))], axis=-1)
+    _affine_check("embed", z, w, b)
+
+    def back(g):
+        gz = g @ w.data.T
+        gf = _sum_to(gz[..., n:], feats.shape)
+        ga = np.concatenate([gf[:, :1], gf[:, 1:] * np.cos(a[:, 1:])], axis=1)
+        gx = gz[..., :n] if x.requires_grad else None
+        return gx, pos @ ga, ga.sum(axis=0), _shared_grad(z, g), _sum_to(g, b.shape)
+
+    return _emit((x, omega, phi, w, b), z @ w.data + b.data, back)
+
+
+def mha(
+    q: Tensor, k: Tensor, v: Tensor,
+    wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], wo: Tensor,
+    scale: float, mask: Array | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention of ``q`` (..., m, d) over ``k``/``v`` (..., n, d).
+
+    Head i projects with ``wq[i]``, ``wk[i]`` and ``wv[i]``, each (d, dk), and
+    the heads run as a batch axis. Scores are divided by ``scale`` and offset
+    by the additive (m, n) ``mask``, where an entry at or below
+    ``MASK_BLOCK / 2`` blocks a pair. The heads' outputs are concatenated and
+    mixed by ``wo`` (h*dk, d). An input passed in several roles (``q is k is
+    v`` for self-attention) is projected, and receives its gradient, in one
+    product with all of its matrices side by side.
+    """
+    h = len(wq)
+    d, dk = wq[0].shape
+    qd, kd, vd = q.data, k.data, v.data
+    lead, m, n = qd.shape[:-2], qd.shape[-2], kd.shape[-2]
+    if (
+        qd.ndim < 2 or qd.shape[-1] != d or kd.shape != vd.shape or kd.shape[:-2] != lead or kd.shape[-1] != d
+        or any(w.shape != (d, dk) for w in (*wq, *wk, *wv)) or wo.shape != (h * dk, d)
+    ):
+        raise ShapeError(f"mha: incompatible shapes {q.shape}, {k.shape}, {v.shape} with {h} heads of {(d, dk)}")
+    if mask is not None:
+        if mask.shape != (m, n):
+            raise ShapeError(f"mask shape {mask.shape} does not match scores {(m, n)}")
+        if np.any(np.all(mask <= MASK_BLOCK / 2, axis=1)):
+            raise ContractError("attention mask blocks an entire row")
+    inputs, weights = (q, k, v), (wq, wk, wv)
+    roles: dict[int, list[int]] = {}  # the roles (0 = q, 1 = k, 2 = v) of each distinct input
+    for i, x in enumerate(inputs):
+        roles.setdefault(id(x), []).append(i)
+    groups = [(inputs[idx[0]], idx, np.stack([w.data for i in idx for w in weights[i]])) for idx in roles.values()]
+    proj = [None] * 3  # per role, (..., h, rows, dk)
+    for x, idx, w in groups:
+        y = np.expand_dims(x.data, -3) @ w
+        for j, i in enumerate(idx):
+            proj[i] = y[..., j * h : (j + 1) * h, :, :]
+    Q, K, V = proj
+    scores = (Q @ np.swapaxes(K, -1, -2)) * (1.0 / scale)
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - _row_max(scores))
+    p = e / np.sum(e, axis=-1, keepdims=True)
+    mixed = _merge_heads(p @ V)
+    wod = wo.data
+
+    def back(g):
+        g_heads = np.expand_dims(g, -3) @ np.swapaxes(wod.reshape(h, dk, d), -1, -2)
+        g_s = g_heads @ np.swapaxes(V, -1, -2)
+        g_s = p * (g_s - np.sum(g_s * p, axis=-1, keepdims=True)) * (1.0 / scale)
+        g_proj = (g_s @ K, np.swapaxes(g_s, -1, -2) @ Q, np.swapaxes(p, -1, -2) @ g_heads)
+        g_in, g_w = [None] * 3, [None] * 3
+        for x, idx, w in groups:
+            gy = _merge_heads(np.concatenate([g_proj[i] for i in idx], axis=-3))
+            if x.requires_grad:
+                g_in[idx[0]] = gy @ _merge_heads(w).T
+            parts = np.split(_shared_grad(x.data, gy), len(idx) * h, axis=1)
+            for j, i in enumerate(idx):
+                g_w[i] = parts[j * h : (j + 1) * h]
+        return (*g_in, *g_w[0], *g_w[1], *g_w[2], _shared_grad(mixed, g))
+
+    return _emit((q, k, v, *wq, *wk, *wv, wo), mixed @ wod, back)
+
+
+def _merge_heads(y: Array) -> Array:
+    """(..., heads, rows, dk) -> (..., rows, heads*dk): the heads side by side."""
+    y = np.swapaxes(y, -2, -3)
+    return y.reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
+
+
+def sharpe_loss(w: Tensor, realized: Array, prev: Array, cost_rate: float, eps: float) -> Tensor:
+    """Negated Sharpe ratio of each window's net returns: one loss per window.
+
+    Weight row t of ``w`` (..., T, n) earns ``sum(w[t] * realized[t])`` less
+    ``cost_rate`` times its L1 distance to row t-1, with the (n,) book
+    ``prev`` before row 0. The Sharpe ratio over the T net returns is
+    ``mean / sqrt(var + eps)`` with the population variance.
+    """
+    wd = w.data
+    if wd.ndim < 2 or realized.shape != wd.shape or prev.shape != wd.shape[-1:]:
+        raise ShapeError(f"sharpe_loss: weights {w.shape}, returns {realized.shape}, prev {prev.shape}")
+    *lead, t, n = wd.shape
+    diff = wd - np.concatenate([np.broadcast_to(prev, (*lead, 1, n)), wd[..., :-1, :]], axis=-2)
+    net = np.sum(wd * realized, axis=-1) - np.sum(np.abs(diff), axis=-1) * cost_rate
+    m = np.mean(net, axis=-1)
+    sd = np.sqrt(np.mean(net * net, axis=-1) - m * m + eps)
+
+    def back(g):
+        # d sharpe / d net_t = (1 - m (net_t - m) / sd^2) / (T sd)
+        g_net = (-g / (t * sd))[..., None] * (1.0 - (m / (sd * sd))[..., None] * (net - m[..., None]))
+        g_diff = (-cost_rate * g_net)[..., None] * np.sign(diff)
+        gw = g_net[..., None] * realized + g_diff
+        gw[..., :-1, :] -= g_diff[..., 1:, :]
+        return (gw,)
+
+    return _emit((w,), (m / sd) * -1.0, back)

@@ -209,7 +209,7 @@ def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:
     if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
         raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
     h_size = model.config.hidden
-    inputs = ag.add(ag.matmul(Tensor(x), model.wx), model.b)
+    inputs = ag.dense(Tensor(x), model.wx, model.b)
     h = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
     c = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
     states = []

@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 
 import ptopt.autograd as ag
-from ptopt.autograd import ContractError, ShapeError, Tensor
+from ptopt.autograd import MASK_BLOCK, ShapeError, Tensor
 
-MASK_BLOCK = -1e9
 CHECKPOINT_MAGIC = "PTCKPT1"
 _CASTS = {"int": int, "float": float, "str": str}  # config annotations are strings under __future__.annotations
 
@@ -121,7 +120,7 @@ class Dense:
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.add(ag.matmul(x, self.W), self.b)
+        return ag.dense(x, self.W, self.b)
 
     def parameters(self) -> dict[str, Tensor]:
         return _collect(W=self.W, b=self.b)
@@ -137,32 +136,6 @@ class Time2VecLayer:
 
     def parameters(self) -> dict[str, Tensor]:
         return _collect(omega=self.omega, phi=self.phi)
-
-
-def _time2vec_matrix(n_rows: int, layer: Time2VecLayer) -> Tensor:
-    """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1).
-
-    The matrix depends on position only, so one copy serves a whole batch.
-    """
-    t = Tensor(np.arange(n_rows, dtype=np.float64).reshape(n_rows, 1))
-    a = ag.add(ag.matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
-    return ag.concat([ag.slice_(a, 1, 0, 1), ag.sin(ag.slice_(a, 1, 1, layer.k + 1))], axis=1)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention with an optional additive (rows, rows) mask."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value row mismatch: {k.shape} vs {v.shape}")
-    scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / scale)
-    if mask is not None:
-        if mask.shape != scores.shape[-2:]:
-            raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
-        if np.any(np.all(mask <= MASK_BLOCK / 2, axis=1)):
-            raise ContractError("attention mask blocks an entire row")
-        scores = ag.add(scores, Tensor(mask))
-    return ag.matmul(ag.softmax(scores, axis=-1), v)
 
 
 class MHALayer:
@@ -187,18 +160,8 @@ class MHALayer:
 def multi_head_attention(
     q_in: Tensor, k_in: Tensor, v_in: Tensor, layer: MHALayer, mask: np.ndarray | None = None
 ) -> Tensor:
-    heads = [
-        attention(
-            ag.matmul(q_in, layer.wq[i]),
-            ag.matmul(k_in, layer.wk[i]),
-            ag.matmul(v_in, layer.wv[i]),
-            layer.scale,
-            mask,
-        )
-        for i in range(layer.n_heads)
-    ]
-    mixed = heads[0] if layer.n_heads == 1 else ag.concat(heads, axis=-1)
-    return ag.matmul(mixed, layer.wo)
+    """Every head of ``layer`` in one tape node, with an optional additive (rows, rows) mask."""
+    return ag.mha(q_in, k_in, v_in, layer.wq, layer.wk, layer.wv, layer.wo, layer.scale, mask)
 
 
 class GRNLayer:
@@ -225,10 +188,10 @@ def _no_drop(x: Tensor) -> Tensor:
 
 
 def grn(z: Tensor, layer: GRNLayer, drop: Callable[[Tensor], Tensor] = _no_drop) -> Tensor:
-    g2 = ag.elu(layer.inner(z))
-    g1 = layer.outer(g2)
-    gated = drop(ag.mul(layer.glu_value(g1), ag.sigmoid(layer.glu_gate(g1))))
-    return ag.layer_norm(ag.add(z, gated), layer.ln_gain, layer.ln_bias)
+    g1 = layer.outer(ag.elu(layer.inner(z)))
+    value, gate = layer.glu_value, layer.glu_gate
+    gated = drop(ag.glu(g1, value.W, value.b, gate.W, gate.b))
+    return ag.residual_layer_norm(z, gated, layer.ln_gain, layer.ln_bias)
 
 
 class EncoderLayer:
@@ -240,7 +203,7 @@ class EncoderLayer:
 
     def forward(self, x: Tensor, drop=_no_drop) -> Tensor:
         attended = drop(multi_head_attention(x, x, x, self.mha))
-        a = ag.layer_norm(ag.add(x, attended), self.ln_gain, self.ln_bias)
+        a = ag.residual_layer_norm(x, attended, self.ln_gain, self.ln_bias)
         return grn(a, self.grn, drop)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -259,9 +222,9 @@ class DecoderLayer:
 
     def forward(self, x: Tensor, enc_out: Tensor, mask: np.ndarray, drop=_no_drop) -> Tensor:
         self_att = drop(multi_head_attention(x, x, x, self.self_mha, mask))
-        a = ag.layer_norm(ag.add(x, self_att), self.ln1_gain, self.ln1_bias)
+        a = ag.residual_layer_norm(x, self_att, self.ln1_gain, self.ln1_bias)
         cross = drop(multi_head_attention(a, enc_out, enc_out, self.cross_mha))
-        b = ag.layer_norm(ag.add(a, cross), self.ln2_gain, self.ln2_bias)
+        b = ag.residual_layer_norm(a, cross, self.ln2_gain, self.ln2_bias)
         return grn(b, self.grn, drop)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -283,7 +246,7 @@ def scores_to_weights(scores: Tensor) -> Tensor:
     The sign factor is constant in the backward pass, so gradients flow
     only through the softmax magnitudes.
     """
-    return ag.mul(ag.sign_const(scores), ag.softmax(scores, axis=-1))
+    return ag.mul(ag.sign_const(scores), ag.softmax(scores))
 
 
 class PortfolioTransformer:
@@ -344,9 +307,8 @@ def embed_window(x: np.ndarray, model: PortfolioTransformer) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
         raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
-    t2v = _time2vec_matrix(x.shape[-2], model.time2vec)
-    t2v = ag.broadcast_to(t2v, x.shape[:-1] + t2v.shape[-1:])
-    return model.input_proj(ag.concat([Tensor(x), t2v], axis=-1))
+    t2v, proj = model.time2vec, model.input_proj
+    return ag.embed(Tensor(x), t2v.omega, t2v.phi, proj.W, proj.b)
 
 
 def pt_forward(

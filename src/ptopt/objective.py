@@ -61,37 +61,20 @@ class ReturnsWindow:
                 )
 
 
-def portfolio_returns(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
-    """Net daily portfolio returns for a window (or a stack) of weight rows.
+def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
+    """Negated Sharpe of the cost-adjusted window returns (to be minimized),
+    one loss per window of a stack.
 
     Row t contributes sum(weights[t] * realized[t]) minus ``cost_rate`` times
-    the L1 distance between weight row t and the previous row. The result
-    drops the asset axis: (days,) or (windows, days).
+    the L1 distance between weight row t and the previous row; the Sharpe
+    ratio is mean over ``EPS``-guarded standard deviation, per window.
     """
     if weights.data.ndim not in (2, 3):
         raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
-    *lead, t, n = weights.shape
     if window.realized.shape != weights.shape:
         raise ShapeError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
-    prev0 = window.prev_weights if window.prev_weights is not None else np.zeros(n)
-
-    gross = ag.reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
-    first = Tensor(np.broadcast_to(prev0, (*lead, 1, n)))
-    prev = ag.concat([first, ag.slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
-    turnover = ag.reduce_sum(ag.absolute(ag.sub(weights, prev)), axis=-1)
-    return ag.sub(gross, ag.scale(turnover, costs.cost_rate))
-
-
-def sharpe(returns: Tensor) -> Tensor:
-    """Per-period Sharpe ratio over the last axis, ``EPS``-guarded variance."""
-    if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
-        raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
-    m = ag.mean(returns, axis=-1)
-    var = ag.sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
-    return ag.div(m, ag.sqrt(ag.shift(var, EPS)))
-
-
-def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
-    """Negated Sharpe of the cost-adjusted window returns (to be minimized),
-    one loss per window of a stack."""
-    return ag.scale(sharpe(portfolio_returns(weights, window, costs)), -1.0)
+    *_, t, n = weights.shape
+    if t < 2:
+        raise ContractError(f"sharpe needs at least 2 returns per window, got {t}")
+    prev = window.prev_weights if window.prev_weights is not None else np.zeros(n)
+    return ag.sharpe_loss(weights, window.realized, prev, costs.cost_rate, EPS)

@@ -332,12 +332,13 @@ def fit_combo(
     return model, fit(model, train, valid, cfg, costs)
 
 
-def _combo_is_valid(strategy: str, n_assets: int, tau: int, combo: dict) -> bool:
+def _combo_error(strategy: str, n_assets: int, tau: int, combo: dict) -> str | None:
+    """Why ``combo`` builds no valid model, or None if it does."""
     try:
         model_config(strategy, n_assets, tau, combo, seed=0)
-    except ValueError:
-        return False
-    return True
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass
@@ -386,9 +387,11 @@ def random_grid_search(
     validation loss go to the earliest trial index.
     """
     check_axes(space, strategy)
-    combos = [c for c in space.combinations() if _combo_is_valid(strategy, table.n_assets, tau, c)]
+    every = space.combinations()
+    errors = [_combo_error(strategy, table.n_assets, tau, c) for c in every]
+    combos = [c for c, error in zip(every, errors) if error is None]
     if not combos:
-        raise ValueError("hyperparameter space contains no valid combination")
+        raise ValueError(f"hyperparameter space contains no valid combination; the first, {every[0]}, fails: {errors[0]}")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(combos), size=space.budget)
     payloads = [

@@ -2,7 +2,11 @@
 
 The gradient oracle is central finite differences; the statistics oracles
 are direct transcriptions of the defining formulas on plain numpy arrays.
-Tests compare library output against these, never the other way round.
+The model's fused tape ops (``ag.dense``, ``ag.embed``, ``ag.mha``,
+``ag.glu``, ``ag.residual_layer_norm``, ``ag.sharpe_loss``) have op-by-op
+oracles here, composed of the fine-grained tape primitives, down to a whole
+PT forward pass. Tests compare library output against these, never the
+other way round.
 """
 
 from __future__ import annotations
@@ -10,6 +14,9 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+import ptopt.autograd as ag
+from ptopt.autograd import ContractError, ShapeError, Tensor
 
 FD_STEP = 1e-5
 # relative-error floor: below this magnitude the fd quotient is dominated
@@ -215,8 +222,6 @@ def model_grad_errors(model, loss_fn, coords_per_param=None, rng=None, h=FD_STEP
     parameter values on every call. With ``coords_per_param`` set, only a
     random subset of coordinates per parameter is probed.
     """
-    import ptopt.autograd as ag
-
     params = model.parameters()
     for p in params.values():
         p.grad = None
@@ -274,3 +279,188 @@ class NamedAdam:
             m_hat = self.m[name] / (1.0 - self.BETA1**t)
             v_hat = self.v[name] / (1.0 - self.BETA2**t)
             self.params[name] = x - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+
+
+# ---------------------------------------------------------------------------
+# op-by-op compositions: the oracles of the fused tape ops
+
+
+def dense_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return ag.add(ag.matmul(x, w), b)
+
+
+def time2vec_matrix(n_rows: int, layer) -> Tensor:
+    """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1)."""
+    t = Tensor(np.arange(n_rows, dtype=np.float64).reshape(n_rows, 1))
+    a = ag.add(ag.matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
+    return ag.concat([ag.slice_(a, 1, 0, 1), ag.sin(ag.slice_(a, 1, 1, layer.k + 1))], axis=1)
+
+
+def embed_composed(x: Tensor, time2vec, proj) -> Tensor:
+    """Time features appended to the rows of ``x`` (a window or a stack), then ``proj``."""
+    t2v = time2vec_matrix(x.shape[-2], time2vec)
+    t2v = ag.broadcast_to(t2v, x.shape[:-1] + t2v.shape[-1:])
+    return dense_composed(ag.concat([x, t2v], axis=-1), proj.W, proj.b)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention with an optional additive (rows, rows) mask."""
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"key/value row mismatch: {k.shape} vs {v.shape}")
+    scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / scale)
+    if mask is not None:
+        if mask.shape != scores.shape[-2:]:
+            raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
+        if np.any(np.all(mask <= ag.MASK_BLOCK / 2, axis=1)):
+            raise ContractError("attention mask blocks an entire row")
+        scores = ag.add(scores, Tensor(mask))
+    return ag.matmul(ag.softmax(scores), v)
+
+
+def mha_composed(q_in: Tensor, k_in: Tensor, v_in: Tensor, layer, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention as a loop over the heads of an ``MHALayer``."""
+    heads = [
+        attention(
+            ag.matmul(q_in, layer.wq[i]), ag.matmul(k_in, layer.wk[i]), ag.matmul(v_in, layer.wv[i]),
+            layer.scale, mask,
+        )
+        for i in range(layer.n_heads)
+    ]
+    mixed = heads[0] if layer.n_heads == 1 else ag.concat(heads, axis=-1)
+    return ag.matmul(mixed, layer.wo)
+
+
+def glu_composed(x: Tensor, value, gate) -> Tensor:
+    """``value(x) * sigmoid(gate(x))`` for two ``Dense`` layers."""
+    return ag.mul(dense_composed(x, value.W, value.b), ag.sigmoid(dense_composed(x, gate.W, gate.b)))
+
+
+def residual_layer_norm_composed(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    return ag.layer_norm(ag.add(x, y), gain, bias)
+
+
+def _no_drop(x: Tensor) -> Tensor:
+    return x
+
+
+def grn_composed(z: Tensor, layer, drop: Callable[[Tensor], Tensor] = _no_drop) -> Tensor:
+    """The gated residual block of a ``GRNLayer``; ``drop`` acts on the GLU output."""
+    g2 = ag.elu(dense_composed(z, layer.inner.W, layer.inner.b))
+    g1 = dense_composed(g2, layer.outer.W, layer.outer.b)
+    gated = drop(glu_composed(g1, layer.glu_value, layer.glu_gate))
+    return residual_layer_norm_composed(z, gated, layer.ln_gain, layer.ln_bias)
+
+
+def pt_weights_composed(model, block: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+    """A ``PortfolioTransformer``'s weight rows for a (B, 2*window, n) block stack.
+
+    With ``rng`` and a positive dropout, masks are drawn, in this order, after
+    each embedding, after each attention and after each GLU: the draws of the
+    model's own training pass.
+    """
+    tau = model.config.window
+    drop = model._drop_fn(rng)
+
+    def embed(x):
+        return drop(embed_composed(Tensor(x), model.time2vec, model.input_proj))
+
+    enc = embed(block[:, :tau])
+    for layer in model.encoder:
+        a = residual_layer_norm_composed(enc, drop(mha_composed(enc, enc, enc, layer.mha)), layer.ln_gain, layer.ln_bias)
+        enc = grn_composed(a, layer.grn, drop)
+    dec = embed(block[:, tau:])
+    for layer in model.decoder:
+        self_att = drop(mha_composed(dec, dec, dec, layer.self_mha, model.mask))
+        a = residual_layer_norm_composed(dec, self_att, layer.ln1_gain, layer.ln1_bias)
+        cross = drop(mha_composed(a, enc, enc, layer.cross_mha))
+        b = residual_layer_norm_composed(a, cross, layer.ln2_gain, layer.ln2_bias)
+        dec = grn_composed(b, layer.grn, drop)
+    scores = dense_composed(dec, model.head.W, model.head.b)
+    return ag.mul(ag.sign_const(scores), ag.softmax(scores))
+
+
+def portfolio_returns(weights: Tensor, window, costs) -> Tensor:
+    """Net daily portfolio returns of a ``ReturnsWindow``, on the tape.
+
+    Row t contributes sum(weights[t] * realized[t]) minus ``cost_rate`` times
+    the L1 distance between weight row t and the previous row. The result
+    drops the asset axis: (days,) or (windows, days).
+    """
+    if weights.data.ndim not in (2, 3):
+        raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
+    *lead, t, n = weights.shape
+    if window.realized.shape != weights.shape:
+        raise ShapeError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
+    prev0 = window.prev_weights if window.prev_weights is not None else np.zeros(n)
+
+    gross = ag.reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
+    first = Tensor(np.broadcast_to(prev0, (*lead, 1, n)))
+    prev = ag.concat([first, ag.slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
+    turnover = ag.reduce_sum(ag.absolute(ag.sub(weights, prev)), axis=-1)
+    return ag.sub(gross, ag.scale(turnover, costs.cost_rate))
+
+
+def sharpe(returns: Tensor, eps: float = 1e-12) -> Tensor:
+    """Per-period Sharpe ratio over the last axis, ``eps``-guarded variance, on the tape."""
+    if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
+        raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
+    m = ag.mean(returns, axis=-1)
+    var = ag.sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
+    return ag.div(m, ag.sqrt(ag.shift(var, eps)))
+
+
+def sharpe_loss_composed(weights: Tensor, window, costs) -> Tensor:
+    return ag.scale(sharpe(portfolio_returns(weights, window, costs)), -1.0)
+
+
+def tape_value_and_grads(fn, inputs: dict[str, np.ndarray], coef_seed: int = 0):
+    """``fn``'s value on fresh leaf tensors of ``inputs`` (a dict of arrays, passed
+    to ``fn`` as a dict of tensors), and the gradient of a fixed random
+    weighting of that value with respect to each input; an input the value
+    does not reach gets zeros."""
+    leaves = {name: Tensor(np.array(x, dtype=np.float64), requires_grad=True) for name, x in inputs.items()}
+    with ag.Tape() as tape:
+        out = fn(leaves)
+        coef = np.random.default_rng(coef_seed).standard_normal(out.shape)
+        ag.backward(ag.reduce_sum(ag.mul(out, Tensor(coef))), tape)
+    grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data) for name, t in leaves.items()}
+    return out.data, grads
+
+
+def finite_diff_grads(fn, inputs: dict[str, np.ndarray], coef_seed: int = 0) -> dict[str, np.ndarray]:
+    """Central differences of the weighting that ``tape_value_and_grads`` differentiates."""
+    arrays = {name: np.array(x, dtype=np.float64) for name, x in inputs.items()}
+
+    def weighted(values):
+        with ag.no_grad():
+            out = fn({name: Tensor(x) for name, x in values.items()}).data
+        return float(np.sum(out * np.random.default_rng(coef_seed).standard_normal(out.shape)))
+
+    return {
+        name: finite_diff_grad(lambda x, name=name: weighted({**arrays, name: x}), arrays[name].copy())
+        for name in arrays
+    }
+
+
+def scaled_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest absolute difference, relative to the larger of 1 and ``b``'s largest magnitude."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    return float(np.max(np.abs(a - b), initial=0.0) / max(1.0, float(np.max(np.abs(b), initial=0.0))))
+
+
+def assert_fused_matches_composed(fused, composed, inputs: dict[str, np.ndarray], fd: bool = True) -> None:
+    """A fused op equals its op-by-op composition within 1e-12 on the value and
+    on the gradient with respect to every input, and (with ``fd``) its
+    gradients pass the finite-difference check."""
+    value, grads = tape_value_and_grads(fused, inputs)
+    ref_value, ref_grads = tape_value_and_grads(composed, inputs)
+    assert scaled_gap(value, ref_value) <= 1e-12
+    for name in inputs:
+        assert scaled_gap(grads[name], ref_grads[name]) <= 1e-12, name
+    if fd:
+        numeric = finite_diff_grads(fused, inputs)
+        for name in inputs:
+            assert max_rel_err(grads[name], numeric[name]) < 1e-4, name

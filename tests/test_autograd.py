@@ -2,10 +2,13 @@
 
 Every differentiable primitive is checked against a central finite
 difference oracle; forward values are checked against direct numpy
-expressions evaluated in the test itself.
+expressions evaluated in the test itself. Each fused op is checked against
+its op-by-op composition in ``tests/helpers.py``, on the value and on every
+input gradient, and against finite differences.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +19,17 @@ from scipy.special import expit
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tape, Tensor
 
-from helpers import finite_diff_grad, max_rel_err, softmax_rows
+from helpers import (
+    assert_fused_matches_composed,
+    dense_composed,
+    embed_composed,
+    finite_diff_grad,
+    glu_composed,
+    max_rel_err,
+    mha_composed,
+    residual_layer_norm_composed,
+    softmax_rows,
+)
 
 RNG = np.random.default_rng(0)
 
@@ -360,3 +373,118 @@ def test_layer_norm_centers_rows(row, reps):
     d = x.shape[1]
     out = ag.layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d))).data
     assert np.all(np.abs(out.mean(axis=1)) < 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against their op-by-op compositions (tests/helpers.py)
+
+LEADS = {"rank2": (), "rank3": (3,)}
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+def test_dense_matches_composition(lead):
+    inputs = {"x": RNG.standard_normal((*lead, 5, 3)), "w": RNG.standard_normal((3, 2)), "b": RNG.standard_normal(2)}
+    assert_fused_matches_composed(
+        lambda t: ag.dense(t["x"], t["w"], t["b"]), lambda t: dense_composed(t["x"], t["w"], t["b"]), inputs
+    )
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+def test_glu_matches_composition(lead):
+    names = ("wv", "bv", "wg", "bg")
+    inputs = {"x": RNG.standard_normal((*lead, 4, 3)), "wv": RNG.standard_normal((3, 3)), "bv": RNG.standard_normal(3),
+              "wg": RNG.standard_normal((3, 3)), "bg": RNG.standard_normal(3)}
+
+    def composed(t):
+        value, gate = SimpleNamespace(W=t["wv"], b=t["bv"]), SimpleNamespace(W=t["wg"], b=t["bg"])
+        return glu_composed(t["x"], value, gate)
+
+    assert_fused_matches_composed(lambda t: ag.glu(t["x"], *(t[n] for n in names)), composed, inputs)
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+def test_residual_layer_norm_matches_composition(lead):
+    inputs = {"x": RNG.standard_normal((*lead, 4, 5)), "y": RNG.standard_normal((*lead, 4, 5)),
+              "gain": RNG.uniform(0.5, 1.5, 5), "bias": RNG.standard_normal(5)}
+    args = ("x", "y", "gain", "bias")
+    assert_fused_matches_composed(
+        lambda t: ag.residual_layer_norm(*(t[n] for n in args)),
+        lambda t: residual_layer_norm_composed(*(t[n] for n in args)),
+        inputs,
+    )
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+def test_embed_matches_composition(lead):
+    # 3 assets, k = 2 sinusoids, width 4
+    inputs = {"x": RNG.standard_normal((*lead, 5, 3)), "omega": RNG.uniform(-1, 1, 3), "phi": RNG.uniform(-1, 1, 3),
+              "w": RNG.standard_normal((6, 4)), "b": RNG.standard_normal(4)}
+    args = ("x", "omega", "phi", "w", "b")
+
+    def composed(t):
+        t2v = SimpleNamespace(omega=t["omega"], phi=t["phi"], k=2)
+        return embed_composed(t["x"], t2v, SimpleNamespace(W=t["w"], b=t["b"]))
+
+    assert_fused_matches_composed(lambda t: ag.embed(*(t[n] for n in args)), composed, inputs)
+
+
+def causal(n):
+    return np.triu(np.full((n, n), ag.MASK_BLOCK), k=1)
+
+
+# how q, k and v are passed: one tensor (self-attention, with and without a
+# causal mask), queries over a longer k/v tensor (cross-attention), or three
+# tensors with k/v rows that differ from the query rows
+MHA_MODES = {
+    "self": (("x", "x", "x"), 5, None),
+    "self_masked": (("x", "x", "x"), 5, causal(5)),
+    "cross": (("x", "kv", "kv"), 6, None),
+    "distinct": (("x", "k", "v"), 6, None),
+}
+
+
+def mha_case(heads, lead, mode, d=8):
+    roles, n, mask = MHA_MODES[mode]
+    dk = d // heads
+    inputs = {name: RNG.standard_normal((*lead, 5 if name == "x" else n, d)) for name in dict.fromkeys(roles)}
+    for role in "qkv":
+        inputs.update({f"w{role}{i}": RNG.standard_normal((d, dk)) / np.sqrt(d) for i in range(heads)})
+    inputs["wo"] = RNG.standard_normal((d, d)) / np.sqrt(d)
+    scale = np.sqrt(d)
+
+    def weights(t, role):
+        return [t[f"w{role}{i}"] for i in range(heads)]
+
+    def fused(t):
+        q, k, v = (t[name] for name in roles)
+        return ag.mha(q, k, v, weights(t, "q"), weights(t, "k"), weights(t, "v"), t["wo"], scale, mask)
+
+    def composed(t):
+        layer = SimpleNamespace(wq=weights(t, "q"), wk=weights(t, "k"), wv=weights(t, "v"), wo=t["wo"],
+                                scale=scale, n_heads=heads)
+        return mha_composed(*(t[name] for name in roles), layer, mask)
+
+    return fused, composed, inputs
+
+
+@pytest.mark.parametrize("mode", MHA_MODES)
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_mha_matches_composition(heads, lead, mode):
+    fused, composed, inputs = mha_case(heads, lead, mode)
+    # the finite-difference sweep once per mode and head count
+    assert_fused_matches_composed(fused, composed, inputs, fd=lead == ())
+
+
+def test_mha_rejects_bad_masks():
+    _, _, inputs = mha_case(2, (), "self")
+    x, w = Tensor(inputs["x"]), Tensor(inputs["wq0"])
+    blocked = causal(5)
+    blocked[3] = ag.MASK_BLOCK
+    with pytest.raises(ContractError):
+        ag.mha(x, x, x, [w, w], [w, w], [w, w], Tensor(inputs["wo"]), 1.0, blocked)
+    with pytest.raises(ShapeError):
+        ag.mha(x, x, x, [w, w], [w, w], [w, w], Tensor(inputs["wo"]), 1.0, causal(4))
+    with pytest.raises(ShapeError):
+        ag.mha(x, Tensor(inputs["x"][:, :6]), x, [w, w], [w, w], [w, w], Tensor(inputs["wo"]), 1.0)
+

@@ -175,7 +175,9 @@ def test_run_space_with_no_valid_combo_is_usage_error(prices_csv, tmp_path, caps
     out = tmp_path / "o"
     code = cli.main(["run", "--strategy", "mlp", "--data", str(prices_csv), "--out", str(out), "--space", str(space)])
     assert code == 1
-    assert "no valid combination" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the field and the value that sank the first combo
+    assert "no valid combination" in err and "hidden" in err and "32.5" in err
     assert not out.exists()
 
 

@@ -1,5 +1,12 @@
-"""Tests for the attention allocation network and its building blocks."""
+"""Tests for the attention allocation network and its building blocks.
 
+The model's blocks run as fused tape ops; their op-by-op compositions in
+``tests/helpers.py`` are the oracles, down to a whole forward pass.
+"""
+
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +22,6 @@ from ptopt.model import (
     PTConfig,
     PortfolioTransformer,
     Time2VecLayer,
-    _time2vec_matrix,
-    attention,
     causal_mask,
     embed_window,
     grn,
@@ -28,7 +33,18 @@ from ptopt.model import (
 )
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
-from helpers import model_grad_errors, softmax_rows, time2vec_encode
+from helpers import (
+    attention,
+    embed_composed,
+    grn_composed,
+    model_grad_errors,
+    pt_weights_composed,
+    scaled_gap,
+    sharpe_loss_composed,
+    softmax_rows,
+    time2vec_encode,
+    time2vec_matrix,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -79,16 +95,24 @@ def test_time2vec_linear_component():
     layer = Time2VecLayer(2, np.random.default_rng(0))
     layer.omega.data = np.array([1.0, np.pi / 2, 0.3])
     layer.phi.data = np.array([0.0, 0.0, 0.1])
-    out = _time2vec_matrix(4, layer).data
+    out = time2vec_matrix(4, layer).data
     assert out[3, 0] == pytest.approx(3.0)
     assert out[1, 1] == pytest.approx(1.0)
+
+
+def embedded_time_features(n_rows: int, layer: Time2VecLayer) -> np.ndarray:
+    """The features ``ag.embed`` appends, read through a zero-width window and an identity map."""
+    eye = np.eye(layer.k + 1)
+    x = Tensor(np.zeros((n_rows, 0)))
+    return ag.embed(x, layer.omega, layer.phi, Tensor(eye), Tensor(np.zeros(layer.k + 1))).data
 
 
 @given(st.integers(0, 1000), st.integers(0, 2**31 - 1))
 def test_time2vec_periodic_range(t, seed):
     layer = Time2VecLayer(4, np.random.default_rng(seed))
-    out = _time2vec_matrix(t + 1, layer).data
+    out = time2vec_matrix(t + 1, layer).data
     assert np.all(np.abs(out[:, 1:]) <= 1.0 + 1e-12)
+    assert np.array_equal(embedded_time_features(t + 1, layer), out)
 
 
 def test_time2vec_matrix_matches_per_position():
@@ -122,6 +146,14 @@ def test_embed_window_zero_input_rows_vary_with_position():
     model = tiny_model()
     out = embed_window(np.zeros((4, 3)), model).data
     assert not np.allclose(out[0], out[1])
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
+def test_embed_window_matches_composition(lead):
+    model = tiny_model()
+    x = RNG.standard_normal((*lead, 4, 3)) * 0.02
+    out = embed_window(x, model).data
+    assert scaled_gap(out, embed_composed(Tensor(x), model.time2vec, model.input_proj).data) <= 1e-12
 
 
 def test_embed_window_rejects_wrong_width():
@@ -189,6 +221,17 @@ def test_single_head_is_attention_with_linear_maps():
     np.testing.assert_allclose(out, ag.matmul(inner, layer.wo).data, atol=1e-14)
 
 
+def test_multi_head_attention_rejects_bad_masks():
+    layer = MHALayer(d_model=4, n_heads=2, scale=2.0, rng=np.random.default_rng(3))
+    x = Tensor(RNG.standard_normal((3, 4)))
+    blocked = causal_mask(3)
+    blocked[1] = -1e9
+    with pytest.raises(ContractError):
+        multi_head_attention(x, x, x, layer, blocked)
+    with pytest.raises(ShapeError):
+        multi_head_attention(x, x, x, layer, causal_mask(4))
+
+
 def test_mha_output_shape_follows_queries():
     layer = MHALayer(d_model=6, n_heads=3, scale=np.sqrt(6), rng=np.random.default_rng(4))
     q = Tensor(RNG.standard_normal((5, 6)))
@@ -224,6 +267,27 @@ def test_grn_closed_gate_reduces_to_layer_norm():
     out = grn(z, layer).data
     expected = ag.layer_norm(z, layer.ln_gain, layer.ln_bias).data
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
+def test_grn_matches_composition(lead):
+    layer = GRNLayer(d_model=6, rng=np.random.default_rng(9))
+    z0 = RNG.standard_normal((*lead, 4, 6))
+    coef = Tensor(RNG.standard_normal((*lead, 4, 6)))
+    runs = []
+    for block in (grn, grn_composed):
+        for p in layer.parameters().values():
+            p.grad = None
+        with ag.Tape() as tape:
+            z = Tensor(z0, requires_grad=True)
+            out = block(z, layer)
+            ag.backward(ag.reduce_sum(ag.mul(out, coef)), tape)
+        runs.append((out.data, z.grad, {n: p.grad for n, p in layer.parameters().items()}))
+    (out, gz, grads), (ref, ref_gz, ref_grads) = runs
+    assert scaled_gap(out, ref) <= 1e-12
+    assert scaled_gap(gz, ref_gz) <= 1e-12
+    for name in ref_grads:
+        assert scaled_gap(grads[name], ref_grads[name]) <= 1e-12, name
 
 
 def test_grn_preserves_shape():
@@ -404,6 +468,76 @@ def test_model_gradients_match_finite_differences_sampled():
     assert worst < 1e-4, f"worst group error {worst}"
 
 
+def loss_and_grads(model, weights_fn, loss_fn, realized):
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    with ag.Tape() as tape:
+        loss = ag.mean(loss_fn(weights_fn(), ReturnsWindow(realized, prev_weights=np.full(3, 1 / 3)), CostModel()))
+        ag.backward(loss, tape)
+    return loss.item(), {name: p.grad.copy() for name, p in params.items()}
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("batch", [None, 3], ids=["rank2", "rank3"])
+def test_forward_and_every_gradient_match_composition(batch, heads):
+    model = tiny_model(n_heads=heads, n_layers=2)
+    rng = np.random.default_rng(heads)
+    lead = () if batch is None else (batch,)
+    block = rng.standard_normal((*lead, 8, 3)) * 0.02
+    realized = rng.standard_normal((*lead, 4, 3)) * 0.02
+    stack = block if batch else block[None]
+
+    def oracle_weights():
+        w = pt_weights_composed(model, stack)
+        return w if batch else ag.reshape(w, w.shape[1:])
+
+    fused = loss_and_grads(model, lambda: model.window_weights(block), sharpe_loss, realized)
+    composed = loss_and_grads(model, oracle_weights, sharpe_loss_composed, realized)
+    assert scaled_gap(fused[0], composed[0]) <= 1e-12
+    for name, g in composed[1].items():
+        assert scaled_gap(fused[1][name], g) <= 1e-12, name
+    assert scaled_gap(model.window_weights(block).data, oracle_weights().data) <= 1e-12
+
+
+def test_dropout_masks_fall_where_the_composition_draws_them():
+    """Masks after each embedding, each attention and each GLU, in that order."""
+    model = tiny_model(dropout=0.1)
+    block = RNG.standard_normal((2, 8, 3)) * 0.02
+    realized = RNG.standard_normal((2, 4, 3)) * 0.02
+    fused = loss_and_grads(
+        model, lambda: model.window_weights(block, rng=np.random.default_rng(4)), sharpe_loss, realized
+    )
+    composed = loss_and_grads(
+        model, lambda: pt_weights_composed(model, block, np.random.default_rng(4)), sharpe_loss_composed, realized
+    )
+    assert fused[0] != loss_and_grads(model, lambda: model.window_weights(block), sharpe_loss, realized)[0]
+    assert scaled_gap(fused[0], composed[0]) <= 1e-12
+    for name, g in composed[1].items():
+        assert scaled_gap(fused[1][name], g) <= 1e-12, name
+
+
+def test_default_training_step_tape_length():
+    """One default PT step (B=32, forward, loss and mean) records 23 tape nodes:
+    the embedding, attention, GLU, residual norm, dense and loss blocks each
+    take one. An op that goes back to op-by-op recording fails this."""
+    model = PortfolioTransformer(PTConfig(n_assets=4, window=8))
+    rng = np.random.default_rng(0)
+    with ag.Tape() as tape:
+        weights = model.window_weights(rng.normal(0.0, 0.01, (32, 16, 4)))
+        ag.mean(sharpe_loss(weights, ReturnsWindow(rng.normal(0.0, 0.01, (32, 8, 4))), CostModel()))
+    assert len(tape.nodes) == 23
+
+
+def test_gradient_report_passes_at_small_size():
+    script = Path(__file__).parent / "gradient_report.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(ag.__file__).resolve().parents[1])}
+    args = ["--assets", "3", "--window", "4", "--d-model", "4", "--heads", "2", "--layers", "1"]
+    out = subprocess.run([sys.executable, str(script), *args], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "(OK)" in out.stdout
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -450,6 +584,15 @@ def test_committed_checkpoints_resave_byte_for_byte(kind, tmp_path):
     assert model.kind == kind
     save_checkpoint(model, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == fixture.read_bytes()
+
+
+def test_committed_checkpoint_day_weights_match_composition():
+    model = load_checkpoint(Path(__file__).parent / "data" / "pt.ckpt")
+    tau, n = model.config.window, model.config.n_assets
+    blocks = np.random.default_rng(31).normal(0.0, 0.02, (50, 2 * tau, n))
+    with ag.no_grad():
+        oracle = pt_weights_composed(model, blocks).data[:, -1]
+    assert scaled_gap(model.day_weights(blocks), oracle) <= 1e-12
 
 
 def test_checkpoint_config_with_a_bool_for_an_int_is_rejected(tmp_path):

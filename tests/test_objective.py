@@ -1,4 +1,9 @@
-"""Tests for cost-adjusted portfolio returns and the Sharpe loss."""
+"""Tests for cost-adjusted portfolio returns and the Sharpe loss.
+
+``sharpe_loss`` is one fused tape op; ``portfolio_returns`` and ``sharpe``
+are its op-by-op oracle in ``tests/helpers.py``, checked here against the
+plain numpy oracles.
+"""
 
 import numpy as np
 import pytest
@@ -7,9 +12,18 @@ from hypothesis import strategies as st
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tape, Tensor
-from ptopt.objective import EPS, CostModel, ReturnsWindow, portfolio_returns, sharpe, sharpe_loss
+from ptopt.objective import EPS, CostModel, ReturnsWindow, sharpe_loss
 
-from helpers import finite_diff_grad, max_rel_err, portfolio_returns_oracle, sharpe_oracle
+from helpers import (
+    assert_fused_matches_composed,
+    finite_diff_grad,
+    max_rel_err,
+    portfolio_returns,
+    portfolio_returns_oracle,
+    sharpe,
+    sharpe_loss_composed,
+    sharpe_oracle,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -87,6 +101,29 @@ def test_sharpe_negation_antisymmetry():
 def test_sharpe_requires_two_returns():
     with pytest.raises(ContractError):
         sharpe(Tensor([0.01]))
+
+
+@pytest.mark.parametrize("cost_rate", [0.0, 0.001])
+@pytest.mark.parametrize("with_prev", [False, True], ids=["zero_book", "prev_book"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
+def test_fused_loss_matches_composition(lead, with_prev, cost_rate):
+    r = RNG.standard_normal((*lead, 6, 4)) * 0.02
+    window = ReturnsWindow(realized=r, prev_weights=RNG.standard_normal(4) * 0.3 if with_prev else None)
+    costs = CostModel(cost_rate=cost_rate)
+    assert_fused_matches_composed(
+        lambda t: sharpe_loss(t["w"], window, costs),
+        lambda t: sharpe_loss_composed(t["w"], window, costs),
+        {"w": RNG.standard_normal((*lead, 6, 4)) * 0.5},
+    )
+
+
+def test_loss_contract_and_shape_errors():
+    with pytest.raises(ContractError):
+        sharpe_loss(Tensor(np.zeros((1, 2))), ReturnsWindow(realized=np.zeros((1, 2))), CostModel())
+    with pytest.raises(ShapeError):
+        sharpe_loss(Tensor(np.zeros((3, 2))), ReturnsWindow(realized=np.zeros((3, 3))), CostModel())
+    with pytest.raises(ShapeError):
+        sharpe_loss(Tensor(np.zeros(3)), ReturnsWindow(realized=np.zeros((3, 1))), CostModel())
 
 
 def test_loss_prefers_positive_returns():

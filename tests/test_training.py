@@ -363,11 +363,11 @@ def test_combo_filter_validates_configs_like_built_models():
 
     for strategy in tr.TRAINED_STRATEGIES:
         combos = tr.default_space(strategy).combinations()
-        kept = [c for c in combos if tr._combo_is_valid(strategy, 4, 8, c)]
+        kept = [c for c in combos if tr._combo_error(strategy, 4, 8, c) is None]
         assert kept == [c for c in combos if builds(strategy, c)]
         assert len(kept) == len(combos)
     user = tr.HyperparamSpace(axes={"d_model": [8, 12], "n_heads": [2, 3], "t2v_k": [2]}).combinations()
-    kept = [c for c in user if tr._combo_is_valid("pt", 4, 8, c)]
+    kept = [c for c in user if tr._combo_error("pt", 4, 8, c) is None]
     assert kept == [c for c in user if builds("pt", c)]
     assert kept == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 3, "t2v_k": 2}]
 
@@ -406,7 +406,7 @@ def test_space_file_numbers_become_declared_field_types():
             tr.TrainConfig(**bad)
     # so a search drops a combo holding one, as it drops any invalid combo
     space = tr.HyperparamSpace(axes={"d_model": [8.5, 8.0], "n_heads": [2]})
-    assert [c for c in space.combinations() if tr._combo_is_valid("pt", 4, 8, c)] == [{"d_model": 8.0, "n_heads": 2}]
+    assert [c for c in space.combinations() if tr._combo_error("pt", 4, 8, c) is None] == [{"d_model": 8.0, "n_heads": 2}]
 
 
 class _ReadKeys(dict):
