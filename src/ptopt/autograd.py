@@ -1,9 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is deliberately small: dense arrays and only the operations the
-allocation models need. Matrix operations act on the last two axes, so a
+The engine is deliberately small: dense arrays and only the operations that
+ptopt's models and loss run. Matrix operations act on the last two axes, so a
 leading batch axis carries a whole minibatch of windows through one node per
-op; ``matmul`` and ``add`` broadcast a shared weight, bias or mask over it.
+op; ``matmul`` and ``add`` broadcast a shared weight or bias over it.
 While a :class:`Tape` is active, every op that touches a differentiable
 tensor appends one node; :func:`backward` replays
 the tape once in reverse and accumulates gradients into ``Tensor.grad``.
@@ -13,10 +13,10 @@ the duration of a forward/backward pass.
 A node costs a few microseconds of Python dispatch, so the models run on a
 few coarse ops, each one node with a closed-form backward: ``dense``
 (matmul plus bias), ``embed`` (Time2Vec features, concat and projection),
-``mha`` (every attention head at once), ``glu``, ``residual_layer_norm``
-and ``sharpe_loss`` (turnover, net returns and Sharpe). Their op-by-op
-compositions from the fine-grained primitives are the test oracles in
-``tests/helpers.py``.
+``mha`` (every attention head at once, optionally causal), ``glu`` and
+``residual_layer_norm``. ``ptopt.objective.sharpe_loss`` records its node
+through :func:`emit`. Their op-by-op compositions, and the primitives only
+they use, are the test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ class no_grad:
         _tape_stack().pop()
 
 
-def _emit(inputs: tuple[Tensor, ...], out_data: Array, back: Callable) -> Tensor:
+def emit(inputs: tuple[Tensor, ...], out_data: Array, back: Callable) -> Tensor:
+    """Wrap ``out_data``, the result of an op on ``inputs``, and record one tape node while a tape
+    is active and an input requires a gradient; ``back(g)`` returns one gradient (or None) per input."""
     out = Tensor(out_data)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -173,43 +175,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.swapaxes(ad, -1, -2) @ g
         return ga, gb
 
-    return _emit((a, b), ad @ bd, back)
+    return emit((a, b), ad @ bd, back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
-    (a bias row or an attention mask shared over leading axes)."""
+    (a bias row shared over leading axes)."""
     if b.data.ndim <= a.data.ndim and a.shape[a.data.ndim - b.data.ndim :] == b.shape:
-        return _emit((a, b), a.data + b.data, lambda g: (g, _sum_to(g, b.shape)))
+        return emit((a, b), a.data + b.data, lambda g: (g, _sum_to(g, b.shape)))
     raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
-    return _emit((a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
     ad, bd = a.data, b.data
-    return _emit((a, b), ad * bd, lambda g: (g * bd, g * ad))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"div: incompatible shapes {a.shape} / {b.shape}")
-    ad, bd = a.data, b.data
-    return _emit((a, b), ad / bd, lambda g: (g / bd, -g * ad / (bd * bd)))
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    return _emit((x,), x.data + c, lambda g: (g,))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    return _emit((x,), x.data * c, lambda g: (g * c,))
+    return emit((a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -221,66 +202,25 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     def back(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=axis), back)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    xd = x.data
-    if axis is None:
-        return _emit((x,), np.sum(xd), lambda g: (np.full_like(xd, float(g)),))
-
-    def back(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), xd.shape).copy(),)
-
-    return _emit((x,), np.sum(xd, axis=axis), back)
+    return emit(tuple(parts), np.concatenate([p.data for p in parts], axis=axis), back)
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
     xd = x.data
     if axis is None:
         n = xd.size
-        return _emit((x,), np.mean(xd), lambda g: (np.full_like(xd, float(g) / n),))
+        return emit((x,), np.mean(xd), lambda g: (np.full_like(xd, float(g) / n),))
     n = xd.shape[axis]
 
     def back(g):
         return (np.broadcast_to(np.expand_dims(g / n, axis), xd.shape).copy(),)
 
-    return _emit((x,), np.mean(xd, axis=axis), back)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    y = np.sqrt(x.data)
-    return _emit((x,), y, lambda g: (g * (0.5 / y),))
-
-
-def absolute(x: Tensor) -> Tensor:
-    xd = x.data
-    return _emit((x,), np.abs(xd), lambda g: (g * np.sign(xd),))
-
-
-def sin(x: Tensor) -> Tensor:
-    xd = x.data
-    return _emit((x,), np.sin(xd), lambda g: (g * np.cos(xd),))
+    return emit((x,), np.mean(xd, axis=axis), back)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    return _emit((x,), y, lambda g: (g * (1.0 - y * y),))
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if x.data.ndim < 2:
-        raise ShapeError(f"transpose: expected a tensor of rank >= 2, got shape {x.shape}")
-    return _emit((x,), np.swapaxes(x.data, -1, -2).copy(), lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Repeat ``x`` over new leading axes, e.g. a matrix shared by a batch."""
-    shape = tuple(shape)
-    if x.data.ndim > len(shape) or shape[len(shape) - x.data.ndim :] != x.shape:
-        raise ShapeError(f"broadcast_to: cannot broadcast {x.shape} to {shape}")
-    return _emit((x,), np.broadcast_to(x.data, shape), lambda g: (_sum_to(g, x.shape),))
+    return emit((x,), y, lambda g: (g * (1.0 - y * y),))
 
 
 def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -293,12 +233,12 @@ def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[key] = g
         return (full,)
 
-    return _emit((x,), x.data[key].copy(), back)
+    return emit((x,), x.data[key].copy(), back)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
-    return _emit((x,), x.data.reshape(shape), lambda g: (g.reshape(old),))
+    return emit((x,), x.data.reshape(shape), lambda g: (g.reshape(old),))
 
 
 def _row_max(x: Array) -> Array:
@@ -321,52 +261,25 @@ def softmax(x: Tensor) -> Tensor:
     def back(g):
         return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
 
-    return _emit((x,), y, back)
+    return emit((x,), y, back)
 
 
 def elu(x: Tensor) -> Tensor:
     xd = x.data
     y = np.where(xd > 0, xd, np.expm1(np.minimum(xd, 0.0)))
-    return _emit((x,), y, lambda g: (g * np.where(xd > 0, 1.0, y + 1.0),))
+    return emit((x,), y, lambda g: (g * np.where(xd > 0, 1.0, y + 1.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     # exp(-x) overflows to inf for x < -709, which gives exactly 0
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-x.data))
-    return _emit((x,), y, lambda g: (g * y * (1.0 - y),))
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply affine.
-
-    Population variance plus ``LAYER_NORM_EPS``; ``gain`` and ``bias`` must
-    be 1-D of the last-axis length.
-    """
-    return _normalize((x,), x.data, gain, bias)
+    return emit((x,), y, lambda g: (g * y * (1.0 - y),))
 
 
 def _row_mean(x: Array) -> Array:
     """``x.mean(axis=-1, keepdims=True)``, the same arithmetic without its Python wrapper."""
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
-
-
-def _normalize(inputs: tuple[Tensor, ...], xd: Array, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm of ``xd``, the sum of ``inputs``; each input gets the same gradient."""
-    d = xd.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match last axis of {xd.shape}")
-    gd = gain.data
-    xc = xd - _row_mean(xd)
-    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LAYER_NORM_EPS)
-    xhat = xc * inv
-
-    def back(g):
-        dxhat = g * gd
-        dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
-        return (dx,) * len(inputs) + (_sum_to(g * xhat, gd.shape), _sum_to(g, gd.shape))
-
-    return _emit((*inputs, gain, bias), xhat * gd + bias.data, back)
 
 
 def sign_const(x: Tensor) -> Tensor:
@@ -395,7 +308,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def back(g):
         return (g @ wd.T if x.requires_grad else None), _shared_grad(xd, g), _sum_to(g, b.shape)
 
-    return _emit((x, w, b), xd @ wd + b.data, back)
+    return emit((x, w, b), xd @ wd + b.data, back)
 
 
 def glu(x: Tensor, w_value: Tensor, b_value: Tensor, w_gate: Tensor, b_gate: Tensor) -> Tensor:
@@ -413,14 +326,29 @@ def glu(x: Tensor, w_value: Tensor, b_value: Tensor, w_gate: Tensor, b_gate: Ten
         gx = ga @ wv.T + gz @ wg.T if x.requires_grad else None
         return gx, _shared_grad(xd, ga), _sum_to(ga, b_value.shape), _shared_grad(xd, gz), _sum_to(gz, b_gate.shape)
 
-    return _emit((x, w_value, b_value, w_gate, b_gate), a * s, back)
+    return emit((x, w_value, b_value, w_gate, b_gate), a * s, back)
 
 
 def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """``layer_norm(x + y, gain, bias)``: a residual connection and its norm."""
+    """Layer norm of ``x + y`` over the last axis (population variance plus
+    ``LAYER_NORM_EPS``), then ``* gain + bias``, both 1-D of the last-axis length."""
     if x.shape != y.shape:
         raise ShapeError(f"residual_layer_norm: incompatible shapes {x.shape} + {y.shape}")
-    return _normalize((x, y), x.data + y.data, gain, bias)
+    d = x.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"residual_layer_norm: gain/bias {gain.shape}/{bias.shape} do not match width {d}")
+    gd = gain.data
+    s = x.data + y.data
+    xc = s - _row_mean(s)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + LAYER_NORM_EPS)
+    xhat = xc * inv
+
+    def back(g):
+        dxhat = g * gd
+        dx = inv * (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat))
+        return dx, dx, _sum_to(g * xhat, gd.shape), _sum_to(g, gd.shape)
+
+    return emit((x, y, gain, bias), xhat * gd + bias.data, back)
 
 
 def embed(x: Tensor, omega: Tensor, phi: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -447,20 +375,20 @@ def embed(x: Tensor, omega: Tensor, phi: Tensor, w: Tensor, b: Tensor) -> Tensor
         gx = gz[..., :n] if x.requires_grad else None
         return gx, pos @ ga, ga.sum(axis=0), _shared_grad(z, g), _sum_to(g, b.shape)
 
-    return _emit((x, omega, phi, w, b), z @ w.data + b.data, back)
+    return emit((x, omega, phi, w, b), z @ w.data + b.data, back)
 
 
 def mha(
     q: Tensor, k: Tensor, v: Tensor,
     wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], wo: Tensor,
-    scale: float, mask: Array | None = None,
+    scale: float, causal: bool = False,
 ) -> Tensor:
     """Multi-head scaled dot-product attention of ``q`` (..., m, d) over ``k``/``v`` (..., n, d).
 
     Head i projects with ``wq[i]``, ``wk[i]`` and ``wv[i]``, each (d, dk), and
-    the heads run as a batch axis. Scores are divided by ``scale`` and offset
-    by the additive (m, n) ``mask``, where an entry at or below
-    ``MASK_BLOCK / 2`` blocks a pair. The heads' outputs are concatenated and
+    the heads run as a batch axis. Scores are divided by ``scale``; with
+    ``causal``, query row i attends to key rows j <= i only, as ``MASK_BLOCK``
+    added to every score with j > i. The heads' outputs are concatenated and
     mixed by ``wo`` (h*dk, d). An input passed in several roles (``q is k is
     v`` for self-attention) is projected, and receives its gradient, in one
     product with all of its matrices side by side.
@@ -474,11 +402,6 @@ def mha(
         or any(w.shape != (d, dk) for w in (*wq, *wk, *wv)) or wo.shape != (h * dk, d)
     ):
         raise ShapeError(f"mha: incompatible shapes {q.shape}, {k.shape}, {v.shape} with {h} heads of {(d, dk)}")
-    if mask is not None:
-        if mask.shape != (m, n):
-            raise ShapeError(f"mask shape {mask.shape} does not match scores {(m, n)}")
-        if np.any(np.all(mask <= MASK_BLOCK / 2, axis=1)):
-            raise ContractError("attention mask blocks an entire row")
     inputs, weights = (q, k, v), (wq, wk, wv)
     roles: dict[int, list[int]] = {}  # the roles (0 = q, 1 = k, 2 = v) of each distinct input
     for i, x in enumerate(inputs):
@@ -491,8 +414,8 @@ def mha(
             proj[i] = y[..., j * h : (j + 1) * h, :, :]
     Q, K, V = proj
     scores = (Q @ np.swapaxes(K, -1, -2)) * (1.0 / scale)
-    if mask is not None:
-        scores = scores + mask
+    if causal:
+        scores = scores + np.where(np.arange(n) > np.arange(m)[:, None], MASK_BLOCK, 0.0)
     e = np.exp(scores - _row_max(scores))
     p = e / np.sum(e, axis=-1, keepdims=True)
     mixed = _merge_heads(p @ V)
@@ -513,7 +436,7 @@ def mha(
                 g_w[i] = parts[j * h : (j + 1) * h]
         return (*g_in, *g_w[0], *g_w[1], *g_w[2], _shared_grad(mixed, g))
 
-    return _emit((q, k, v, *wq, *wk, *wv, wo), mixed @ wod, back)
+    return emit((q, k, v, *wq, *wk, *wv, wo), mixed @ wod, back)
 
 
 def _merge_heads(y: Array) -> Array:
@@ -521,30 +444,3 @@ def _merge_heads(y: Array) -> Array:
     y = np.swapaxes(y, -2, -3)
     return y.reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
 
-
-def sharpe_loss(w: Tensor, realized: Array, prev: Array, cost_rate: float, eps: float) -> Tensor:
-    """Negated Sharpe ratio of each window's net returns: one loss per window.
-
-    Weight row t of ``w`` (..., T, n) earns ``sum(w[t] * realized[t])`` less
-    ``cost_rate`` times its L1 distance to row t-1, with the (n,) book
-    ``prev`` before row 0. The Sharpe ratio over the T net returns is
-    ``mean / sqrt(var + eps)`` with the population variance.
-    """
-    wd = w.data
-    if wd.ndim < 2 or realized.shape != wd.shape or prev.shape != wd.shape[-1:]:
-        raise ShapeError(f"sharpe_loss: weights {w.shape}, returns {realized.shape}, prev {prev.shape}")
-    *lead, t, n = wd.shape
-    diff = wd - np.concatenate([np.broadcast_to(prev, (*lead, 1, n)), wd[..., :-1, :]], axis=-2)
-    net = np.sum(wd * realized, axis=-1) - np.sum(np.abs(diff), axis=-1) * cost_rate
-    m = np.mean(net, axis=-1)
-    sd = np.sqrt(np.mean(net * net, axis=-1) - m * m + eps)
-
-    def back(g):
-        # d sharpe / d net_t = (1 - m (net_t - m) / sd^2) / (T sd)
-        g_net = (-g / (t * sd))[..., None] * (1.0 - (m / (sd * sd))[..., None] * (net - m[..., None]))
-        g_diff = (-cost_rate * g_net)[..., None] * np.sign(diff)
-        gw = g_net[..., None] * realized + g_diff
-        gw[..., :-1, :] -= g_diff[..., 1:, :]
-        return (gw,)
-
-    return _emit((w,), (m / sd) * -1.0, back)

@@ -18,7 +18,8 @@ import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
 from ptopt.model import (
-    Dense, PortfolioTransformer, _cast_fields, _collect, _uniform_init, batched_weights, last_rows, scores_to_weights,
+    Dense, PortfolioTransformer, _cast_fields, _check_assets_and_window, _collect, _uniform_init, batched_weights,
+    last_rows, scores_to_weights,
 )
 
 # ---------------------------------------------------------------------------
@@ -102,8 +103,7 @@ class MLPConfig:
 
     def __post_init__(self):
         _cast_fields(self)
-        if self.n_assets < 2 or self.window < 2:
-            raise ValueError("need n_assets >= 2 and window >= 2")
+        _check_assets_and_window(self)
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"bad hidden sizes {self.hidden}")
 
@@ -161,8 +161,7 @@ class LSTMConfig:
 
     def __post_init__(self):
         _cast_fields(self)
-        if self.n_assets < 2 or self.window < 2:
-            raise ValueError("need n_assets >= 2 and window >= 2")
+        _check_assets_and_window(self)
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 

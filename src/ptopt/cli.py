@@ -262,11 +262,8 @@ def cmd_compare(args) -> int:
         curves[strategy] = curve
 
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
-        fh.write("strategy," + ",".join(METRIC_COLUMNS) + "\n")
-        for name, report in rows:
-            values = asdict(report)
-            fh.write(name + "," + ",".join(repr(values[c]) for c in METRIC_COLUMNS) + "\n")
+    columns = {c: [getattr(report, c) for _, report in rows] for c in METRIC_COLUMNS}
+    write_series_csv(args.strategies, columns, out / "comparison.csv", key="strategy")
 
     table_text = render_table(rows)
     (out / "comparison.txt").write_text(table_text, encoding="utf-8")

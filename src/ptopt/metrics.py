@@ -155,13 +155,13 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
 # plot-ready serialization
 
 
-def write_series_csv(dates: list[dt.date], columns: dict[str, np.ndarray], path) -> None:
-    """A ``date`` column, then one column per name, each value as ``repr(float)``."""
+def write_series_csv(keys: list, columns: dict[str, np.ndarray], path, key: str = "date") -> None:
+    """A ``key`` column of ``str(k)`` (ISO for a date), then one column per name, each value as ``repr(float)``."""
     series = [np.asarray(values, dtype=np.float64).tolist() for values in columns.values()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["date", *columns]) + "\n")
-        for d, *values in zip(dates, *series):
-            fh.write(",".join([d.isoformat(), *map(repr, values)]) + "\n")
+        fh.write(",".join([key, *columns]) + "\n")
+        for k, *values in zip(keys, *series):
+            fh.write(",".join([str(k), *map(repr, values)]) + "\n")
 
 
 def write_equity_csv(curve: EquityCurve, path) -> None:

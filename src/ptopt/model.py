@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 import ptopt.autograd as ag
-from ptopt.autograd import MASK_BLOCK, ShapeError, Tensor
+from ptopt.autograd import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = "PTCKPT1"
 _CASTS = {"int": int, "float": float, "str": str}  # config annotations are strings under __future__.annotations
@@ -58,6 +58,12 @@ def _cast_fields(config) -> None:
             object.__setattr__(config, f.name, _cast(f.name, f.type, value))
 
 
+def _check_assets_and_window(config) -> None:
+    """The check of every window model's config: at least 2 assets and a window of at least 2 rows."""
+    if config.n_assets < 2 or config.window < 2:
+        raise ValueError(f"need n_assets >= 2 and window >= 2, got {config.n_assets} and {config.window}")
+
+
 @dataclass(frozen=True)
 class PTConfig:
     """Architecture hyperparameters of the allocation network; a combo's missing axes take these defaults."""
@@ -74,10 +80,7 @@ class PTConfig:
 
     def __post_init__(self):
         _cast_fields(self)
-        if self.n_assets < 2:
-            raise ValueError(f"n_assets must be >= 2, got {self.n_assets}")
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
+        _check_assets_and_window(self)
         if not (self.d_model >= self.n_heads >= 1):
             raise ValueError(f"need d_model >= n_heads >= 1, got {self.d_model}/{self.n_heads}")
         if self.d_model % self.n_heads != 0:
@@ -157,11 +160,9 @@ class MHALayer:
         return _collect(**heads, o=self.wo)
 
 
-def multi_head_attention(
-    q_in: Tensor, k_in: Tensor, v_in: Tensor, layer: MHALayer, mask: np.ndarray | None = None
-) -> Tensor:
-    """Every head of ``layer`` in one tape node, with an optional additive (rows, rows) mask."""
-    return ag.mha(q_in, k_in, v_in, layer.wq, layer.wk, layer.wv, layer.wo, layer.scale, mask)
+def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, layer: MHALayer, causal: bool = False) -> Tensor:
+    """Every head of ``layer`` in one tape node; with ``causal``, row i attends to rows j <= i only."""
+    return ag.mha(q_in, k_in, v_in, layer.wq, layer.wk, layer.wv, layer.wo, layer.scale, causal)
 
 
 class GRNLayer:
@@ -220,8 +221,8 @@ class DecoderLayer:
         self.ln2_bias = Tensor(np.zeros(d_model), requires_grad=True)
         self.grn = GRNLayer(d_model, rng)
 
-    def forward(self, x: Tensor, enc_out: Tensor, mask: np.ndarray, drop=_no_drop) -> Tensor:
-        self_att = drop(multi_head_attention(x, x, x, self.self_mha, mask))
+    def forward(self, x: Tensor, enc_out: Tensor, drop=_no_drop) -> Tensor:
+        self_att = drop(multi_head_attention(x, x, x, self.self_mha, causal=True))
         a = ag.residual_layer_norm(x, self_att, self.ln1_gain, self.ln1_bias)
         cross = drop(multi_head_attention(a, enc_out, enc_out, self.cross_mha))
         b = ag.residual_layer_norm(a, cross, self.ln2_gain, self.ln2_bias)
@@ -232,12 +233,6 @@ class DecoderLayer:
             self_mha=self.self_mha, ln1_gain=self.ln1_gain, ln1_bias=self.ln1_bias,
             cross_mha=self.cross_mha, ln2_gain=self.ln2_gain, ln2_bias=self.ln2_bias, grn=self.grn,
         )
-
-
-def causal_mask(n: int) -> np.ndarray:
-    """Additive mask letting position i attend to positions j <= i only."""
-    m = np.full((n, n), MASK_BLOCK)
-    return np.triu(m, k=1)
 
 
 def scores_to_weights(scores: Tensor) -> Tensor:
@@ -265,7 +260,6 @@ class PortfolioTransformer:
         self.encoder = [EncoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
         self.decoder = [DecoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
         self.head = Dense(d, config.n_assets, rng)
-        self.mask = causal_mask(config.window)
 
     def parameters(self) -> dict[str, Tensor]:
         return _collect(t2v=self.time2vec, input_proj=self.input_proj, enc=self.encoder, dec=self.decoder, head=self.head)
@@ -337,7 +331,7 @@ def pt_forward(
 
     dec = drop(embed_window(x_dec, model))
     for layer in model.decoder:
-        dec = layer.forward(dec, enc, model.mask, drop)
+        dec = layer.forward(dec, enc, drop)
 
     return scores_to_weights(model.head(dec))
 

@@ -63,18 +63,33 @@ class ReturnsWindow:
 
 def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
     """Negated Sharpe of the cost-adjusted window returns (to be minimized),
-    one loss per window of a stack.
+    one loss per window of a stack, as one tape node.
 
     Row t contributes sum(weights[t] * realized[t]) minus ``cost_rate`` times
     the L1 distance between weight row t and the previous row; the Sharpe
-    ratio is mean over ``EPS``-guarded standard deviation, per window.
+    ratio is mean over ``EPS``-guarded population standard deviation, per window.
     """
-    if weights.data.ndim not in (2, 3):
+    wd, realized = weights.data, window.realized
+    if wd.ndim not in (2, 3):
         raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
-    if window.realized.shape != weights.shape:
-        raise ShapeError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
-    *_, t, n = weights.shape
+    if realized.shape != wd.shape:
+        raise ShapeError(f"returns shape {realized.shape} does not match weights {weights.shape}")
+    *lead, t, n = wd.shape
     if t < 2:
         raise ContractError(f"sharpe needs at least 2 returns per window, got {t}")
     prev = window.prev_weights if window.prev_weights is not None else np.zeros(n)
-    return ag.sharpe_loss(weights, window.realized, prev, costs.cost_rate, EPS)
+    cost_rate = costs.cost_rate
+    diff = wd - np.concatenate([np.broadcast_to(prev, (*lead, 1, n)), wd[..., :-1, :]], axis=-2)
+    net = np.sum(wd * realized, axis=-1) - np.sum(np.abs(diff), axis=-1) * cost_rate
+    m = np.mean(net, axis=-1)
+    sd = np.sqrt(np.mean(net * net, axis=-1) - m * m + EPS)
+
+    def back(g):
+        # d sharpe / d net_t = (1 - m (net_t - m) / sd^2) / (T sd)
+        g_net = (-g / (t * sd))[..., None] * (1.0 - (m / (sd * sd))[..., None] * (net - m[..., None]))
+        g_diff = (-cost_rate * g_net)[..., None] * np.sign(diff)
+        gw = g_net[..., None] * realized + g_diff
+        gw[..., :-1, :] -= g_diff[..., 1:, :]
+        return (gw,)
+
+    return ag.emit((weights,), (m / sd) * -1.0, back)

@@ -2,11 +2,11 @@
 
 The gradient oracle is central finite differences; the statistics oracles
 are direct transcriptions of the defining formulas on plain numpy arrays.
-The model's fused tape ops (``ag.dense``, ``ag.embed``, ``ag.mha``,
-``ag.glu``, ``ag.residual_layer_norm``, ``ag.sharpe_loss``) have op-by-op
-oracles here, composed of the fine-grained tape primitives, down to a whole
-PT forward pass. Tests compare library output against these, never the
-other way round.
+The fused tape ops (``ag.dense``, ``ag.embed``, ``ag.mha``, ``ag.glu``,
+``ag.residual_layer_norm``, ``objective.sharpe_loss``) have op-by-op oracles
+here, down to a whole PT forward pass, built from tape primitives; those that
+only the oracles use live here too, recorded through ``ag.emit``. Tests
+compare library output against these, never the other way round.
 """
 
 from __future__ import annotations
@@ -282,6 +282,89 @@ class NamedAdam:
 
 
 # ---------------------------------------------------------------------------
+# fine-grained tape primitives, used only by the compositions below
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
+    return ag.emit((a, b), a.data - b.data, lambda g: (g, -g))
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"div: incompatible shapes {a.shape} / {b.shape}")
+    ad, bd = a.data, b.data
+    return ag.emit((a, b), ad / bd, lambda g: (g / bd, -g * ad / (bd * bd)))
+
+
+def shift(x: Tensor, c: float) -> Tensor:
+    return ag.emit((x,), x.data + c, lambda g: (g,))
+
+
+def scale(x: Tensor, c: float) -> Tensor:
+    return ag.emit((x,), x.data * c, lambda g: (g * c,))
+
+
+def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
+    xd = x.data
+    if axis is None:
+        return ag.emit((x,), np.sum(xd), lambda g: (np.full_like(xd, float(g)),))
+
+    def back(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), xd.shape).copy(),)
+
+    return ag.emit((x,), np.sum(xd, axis=axis), back)
+
+
+def sqrt(x: Tensor) -> Tensor:
+    y = np.sqrt(x.data)
+    return ag.emit((x,), y, lambda g: (g * (0.5 / y),))
+
+
+def absolute(x: Tensor) -> Tensor:
+    xd = x.data
+    return ag.emit((x,), np.abs(xd), lambda g: (g * np.sign(xd),))
+
+
+def sin(x: Tensor) -> Tensor:
+    xd = x.data
+    return ag.emit((x,), np.sin(xd), lambda g: (g * np.cos(xd),))
+
+
+def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"transpose: expected a tensor of rank >= 2, got shape {x.shape}")
+    return ag.emit((x,), np.swapaxes(x.data, -1, -2).copy(), lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Repeat ``x`` over new leading axes, e.g. a matrix shared by a batch."""
+    shape = tuple(shape)
+    extra = len(shape) - x.data.ndim
+    if extra < 0 or shape[extra:] != x.shape:
+        raise ShapeError(f"broadcast_to: cannot broadcast {x.shape} to {shape}")
+    return ag.emit((x,), np.broadcast_to(x.data, shape), lambda g: (g.sum(axis=tuple(range(extra))),))
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``ag.residual_layer_norm`` without the residual, from primitives: a row mean
+    is a product with a (d, d) matrix of 1/d, which repeats the mean across the row."""
+    d = x.shape[-1]
+    means = Tensor(np.full((d, d), 1.0 / d))
+    xc = sub(x, ag.matmul(x, means))
+    var = ag.matmul(ag.mul(xc, xc), means)
+    xhat = div(xc, sqrt(shift(var, ag.LAYER_NORM_EPS)))
+    return ag.add(ag.mul(xhat, broadcast_to(gain, x.shape)), bias)
+
+
+def causal_mask(n: int) -> np.ndarray:
+    """Additive (n, n) mask letting position i attend to positions j <= i only."""
+    return np.triu(np.full((n, n), ag.MASK_BLOCK), k=1)
+
+
+# ---------------------------------------------------------------------------
 # op-by-op compositions: the oracles of the fused tape ops
 
 
@@ -293,13 +376,13 @@ def time2vec_matrix(n_rows: int, layer) -> Tensor:
     """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1)."""
     t = Tensor(np.arange(n_rows, dtype=np.float64).reshape(n_rows, 1))
     a = ag.add(ag.matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
-    return ag.concat([ag.slice_(a, 1, 0, 1), ag.sin(ag.slice_(a, 1, 1, layer.k + 1))], axis=1)
+    return ag.concat([ag.slice_(a, 1, 0, 1), sin(ag.slice_(a, 1, 1, layer.k + 1))], axis=1)
 
 
 def embed_composed(x: Tensor, time2vec, proj) -> Tensor:
     """Time features appended to the rows of ``x`` (a window or a stack), then ``proj``."""
     t2v = time2vec_matrix(x.shape[-2], time2vec)
-    t2v = ag.broadcast_to(t2v, x.shape[:-1] + t2v.shape[-1:])
+    t2v = broadcast_to(t2v, x.shape[:-1] + t2v.shape[-1:])
     return dense_composed(ag.concat([x, t2v], axis=-1), proj.W, proj.b)
 
 
@@ -309,7 +392,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
         raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value row mismatch: {k.shape} vs {v.shape}")
-    scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / scale)
+    raw = ag.matmul(q, transpose(k))
+    scores = ag.mul(raw, Tensor(np.full(raw.shape, 1.0 / scale)))  # the argument shadows the primitive scale()
     if mask is not None:
         if mask.shape != scores.shape[-2:]:
             raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
@@ -338,7 +422,7 @@ def glu_composed(x: Tensor, value, gate) -> Tensor:
 
 
 def residual_layer_norm_composed(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return ag.layer_norm(ag.add(x, y), gain, bias)
+    return layer_norm(ag.add(x, y), gain, bias)
 
 
 def _no_drop(x: Tensor) -> Tensor:
@@ -372,7 +456,7 @@ def pt_weights_composed(model, block: np.ndarray, rng: np.random.Generator | Non
         enc = grn_composed(a, layer.grn, drop)
     dec = embed(block[:, tau:])
     for layer in model.decoder:
-        self_att = drop(mha_composed(dec, dec, dec, layer.self_mha, model.mask))
+        self_att = drop(mha_composed(dec, dec, dec, layer.self_mha, causal_mask(tau)))
         a = residual_layer_norm_composed(dec, self_att, layer.ln1_gain, layer.ln1_bias)
         cross = drop(mha_composed(a, enc, enc, layer.cross_mha))
         b = residual_layer_norm_composed(a, cross, layer.ln2_gain, layer.ln2_bias)
@@ -395,11 +479,11 @@ def portfolio_returns(weights: Tensor, window, costs) -> Tensor:
         raise ShapeError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
     prev0 = window.prev_weights if window.prev_weights is not None else np.zeros(n)
 
-    gross = ag.reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
+    gross = reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
     first = Tensor(np.broadcast_to(prev0, (*lead, 1, n)))
     prev = ag.concat([first, ag.slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
-    turnover = ag.reduce_sum(ag.absolute(ag.sub(weights, prev)), axis=-1)
-    return ag.sub(gross, ag.scale(turnover, costs.cost_rate))
+    turnover = reduce_sum(absolute(sub(weights, prev)), axis=-1)
+    return sub(gross, scale(turnover, costs.cost_rate))
 
 
 def sharpe(returns: Tensor, eps: float = 1e-12) -> Tensor:
@@ -407,12 +491,12 @@ def sharpe(returns: Tensor, eps: float = 1e-12) -> Tensor:
     if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
         raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
     m = ag.mean(returns, axis=-1)
-    var = ag.sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
-    return ag.div(m, ag.sqrt(ag.shift(var, eps)))
+    var = sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
+    return div(m, sqrt(shift(var, eps)))
 
 
 def sharpe_loss_composed(weights: Tensor, window, costs) -> Tensor:
-    return ag.scale(sharpe(portfolio_returns(weights, window, costs)), -1.0)
+    return scale(sharpe(portfolio_returns(weights, window, costs)), -1.0)
 
 
 def tape_value_and_grads(fn, inputs: dict[str, np.ndarray], coef_seed: int = 0):
@@ -424,7 +508,7 @@ def tape_value_and_grads(fn, inputs: dict[str, np.ndarray], coef_seed: int = 0):
     with ag.Tape() as tape:
         out = fn(leaves)
         coef = np.random.default_rng(coef_seed).standard_normal(out.shape)
-        ag.backward(ag.reduce_sum(ag.mul(out, Tensor(coef))), tape)
+        ag.backward(reduce_sum(ag.mul(out, Tensor(coef))), tape)
     grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data) for name, t in leaves.items()}
     return out.data, grads
 
