@@ -3,7 +3,7 @@
 The engine is deliberately small: dense arrays and only the operations that
 ptopt's models and loss run. Matrix operations act on the last two axes, so a
 leading batch axis carries a whole minibatch of windows through one node per
-op; ``matmul`` and ``add`` broadcast a shared weight or bias over it.
+op, with a shared weight or bias broadcast over it.
 While a :class:`Tape` is active, every op that touches a differentiable
 tensor appends one node; :func:`backward` replays
 the tape once in reverse and accumulates gradients into ``Tensor.grad``.
@@ -13,10 +13,11 @@ the duration of a forward/backward pass.
 A node costs a few microseconds of Python dispatch, so the models run on a
 few coarse ops, each one node with a closed-form backward: ``dense``
 (matmul plus bias), ``embed`` (Time2Vec features, concat and projection),
-``mha`` (every attention head at once, optionally causal), ``glu`` and
-``residual_layer_norm``. ``ptopt.objective.sharpe_loss`` records its node
-through :func:`emit`. Their op-by-op compositions, and the primitives only
-they use, are the test oracles in ``tests/helpers.py``.
+``mha`` (every attention head at once, optionally causal), ``glu``,
+``residual_layer_norm`` and ``lstm`` (the whole recurrence, with
+backpropagation through time). ``ptopt.objective.sharpe_loss`` records its
+node through :func:`emit`. Their op-by-op compositions, and the primitives
+only they use, are the test oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -152,40 +153,6 @@ def _shared_grad(x: Array, g: Array) -> Array:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
-
-    ``(..., m, k) @ (k, n)`` shares one matrix across the leading axes;
-    ``(..., m, k) @ (..., k, n)`` multiplies matching slices.
-    """
-    ad, bd = a.data, b.data
-    if (
-        ad.ndim < 2
-        or bd.ndim < 2
-        or ad.shape[-1] != bd.shape[-2]
-        or (bd.ndim > 2 and bd.shape[:-2] != ad.shape[:-2])
-    ):
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-
-    def back(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        if bd.ndim == 2:
-            gb = _shared_grad(ad, g)
-        else:
-            gb = np.swapaxes(ad, -1, -2) @ g
-        return ga, gb
-
-    return emit((a, b), ad @ bd, back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
-    (a bias row shared over leading axes)."""
-    if b.data.ndim <= a.data.ndim and a.shape[a.data.ndim - b.data.ndim :] == b.shape:
-        return emit((a, b), a.data + b.data, lambda g: (g, _sum_to(g, b.shape)))
-    raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
@@ -193,47 +160,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return emit((a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if not parts:
-        raise ShapeError("concat: empty input list")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return emit(tuple(parts), np.concatenate([p.data for p in parts], axis=axis), back)
-
-
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
+def mean(x: Tensor) -> Tensor:
+    """The mean of every element of ``x``."""
     xd = x.data
-    if axis is None:
-        n = xd.size
-        return emit((x,), np.mean(xd), lambda g: (np.full_like(xd, float(g) / n),))
-    n = xd.shape[axis]
-
-    def back(g):
-        return (np.broadcast_to(np.expand_dims(g / n, axis), xd.shape).copy(),)
-
-    return emit((x,), np.mean(xd, axis=axis), back)
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return emit((x,), y, lambda g: (g * (1.0 - y * y),))
-
-
-def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    if not -x.data.ndim <= axis < x.data.ndim or not (0 <= start < stop <= x.shape[axis]):
-        raise ShapeError(f"slice: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
-    key = (slice(None),) * (axis % x.data.ndim) + (slice(start, stop),)
-
-    def back(g):
-        full = np.zeros_like(x.data)
-        full[key] = g
-        return (full,)
-
-    return emit((x,), x.data[key].copy(), back)
+    n = xd.size
+    return emit((x,), np.mean(xd), lambda g: (np.full_like(xd, float(g) / n),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -268,13 +199,6 @@ def elu(x: Tensor) -> Tensor:
     xd = x.data
     y = np.where(xd > 0, xd, np.expm1(np.minimum(xd, 0.0)))
     return emit((x,), y, lambda g: (g * np.where(xd > 0, 1.0, y + 1.0),))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # exp(-x) overflows to inf for x < -709, which gives exactly 0
-    with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-x.data))
-    return emit((x,), y, lambda g: (g * y * (1.0 - y),))
 
 
 def _row_mean(x: Array) -> Array:
@@ -317,7 +241,7 @@ def glu(x: Tensor, w_value: Tensor, b_value: Tensor, w_gate: Tensor, b_gate: Ten
     _affine_check("glu", xd, w_value, b_value)
     _affine_check("glu", xd, w_gate, b_gate)
     a = xd @ wv + b_value.data
-    with np.errstate(over="ignore"):  # as in sigmoid
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf for x < -709, which gives exactly 0
         s = 1.0 / (1.0 + np.exp(-(xd @ wg + b_gate.data)))
 
     def back(g):
@@ -437,6 +361,65 @@ def mha(
         return (*g_in, *g_w[0], *g_w[1], *g_w[2], _shared_grad(mixed, g))
 
     return emit((q, k, v, *wq, *wk, *wv, wo), mixed @ wod, back)
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """The hidden states (..., rows, hidden) of an LSTM run over the rows of ``x`` (..., rows, n).
+
+    ``wx`` (n, 4*hidden), ``wh`` (hidden, 4*hidden) and ``b`` (4*hidden,) pack
+    the input, forget, candidate and output gates in that order; the state
+    starts at zero. Each step's state is a (..., 1, hidden) row, so a window
+    takes the same vector-matrix kernel whatever the batch, and the backward
+    pass runs through time, summing the ``wh`` gradient from the last step back.
+    """
+    xd, wxd, whd = x.data, wx.data, wh.data
+    _affine_check("lstm", xd, wx, b)
+    h_size = wx.shape[1] // 4
+    if xd.shape[-2] < 1 or h_size < 1 or wx.shape[1] != 4 * h_size or wh.shape != (h_size, 4 * h_size):
+        raise ShapeError(f"lstm: incompatible shapes {x.shape}, wx {wx.shape}, wh {wh.shape}")
+    inputs = xd @ wxd + b.data
+    h = c = np.zeros(xd.shape[:-2] + (1, h_size))
+    hs = [h]  # the zero state, then the state after each step
+    steps = []  # per step: the gates, the previous cell and tanh of the new one
+    with np.errstate(over="ignore"):  # as in glu
+        for t in range(xd.shape[-2]):
+            z = inputs[..., t : t + 1, :] + h @ whd
+            gate_in = 1.0 / (1.0 + np.exp(-z[..., :h_size].copy()))
+            gate_forget = 1.0 / (1.0 + np.exp(-z[..., h_size : 2 * h_size].copy()))
+            candidate = np.tanh(z[..., 2 * h_size : 3 * h_size].copy())
+            gate_out = 1.0 / (1.0 + np.exp(-z[..., 3 * h_size :].copy()))
+            c_prev, c = c, gate_forget * c + gate_in * candidate
+            tanh_c = np.tanh(c)
+            h = gate_out * tanh_c
+            hs.append(h)
+            steps.append((gate_in, gate_forget, candidate, gate_out, c_prev, tanh_c))
+
+    def back(g):
+        g_inputs = []
+        g_wh = dh_next = dc_next = None
+        for t in reversed(range(len(steps))):
+            gate_in, gate_forget, candidate, gate_out, c_prev, tanh_c = steps[t]
+            dh = g[..., t : t + 1, :]
+            if dh_next is not None:
+                dh = dh + dh_next
+            dc = (dh * gate_out) * (1.0 - tanh_c * tanh_c)
+            if dc_next is not None:
+                dc = dc_next + dc
+            dz = np.concatenate([
+                (dc * candidate) * gate_in * (1.0 - gate_in),
+                (dc * c_prev) * gate_forget * (1.0 - gate_forget),
+                (dc * gate_in) * (1.0 - candidate * candidate),
+                (dh * tanh_c) * gate_out * (1.0 - gate_out),
+            ], axis=-1)
+            dh_next, dc_next = dz @ whd.T, dc * gate_forget
+            g_step = _shared_grad(hs[t], dz)
+            g_wh = g_step if g_wh is None else g_wh + g_step
+            g_inputs.append(dz)
+        g_inputs = np.concatenate(g_inputs[::-1], axis=-2)
+        gx = g_inputs @ wxd.T if x.requires_grad else None
+        return gx, _shared_grad(xd, g_inputs), g_wh, _sum_to(g_inputs, b.shape)
+
+    return emit((x, wx, wh, b), np.concatenate(hs[1:], axis=-2), back)
 
 
 def _merge_heads(y: Array) -> Array:

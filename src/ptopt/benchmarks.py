@@ -200,28 +200,13 @@ class LSTMModel:
 def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:
     """Run the recurrence over a window; weight row t uses rows 0..t only.
 
-    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack. The
-    state of each window is a (1, hidden) row, so every window takes the
-    same vector-matrix kernel whatever the batch size.
+    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack; the
+    whole recurrence is one ``ag.lstm`` tape node.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
         raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
-    h_size = model.config.hidden
-    inputs = ag.dense(Tensor(x), model.wx, model.b)
-    h = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
-    c = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
-    states = []
-    for t in range(x.shape[-2]):
-        z = ag.add(ag.slice_(inputs, -2, t, t + 1), ag.matmul(h, model.wh))
-        gate_in = ag.sigmoid(ag.slice_(z, -1, 0, h_size))
-        gate_forget = ag.sigmoid(ag.slice_(z, -1, h_size, 2 * h_size))
-        candidate = ag.tanh(ag.slice_(z, -1, 2 * h_size, 3 * h_size))
-        gate_out = ag.sigmoid(ag.slice_(z, -1, 3 * h_size, 4 * h_size))
-        c = ag.add(ag.mul(gate_forget, c), ag.mul(gate_in, candidate))
-        h = ag.mul(gate_out, ag.tanh(c))
-        states.append(h)
-    return scores_to_weights(model.head(ag.concat(states, axis=-2)))
+    return scores_to_weights(model.head(ag.lstm(Tensor(x), model.wx, model.wh, model.b)))
 
 
 # every trainable model class by its strategy and checkpoint kind

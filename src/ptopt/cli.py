@@ -139,18 +139,32 @@ def write_manifest(out: Path, command: str, cfg: dict, seed: int, data_path: str
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _resolve_space(cfg: RunConfig, strategy: str) -> HyperparamSpace | None:
+def _resolve_spaces(cfg: RunConfig, strategies, keys) -> dict[str, HyperparamSpace | None]:
+    """The search space of each of ``strategies``: its ``--space`` entry, else the
+    default grid when ``--budget`` asks for a search. A space file keyed by
+    strategy may name only trained strategies among ``keys``."""
+    given = {}
     if cfg.space_path is not None:
-        space = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
-    elif cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
-        space = default_space(strategy)
-    else:
-        return None
-    if cfg.budget > 0:
-        space.budget = cfg.budget
-    if strategy in TRAINED_STRATEGIES:
-        check_axes(space, strategy)
-    return space
+        doc = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
+        if isinstance(doc, HyperparamSpace):
+            doc = dict.fromkeys(strategies, doc)
+        else:
+            stray = [name for name in doc if name not in keys or name not in TRAINED_STRATEGIES]
+            if stray:
+                raise UsageError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
+        given = doc
+    spaces = {}
+    for strategy in strategies:
+        space = given.get(strategy)
+        if space is None and cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
+            space = default_space(strategy)
+        if space is not None:
+            if cfg.budget > 0:
+                space.budget = cfg.budget
+            if strategy in TRAINED_STRATEGIES:
+                check_axes(space, strategy)
+        spaces[strategy] = space
+    return spaces
 
 
 def _write_all_trials(outcomes, path) -> None:
@@ -232,7 +246,7 @@ def cmd_run(args) -> int:
     cfg = _run_config(args)
     seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
-    space = _resolve_space(cfg, cfg.strategy)
+    space = _resolve_spaces(cfg, [cfg.strategy], TRAINED_STRATEGIES)[cfg.strategy]
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
     result, curve, report = _execute_strategy(table, schedule, cfg.strategy, space, cfg, seed, args)
@@ -250,7 +264,7 @@ def cmd_compare(args) -> int:
     cfg = _run_config(args, strategy=args.strategies[0])
     seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
-    spaces = {strategy: _resolve_space(cfg, strategy) for strategy in args.strategies}
+    spaces = _resolve_spaces(cfg, args.strategies, args.strategies)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
 
@@ -302,7 +316,7 @@ def _add_shared_run_flags(p) -> None:
     p.add_argument("--first-test-year", type=int)
     p.add_argument("--t2v-k", type=int, help="periodic embedding components")
     p.add_argument("--window", type=int, help="decision window length")
-    p.add_argument("--space", dest="space_path", help="hyperparameter space JSON file")
+    p.add_argument("--space", dest="space_path", help="hyperparameter space JSON: one space, or spaces keyed by strategy")
     p.add_argument("--budget", type=int, help="grid-search trials per split (0 = no search)")
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--patience", type=int)

@@ -245,14 +245,22 @@ class HyperparamSpace:
         return [dict(zip(self.axes, combo)) for combo in itertools.product(*self.axes.values())]
 
     @classmethod
-    def from_json(cls, text: str) -> "HyperparamSpace":
+    def from_json(cls, text: str) -> "HyperparamSpace | dict[str, HyperparamSpace]":
+        """Parse a space file: one space, ``{"axes": {...}, "budget": n}``, or an
+        object of such spaces keyed by strategy name."""
         doc = json.loads(text)
+        if isinstance(doc, dict) and doc and "axes" not in doc and all(isinstance(v, dict) for v in doc.values()):
+            return {name: cls._from_doc(entry, f"{name}: ") for name, entry in doc.items()}
+        return cls._from_doc(doc)
+
+    @classmethod
+    def _from_doc(cls, doc, where: str = "") -> "HyperparamSpace":
         axes = doc.get("axes") if isinstance(doc, dict) else None
         if not isinstance(axes, dict) or not all(isinstance(v, list) for v in axes.values()):
-            raise ValueError("space JSON must be an object whose 'axes' maps names to lists")
+            raise ValueError(f"{where}space JSON must be an object whose 'axes' maps names to lists")
         budget = doc.get("budget", cls.budget)
         if isinstance(budget, bool) or not isinstance(budget, int):
-            raise ValueError(f"space JSON 'budget' must be an integer, got {budget!r}")
+            raise ValueError(f"{where}space JSON 'budget' must be an integer, got {budget!r}")
         return cls(axes=axes, budget=budget)
 
 

@@ -3,20 +3,22 @@
 The gradient oracle is central finite differences; the statistics oracles
 are direct transcriptions of the defining formulas on plain numpy arrays.
 The fused tape ops (``ag.dense``, ``ag.embed``, ``ag.mha``, ``ag.glu``,
-``ag.residual_layer_norm``, ``objective.sharpe_loss``) have op-by-op oracles
-here, down to a whole PT forward pass, built from tape primitives; those that
-only the oracles use live here too, recorded through ``ag.emit``. Tests
-compare library output against these, never the other way round.
+``ag.residual_layer_norm``, ``ag.lstm``, ``objective.sharpe_loss``) have
+op-by-op oracles here, down to whole PT and LSTM forward passes, built from
+tape primitives; those that only the oracles use live here too, recorded
+through ``ag.emit``. Tests compare library output against these, never the
+other way round.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tensor
+from ptopt.model import scores_to_weights
 
 FD_STEP = 1e-5
 # relative-error floor: below this magnitude the fd quotient is dominated
@@ -285,6 +287,89 @@ class NamedAdam:
 # fine-grained tape primitives, used only by the compositions below
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes.
+
+    ``(..., m, k) @ (k, n)`` shares one matrix across the leading axes;
+    ``(..., m, k) @ (..., k, n)`` multiplies matching slices.
+    """
+    ad, bd = a.data, b.data
+    if (
+        ad.ndim < 2
+        or bd.ndim < 2
+        or ad.shape[-1] != bd.shape[-2]
+        or (bd.ndim > 2 and bd.shape[:-2] != ad.shape[:-2])
+    ):
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+
+    def back(g):
+        ga = g @ np.swapaxes(bd, -1, -2)
+        if bd.ndim == 2:
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.swapaxes(ad, -1, -2) @ g
+        return ga, gb
+
+    return ag.emit((a, b), ad @ bd, back)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; ``b`` may also match only the trailing axes of ``a``
+    (a bias row shared over leading axes)."""
+    extra = a.data.ndim - b.data.ndim
+    if extra >= 0 and a.shape[extra:] == b.shape:
+        return ag.emit((a, b), a.data + b.data, lambda g: (g, g.sum(axis=tuple(range(extra))) if extra else g))
+    raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
+
+
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    if not parts:
+        raise ShapeError("concat: empty input list")
+    sizes = [p.shape[axis] for p in parts]
+    offsets = np.cumsum(sizes)[:-1]
+
+    def back(g):
+        return tuple(np.split(g, offsets, axis=axis))
+
+    return ag.emit(tuple(parts), np.concatenate([p.data for p in parts], axis=axis), back)
+
+
+def mean_axis(x: Tensor, axis: int) -> Tensor:
+    """The mean over one axis; ``ag.mean`` takes the mean of every element."""
+    xd = x.data
+    n = xd.shape[axis]
+
+    def back(g):
+        return (np.broadcast_to(np.expand_dims(g / n, axis), xd.shape).copy(),)
+
+    return ag.emit((x,), np.mean(xd, axis=axis), back)
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    return ag.emit((x,), y, lambda g: (g * (1.0 - y * y),))
+
+
+def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    if not -x.data.ndim <= axis < x.data.ndim or not (0 <= start < stop <= x.shape[axis]):
+        raise ShapeError(f"slice: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
+    key = (slice(None),) * (axis % x.data.ndim) + (slice(start, stop),)
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[key] = g
+        return (full,)
+
+    return ag.emit((x,), x.data[key].copy(), back)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    # exp(-x) overflows to inf for x < -709, which gives exactly 0
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.data))
+    return ag.emit((x,), y, lambda g: (g * y * (1.0 - y),))
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
@@ -353,10 +438,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     is a product with a (d, d) matrix of 1/d, which repeats the mean across the row."""
     d = x.shape[-1]
     means = Tensor(np.full((d, d), 1.0 / d))
-    xc = sub(x, ag.matmul(x, means))
-    var = ag.matmul(ag.mul(xc, xc), means)
+    xc = sub(x, matmul(x, means))
+    var = matmul(ag.mul(xc, xc), means)
     xhat = div(xc, sqrt(shift(var, ag.LAYER_NORM_EPS)))
-    return ag.add(ag.mul(xhat, broadcast_to(gain, x.shape)), bias)
+    return add(ag.mul(xhat, broadcast_to(gain, x.shape)), bias)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -369,21 +454,21 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def dense_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ag.add(ag.matmul(x, w), b)
+    return add(matmul(x, w), b)
 
 
 def time2vec_matrix(n_rows: int, layer) -> Tensor:
     """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1)."""
     t = Tensor(np.arange(n_rows, dtype=np.float64).reshape(n_rows, 1))
-    a = ag.add(ag.matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
-    return ag.concat([ag.slice_(a, 1, 0, 1), sin(ag.slice_(a, 1, 1, layer.k + 1))], axis=1)
+    a = add(matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
+    return concat([slice_(a, 1, 0, 1), sin(slice_(a, 1, 1, layer.k + 1))], axis=1)
 
 
 def embed_composed(x: Tensor, time2vec, proj) -> Tensor:
     """Time features appended to the rows of ``x`` (a window or a stack), then ``proj``."""
     t2v = time2vec_matrix(x.shape[-2], time2vec)
     t2v = broadcast_to(t2v, x.shape[:-1] + t2v.shape[-1:])
-    return dense_composed(ag.concat([x, t2v], axis=-1), proj.W, proj.b)
+    return dense_composed(concat([x, t2v], axis=-1), proj.W, proj.b)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
@@ -392,37 +477,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
         raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value row mismatch: {k.shape} vs {v.shape}")
-    raw = ag.matmul(q, transpose(k))
+    raw = matmul(q, transpose(k))
     scores = ag.mul(raw, Tensor(np.full(raw.shape, 1.0 / scale)))  # the argument shadows the primitive scale()
     if mask is not None:
         if mask.shape != scores.shape[-2:]:
             raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
         if np.any(np.all(mask <= ag.MASK_BLOCK / 2, axis=1)):
             raise ContractError("attention mask blocks an entire row")
-        scores = ag.add(scores, Tensor(mask))
-    return ag.matmul(ag.softmax(scores), v)
+        scores = add(scores, Tensor(mask))
+    return matmul(ag.softmax(scores), v)
 
 
 def mha_composed(q_in: Tensor, k_in: Tensor, v_in: Tensor, layer, mask: np.ndarray | None = None) -> Tensor:
     """Multi-head attention as a loop over the heads of an ``MHALayer``."""
     heads = [
         attention(
-            ag.matmul(q_in, layer.wq[i]), ag.matmul(k_in, layer.wk[i]), ag.matmul(v_in, layer.wv[i]),
+            matmul(q_in, layer.wq[i]), matmul(k_in, layer.wk[i]), matmul(v_in, layer.wv[i]),
             layer.scale, mask,
         )
         for i in range(layer.n_heads)
     ]
-    mixed = heads[0] if layer.n_heads == 1 else ag.concat(heads, axis=-1)
-    return ag.matmul(mixed, layer.wo)
+    mixed = heads[0] if layer.n_heads == 1 else concat(heads, axis=-1)
+    return matmul(mixed, layer.wo)
 
 
 def glu_composed(x: Tensor, value, gate) -> Tensor:
     """``value(x) * sigmoid(gate(x))`` for two ``Dense`` layers."""
-    return ag.mul(dense_composed(x, value.W, value.b), ag.sigmoid(dense_composed(x, gate.W, gate.b)))
+    return ag.mul(dense_composed(x, value.W, value.b), sigmoid(dense_composed(x, gate.W, gate.b)))
 
 
 def residual_layer_norm_composed(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    return layer_norm(ag.add(x, y), gain, bias)
+    return layer_norm(add(x, y), gain, bias)
 
 
 def _no_drop(x: Tensor) -> Tensor:
@@ -465,6 +550,32 @@ def pt_weights_composed(model, block: np.ndarray, rng: np.random.Generator | Non
     return ag.mul(ag.sign_const(scores), ag.softmax(scores))
 
 
+def lstm_composed(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """The LSTM recurrence as one tape node per op and step, with the
+    (..., 1, hidden) state rows and gate copies of ``ag.lstm``."""
+    h_size = wh.shape[0]
+    inputs = ag.dense(x, wx, b)
+    h = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
+    c = Tensor(np.zeros(x.shape[:-2] + (1, h_size)))
+    states = []
+    for t in range(x.shape[-2]):
+        z = add(slice_(inputs, -2, t, t + 1), matmul(h, wh))
+        gate_in = sigmoid(slice_(z, -1, 0, h_size))
+        gate_forget = sigmoid(slice_(z, -1, h_size, 2 * h_size))
+        candidate = tanh(slice_(z, -1, 2 * h_size, 3 * h_size))
+        gate_out = sigmoid(slice_(z, -1, 3 * h_size, 4 * h_size))
+        c = add(ag.mul(gate_forget, c), ag.mul(gate_in, candidate))
+        h = ag.mul(gate_out, tanh(c))
+        states.append(h)
+    return concat(states, axis=-2)
+
+
+def lstm_forward_composed(x: np.ndarray, model) -> Tensor:
+    """An ``LSTMModel``'s weight rows for one (rows, n) window or a (B, rows, n) stack."""
+    states = lstm_composed(Tensor(np.asarray(x, dtype=np.float64)), model.wx, model.wh, model.b)
+    return scores_to_weights(model.head(states))
+
+
 def portfolio_returns(weights: Tensor, window, costs) -> Tensor:
     """Net daily portfolio returns of a ``ReturnsWindow``, on the tape.
 
@@ -481,7 +592,7 @@ def portfolio_returns(weights: Tensor, window, costs) -> Tensor:
 
     gross = reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
     first = Tensor(np.broadcast_to(prev0, (*lead, 1, n)))
-    prev = ag.concat([first, ag.slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
+    prev = concat([first, slice_(weights, -2, 0, t - 1)], axis=-2) if t > 1 else first
     turnover = reduce_sum(absolute(sub(weights, prev)), axis=-1)
     return sub(gross, scale(turnover, costs.cost_rate))
 
@@ -490,8 +601,8 @@ def sharpe(returns: Tensor, eps: float = 1e-12) -> Tensor:
     """Per-period Sharpe ratio over the last axis, ``eps``-guarded variance, on the tape."""
     if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
         raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
-    m = ag.mean(returns, axis=-1)
-    var = sub(ag.mean(ag.mul(returns, returns), axis=-1), ag.mul(m, m))
+    m = mean_axis(returns, -1)
+    var = sub(mean_axis(ag.mul(returns, returns), -1), ag.mul(m, m))
     return div(m, sqrt(shift(var, eps)))
 
 

@@ -22,25 +22,32 @@ from ptopt.autograd import ContractError, ShapeError, Tape, Tensor
 
 from helpers import (
     absolute,
+    add,
     assert_fused_matches_composed,
     broadcast_to,
     causal_mask,
+    concat,
     dense_composed,
     div,
     embed_composed,
     finite_diff_grad,
     glu_composed,
     layer_norm,
+    matmul,
     max_rel_err,
+    mean_axis,
     mha_composed,
     reduce_sum,
     residual_layer_norm_composed,
     scale,
     shift,
+    sigmoid,
     sin,
+    slice_,
     softmax_rows,
     sqrt,
     sub,
+    tanh,
     transpose,
 )
 
@@ -86,8 +93,8 @@ def weighted_sum(y, coef):
 
 
 GRAD_CASES = [
-    ("add", X23, lambda x: weighted_sum(ag.add(x, Tensor(C23)), C23 + 1.0)),
-    ("add_bias", C3, lambda b: weighted_sum(ag.add(Tensor(X23), b), C23)),
+    ("add", X23, lambda x: weighted_sum(add(x, Tensor(C23)), C23 + 1.0)),
+    ("add_bias", C3, lambda b: weighted_sum(add(Tensor(X23), b), C23)),
     ("sub_left", X23, lambda x: weighted_sum(sub(x, Tensor(C23)), C23 + 0.5)),
     ("sub_right", X23, lambda x: weighted_sum(sub(Tensor(C23), x), C23 + 0.5)),
     ("mul", X23, lambda x: weighted_sum(ag.mul(x, Tensor(C23)), C23 - 0.2)),
@@ -95,42 +102,42 @@ GRAD_CASES = [
     ("div_den", P23, lambda x: weighted_sum(div(Tensor(C23), x), C23)),
     ("shift_scale", X23, lambda x: reduce_sum(ag.mul(scale(shift(x, 2.5), 3.0), Tensor(C23)))),
     ("neg", X23, lambda x: weighted_sum(scale(x, -1.0), C23)),
-    ("matmul_left", X23, lambda x: weighted_sum(ag.matmul(x, Tensor(C32)), C22)),
-    ("matmul_right", C32, lambda x: weighted_sum(ag.matmul(Tensor(X23), x), C22)),
-    ("concat0", X23, lambda x: weighted_sum(ag.concat([x, Tensor(C23)], axis=0), np.vstack([C23, X23]))),
-    ("concat1", X23, lambda x: weighted_sum(ag.concat([Tensor(C23), x], axis=1), np.hstack([C23, X23]))),
+    ("matmul_left", X23, lambda x: weighted_sum(matmul(x, Tensor(C32)), C22)),
+    ("matmul_right", C32, lambda x: weighted_sum(matmul(Tensor(X23), x), C22)),
+    ("concat0", X23, lambda x: weighted_sum(concat([x, Tensor(C23)], axis=0), np.vstack([C23, X23]))),
+    ("concat1", X23, lambda x: weighted_sum(concat([Tensor(C23), x], axis=1), np.hstack([C23, X23]))),
     ("sum_all", X23, lambda x: reduce_sum(ag.mul(x, Tensor(C23)))),
     ("sum_axis0", X23, lambda x: weighted_sum(reduce_sum(x, axis=0), C3)),
     ("sum_axis1", X23, lambda x: weighted_sum(reduce_sum(x, axis=1), C22[0])),
     ("mean_all", X23, lambda x: ag.mean(ag.mul(x, Tensor(C23)))),
-    ("mean_axis0", X23, lambda x: weighted_sum(ag.mean(x, axis=0), C3)),
-    ("mean_axis1", X23, lambda x: weighted_sum(ag.mean(x, axis=1), C22[0])),
+    ("mean_axis0", X23, lambda x: weighted_sum(mean_axis(x, 0), C3)),
+    ("mean_axis1", X23, lambda x: weighted_sum(mean_axis(x, 1), C22[0])),
     ("sqrt", P23, lambda x: weighted_sum(sqrt(x), C23)),
     ("abs", P23 + 0.5, lambda x: weighted_sum(absolute(x), C23)),
     ("abs_neg", -(P23 + 0.5), lambda x: weighted_sum(absolute(x), C23)),
     ("sin", X23, lambda x: weighted_sum(sin(x), C23)),
-    ("tanh", X23, lambda x: weighted_sum(ag.tanh(x), C23)),
+    ("tanh", X23, lambda x: weighted_sum(tanh(x), C23)),
     ("transpose", X23, lambda x: weighted_sum(transpose(x), C32)),
-    ("slice_rows", X23, lambda x: weighted_sum(ag.slice_(x, 0, 1, 2), C23[:1])),
-    ("slice_cols", X23, lambda x: weighted_sum(ag.slice_(x, 1, 0, 2), C22)),
+    ("slice_rows", X23, lambda x: weighted_sum(slice_(x, 0, 1, 2), C23[:1])),
+    ("slice_cols", X23, lambda x: weighted_sum(slice_(x, 1, 0, 2), C22)),
     ("reshape", X23, lambda x: weighted_sum(ag.reshape(x, (3, 2)), C32)),
     ("softmax", X23, lambda x: weighted_sum(ag.softmax(x), C23)),
     ("elu", X23, lambda x: weighted_sum(ag.elu(x), C23)),
-    ("sigmoid", X23, lambda x: weighted_sum(ag.sigmoid(x), C23)),
+    ("sigmoid", X23, lambda x: weighted_sum(sigmoid(x), C23)),
     ("layer_norm_x", X23, lambda x: weighted_sum(layer_norm(x, Tensor(C3 + 2.0), Tensor(C3)), C23)),
     ("layer_norm_gain", C3 + 2.0, lambda g: weighted_sum(layer_norm(Tensor(X23), g, Tensor(C3)), C23)),
     ("layer_norm_bias", C3, lambda b: weighted_sum(layer_norm(Tensor(X23), Tensor(C3 + 2.0), b), C23)),
-    ("batched_matmul_left", X423, lambda x: weighted_sum(ag.matmul(x, Tensor(C32)), C422)),
-    ("batched_matmul_shared", C32, lambda w: weighted_sum(ag.matmul(Tensor(X423), w), C422)),
-    ("batched_matmul_pairs_left", X423, lambda x: weighted_sum(ag.matmul(x, Tensor(X432)), C422)),
-    ("batched_matmul_pairs_right", X432, lambda y: weighted_sum(ag.matmul(Tensor(X423), y), C422)),
-    ("batched_add_bias", C3, lambda b: weighted_sum(ag.add(Tensor(X423), b), C423)),
-    ("batched_add_mask", X23, lambda m: weighted_sum(ag.add(Tensor(X423), m), C423)),
+    ("batched_matmul_left", X423, lambda x: weighted_sum(matmul(x, Tensor(C32)), C422)),
+    ("batched_matmul_shared", C32, lambda w: weighted_sum(matmul(Tensor(X423), w), C422)),
+    ("batched_matmul_pairs_left", X423, lambda x: weighted_sum(matmul(x, Tensor(X432)), C422)),
+    ("batched_matmul_pairs_right", X432, lambda y: weighted_sum(matmul(Tensor(X423), y), C422)),
+    ("batched_add_bias", C3, lambda b: weighted_sum(add(Tensor(X423), b), C423)),
+    ("batched_add_mask", X23, lambda m: weighted_sum(add(Tensor(X423), m), C423)),
     ("batched_transpose", X423, lambda x: weighted_sum(transpose(x), C432)),
     ("broadcast_to", X23, lambda x: weighted_sum(broadcast_to(x, (4, 2, 3)), C423)),
-    ("batched_slice_last", X423, lambda x: weighted_sum(ag.slice_(x, -1, 1, 3), C422)),
-    ("batched_concat_last", X423, lambda x: weighted_sum(ag.concat([x, Tensor(C423)], axis=-1), np.concatenate([C423, X423], axis=-1))),
-    ("batched_mean_last", X423, lambda x: weighted_sum(ag.mean(x, axis=-1), C422[..., 0])),
+    ("batched_slice_last", X423, lambda x: weighted_sum(slice_(x, -1, 1, 3), C422)),
+    ("batched_concat_last", X423, lambda x: weighted_sum(concat([x, Tensor(C423)], axis=-1), np.concatenate([C423, X423], axis=-1))),
+    ("batched_mean_last", X423, lambda x: weighted_sum(mean_axis(x, -1), C422[..., 0])),
     ("batched_softmax", X423, lambda x: weighted_sum(ag.softmax(x), C423)),
     ("batched_layer_norm", X423, lambda x: weighted_sum(layer_norm(x, Tensor(C3 + 2.0), Tensor(C3)), C423)),
     ("batched_layer_norm_gain", C3 + 2.0, lambda g: weighted_sum(layer_norm(Tensor(X423), g, Tensor(C3)), C423)),
@@ -139,8 +146,8 @@ GRAD_CASES = [
         X23,
         lambda x: ag.mean(
             ag.mul(
-                ag.softmax(ag.elu(ag.matmul(x, Tensor(C32)))),
-                ag.sigmoid(layer_norm(ag.matmul(x, Tensor(C32)), Tensor(C22[0] + 1.5), Tensor(C22[1]))),
+                ag.softmax(ag.elu(matmul(x, Tensor(C32)))),
+                sigmoid(layer_norm(matmul(x, Tensor(C32)), Tensor(C22[0] + 1.5), Tensor(C22[1]))),
             )
         ),
     ),
@@ -166,37 +173,37 @@ def test_tensor_is_float64():
 def test_elementwise_values():
     a = Tensor([[1.0, -2.0], [3.0, 4.0]])
     b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(ag.add(a, b).data, [[6.0, 4.0], [10.0, 12.0]])
+    np.testing.assert_array_equal(add(a, b).data, [[6.0, 4.0], [10.0, 12.0]])
     np.testing.assert_array_equal(sub(a, b).data, [[-4.0, -8.0], [-4.0, -4.0]])
     np.testing.assert_array_equal(ag.mul(a, b).data, [[5.0, -12.0], [21.0, 32.0]])
     np.testing.assert_allclose(div(a, b).data, a.data / b.data)
     np.testing.assert_array_equal(absolute(a).data, np.abs(a.data))
     np.testing.assert_allclose(sin(a).data, np.sin(a.data))
-    np.testing.assert_allclose(ag.tanh(a).data, np.tanh(a.data))
+    np.testing.assert_allclose(tanh(a).data, np.tanh(a.data))
 
 
 def test_bias_add_broadcasts_rows():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(ag.add(a, b).data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(add(a, b).data, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
 
 def test_matmul_value():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[5.0], [6.0]])
-    np.testing.assert_array_equal(ag.matmul(a, b).data, [[17.0], [39.0]])
+    np.testing.assert_array_equal(matmul(a, b).data, [[17.0], [39.0]])
 
 
 def test_batched_ops_match_per_slice_results():
     """A leading batch axis gives, slice by slice, the unbatched result."""
     w = Tensor(C32)
     bias = Tensor(C22[0])
-    shared = ag.add(ag.matmul(Tensor(X423), w), bias).data
-    pairs = ag.matmul(Tensor(X423), Tensor(X432)).data
+    shared = add(matmul(Tensor(X423), w), bias).data
+    pairs = matmul(Tensor(X423), Tensor(X432)).data
     flipped = transpose(Tensor(X423)).data
     for i in range(4):
-        np.testing.assert_array_equal(shared[i], ag.add(ag.matmul(Tensor(X423[i]), w), bias).data)
-        np.testing.assert_array_equal(pairs[i], ag.matmul(Tensor(X423[i]), Tensor(X432[i])).data)
+        np.testing.assert_array_equal(shared[i], add(matmul(Tensor(X423[i]), w), bias).data)
+        np.testing.assert_array_equal(pairs[i], matmul(Tensor(X423[i]), Tensor(X432[i])).data)
         np.testing.assert_array_equal(flipped[i], X423[i].T)
 
 
@@ -207,8 +214,8 @@ def test_reductions_and_reshapes():
     assert ag.mean(x).item() == 3.5
     np.testing.assert_array_equal(transpose(x).data, x.data.T)
     np.testing.assert_array_equal(ag.reshape(x, (3, 2)).data, x.data.reshape(3, 2))
-    np.testing.assert_array_equal(ag.slice_(x, 1, 1, 3).data, x.data[:, 1:3])
-    np.testing.assert_array_equal(ag.concat([x, x], axis=0).data, np.vstack([x.data, x.data]))
+    np.testing.assert_array_equal(slice_(x, 1, 1, 3).data, x.data[:, 1:3])
+    np.testing.assert_array_equal(concat([x, x], axis=0).data, np.vstack([x.data, x.data]))
 
 
 def test_softmax_reference_point():
@@ -234,7 +241,7 @@ def test_sigmoid_matches_expit():
     x = np.array([-1000.0, -745.0, -709.0, -30.0, -1.0, 0.0, 1.0, 30.0, 709.0, 745.0, 1000.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = ag.sigmoid(Tensor(x)).data
+        out = sigmoid(Tensor(x)).data
     assert np.all(np.isfinite(out))
     assert np.all((out >= 0.0) & (out <= 1.0))
     np.testing.assert_allclose(out, expit(x), rtol=0, atol=1e-15)
@@ -278,7 +285,7 @@ def test_sign_const_blocks_gradient():
 def test_fanout_gradients_accumulate():
     with Tape() as tape:
         x = Tensor([2.0, -3.0], requires_grad=True)
-        y = reduce_sum(ag.add(ag.mul(x, x), scale(x, 3.0)))
+        y = reduce_sum(add(ag.mul(x, x), scale(x, 3.0)))
         ag.backward(y, tape)
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
 
@@ -318,7 +325,7 @@ def test_backward_is_deterministic():
     def run():
         with Tape() as tape:
             x = Tensor(X23.copy(), requires_grad=True)
-            loss = ag.mean(ag.softmax(ag.matmul(x, Tensor(C32))))
+            loss = ag.mean(ag.softmax(matmul(x, Tensor(C32))))
             ag.backward(loss, tape)
         return x.grad
 
@@ -333,21 +340,21 @@ def test_backward_is_deterministic():
 @pytest.mark.parametrize(
     "bad",
     [
-        lambda: ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))),
-        lambda: ag.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))),
+        lambda: matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))),
+        lambda: add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))),
         lambda: sub(Tensor(np.zeros(3)), Tensor(np.zeros(2))),
         lambda: ag.mul(Tensor(np.zeros(3)), Tensor(np.zeros(2))),
         lambda: div(Tensor(np.zeros(3)), Tensor(np.ones(2))),
         lambda: transpose(Tensor(np.zeros(3))),
-        lambda: ag.matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((5, 3, 2)))),
-        lambda: ag.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
-        lambda: ag.add(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((3, 3)))),
-        lambda: ag.add(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))),
+        lambda: matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((5, 3, 2)))),
+        lambda: matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2)))),
+        lambda: add(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((3, 3)))),
+        lambda: add(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))),
         lambda: broadcast_to(Tensor(np.zeros((2, 3))), (4, 3, 2)),
-        lambda: ag.slice_(Tensor(np.zeros((2, 3))), 2, 0, 1),
-        lambda: ag.slice_(Tensor(np.zeros((2, 3))), 0, 1, 5),
-        lambda: ag.slice_(Tensor(np.zeros((2, 3))), 1, 2, 2),
-        lambda: ag.concat([], axis=0),
+        lambda: slice_(Tensor(np.zeros((2, 3))), 2, 0, 1),
+        lambda: slice_(Tensor(np.zeros((2, 3))), 0, 1, 5),
+        lambda: slice_(Tensor(np.zeros((2, 3))), 1, 2, 2),
+        lambda: concat([], axis=0),
         lambda: layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3))),
         lambda: ag.residual_layer_norm(
             Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3))

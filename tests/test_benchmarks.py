@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import ptopt
-from ptopt.autograd import ShapeError
+import ptopt.autograd as ag
+from ptopt.autograd import ShapeError, Tensor
 from ptopt.benchmarks import (
     LSTMConfig,
     LSTMModel,
@@ -27,7 +28,15 @@ from ptopt.model import load_checkpoint, save_checkpoint
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 from ptopt.training import walk_forward
 
-from helpers import mlp_forward, model_grad_errors, mv_weights_oracle
+from helpers import (
+    assert_fused_matches_composed,
+    lstm_composed,
+    lstm_forward_composed,
+    mlp_forward,
+    model_grad_errors,
+    mv_weights_oracle,
+    reduce_sum,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -270,6 +279,72 @@ def test_lstm_shape_errors():
         model.window_weights(np.zeros((4, 3)))
 
 
+def weights_and_grads(forward, model, x, coef):
+    """``forward(x, model)`` and the gradient of every parameter for a fixed weighting of it."""
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    with ag.Tape() as tape:
+        weights = forward(x, model)
+        ag.backward(reduce_sum(ag.mul(weights, Tensor(coef))), tape)
+    return weights.data, {name: p.grad for name, p in params.items()}
+
+
+LSTM_LEADS = {"rank2": (), "B1": (1,), "B5": (5,)}
+
+
+@pytest.mark.parametrize("lead", LSTM_LEADS.values(), ids=LSTM_LEADS.keys())
+@pytest.mark.parametrize("hidden", [1, 3, 16])
+def test_lstm_matches_composition(hidden, lead):
+    """The fused recurrence equals the per-step loop bit for bit, on the weights and
+    every parameter gradient, and its gradients pass the finite-difference check."""
+    rng = np.random.default_rng(hidden)
+    model = LSTMModel(LSTMConfig(n_assets=3, window=4, hidden=hidden, seed=hidden))
+    model.b.data = rng.standard_normal(model.b.shape)
+    x = rng.standard_normal((*lead, 4, 3))
+    coef = rng.standard_normal((*lead, 4, 3))
+    weights, grads = weights_and_grads(lstm_forward, model, x, coef)
+    ref_weights, ref_grads = weights_and_grads(lstm_forward_composed, model, x, coef)
+    assert np.array_equal(weights, ref_weights)
+    assert grads.keys() == ref_grads.keys() == {"wx", "wh", "b", "head.W", "head.b"}
+    for name, g in ref_grads.items():
+        assert np.array_equal(grads[name], g), name
+    inputs = {"x": x, "wx": model.wx.data, "wh": model.wh.data, "b": model.b.data}
+    args = tuple(inputs)
+    assert_fused_matches_composed(
+        lambda t: ag.lstm(*(t[n] for n in args)), lambda t: lstm_composed(*(t[n] for n in args)), inputs,
+        fd=hidden < 16,
+    )
+
+
+def test_lstm_rejects_bad_shapes():
+    x, wx, wh, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
+    ag.lstm(x, wx, wh, b)
+    for bad in (
+        (x, Tensor(np.zeros((2, 8))), wh, b),  # wx rows != n_assets
+        (x, Tensor(np.zeros((3, 6))), wh, Tensor(np.zeros(6))),  # wx columns not 4 * hidden
+        (x, wx, Tensor(np.zeros((3, 8))), b),  # wh rows != hidden
+        (x, wx, Tensor(np.zeros((2, 6))), b),  # wh columns != 4 * hidden
+        (x, wx, Tensor(np.zeros(8)), b),  # wh not a matrix
+        (x, wx, wh, Tensor(np.zeros(4))),  # b != 4 * hidden
+        (Tensor(np.zeros(3)), wx, wh, b),  # no row axis
+    ):
+        with pytest.raises(ShapeError):
+            ag.lstm(*bad)
+
+
+def test_default_lstm_training_step_tape_length():
+    """One default LSTM step (B=32, forward, loss and mean) records 6 tape nodes:
+    the recurrence, the head, the sign-softmax pair, the loss and the mean. A
+    recurrence that goes back to op-by-op recording fails this."""
+    model = LSTMModel(LSTMConfig(n_assets=6, window=8))
+    rng = np.random.default_rng(0)
+    with ag.Tape() as tape:
+        weights = model.window_weights(rng.normal(0.0, 0.01, (32, 16, 6)))
+        ag.mean(sharpe_loss(weights, ReturnsWindow(rng.normal(0.0, 0.01, (32, 8, 6))), CostModel()))
+    assert len(tape.nodes) == 6
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -305,3 +380,12 @@ def test_benchmark_checkpoint_round_trips(tmp_path):
         assert clone.config == model.config
         for name, t in model.parameters().items():
             assert np.array_equal(clone.parameters()[name].data, t.data)
+
+
+def test_committed_lstm_checkpoint_day_weights_match_composition():
+    model = load_checkpoint(Path(__file__).parent / "data" / "lstm.ckpt")
+    tau, n = model.config.window, model.config.n_assets
+    blocks = np.random.default_rng(32).normal(0.0, 0.02, (50, 2 * tau, n))
+    with ag.no_grad():
+        oracle = lstm_forward_composed(np.ascontiguousarray(blocks)[:, tau:], model).data[:, -1]
+    assert np.array_equal(model.day_weights(blocks), oracle)

@@ -168,6 +168,61 @@ def test_run_space_axis_no_model_reads_is_usage_error(prices_csv, tmp_path, caps
     assert not out.exists()
 
 
+def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
+    searched = {}
+    walk_forward = cli.walk_forward
+
+    def recording(table, schedule, strategy, **kw):
+        searched[strategy] = kw["space"]
+        return walk_forward(table, schedule, strategy, **kw)
+
+    monkeypatch.setattr(cli, "walk_forward", recording)
+    space = tmp_path / "space.json"
+    space.write_text('{"lstm": {"axes": {"hidden": [4]}, "budget": 1}, "pt": {"axes": {"d_model": [4]}, "budget": 2}}')
+    out = tmp_path / "c"
+    code = cli.main(
+        ["compare", "--strategies", "mv", "lstm", "mlp", "pt", "--data", str(prices_csv), "--out", str(out),
+         "--space", str(space), "--max-epochs", "1", "--patience", "1"]
+    )
+    assert code == 0
+    assert (searched["lstm"].axes, searched["lstm"].budget) == ({"hidden": [4]}, 1)
+    assert (searched["pt"].axes, searched["pt"].budget) == ({"d_model": [4]}, 2)
+    # a strategy with no entry gets what it gets with no --space
+    assert searched["mlp"] is None and searched["mv"] is None
+
+
+@pytest.mark.parametrize("key", ["mlp", "mv", "lstmm"])
+def test_compare_space_entry_for_no_listed_trained_strategy_is_usage_error(prices_csv, tmp_path, capsys, monkeypatch, key):
+    def no_work(*a, **k):
+        raise AssertionError("the data was read before the space was checked")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"lstm": {"axes": {"hidden": [4]}}, key: {"axes": {"learning_rate": [0.01]}}}))
+    out = tmp_path / "c"
+    code = cli.main(
+        ["compare", "--strategies", "mv", "lstm", "--data", str(prices_csv), "--out", str(out), "--space", str(space)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and repr(key) in err
+    assert not out.exists()
+
+
+def test_run_reads_its_own_entry_of_a_keyed_space(prices_csv, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text('{"lstm": {"axes": {"hidden": [3, 5]}, "budget": 2}, "pt": {"axes": {"d_model": [4]}}}')
+    out = tmp_path / "r"
+    code = cli.main(
+        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--space", str(space),
+         "--max-epochs", "1", "--patience", "1"]
+    )
+    assert code == 0
+    trials = (out / "trials.csv").read_text().splitlines()[1:]
+    assert trials and len(trials) % 2 == 0  # a budget of 2 per split
+    assert all('{""hidden"": 3}' in row or '{""hidden"": 5}' in row for row in trials)
+
+
 def test_run_space_with_no_valid_combo_is_usage_error(prices_csv, tmp_path, capsys):
     # an MLP hidden size of 32.5 is refused, not truncated to 32, which leaves no combo
     space = tmp_path / "space.json"

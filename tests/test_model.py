@@ -35,9 +35,11 @@ from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 from helpers import (
     attention,
     causal_mask,
+    concat,
     embed_composed,
     grn_composed,
     layer_norm,
+    matmul,
     model_grad_errors,
     pt_weights_composed,
     reduce_sum,
@@ -123,7 +125,7 @@ def test_time2vec_matrix_matches_per_position():
     m = embed_window(x, model)
     for t in range(4):
         row = model.input_proj(
-            ag.reshape(ag.concat([Tensor(x[t]), Tensor(time2vec_encode(t, model.time2vec))], axis=0), (1, 6))
+            ag.reshape(concat([Tensor(x[t]), Tensor(time2vec_encode(t, model.time2vec))], axis=0), (1, 6))
         )
         np.testing.assert_allclose(m.data[t], row.data[0], atol=1e-14)
 
@@ -218,9 +220,9 @@ def test_single_head_is_attention_with_linear_maps():
     x = Tensor(RNG.standard_normal((3, 4)))
     out = multi_head_attention(x, x, x, layer).data
     inner = attention(
-        ag.matmul(x, layer.wq[0]), ag.matmul(x, layer.wk[0]), ag.matmul(x, layer.wv[0]), 2.0
+        matmul(x, layer.wq[0]), matmul(x, layer.wk[0]), matmul(x, layer.wv[0]), 2.0
     )
-    np.testing.assert_allclose(out, ag.matmul(inner, layer.wo).data, atol=1e-14)
+    np.testing.assert_allclose(out, matmul(inner, layer.wo).data, atol=1e-14)
 
 
 def test_mha_output_shape_follows_queries():

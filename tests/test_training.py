@@ -17,7 +17,7 @@ from ptopt.metrics import run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, scores_to_weights
 from ptopt.objective import CostModel
 
-from helpers import NamedAdam
+from helpers import NamedAdam, concat, matmul
 
 
 def make_table(n_days, n_assets=3, seed=5, momentum=0.0):
@@ -208,9 +208,9 @@ class Steerable:
 
     def window_weights(self, blocks, rng=None):
         k = Tensor(blocks[:, :1, :1])
-        scaled = ag.matmul(k, self.theta)
-        row = ag.concat([scaled, Tensor(np.zeros_like(k.data))], axis=-1)
-        return scores_to_weights(ag.concat([row, row], axis=-2))
+        scaled = matmul(k, self.theta)
+        row = concat([scaled, Tensor(np.zeros_like(k.data))], axis=-1)
+        return scores_to_weights(concat([row, row], axis=-2))
 
 
 def steer_window(up, realized_first):
@@ -309,6 +309,17 @@ def test_space_json_roundtrip():
     ):
         with pytest.raises(ValueError):
             tr.HyperparamSpace.from_json(bad)
+
+
+def test_space_json_keyed_by_strategy():
+    spaces = tr.HyperparamSpace.from_json('{"lstm": {"axes": {"hidden": [4]}, "budget": 3}, "pt": {"axes": {"d_model": [8]}}}')
+    assert spaces == {
+        "lstm": tr.HyperparamSpace(axes={"hidden": [4]}, budget=3),
+        "pt": tr.HyperparamSpace(axes={"d_model": [8]}),
+    }
+    # a bad entry is named
+    with pytest.raises(ValueError, match="^pt: "):
+        tr.HyperparamSpace.from_json('{"lstm": {"axes": {"hidden": [4]}}, "pt": {"axes": {"d_model": 8}}}')
 
 
 def search_fixture(momentum=0.5):
