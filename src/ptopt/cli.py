@@ -167,18 +167,21 @@ def _resolve_spaces(cfg: RunConfig, strategies, keys) -> dict[str, HyperparamSpa
     return spaces
 
 
-def _write_all_trials(outcomes, path) -> None:
+def _write_rows(path, header: list[str], rows) -> None:
+    """A CSV of ``header`` and then ``rows``, whose floats the callers give as ``repr`` strings."""
     import csv
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["test_year", "trial", "params", "train_loss", "val_loss", "seconds"])
-        for outcome in outcomes:
-            for t in outcome.trials:
-                writer.writerow(
-                    [outcome.test_year, t.index, json.dumps(t.params, sort_keys=True),
-                     repr(t.train_loss), repr(t.val_loss), repr(t.seconds)]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_all_trials(outcomes, path) -> None:
+    _write_rows(path, ["test_year", "trial", "params", "train_loss", "val_loss", "seconds"], (
+        [o.test_year, t.index, json.dumps(t.params, sort_keys=True), repr(t.train_loss), repr(t.val_loss), repr(t.seconds)]
+        for o in outcomes for t in o.trials
+    ))
 
 
 def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, seed: int, args):
@@ -200,6 +203,9 @@ def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> Non
     write_equity_csv(curve, out / "equity.csv")
     write_rolling_sharpe_csv(curve, out / "rolling_sharpe.csv")
     _write_all_trials(result.outcomes, out / "trials.csv")
+    _write_rows(out / "history.csv", ["test_year", "epoch", "train_loss", "val_loss"], (
+        [o.test_year, e.epoch, repr(e.train_loss), repr(e.val_loss)] for o in result.outcomes for e in o.history
+    ))
     for outcome in result.outcomes:
         if outcome.model is not None:
             save_checkpoint(outcome.model, out / f"checkpoint_{outcome.test_year}.ckpt")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -151,6 +150,7 @@ class FitResult:
     history: list[EpochStats]
     best_epoch: int
     best_val: float
+    vector: np.ndarray  # the fitted parameters, in ``model.parameters()`` order
 
 
 def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
@@ -175,8 +175,8 @@ def _flatten(params: list[Tensor]) -> np.ndarray:
 def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
     """Train with the Sharpe loss until patience on validation runs out.
 
-    The model's parameters become views into one vector, which Adam updates
-    as a whole; the model is left holding those of its best validation epoch.
+    The model's parameters become views into one vector, ``FitResult.vector``,
+    which Adam updates as a whole and which ends holding the best epoch's values.
     """
     if not train_windows or not valid_windows:
         raise TrainingError("fit needs non-empty train and validation window sets")
@@ -221,7 +221,7 @@ def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig,
                 break
 
     flat[:] = best_params
-    return FitResult(history=history, best_epoch=best_epoch, best_val=best_val)
+    return FitResult(history=history, best_epoch=best_epoch, best_val=best_val, vector=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +332,9 @@ def fit_combo(
 ):
     """Build the model ``combo`` describes and fit it: ``(model, FitResult)``.
 
-    Search trials and the final fit of a split both train through here, so a
-    combo scores on validation exactly the model it would become.
+    Search trials and the fits of unsearched splits train through here. A
+    searched split ships its winning trial, so a combo scores on validation
+    exactly the model it would become.
     """
     cfg = replace(base_cfg, seed=seed, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
     model = build_model(strategy, n_assets, tau, combo, seed=seed)
@@ -360,11 +361,15 @@ class Trial:
 
 @dataclass
 class SearchResult:
+    """Every trial, and the winner's combo, seed and fit: the model to ship."""
+
     best: dict
     trials: list[Trial]
+    seed: int
+    fit: FitResult
 
 
-def _run_trial(payload) -> Trial:
+def _run_trial(payload) -> tuple[Trial, FitResult | None]:
     index, combo, strategy, table, split, tau, base_cfg, costs, master_seed = payload
     # the windows are views cut from the table, so a payload carries only the table
     train, valid = split_windows(table, split, tau)
@@ -374,8 +379,8 @@ def _run_trial(payload) -> Trial:
         train_loss = result.history[result.best_epoch].train_loss
         val_loss = result.best_val
     except TrainingError:
-        train_loss, val_loss = np.inf, np.inf
-    return Trial(index=index, params=combo, train_loss=train_loss, val_loss=val_loss, seconds=time.perf_counter() - start)
+        result, train_loss, val_loss = None, np.inf, np.inf
+    return Trial(index=index, params=combo, train_loss=train_loss, val_loss=val_loss, seconds=time.perf_counter() - start), result
 
 
 def random_grid_search(
@@ -391,8 +396,9 @@ def random_grid_search(
 ) -> SearchResult:
     """Sample the grid uniformly with replacement and pick the best trial.
 
-    Each trial fits on the train and validation windows of ``split``. Ties on
-    validation loss go to the earliest trial index.
+    Trial ``i`` fits on the train and validation windows of ``split`` at seed
+    ``seed + i``. Ties on validation loss go to the earliest trial index, and
+    a trial whose fit raised ranks last; if every one did, raise TrainingError.
     """
     check_axes(space, strategy)
     every = space.combinations()
@@ -407,13 +413,15 @@ def random_grid_search(
         for i, k in enumerate(picks)
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(_run_trial, payloads))
+            done = list(pool.map(_run_trial, payloads))
     else:
-        trials = [_run_trial(p) for p in payloads]
-    losses = [t.val_loss for t in trials]
-    best = trials[int(np.argmin(losses))]
-    return SearchResult(best=best.params, trials=trials)
+        done = [_run_trial(p) for p in payloads]
+    best, fit_result = min(done, key=lambda d: (d[1] is None, d[0].val_loss))
+    if fit_result is None:
+        raise TrainingError(f"all {len(done)} trials for test year {split.test_year} failed")
+    return SearchResult(best=best.params, trials=[t for t, _ in done], seed=seed + best.index, fit=fit_result)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +430,8 @@ def random_grid_search(
 
 @dataclass
 class SplitOutcome:
+    """A split's combo and trials, the model it ships (none for a rule) and that model's training curve."""
+
     test_year: int
     params: dict
     trials: list[Trial]
@@ -450,10 +460,10 @@ def walk_forward(
 ) -> WalkForwardResult:
     """Retrain per test year on all prior data and emit daily allocations.
 
-    For trained strategies each split runs (optionally) a fresh grid search
-    scored on the chronological validation slice, then a final fit with the
-    winning hyperparameters. A ``base_combo`` key the space leaves out joins
-    it as a one-value axis, so trials fit the same model as the final fit.
+    For trained strategies a split with a ``space`` runs a grid search scored
+    on the chronological validation slice and ships the winning trial, its
+    seed and history; a split without one fits at seed ``seed + split_idx``.
+    A ``base_combo`` key the space leaves out joins it as a one-value axis.
     Rule-based strategies skip straight to daily weight emission. Weight
     rows are dated the decision day and earn the following trading day's
     returns.
@@ -487,19 +497,22 @@ def walk_forward(
             train_windows, valid_windows = split_windows(table, split, tau)
             if not train_windows or not valid_windows:
                 raise DataError(f"training range before {split.test_year} too short for window length {tau}")
-            trials: list[Trial] = []
+            search = None
             if space is not None and (search_each_split or chosen is None):
                 search = random_grid_search(
                     space, strategy, table, split, tau, base_cfg,
                     costs=costs, seed=seed + 104729 * split_idx, jobs=jobs,
                 )
                 chosen = search.best
-                trials = search.trials
             combo = {**(base_combo or {}), **(chosen or {})}
-            model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
+            if search is None:
+                model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
+            else:
+                model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
+                _flatten(list(model.parameters().values()))[:] = result.vector
             # every test day of the split in one gradient-free forward
             rows = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
-            outcomes.append(SplitOutcome(split.test_year, combo, trials, model, result.history))
+            outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))
         all_dates.extend(dates)
         all_weights.append(rows)
 

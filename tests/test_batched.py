@@ -93,18 +93,24 @@ def test_block_stack_rejects_bad_shapes():
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_walk_forward_test_days_equal_checkpoint_replay(kind, tmp_path):
     """The split's one-forward test-day weights equal day_weights of the
-    saved checkpoint replayed one block at a time, bit for bit."""
+    saved checkpoint replayed one block at a time, bit for bit, with and
+    without a search; a searched split's checkpoint is its winning trial,
+    at that trial's seed."""
     table = clean_and_return(synth_generate(SynthConfig(n_assets=N, n_days=560, seed=8, momentum=0.4)))
     schedule = yearly_splits(table, 2015)
     combo = {"d_model": 16, "n_heads": 2, "t2v_k": 3} if kind == "pt" else {}
-    result = tr.walk_forward(
-        table, schedule, kind, tau=TAU, base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=3, base_combo=combo
-    )
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(result.outcomes[0].model, path)
-    replay = load_checkpoint(path)
     split = schedule.splits[0]
     days = range(split.train_end - 1, split.test_end - 1)
-    assert len(result.stream.weights) == len(days)
-    for row, p in zip(result.stream.weights, days):
-        assert np.array_equal(row, replay.day_weights(table.returns[p - 2 * TAU + 1 : p + 1]))
+    for space in (None, tr.HyperparamSpace(axes={"learning_rate": [1e-3, 1e-2]}, budget=2)):
+        result = tr.walk_forward(
+            table, schedule, kind, tau=TAU, space=space, base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=3, base_combo=combo
+        )
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(result.outcomes[0].model, path)
+        replay = load_checkpoint(path)
+        if space is not None:
+            winner = min(result.outcomes[0].trials, key=lambda t: t.val_loss)
+            assert replay.config.seed == 3 + winner.index
+        assert len(result.stream.weights) == len(days)
+        for row, p in zip(result.stream.weights, days):
+            assert np.array_equal(row, replay.day_weights(table.returns[p - 2 * TAU + 1 : p + 1]))

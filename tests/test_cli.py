@@ -223,6 +223,60 @@ def test_run_reads_its_own_entry_of_a_keyed_space(prices_csv, tmp_path):
     assert all('{""hidden"": 3}' in row or '{""hidden"": 5}' in row for row in trials)
 
 
+def test_searched_run_ships_the_winning_trial(prices_csv, tmp_path):
+    import csv
+
+    from ptopt.model import load_checkpoint
+
+    out = tmp_path / "r"
+    code = cli.main(
+        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--budget", "3",
+         "--max-epochs", "2", "--patience", "2", "--seed", "4"]
+    )
+    assert code == 0
+    with open(out / "trials.csv", newline="") as fh:
+        trials = list(csv.DictReader(fh))
+    with open(out / "history.csv", newline="") as fh:
+        history = list(csv.DictReader(fh))
+    years = sorted({int(t["test_year"]) for t in trials})
+    assert years and sorted({int(h["test_year"]) for h in history}) == years
+    for split_idx, year in enumerate(years):
+        rows = [t for t in trials if int(t["test_year"]) == year]
+        winner = min(rows, key=lambda t: float(t["val_loss"]))
+        ckpt = load_checkpoint(out / f"checkpoint_{year}.ckpt")
+        assert ckpt.config.seed == 4 + 104729 * split_idx + int(winner["trial"])
+        # history.csv is the shipped winner's curve: its best epoch is the trial's score
+        curve = [h for h in history if int(h["test_year"]) == year]
+        assert [int(h["epoch"]) for h in curve] == list(range(len(curve)))
+        assert min(float(h["val_loss"]) for h in curve) == float(winner["val_loss"])
+
+
+def test_run_history_csv_columns(prices_csv, tmp_path):
+    out = tmp_path / "r"
+    assert cli.main(
+        ["run", "--strategy", "mlp", "--data", str(prices_csv), "--out", str(out), "--max-epochs", "2", "--patience", "2"]
+    ) == 0
+    lines = (out / "history.csv").read_text().splitlines()
+    assert lines[0] == "test_year,epoch,train_loss,val_loss"
+    assert [line.split(",")[:2] for line in lines[1:3]] == [["2016", "0"], ["2016", "1"]]
+    assert all(repr(float(v)) == v for line in lines[1:] for v in line.split(",")[2:])
+
+
+def test_run_where_every_trial_fails_exits_3(prices_csv, tmp_path, capsys, monkeypatch):
+    import ptopt.training as tr
+    from ptopt.errors import TrainingError
+
+    def explode(*a, **k):
+        raise TrainingError("non-finite loss")
+
+    monkeypatch.setattr(tr, "fit", explode)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", "--budget", "2", "--data", str(prices_csv), "--out", str(out)])
+    assert code == 3
+    assert "all 2 trials for test year 2016 failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_space_with_no_valid_combo_is_usage_error(prices_csv, tmp_path, capsys):
     # an MLP hidden size of 32.5 is refused, not truncated to 32, which leaves no combo
     space = tmp_path / "space.json"
@@ -366,6 +420,15 @@ def test_flag_defaults_are_the_run_config_defaults(head):
 def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = "import sys, ptopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # a search imports the pool only when --jobs asks for one
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import sys, ptopt.cli; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

@@ -499,9 +499,13 @@ def test_search_parallel_matches_serial():
     assert [(t.params, t.train_loss, t.val_loss) for t in serial.trials] == [
         (t.params, t.train_loss, t.val_loss) for t in parallel.trials
     ]
+    assert serial.seed == parallel.seed
+    assert np.array_equal(serial.fit.vector, parallel.fit.vector)
 
 
 def test_search_payloads_carry_the_table_not_windows(monkeypatch):
+    import concurrent.futures
+
     table, split = search_fixture()
     payloads = []
 
@@ -520,7 +524,7 @@ def test_search_payloads_carry_the_table_not_windows(monkeypatch):
             payloads.extend(items)
             return map(fn, payloads)
 
-    monkeypatch.setattr(tr, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
     tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
     assert len(payloads) == 2
@@ -570,7 +574,7 @@ def test_search_trials_fit_the_final_model_architecture(monkeypatch):
         table, yearly_splits(table, 2016), "pt", tau=4, space=space,
         base_cfg=tr.TrainConfig(max_epochs=1), base_combo={"t2v_k": 2},
     )
-    assert len(built) == 3  # two trials, then the final fit
+    assert len(built) == 3  # two trials, then the winner rebuilt to ship
     assert built[-1].t2v_k == 2
     assert all(cfg == built[-1] for cfg in built)
     assert [t.params for t in result.outcomes[0].trials] == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}] * 2
@@ -641,6 +645,47 @@ def test_walk_forward_search_once_reuses_first_split_choice():
     assert len(result.outcomes[0].trials) == 2
     assert result.outcomes[1].trials == []
     assert result.outcomes[1].params == result.outcomes[0].params
+    # a split that did not search fits as before, at seed + split_idx
+    later = result.outcomes[1]
+    train, valid = tr.split_windows(table, schedule.splits[1], 4)
+    _, fit = tr.fit_combo("lstm", 3, 4, later.params, 1 + 1, train, valid, tr.TrainConfig(max_epochs=1, seed=0), CostModel())
+    assert later.model.config.seed == 2
+    assert np.array_equal(flat_params(later.model), fit.vector)
+    assert later.history == fit.history
+
+
+def flat_params(model):
+    return np.concatenate([p.data for p in model.parameters().values()], axis=None)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_searched_split_ships_the_winning_trial(jobs):
+    table = wf_table(n_days=1050, seed=13)
+    schedule = yearly_splits(table, 2016)
+    space = tr.HyperparamSpace(axes={"hidden": [3, 5], "learning_rate": [1e-3, 1e-2]}, budget=3)
+    cfg = tr.TrainConfig(max_epochs=2, seed=0)
+    result = tr.walk_forward(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, jobs=jobs)
+    for split_idx, (split, outcome) in enumerate(zip(schedule.splits, result.outcomes)):
+        winner = min(outcome.trials, key=lambda t: t.val_loss)
+        seed = 1 + 104729 * split_idx + winner.index
+        assert outcome.model.config.seed == seed
+        # the shipped model is the winner's fit, not a refit at another seed
+        train, valid = tr.split_windows(table, split, 4)
+        _, solo = tr.fit_combo("lstm", 3, 4, winner.params, seed, train, valid, cfg, CostModel())
+        assert np.array_equal(flat_params(outcome.model), solo.vector)
+        assert outcome.history == solo.history
+        assert solo.best_val == winner.val_loss
+
+
+def test_search_where_every_trial_fails_raises(monkeypatch):
+    def explode(*a, **k):
+        raise TrainingError("non-finite loss")
+
+    monkeypatch.setattr(tr, "fit", explode)
+    table = wf_table()
+    space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=3)
+    with pytest.raises(TrainingError, match="all 3 trials for test year 2016 failed"):
+        tr.walk_forward(table, yearly_splits(table, 2016), "lstm", tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
 
 
 def test_walk_forward_deterministic():
