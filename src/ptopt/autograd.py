@@ -7,8 +7,8 @@ op, with a shared weight or bias broadcast over it.
 While a :class:`Tape` is active, every op that touches a differentiable
 tensor appends one node; :func:`backward` replays
 the tape once in reverse and accumulates gradients into ``Tensor.grad``.
-Tapes are thread-local, so a tape and its tensors belong to one thread for
-the duration of a forward/backward pass.
+Active tapes form one module-level stack: ptopt runs no threads, and a
+``no_grad`` block pushes None over the tape it suspends.
 
 A node costs a few microseconds of Python dispatch, so the models run on a
 few coarse ops, each one node with a closed-form backward: ``dense``
@@ -22,7 +22,6 @@ only they use, are the test oracles in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,19 +39,11 @@ class ContractError(RuntimeError):
     """An operation was invoked outside its documented contract."""
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "tapes", None)
-    if stack is None:
-        stack = _LOCAL.tapes = []
-    return stack
+_TAPES: list = []  # the active tapes, innermost last; None while no_grad suspends recording
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -90,22 +81,22 @@ class Tape:
         self.nodes: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
 
 class no_grad:
     """Context that suspends recording (validation / inference passes)."""
 
     def __enter__(self):
-        _tape_stack().append(None)
+        _TAPES.append(None)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _TAPES.pop()
 
 
 def emit(inputs: tuple[Tensor, ...], out_data: Array, back: Callable) -> Tensor:

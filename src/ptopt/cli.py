@@ -45,6 +45,7 @@ from ptopt.training import (
     TRAINED_STRATEGIES,
     HyperparamSpace,
     TrainConfig,
+    TrialPool,
     check_axes,
     default_space,
     walk_forward,
@@ -184,13 +185,18 @@ def _write_all_trials(outcomes, path) -> None:
     ))
 
 
-def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, seed: int, args):
+def _trial_pool(table, spaces: dict, jobs: int) -> TrialPool:
+    """The command's trial pool, with no more workers than its largest search has trials."""
+    return TrialPool(table, min(jobs, max((s.budget for s in spaces.values() if s is not None), default=1)))
+
+
+def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, seed: int, pool: TrialPool):
     base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
     base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=seed)
     result = walk_forward(
         table, schedule, strategy,
         tau=cfg.window, space=space, base_cfg=base_cfg,
-        costs=CostModel(cfg.cost_rate), seed=seed, jobs=args.jobs,
+        costs=CostModel(cfg.cost_rate), seed=seed, pool=pool,
         search_each_split=not cfg.search_once, base_combo=base_combo,
     )
     curve = run_backtest(result.stream, table, CostModel(cfg.cost_rate))
@@ -252,10 +258,11 @@ def cmd_run(args) -> int:
     cfg = _run_config(args)
     seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
-    space = _resolve_spaces(cfg, [cfg.strategy], TRAINED_STRATEGIES)[cfg.strategy]
+    spaces = _resolve_spaces(cfg, [cfg.strategy], TRAINED_STRATEGIES)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
-    result, curve, report = _execute_strategy(table, schedule, cfg.strategy, space, cfg, seed, args)
+    with _trial_pool(table, spaces, args.jobs) as pool:
+        result, curve, report = _execute_strategy(table, schedule, cfg.strategy, spaces[cfg.strategy], cfg, seed, pool)
     _write_run_artifacts(out, result, curve, report)
     write_manifest(out, "run", asdict(cfg), seed, cfg.data)
     print(f"{cfg.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
@@ -276,10 +283,11 @@ def cmd_compare(args) -> int:
 
     rows: list[tuple[str, MetricsReport]] = []
     curves = {}
-    for strategy in args.strategies:
-        result, curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, seed, args)
-        rows.append((strategy, report))
-        curves[strategy] = curve
+    with _trial_pool(table, spaces, args.jobs) as pool:
+        for strategy in args.strategies:
+            result, curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, seed, pool)
+            rows.append((strategy, report))
+            curves[strategy] = curve
 
     out.mkdir(parents=True, exist_ok=True)
     columns = {c: [getattr(report, c) for _, report in rows] for c in METRIC_COLUMNS}
@@ -326,7 +334,7 @@ def _add_shared_run_flags(p) -> None:
     p.add_argument("--budget", type=int, help="grid-search trials per split (0 = no search)")
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid-search trials")
+    p.add_argument("--jobs", type=int, default=1, help="grid-search worker processes, one pool per command")
     p.add_argument("--search-once", action="store_true", help="reuse the first split's search result")
     p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
     p.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})

@@ -14,6 +14,7 @@ seed plus the trial index, so identical inputs reproduce identical runs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import time
@@ -369,9 +370,18 @@ class SearchResult:
     fit: FitResult
 
 
-def _run_trial(payload) -> tuple[Trial, FitResult | None]:
-    index, combo, strategy, table, split, tau, base_cfg, costs, master_seed = payload
-    # the windows are views cut from the table, so a payload carries only the table
+_worker_table: ReturnTable | None = None  # a pool worker's table, set once by _init_worker
+
+
+def _init_worker(table: ReturnTable) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitResult | None]:
+    """Fit one trial on ``table``, or in a pool worker on the table it was started with."""
+    index, combo, strategy, split, tau, base_cfg, costs, master_seed = payload
+    table = _worker_table if table is None else table
     train, valid = split_windows(table, split, tau)
     start = time.perf_counter()
     try:
@@ -383,6 +393,27 @@ def _run_trial(payload) -> tuple[Trial, FitResult | None]:
     return Trial(index=index, params=combo, train_loss=train_loss, val_loss=val_loss, seconds=time.perf_counter() - start), result
 
 
+class TrialPool(contextlib.AbstractContextManager):
+    """Runs search trials on ``table``: in-process, or with ``jobs > 1`` on one lazily
+    started ``ProcessPoolExecutor`` whose workers get the table once, through the
+    initializer, and serve every later search. Leaving the context shuts it down."""
+
+    def __init__(self, table: ReturnTable, jobs: int = 1):
+        self.table, self.jobs, self._executor = table, jobs, None
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def run(self, payloads: list) -> list[tuple[Trial, FitResult | None]]:
+        if self.jobs <= 1:
+            return [_run_trial(p, self.table) for p in payloads]
+        if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs, initializer=_init_worker, initargs=(self.table,))
+        return list(self._executor.map(_run_trial, payloads))
+
+
 def random_grid_search(
     space: HyperparamSpace,
     strategy: str,
@@ -392,14 +423,17 @@ def random_grid_search(
     base_cfg: TrainConfig,
     costs: CostModel = CostModel(),
     seed: int = 0,
-    jobs: int = 1,
+    pool: TrialPool | None = None,
 ) -> SearchResult:
     """Sample the grid uniformly with replacement and pick the best trial.
 
-    Trial ``i`` fits on the train and validation windows of ``split`` at seed
-    ``seed + i``. Ties on validation loss go to the earliest trial index, and
-    a trial whose fit raised ranks last; if every one did, raise TrainingError.
+    Trial ``i`` fits on ``split``'s train and validation windows at seed ``seed + i``, on ``pool``
+    (which must hold ``table``) or in-process. Ties on validation loss go to the earliest
+    trial index, and a trial whose fit raised ranks last; if every one did, raise TrainingError.
     """
+    pool = pool or TrialPool(table)
+    if pool.table is not table:
+        raise ValueError("the trial pool holds another return table")
     check_axes(space, strategy)
     every = space.combinations()
     errors = [_combo_error(strategy, table.n_assets, tau, c) for c in every]
@@ -408,16 +442,7 @@ def random_grid_search(
         raise ValueError(f"hyperparameter space contains no valid combination; the first, {every[0]}, fails: {errors[0]}")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(combos), size=space.budget)
-    payloads = [
-        (i, combos[k], strategy, table, split, tau, base_cfg, costs, seed)
-        for i, k in enumerate(picks)
-    ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_trial, payloads))
-    else:
-        done = [_run_trial(p) for p in payloads]
+    done = pool.run([(i, combos[k], strategy, split, tau, base_cfg, costs, seed) for i, k in enumerate(picks)])
     best, fit_result = min(done, key=lambda d: (d[1] is None, d[0].val_loss))
     if fit_result is None:
         raise TrainingError(f"all {len(done)} trials for test year {split.test_year} failed")
@@ -454,7 +479,7 @@ def walk_forward(
     base_cfg: TrainConfig = TrainConfig(),
     costs: CostModel = CostModel(),
     seed: int = 0,
-    jobs: int = 1,
+    pool: TrialPool | None = None,
     search_each_split: bool = True,
     base_combo: dict | None = None,
 ) -> WalkForwardResult:
@@ -463,6 +488,7 @@ def walk_forward(
     For trained strategies a split with a ``space`` runs a grid search scored
     on the chronological validation slice and ships the winning trial, its
     seed and history; a split without one fits at seed ``seed + split_idx``.
+    Every search runs its trials on ``pool``, or in-process without one.
     A ``base_combo`` key the space leaves out joins it as a one-value axis.
     Rule-based strategies skip straight to daily weight emission. Weight
     rows are dated the decision day and earn the following trading day's
@@ -501,7 +527,7 @@ def walk_forward(
             if space is not None and (search_each_split or chosen is None):
                 search = random_grid_search(
                     space, strategy, table, split, tau, base_cfg,
-                    costs=costs, seed=seed + 104729 * split_idx, jobs=jobs,
+                    costs=costs, seed=seed + 104729 * split_idx, pool=pool,
                 )
                 chosen = search.best
             combo = {**(base_combo or {}), **(chosen or {})}

@@ -283,6 +283,45 @@ class NamedAdam:
             self.params[name] = x - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
+class RecordingExecutor:
+    """Stands in for ``ProcessPoolExecutor`` without starting a process.
+
+    It runs the initializer and every mapped call in-process, and keeps its
+    worker count, its initializer arguments and each payload a worker would
+    be sent.
+    """
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers, self.initargs, self.payloads, self.shut = max_workers, initargs, [], False
+        initializer(*initargs)
+
+    def map(self, fn, items):
+        items = list(items)
+        self.payloads.extend(items)
+        return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        self.shut = True
+
+
+def record_executors(monkeypatch) -> list:
+    """Make every ``concurrent.futures.ProcessPoolExecutor`` a RecordingExecutor
+    for the test's duration; return the list of those constructed."""
+    import concurrent.futures
+
+    import ptopt.training as tr
+
+    made = []
+
+    def make(**kwargs):
+        made.append(RecordingExecutor(**kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tr, "_worker_table", None)  # the in-process initializer sets it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
+    return made
+
+
 # ---------------------------------------------------------------------------
 # fine-grained tape primitives, used only by the compositions below
 

@@ -13,6 +13,8 @@ from ptopt.errors import NumericError
 from ptopt.metrics import MetricsReport
 from ptopt.model import PTConfig
 
+from helpers import record_executors
+
 
 @pytest.fixture(scope="module")
 def prices_csv(tmp_path_factory):
@@ -301,6 +303,119 @@ def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeyp
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--jobs" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the trial pool
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """``(workers, shut down)`` of every ProcessPoolExecutor constructed; each one is real."""
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append([max_workers, False])
+            self.record = made[-1]
+            super().__init__(max_workers, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            self.record[1] = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+# two test years, so a search per split and strategy
+SHORT_FLAGS = ["--first-test-year", "2015", "--max-epochs", "1", "--patience", "1"]
+SEARCH_FLAGS = ["--budget", "2", *SHORT_FLAGS]
+
+
+def test_compare_runs_every_search_on_one_pool(prices_csv, tmp_path, counted_pools):
+    import multiprocessing
+
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        code = cli.main(
+            ["compare", "--strategies", "lstm", "mlp", "--data", str(prices_csv), "--out", str(outs[jobs]),
+             "--jobs", jobs, *SEARCH_FLAGS]
+        )
+        assert code == 0
+        assert multiprocessing.active_children() == []
+        # four searches (two strategies, two test years) share one pool of two workers
+        assert counted_pools == ([] if jobs == "1" else [[2, True]])
+    for name in ("comparison.csv", "equity_curves.csv"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+def test_run_results_do_not_depend_on_jobs(prices_csv, tmp_path, counted_pools):
+    import csv
+
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        code = cli.main(
+            ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(outs[jobs]), "--jobs", jobs, *SEARCH_FLAGS]
+        )
+        assert code == 0
+    assert counted_pools == [[2, True]]
+    trials = {}
+    for jobs, out in outs.items():
+        with open(out / "trials.csv", newline="") as fh:
+            trials[jobs] = [row[:-1] for row in csv.reader(fh)]  # all but the seconds column
+    assert len(trials["1"]) == 5 and trials["1"] == trials["2"]
+    for name in ("metrics.json", "equity.csv", "history.csv", "checkpoint_2015.ckpt", "checkpoint_2016.ckpt"):
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+def test_a_run_without_a_parallel_search_starts_no_pool(prices_csv, tmp_path, counted_pools):
+    base = ["--data", str(prices_csv), "--jobs", "2", *SHORT_FLAGS]
+    assert cli.main(["run", "--strategy", "mv", "--out", str(tmp_path / "mv"), *base]) == 0
+    # one trial per search leaves no second worker to start
+    assert cli.main(["run", "--strategy", "mlp", "--budget", "1", "--out", str(tmp_path / "mlp"), *base]) == 0
+    assert counted_pools == []
+
+
+def test_workers_never_outnumber_the_largest_budget(prices_csv, tmp_path, monkeypatch):
+    made = record_executors(monkeypatch)
+    code = cli.main(
+        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(tmp_path / "r"), "--jobs", "10000",
+         *SEARCH_FLAGS]
+    )
+    assert code == 0
+    space = tmp_path / "space.json"
+    space.write_text('{"lstm": {"axes": {"hidden": [3]}, "budget": 1}, "mlp": {"axes": {"hidden": [[4]]}, "budget": 3}}')
+    code = cli.main(
+        ["compare", "--strategies", "lstm", "mlp", "mv", "--data", str(prices_csv), "--out", str(tmp_path / "c"),
+         "--jobs", "8", "--space", str(space), *SHORT_FLAGS]
+    )
+    assert code == 0
+    assert [e.max_workers for e in made] == [2, 3]
+    assert all(e.shut for e in made)
+
+
+def test_no_worker_outlives_a_run_whose_trials_all_fail(prices_csv, tmp_path, capsys, monkeypatch, counted_pools):
+    import multiprocessing
+
+    import ptopt.training as tr
+    from ptopt.errors import TrainingError
+
+    def explode(*a, **k):
+        raise TrainingError("non-finite loss")
+
+    monkeypatch.setattr(tr, "fit", explode)  # before the workers fork, so they inherit it
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--jobs", "2", *SEARCH_FLAGS])
+    assert code == 3
+    assert "all 2 trials for test year 2015 failed" in capsys.readouterr().err
+    assert counted_pools == [[2, True]]
+    assert multiprocessing.active_children() == []
     assert not out.exists()
 
 

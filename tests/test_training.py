@@ -17,7 +17,7 @@ from ptopt.metrics import run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, scores_to_weights
 from ptopt.objective import CostModel
 
-from helpers import NamedAdam, concat, matmul
+from helpers import NamedAdam, concat, matmul, record_executors
 
 
 def make_table(n_days, n_assets=3, seed=5, momentum=0.0):
@@ -494,8 +494,9 @@ def test_search_deterministic_across_runs():
 def test_search_parallel_matches_serial():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    serial = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=1)
-    parallel = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
+    with tr.TrialPool(table, 1) as serial_pool, tr.TrialPool(table, 2) as parallel_pool:
+        serial = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=serial_pool)
+        parallel = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=parallel_pool)
     assert [(t.params, t.train_loss, t.val_loss) for t in serial.trials] == [
         (t.params, t.train_loss, t.val_loss) for t in parallel.trials
     ]
@@ -503,34 +504,63 @@ def test_search_parallel_matches_serial():
     assert np.array_equal(serial.fit.vector, parallel.fit.vector)
 
 
-def test_search_payloads_carry_the_table_not_windows(monkeypatch):
-    import concurrent.futures
+@pytest.fixture
+def recording_executor(monkeypatch):
+    return record_executors(monkeypatch)
 
-    table, split = search_fixture()
-    payloads = []
 
-    class RecordingPool:
-        # runs the trials in-process, keeping what a worker pool would be sent
-        def __init__(self, max_workers):
-            pass
+def test_search_payloads_carry_neither_table_nor_windows(recording_executor):
+    import pickle
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            payloads.extend(items)
-            return map(fn, payloads)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
-    assert len(payloads) == 2
-    for payload in payloads:
-        assert any(isinstance(item, ReturnTable) for item in payload)
-        assert not any(isinstance(item, tr.Windows) for item in payload)
+    sizes = []
+    for n_days in (800, 1600):
+        table = make_table(n_days, seed=3)
+        split = Split(test_year=2014, train_end=n_days - 100, val_start=n_days - 200, test_end=n_days)
+        with tr.TrialPool(table, 2) as pool:
+            tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=pool)
+        executor = recording_executor[-1]
+        assert executor.initargs == (table,)  # the table goes to each worker once, at start-up
+        assert len(executor.payloads) == 2
+        for payload in executor.payloads:
+            assert not any(isinstance(item, (ReturnTable, tr.Windows)) for item in payload)
+        sizes.append({len(pickle.dumps(payload)) for payload in executor.payloads})
+    # a payload does not grow with the table
+    assert sizes[0] == sizes[1]
+
+
+def test_trial_pool_starts_one_executor_lazily_and_shuts_it(recording_executor):
+    table, split = search_fixture()
+    space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
+    cfg = tr.TrainConfig(max_epochs=1)
+    with tr.TrialPool(table, 1) as pool:
+        serial = [tr.random_grid_search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
+    assert recording_executor == []
+    with tr.TrialPool(table, 2) as pool:
+        assert recording_executor == []  # nothing starts before a search runs
+        pooled = [tr.random_grid_search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
+        assert len(recording_executor) == 1 and not recording_executor[0].shut
+    assert recording_executor[0].shut and len(recording_executor[0].payloads) == 4
+    for a, b in zip(serial, pooled):
+        assert [(t.params, t.val_loss) for t in a.trials] == [(t.params, t.val_loss) for t in b.trials]
+
+
+def test_trial_pool_shuts_down_when_the_block_raises(recording_executor):
+    table, split = search_fixture()
+    space = tr.HyperparamSpace(axes={"hidden": [3]}, budget=2)
+    with pytest.raises(RuntimeError, match="later failure"):
+        with tr.TrialPool(table, 2) as pool:
+            tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
+            raise RuntimeError("later failure")
+    assert len(recording_executor) == 1 and recording_executor[0].shut
+
+
+def test_search_refuses_a_pool_of_another_table():
+    table, split = search_fixture()
+    space = tr.HyperparamSpace(axes={"hidden": [3]}, budget=1)
+    with tr.TrialPool(make_table(170, seed=3), 1) as pool:
+        with pytest.raises(ValueError, match="another return table"):
+            tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
 
 
 def test_trials_csv_roundtrip(tmp_path):
@@ -664,7 +694,8 @@ def test_searched_split_ships_the_winning_trial(jobs):
     schedule = yearly_splits(table, 2016)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5], "learning_rate": [1e-3, 1e-2]}, budget=3)
     cfg = tr.TrainConfig(max_epochs=2, seed=0)
-    result = tr.walk_forward(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, jobs=jobs)
+    with tr.TrialPool(table, jobs) as pool:
+        result = tr.walk_forward(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, pool=pool)
     for split_idx, (split, outcome) in enumerate(zip(schedule.splits, result.outcomes)):
         winner = min(outcome.trials, key=lambda t: t.val_loss)
         seed = 1 + 104729 * split_idx + winner.index
