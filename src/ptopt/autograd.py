@@ -14,8 +14,9 @@ A node costs a few microseconds of Python dispatch, so the models run on a
 few coarse ops, each one node with a closed-form backward: ``dense``
 (matmul plus bias), ``embed`` (Time2Vec features, concat and projection),
 ``mha`` (every attention head at once, optionally causal), ``glu``,
-``residual_layer_norm`` and ``lstm`` (the whole recurrence, with
-backpropagation through time). ``ptopt.objective.sharpe_loss`` records its
+``residual_layer_norm``, ``lstm`` (the whole recurrence, with
+backpropagation through time) and ``signed_softmax`` (the allocation head's
+map from scores to weights). ``ptopt.objective.sharpe_loss`` records its
 node through :func:`emit`. Their op-by-op compositions, and the primitives
 only they use, are the test oracles in ``tests/helpers.py``.
 """
@@ -136,7 +137,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
 def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient over the leading axes that broadcasting added."""
     extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra))) if extra else g
+    return np.add.reduce(g, axis=tuple(range(extra))) if extra else g
 
 
 def _shared_grad(x: Array, g: Array) -> Array:
@@ -148,7 +149,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
     ad, bd = a.data, b.data
-    return emit((a, b), ad * bd, lambda g: (g * bd, g * ad))
+    return emit((a, b), ad * bd, lambda g: (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None))
 
 
 def mean(x: Tensor) -> Tensor:
@@ -175,15 +176,23 @@ def _row_max(x: Array) -> Array:
     return m
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    e = np.exp(x.data - _row_max(x.data))
-    y = e / np.sum(e, axis=-1, keepdims=True)
+def signed_softmax(x: Tensor) -> Tensor:
+    """``sign(x) * softmax(x)`` over the last axis, with sign(0) = +1: every row
+    has unit gross exposure.
+
+    The sign is piecewise constant, so its derivative is zero almost
+    everywhere and the gradient flows through the softmax magnitudes only.
+    """
+    xd = x.data
+    e = np.exp(xd - _row_max(xd))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    sign = np.where(xd >= 0, 1.0, -1.0)
 
     def back(g):
-        return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
+        gp = g * sign
+        return (p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)),)
 
-    return emit((x,), y, back)
+    return emit((x,), sign * p, back)
 
 
 def elu(x: Tensor) -> Tensor:
@@ -195,15 +204,6 @@ def elu(x: Tensor) -> Tensor:
 def _row_mean(x: Array) -> Array:
     """``x.mean(axis=-1, keepdims=True)``, the same arithmetic without its Python wrapper."""
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
-
-
-def sign_const(x: Tensor) -> Tensor:
-    """Elementwise sign with sign(0) = +1, treated as a constant in backward.
-
-    The result never carries a gradient: sign is piecewise constant, so its
-    derivative is zero almost everywhere.
-    """
-    return Tensor(np.where(x.data >= 0, 1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -321,34 +321,34 @@ def mha(
     roles: dict[int, list[int]] = {}  # the roles (0 = q, 1 = k, 2 = v) of each distinct input
     for i, x in enumerate(inputs):
         roles.setdefault(id(x), []).append(i)
-    groups = [(inputs[idx[0]], idx, np.stack([w.data for i in idx for w in weights[i]])) for idx in roles.values()]
+    groups = [(inputs[idx[0]], idx, np.array([w.data for i in idx for w in weights[i]])) for idx in roles.values()]
     proj = [None] * 3  # per role, (..., h, rows, dk)
     for x, idx, w in groups:
-        y = np.expand_dims(x.data, -3) @ w
+        y = x.data[..., None, :, :] @ w
         for j, i in enumerate(idx):
             proj[i] = y[..., j * h : (j + 1) * h, :, :]
     Q, K, V = proj
-    scores = (Q @ np.swapaxes(K, -1, -2)) * (1.0 / scale)
+    scores = (Q @ K.swapaxes(-1, -2)) * (1.0 / scale)
     if causal:
         scores = scores + np.where(np.arange(n) > np.arange(m)[:, None], MASK_BLOCK, 0.0)
     e = np.exp(scores - _row_max(scores))
-    p = e / np.sum(e, axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     mixed = _merge_heads(p @ V)
     wod = wo.data
 
     def back(g):
-        g_heads = np.expand_dims(g, -3) @ np.swapaxes(wod.reshape(h, dk, d), -1, -2)
-        g_s = g_heads @ np.swapaxes(V, -1, -2)
-        g_s = p * (g_s - np.sum(g_s * p, axis=-1, keepdims=True)) * (1.0 / scale)
-        g_proj = (g_s @ K, np.swapaxes(g_s, -1, -2) @ Q, np.swapaxes(p, -1, -2) @ g_heads)
+        g_heads = g[..., None, :, :] @ wod.reshape(h, dk, d).swapaxes(-1, -2)
+        g_s = g_heads @ V.swapaxes(-1, -2)
+        g_s = p * (g_s - np.add.reduce(g_s * p, axis=-1, keepdims=True)) * (1.0 / scale)
+        g_proj = (g_s @ K, g_s.swapaxes(-1, -2) @ Q, p.swapaxes(-1, -2) @ g_heads)
         g_in, g_w = [None] * 3, [None] * 3
         for x, idx, w in groups:
             gy = _merge_heads(np.concatenate([g_proj[i] for i in idx], axis=-3))
             if x.requires_grad:
                 g_in[idx[0]] = gy @ _merge_heads(w).T
-            parts = np.split(_shared_grad(x.data, gy), len(idx) * h, axis=1)
+            gw = _shared_grad(x.data, gy)  # (d, roles * h * dk): one column block per matrix
             for j, i in enumerate(idx):
-                g_w[i] = parts[j * h : (j + 1) * h]
+                g_w[i] = [gw[:, c * dk : (c + 1) * dk] for c in range(j * h, (j + 1) * h)]
         return (*g_in, *g_w[0], *g_w[1], *g_w[2], _shared_grad(mixed, g))
 
     return emit((q, k, v, *wq, *wk, *wv, wo), mixed @ wod, back)
@@ -415,6 +415,6 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
 def _merge_heads(y: Array) -> Array:
     """(..., heads, rows, dk) -> (..., rows, heads*dk): the heads side by side."""
-    y = np.swapaxes(y, -2, -3)
+    y = y.swapaxes(-2, -3)
     return y.reshape(*y.shape[:-2], y.shape[-2] * y.shape[-1])
 

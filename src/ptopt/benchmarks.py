@@ -18,8 +18,7 @@ import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
 from ptopt.model import (
-    Dense, PortfolioTransformer, _cast_fields, _check_assets_and_window, _collect, _uniform_init, batched_weights,
-    last_rows, scores_to_weights,
+    Dense, PortfolioTransformer, _cast_fields, _check_assets_and_window, _collect, _uniform_init, batched_weights, last_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ class MLPModel:
         tau, n = self.config.window, self.config.n_assets
         # (B, tau+1, n, tau) views of every length-tau run; drop the oldest
         trailing = sliding_window_view(blocks, tau, axis=1)[:, 1:].transpose(0, 1, 3, 2)
-        return scores_to_weights(self._scores(trailing.reshape(blocks.shape[0], tau, tau * n)))
+        return ag.signed_softmax(self._scores(trailing.reshape(blocks.shape[0], tau, tau * n)))
 
     def day_weights(self, block: np.ndarray) -> np.ndarray:
         return last_rows(self, block)
@@ -206,7 +205,7 @@ def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
         raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
-    return scores_to_weights(model.head(ag.lstm(Tensor(x), model.wx, model.wh, model.b)))
+    return ag.signed_softmax(model.head(ag.lstm(Tensor(x), model.wx, model.wh, model.b)))
 
 
 # every trainable model class by its strategy and checkpoint kind

@@ -2,8 +2,10 @@
 
 CSV schema (bit-exact round trip): header ``date,<TICKER1>,...``, ISO-8601
 dates, decimal price literals, empty cell = missing value, UTF-8, comma
-separated. Missing prices are forward-filled (never backward: that would
-leak the future into the past) and leading rows before every ticker's first
+separated. ``load_csv`` streams the file line by line into one flat buffer
+of packed doubles, so ingest holds the price matrix, never the file text.
+Missing prices are forward-filled (never backward: that would leak the
+future into the past) and leading rows before every ticker's first
 observation are dropped.
 """
 
@@ -34,8 +36,7 @@ class PriceTable:
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise DataError(f"dates not strictly increasing at {b}")
-        present = self.prices[~np.isnan(self.prices)]
-        if np.any(present <= 0):
+        if np.any(self.prices <= 0):  # NaN, a missing price, compares False
             raise DataError("prices must be positive")
 
 
@@ -59,82 +60,90 @@ class ReturnTable:
         return len(self.tickers)
 
 
-def _price(path, lineno: int, ticker: str, cell: str) -> float:
-    """One cell: empty is missing, anything else a finite positive number."""
-    if cell == "":
-        return np.nan
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: bad price {cell!r} for {ticker}") from None
-    if not 0 < value < np.inf:
-        raise DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
-    return value
+def _first_fault(path, tickers: list[str]) -> DataError:
+    """The error of the first bad line of a CSV that failed to load, found by reading it again.
 
-
-def _check_prices(path, lines: list[str], tickers: list[str], rows: list, prices: np.ndarray) -> None:
-    """Raise the error of the first bad cell in file order, if ``prices`` has one.
-
-    ``prices`` holds the parsed values of ``rows``. A literal ``nan`` parses
-    to the NaN of an empty cell, so a row with more NaNs than empty cells
-    holds one.
+    Lines are checked in file order, each for its field count, then its
+    date, then its prices left to right: an empty cell is missing, anything
+    else must be a finite positive number.
     """
-    if not rows:
-        return
-    linenos = np.array([r[1] for r in rows], dtype=np.int64)
-    empties = np.array([r[2] for r in rows], dtype=np.int64)
-    bad = ((prices <= 0) | np.isinf(prices)).any(axis=1) | (np.isnan(prices).sum(axis=1) > empties)
-    if bad.any():
-        lineno = int(linenos[bad].min())
-        for ticker, cell in zip(tickers, lines[lineno - 1].split(",")[1:]):
-            _price(path, lineno, ticker, cell)
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # the header, already checked
+        for lineno, line in enumerate(fh, start=2):
+            if line == "\n":
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(tickers) + 1:
+                return ParseError(f"{path}:{lineno}: expected {len(tickers) + 1} fields, got {len(cells)}")
+            try:
+                dt.date.fromisoformat(cells[0])
+            except ValueError:
+                return ParseError(f"{path}:{lineno}: bad date {cells[0]!r}")
+            for ticker, cell in zip(tickers, cells[1:]):
+                if cell == "":
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return ParseError(f"{path}:{lineno}: bad price {cell!r} for {ticker}")
+                if not 0 < value < np.inf:
+                    return DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
+    return DataError(f"{path}: file changed while it was read")
 
 
 def load_csv(path) -> PriceTable:
+    """Read a price CSV, streaming its rows into one flat buffer of packed doubles.
+
+    Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Rows are sorted by date
+    (stably) when the file lists them out of order. A bad field count, date
+    or price raises a ``ParseError`` or ``DataError`` naming the first bad
+    line in file order; a duplicate date raises a ``DataError`` naming it.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) < 2 or header[0] != "date":
-        raise ParseError(f"{path}:1: header must be 'date,<TICKER1>,...', got {lines[0]!r}")
-    tickers = header[1:]
-    if any(t == "" for t in tickers):
-        raise ParseError(f"{path}:1: empty ticker name in header")
+        line = fh.readline()
+        if not line:
+            raise ParseError(f"{path}: empty file")
+        line = line.rstrip("\n")
+        header = line.split(",")
+        if len(header) < 2 or header[0] != "date":
+            raise ParseError(f"{path}:1: header must be 'date,<TICKER1>,...', got {line!r}")
+        tickers = header[1:]
+        if any(t == "" for t in tickers):
+            raise ParseError(f"{path}:1: empty ticker name in header")
 
-    # (date, line number, empty cells, prices); values are checked once, as a matrix
-    rows: list[tuple[dt.date, int, int, array]] = []
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line == "":
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}")
-            try:
-                day = dt.date.fromisoformat(cells[0])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad date {cells[0]!r}") from None
-            try:
-                prices = [float(cell) if cell else np.nan for cell in cells[1:]]
-            except ValueError:
-                prices = [_price(path, lineno, t, cell) for t, cell in zip(tickers, cells[1:])]
-            # packed doubles: 8 bytes a price where a list of floats holds 32
-            rows.append((day, lineno, cells.count(""), array("d", prices)))
-    except (ParseError, DataError):
-        # a bad price on an earlier line is reported first, as a cell-by-cell read would
-        _check_prices(path, lines, tickers, rows, np.array([r[3] for r in rows]))
-        raise
+        dates: list[dt.date] = []
+        values = array("d")  # every price, row after row: 8 bytes a cell
+        empty = 0  # empty cells, each parsed to NaN; a literal nan would be one NaN more
+        try:
+            for line in fh:
+                if line == "\n":
+                    continue
+                cells = line.rstrip("\n").split(",")
+                if len(cells) != len(header):
+                    raise ValueError  # like a bad date or price: named below
+                dates.append(dt.date.fromisoformat(cells[0]))
+                del cells[0]
+                gaps = cells.count("")
+                if gaps:
+                    empty += gaps
+                    values.fromlist([float(cell) if cell else np.nan for cell in cells])
+                else:
+                    values.fromlist(list(map(float, cells)))
+        except ValueError:
+            raise _first_fault(path, tickers) from None  # an earlier bad price comes first
 
-    rows.sort(key=lambda r: r[0])
-    prices = np.empty((len(rows), len(tickers)))
-    for i, row in enumerate(rows):
-        prices[i] = row[3]
-    _check_prices(path, lines, tickers, rows, prices)
-    for (a, *_), (b, *_) in zip(rows, rows[1:]):
-        if a == b:
-            raise DataError(f"{path}: duplicate date {a}")
-    return PriceTable([r[0] for r in rows], tickers, prices)
+    prices = np.frombuffer(values).reshape(len(dates), len(tickers))
+    # every cell is empty or a finite positive price; NaN fails both comparisons
+    if np.count_nonzero(prices > 0) - np.count_nonzero(prices == np.inf) + empty != prices.size:
+        raise _first_fault(path, tickers)
+    if any(a >= b for a, b in zip(dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates = [dates[i] for i in order]
+        prices = prices[order]
+        for a, b in zip(dates, dates[1:]):
+            if a == b:
+                raise DataError(f"{path}: duplicate date {a}")
+    return PriceTable(dates, tickers, prices)
 
 
 def write_csv(table: PriceTable, path) -> None:
@@ -144,15 +153,6 @@ def write_csv(table: PriceTable, path) -> None:
             fh.write(",".join([day.isoformat(), *("" if np.isnan(x) else repr(float(x)) for x in row)]) + "\n")
 
 
-def _forward_filled(prices: np.ndarray, observed: np.ndarray, start: int) -> np.ndarray:
-    """Rows ``start:`` of ``prices``, each gap holding its column's latest observed price."""
-    t, n = prices.shape
-    # each row reads the latest observed row of its column at or above it
-    last = np.where(observed, np.arange(t)[:, None], 0)
-    np.maximum.accumulate(last, axis=0, out=last)
-    return prices[last[start:], np.arange(n)]
-
-
 def clean_and_return(table: PriceTable) -> ReturnTable:
     """Forward-fill gaps, align starts, and convert prices to simple returns."""
     observed = ~np.isnan(table.prices)
@@ -160,10 +160,19 @@ def clean_and_return(table: PriceTable) -> ReturnTable:
     if short.size:
         raise DataError(f"ticker {table.tickers[short[0]]} has fewer than 2 observations")
     start = int(observed.argmax(axis=0).max())
-    if len(observed) - start < 2:
+    t, n = observed.shape
+    if t - start < 2:
         raise DataError("fewer than 2 rows after aligning ticker starts")
-    block = _forward_filled(table.prices, observed, start)
+    # each cell reads the latest observed row of its column at or above it. The
+    # index is int32, half the bytes of int64, and each array is freed once the
+    # next is formed, so at most two matrices live beside the prices.
+    last = np.where(observed, np.arange(t, dtype=np.int32)[:, None], 0)
+    del observed
+    np.maximum.accumulate(last, axis=0, out=last)
+    block = table.prices[last[start:], np.arange(n)]
+    del last
     returns = block[1:] / block[:-1]
+    del block
     returns -= 1.0
     return ReturnTable(table.dates[start + 1 :], list(table.tickers), returns)
 

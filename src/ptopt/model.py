@@ -235,15 +235,6 @@ class DecoderLayer:
         )
 
 
-def scores_to_weights(scores: Tensor) -> Tensor:
-    """Per-row map s -> sign(s) * softmax(s); rows get unit gross exposure.
-
-    The sign factor is constant in the backward pass, so gradients flow
-    only through the softmax magnitudes.
-    """
-    return ag.mul(ag.sign_const(scores), ag.softmax(scores))
-
-
 class PortfolioTransformer:
     """The full allocation network; see the module docstring for layout."""
 
@@ -333,7 +324,7 @@ def pt_forward(
     for layer in model.decoder:
         dec = layer.forward(dec, enc, drop)
 
-    return scores_to_weights(model.head(dec))
+    return ag.signed_softmax(model.head(dec))
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +358,16 @@ def last_rows(model, block: np.ndarray) -> np.ndarray:
 
 def save_checkpoint(model, path) -> None:
     """Write a self-describing parameter snapshot (versioned text format)."""
-    params = {
-        name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-        for name, t in model.parameters().items()
-    }
-    doc = {
-        "kind": model.kind,
-        "seed": model.config.seed,
-        "config": asdict(model.config),
-        "params": params,
-    }
+    doc = {"kind": model.kind, "seed": model.config.seed, "config": asdict(model.config), "params": {}}
     with open(path, "w") as fh:
         fh.write(CHECKPOINT_MAGIC + "\n")
-        json.dump(doc, fh)
+        # json.dump's bytes, one parameter at a time through the C encoder
+        # (json.dump itself runs the pure-Python one): the head up to the open params object ...
+        fh.write(json.dumps(doc)[:-2])
+        for i, (name, t) in enumerate(model.parameters().items()):
+            entry = {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
+            fh.write((", " if i else "") + json.dumps(name) + ": " + json.dumps(entry))
+        fh.write("}}")  # ... then the params object and the document closed
 
 
 def load_checkpoint(path):

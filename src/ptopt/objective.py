@@ -74,15 +74,17 @@ def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Ten
         raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
     if realized.shape != wd.shape:
         raise ShapeError(f"returns shape {realized.shape} does not match weights {weights.shape}")
-    *lead, t, n = wd.shape
+    t, n = wd.shape[-2:]
     if t < 2:
         raise ContractError(f"sharpe needs at least 2 returns per window, got {t}")
     prev = window.prev_weights if window.prev_weights is not None else np.zeros(n)
     cost_rate = costs.cost_rate
-    diff = wd - np.concatenate([np.broadcast_to(prev, (*lead, 1, n)), wd[..., :-1, :]], axis=-2)
-    net = np.sum(wd * realized, axis=-1) - np.sum(np.abs(diff), axis=-1) * cost_rate
-    m = np.mean(net, axis=-1)
-    sd = np.sqrt(np.mean(net * net, axis=-1) - m * m + EPS)
+    diff = wd.copy()  # each weight row minus the one before it, the first minus prev
+    diff[..., 1:, :] -= wd[..., :-1, :]
+    diff[..., 0, :] -= prev
+    net = np.add.reduce(wd * realized, axis=-1) - np.add.reduce(np.abs(diff), axis=-1) * cost_rate
+    m = np.add.reduce(net, axis=-1) / t
+    sd = np.sqrt(np.add.reduce(net * net, axis=-1) / t - m * m + EPS)
 
     def back(g):
         # d sharpe / d net_t = (1 - m (net_t - m) / sd^2) / (T sd)

@@ -3,7 +3,8 @@
 The gradient oracle is central finite differences; the statistics oracles
 are direct transcriptions of the defining formulas on plain numpy arrays.
 The fused tape ops (``ag.dense``, ``ag.embed``, ``ag.mha``, ``ag.glu``,
-``ag.residual_layer_norm``, ``ag.lstm``, ``objective.sharpe_loss``) have
+``ag.residual_layer_norm``, ``ag.lstm``, ``ag.signed_softmax``,
+``objective.sharpe_loss``) have
 op-by-op oracles here, down to whole PT and LSTM forward passes, built from
 tape primitives; those that only the oracles use live here too, recorded
 through ``ag.emit``. Tests compare library output against these, never the
@@ -12,13 +13,15 @@ other way round.
 
 from __future__ import annotations
 
+import datetime as dt
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tensor
-from ptopt.model import scores_to_weights
+from ptopt.data import PriceTable, SynthConfig, synth_generate, write_csv
 
 FD_STEP = 1e-5
 # relative-error floor: below this magnitude the fd quotient is dominated
@@ -210,6 +213,41 @@ def forward_fill_oracle(prices: np.ndarray) -> np.ndarray:
             else:
                 seen = True
     return out
+
+
+def write_gapped_csv(path, days: int, assets: int, gaps: float, seed: int = 0) -> None:
+    """A synthetic price CSV of ``days`` x ``assets`` with a ``gaps`` share of empty cells."""
+    raw = synth_generate(SynthConfig(n_assets=assets, n_days=days, seed=seed))
+    prices = raw.prices.copy()
+    prices[np.random.default_rng(seed).random(prices.shape) < gaps] = np.nan
+    write_csv(PriceTable(raw.dates, raw.tickers, prices), path)
+
+
+def traced_peak(fn):
+    """``fn()`` and its tracemalloc peak in bytes above the memory traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return fn(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def load_csv_oracle(path) -> tuple[list, list[str], np.ndarray]:
+    """Dates, tickers and prices of a well-formed price CSV, read cell by cell,
+    the rows sorted by date (stably); an empty cell is NaN."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().split("\n") if line]
+    tickers = lines[0].split(",")[1:]
+    rows = [line.split(",") for line in lines[1:]]
+    rows.sort(key=lambda cells: dt.date.fromisoformat(cells[0]))
+    prices = np.full((len(rows), len(tickers)), np.nan)
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells[1:]):
+            if cell:
+                prices[i, j] = float(cell)
+    return [dt.date.fromisoformat(cells[0]) for cells in rows], tickers, prices
 
 
 def lag1_autocorr(x: np.ndarray) -> float:
@@ -409,6 +447,23 @@ def sigmoid(x: Tensor) -> Tensor:
     return ag.emit((x,), y, lambda g: (g * y * (1.0 - y),))
 
 
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    xd = x.data
+    e = np.exp(xd - np.max(xd, axis=-1, keepdims=True))
+    y = e / np.sum(e, axis=-1, keepdims=True)
+
+    def back(g):
+        return (y * (g - np.sum(g * y, axis=-1, keepdims=True)),)
+
+    return ag.emit((x,), y, back)
+
+
+def sign_const(x: Tensor) -> Tensor:
+    """Elementwise sign with sign(0) = +1, a constant: the result never carries a gradient."""
+    return Tensor(np.where(x.data >= 0, 1.0, -1.0))
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
@@ -524,7 +579,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | 
         if np.any(np.all(mask <= ag.MASK_BLOCK / 2, axis=1)):
             raise ContractError("attention mask blocks an entire row")
         scores = add(scores, Tensor(mask))
-    return matmul(ag.softmax(scores), v)
+    return matmul(softmax(scores), v)
 
 
 def mha_composed(q_in: Tensor, k_in: Tensor, v_in: Tensor, layer, mask: np.ndarray | None = None) -> Tensor:
@@ -538,6 +593,11 @@ def mha_composed(q_in: Tensor, k_in: Tensor, v_in: Tensor, layer, mask: np.ndarr
     ]
     mixed = heads[0] if layer.n_heads == 1 else concat(heads, axis=-1)
     return matmul(mixed, layer.wo)
+
+
+def signed_softmax_composed(scores: Tensor) -> Tensor:
+    """``sign(s) * softmax(s)`` with the sign a constant: the oracle of ``ag.signed_softmax``."""
+    return ag.mul(sign_const(scores), softmax(scores))
 
 
 def glu_composed(x: Tensor, value, gate) -> Tensor:
@@ -586,7 +646,7 @@ def pt_weights_composed(model, block: np.ndarray, rng: np.random.Generator | Non
         b = residual_layer_norm_composed(a, cross, layer.ln2_gain, layer.ln2_bias)
         dec = grn_composed(b, layer.grn, drop)
     scores = dense_composed(dec, model.head.W, model.head.b)
-    return ag.mul(ag.sign_const(scores), ag.softmax(scores))
+    return signed_softmax_composed(scores)
 
 
 def lstm_composed(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
@@ -612,7 +672,7 @@ def lstm_composed(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 def lstm_forward_composed(x: np.ndarray, model) -> Tensor:
     """An ``LSTMModel``'s weight rows for one (rows, n) window or a (B, rows, n) stack."""
     states = lstm_composed(Tensor(np.asarray(x, dtype=np.float64)), model.wx, model.wh, model.b)
-    return scores_to_weights(model.head(states))
+    return signed_softmax_composed(model.head(states))
 
 
 def portfolio_returns(weights: Tensor, window, costs) -> Tensor:

@@ -42,12 +42,16 @@ from helpers import (
     scale,
     shift,
     sigmoid,
+    sign_const,
+    signed_softmax_composed,
     sin,
     slice_,
+    softmax,
     softmax_rows,
     sqrt,
     sub,
     tanh,
+    tape_value_and_grads,
     transpose,
 )
 
@@ -121,7 +125,7 @@ GRAD_CASES = [
     ("slice_rows", X23, lambda x: weighted_sum(slice_(x, 0, 1, 2), C23[:1])),
     ("slice_cols", X23, lambda x: weighted_sum(slice_(x, 1, 0, 2), C22)),
     ("reshape", X23, lambda x: weighted_sum(ag.reshape(x, (3, 2)), C32)),
-    ("softmax", X23, lambda x: weighted_sum(ag.softmax(x), C23)),
+    ("softmax", X23, lambda x: weighted_sum(softmax(x), C23)),
     ("elu", X23, lambda x: weighted_sum(ag.elu(x), C23)),
     ("sigmoid", X23, lambda x: weighted_sum(sigmoid(x), C23)),
     ("layer_norm_x", X23, lambda x: weighted_sum(layer_norm(x, Tensor(C3 + 2.0), Tensor(C3)), C23)),
@@ -138,7 +142,7 @@ GRAD_CASES = [
     ("batched_slice_last", X423, lambda x: weighted_sum(slice_(x, -1, 1, 3), C422)),
     ("batched_concat_last", X423, lambda x: weighted_sum(concat([x, Tensor(C423)], axis=-1), np.concatenate([C423, X423], axis=-1))),
     ("batched_mean_last", X423, lambda x: weighted_sum(mean_axis(x, -1), C422[..., 0])),
-    ("batched_softmax", X423, lambda x: weighted_sum(ag.softmax(x), C423)),
+    ("batched_softmax", X423, lambda x: weighted_sum(softmax(x), C423)),
     ("batched_layer_norm", X423, lambda x: weighted_sum(layer_norm(x, Tensor(C3 + 2.0), Tensor(C3)), C423)),
     ("batched_layer_norm_gain", C3 + 2.0, lambda g: weighted_sum(layer_norm(Tensor(X423), g, Tensor(C3)), C423)),
     (
@@ -146,7 +150,7 @@ GRAD_CASES = [
         X23,
         lambda x: ag.mean(
             ag.mul(
-                ag.softmax(ag.elu(matmul(x, Tensor(C32)))),
+                softmax(ag.elu(matmul(x, Tensor(C32)))),
                 sigmoid(layer_norm(matmul(x, Tensor(C32)), Tensor(C22[0] + 1.5), Tensor(C22[1]))),
             )
         ),
@@ -219,12 +223,12 @@ def test_reductions_and_reshapes():
 
 
 def test_softmax_reference_point():
-    out = ag.softmax(Tensor([2.0, -1.0])).data
+    out = softmax(Tensor([2.0, -1.0])).data
     np.testing.assert_allclose(out, [0.952574126822433, 0.047425873177567], atol=1e-12)
 
 
 def test_softmax_is_overflow_safe():
-    out = ag.softmax(Tensor([1000.0, 0.0])).data
+    out = softmax(Tensor([1000.0, 0.0])).data
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-300)
 
@@ -255,7 +259,7 @@ def test_layer_norm_hand_case():
 
 
 def test_sign_const_values_and_zero_convention():
-    out = ag.sign_const(Tensor([-2.0, 0.0, 3.0]))
+    out = sign_const(Tensor([-2.0, 0.0, 3.0]))
     np.testing.assert_array_equal(out.data, [-1.0, 1.0, 1.0])
     assert not out.requires_grad
 
@@ -265,7 +269,7 @@ def test_sign_const_blocks_gradient():
     s0 = np.array([0.4, -1.2, 2.0])
     with Tape() as tape:
         s = Tensor(s0.copy(), requires_grad=True)
-        w = ag.mul(ag.sign_const(s), ag.softmax(s))
+        w = ag.mul(sign_const(s), softmax(s))
         loss = reduce_sum(ag.mul(w, Tensor(np.array([1.0, 2.0, 3.0]))))
         ag.backward(loss, tape)
     signs = np.where(s0 >= 0, 1.0, -1.0)
@@ -325,7 +329,7 @@ def test_backward_is_deterministic():
     def run():
         with Tape() as tape:
             x = Tensor(X23.copy(), requires_grad=True)
-            loss = ag.mean(ag.softmax(matmul(x, Tensor(C32))))
+            loss = ag.mean(softmax(matmul(x, Tensor(C32))))
             ag.backward(loss, tape)
         return x.grad
 
@@ -375,14 +379,14 @@ def test_shape_violations_raise(bad):
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
 def test_softmax_is_a_distribution(xs):
-    out = ag.softmax(Tensor(np.array(xs))).data
+    out = softmax(Tensor(np.array(xs))).data
     assert np.all(out >= 0.0)
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
 def test_sign_const_is_unit_magnitude(xs):
-    out = ag.sign_const(Tensor(np.array(xs))).data
+    out = sign_const(Tensor(np.array(xs))).data
     assert set(np.unique(out)) <= {-1.0, 1.0}
 
 
@@ -452,6 +456,32 @@ def test_embed_matches_composition(lead):
         return embed_composed(t["x"], t2v, SimpleNamespace(W=t["w"], b=t["b"]))
 
     assert_fused_matches_composed(lambda t: ag.embed(*(t[n] for n in args)), composed, inputs)
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+def test_signed_softmax_equals_composition_bit_for_bit(lead):
+    # a zero score takes the +1 sign; a tied row and a wide spread exercise the max shift
+    x = RNG.standard_normal((*lead, 4, 5)) * 3.0
+    x[..., 0, 0] = 0.0
+    x[..., 1, :] = -2.0
+    x[..., 2, 1] = 800.0
+    inputs = {"x": x}
+    value, grads = tape_value_and_grads(lambda t: ag.signed_softmax(t["x"]), inputs)
+    ref_value, ref_grads = tape_value_and_grads(lambda t: signed_softmax_composed(t["x"]), inputs)
+    np.testing.assert_array_equal(value, ref_value)
+    np.testing.assert_array_equal(grads["x"], ref_grads["x"])
+    smooth = {"x": np.where(x == 0.0, 0.5, x)}  # finite differences would straddle the sign's jump at 0
+    assert_fused_matches_composed(lambda t: ag.signed_softmax(t["x"]), lambda t: signed_softmax_composed(t["x"]), smooth)
+
+
+def test_mul_backward_skips_an_input_without_gradient():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with Tape() as tape:
+        ag.mul(x, Tensor(np.array([0.0, 2.0])))  # a constant, like a dropout keep mask
+    (_, _, back), = tape.nodes
+    gx, g_keep = back(np.array([3.0, 5.0]))
+    np.testing.assert_array_equal(gx, [0.0, 10.0])
+    assert g_keep is None
 
 
 # how q, k and v are passed: one tensor (self-attention, with and without

@@ -334,15 +334,15 @@ def test_lstm_rejects_bad_shapes():
 
 
 def test_default_lstm_training_step_tape_length():
-    """One default LSTM step (B=32, forward, loss and mean) records 6 tape nodes:
-    the recurrence, the head, the sign-softmax pair, the loss and the mean. A
+    """One default LSTM step (B=32, forward, loss and mean) records 5 tape nodes:
+    the recurrence, the head, the signed softmax, the loss and the mean. A
     recurrence that goes back to op-by-op recording fails this."""
     model = LSTMModel(LSTMConfig(n_assets=6, window=8))
     rng = np.random.default_rng(0)
     with ag.Tape() as tape:
         weights = model.window_weights(rng.normal(0.0, 0.01, (32, 16, 6)))
         ag.mean(sharpe_loss(weights, ReturnsWindow(rng.normal(0.0, 0.01, (32, 8, 6))), CostModel()))
-    assert len(tape.nodes) == 6
+    assert len(tape.nodes) == 5
 
 
 # ---------------------------------------------------------------------------

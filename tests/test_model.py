@@ -28,7 +28,6 @@ from ptopt.model import (
     multi_head_attention,
     pt_forward,
     save_checkpoint,
-    scores_to_weights,
 )
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
@@ -306,7 +305,7 @@ def test_grn_gradients_match_finite_differences():
 
 
 def test_head_reference_row():
-    w = scores_to_weights(Tensor([[2.0, -1.0]])).data[0]
+    w = ag.signed_softmax(Tensor([[2.0, -1.0]])).data[0]
     np.testing.assert_allclose(w, [0.9526, -0.0474], atol=1e-4)
     assert abs(np.abs(w).sum() - 1.0) < 1e-12
 
@@ -314,9 +313,9 @@ def test_head_reference_row():
 def test_head_ties_split_evenly():
     # tied non-negative scores split long; tied negative scores split short
     for c in (0.0, 1.7, 40.0):
-        w = scores_to_weights(Tensor([[c, c]])).data[0]
+        w = ag.signed_softmax(Tensor([[c, c]])).data[0]
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
-    w = scores_to_weights(Tensor([[-3.0, -3.0]])).data[0]
+    w = ag.signed_softmax(Tensor([[-3.0, -3.0]])).data[0]
     np.testing.assert_allclose(w, [-0.5, -0.5], atol=1e-15)
 
 
@@ -324,14 +323,14 @@ def test_head_ties_split_evenly():
 @given(st.lists(st.floats(-40, 40), min_size=2, max_size=10), st.integers(1, 3))
 def test_head_unit_gross_exposure(scores, rows):
     s = np.tile(np.array(scores), (rows, 1))
-    w = scores_to_weights(Tensor(s)).data
+    w = ag.signed_softmax(Tensor(s)).data
     np.testing.assert_allclose(np.abs(w).sum(axis=1), 1.0, atol=1e-9)
     assert np.all(w <= 1.0) and np.all(w >= -1.0)
 
 
 def test_head_sign_pattern_follows_scores():
     s = np.array([[1.5, -0.2, 0.0, -7.0]])
-    w = scores_to_weights(Tensor(s)).data[0]
+    w = ag.signed_softmax(Tensor(s)).data[0]
     np.testing.assert_array_equal(np.sign(w[[0, 2]] + 1e-300), [1.0, 1.0])
     assert w[1] < 0 and w[3] < 0
     np.testing.assert_allclose(np.abs(w), softmax_rows(s)[0], atol=1e-15)
@@ -511,15 +510,15 @@ def test_dropout_masks_fall_where_the_composition_draws_them():
 
 
 def test_default_training_step_tape_length():
-    """One default PT step (B=32, forward, loss and mean) records 23 tape nodes:
-    the embedding, attention, GLU, residual norm, dense and loss blocks each
-    take one. An op that goes back to op-by-op recording fails this."""
+    """One default PT step (B=32, forward, loss and mean) records 22 tape nodes:
+    the embedding, attention, GLU, residual norm, dense, signed-softmax head
+    and loss blocks each take one. An op that goes back to op-by-op recording fails this."""
     model = PortfolioTransformer(PTConfig(n_assets=4, window=8))
     rng = np.random.default_rng(0)
     with ag.Tape() as tape:
         weights = model.window_weights(rng.normal(0.0, 0.01, (32, 16, 4)))
         ag.mean(sharpe_loss(weights, ReturnsWindow(rng.normal(0.0, 0.01, (32, 8, 4))), CostModel()))
-    assert len(tape.nodes) == 23
+    assert len(tape.nodes) == 22
 
 
 def test_gradient_report_passes_at_small_size():

@@ -14,7 +14,7 @@ from ptopt.autograd import Tensor
 from ptopt.data import ReturnTable, Split, SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.errors import TrainingError
 from ptopt.metrics import run_backtest
-from ptopt.model import PTConfig, PortfolioTransformer, scores_to_weights
+from ptopt.model import PTConfig, PortfolioTransformer
 from ptopt.objective import CostModel
 
 from helpers import NamedAdam, concat, matmul, record_executors
@@ -210,7 +210,7 @@ class Steerable:
         k = Tensor(blocks[:, :1, :1])
         scaled = matmul(k, self.theta)
         row = concat([scaled, Tensor(np.zeros_like(k.data))], axis=-1)
-        return scores_to_weights(concat([row, row], axis=-2))
+        return ag.signed_softmax(concat([row, row], axis=-2))
 
 
 def steer_window(up, realized_first):
