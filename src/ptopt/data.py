@@ -98,6 +98,7 @@ def load_csv(path) -> PriceTable:
     (stably) when the file lists them out of order. A bad field count, date
     or price raises a ``ParseError`` or ``DataError`` naming the first bad
     line in file order; a duplicate date raises a ``DataError`` naming it.
+    Bytes that are not UTF-8 raise the decoder's ``UnicodeDecodeError``.
     """
     with open(path, encoding="utf-8") as fh:
         line = fh.readline()
@@ -123,12 +124,10 @@ def load_csv(path) -> PriceTable:
                     raise ValueError  # like a bad date or price: named below
                 dates.append(dt.date.fromisoformat(cells[0]))
                 del cells[0]
-                gaps = cells.count("")
-                if gaps:
-                    empty += gaps
-                    values.fromlist([float(cell) if cell else np.nan for cell in cells])
-                else:
-                    values.fromlist(list(map(float, cells)))
+                empty += cells.count("")
+                values.fromlist([float(cell) if cell else np.nan for cell in cells])
+        except UnicodeDecodeError:
+            raise  # not a bad cell: the bytes are not UTF-8
         except ValueError:
             raise _first_fault(path, tickers) from None  # an earlier bad price comes first
 

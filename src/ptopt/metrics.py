@@ -145,7 +145,9 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
     w = stream.weights
     held = table.returns[rows + 1]  # a gathered copy, so the product can form in place
     held *= w
-    turnover = np.abs(np.diff(w, axis=0, prepend=0.0))
+    turnover = w.copy()  # diffs against an all-zero first book, in place: this sets a wide run's memory peak
+    np.subtract(w[1:], w[:-1], out=turnover[1:])
+    np.abs(turnover, out=turnover)
     net = held.sum(axis=1) - costs.cost_rate * turnover.sum(axis=1)
     earn_dates = table.dates[rows[0] + 1 : rows[-1] + 2] if len(rows) else []
     return EquityCurve(earn_dates, net)

@@ -190,6 +190,22 @@ def test_only_newlines_end_a_line(tmp_path, sep):
     assert str(err.value) == f"{path}:2: expected 2 fields, got 3"
 
 
+@pytest.mark.parametrize("row", [1, 900])
+def test_load_lets_a_decode_error_through(tmp_path, row):
+    # bytes that are not UTF-8 raise the decoder's own error, in the first 8 KiB
+    # the file reads (row 1) or in a later one (row 900), not a ParseError or
+    # DataError about an earlier line. Its position counts within the chunk
+    # being decoded, not within the file.
+    lines = [f"2020-01-02,{i}".encode() for i in range(1, 1001)]
+    lines[row] = b"2020-01-02,1\xff"
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"date,AAA\n" + b"\n".join(lines) + b"\n")
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_csv(path)
+    assert err.value.__context__ is None and err.value.__cause__ is None
+    assert err.value.reason == "invalid start byte" and err.value.object[err.value.start] == 0xFF
+
+
 def test_load_matches_cell_by_cell_oracle(tmp_path):
     path = tmp_path / "gapped.csv"
     write_gapped_csv(path, days=300, assets=7, gaps=0.05, seed=4)
@@ -223,7 +239,7 @@ def test_ingest_report_stores_two_sides(tmp_path):
     script = Path(__file__).parent / "ingest_report.py"
     env = {**os.environ, "PYTHONPATH": str(Path(data.__file__).resolve().parents[1])}
     out = tmp_path / "ingest.json"
-    args = ["--days", "60", "--assets", "3", "--gaps", "0.05", "--repeats", "2", "--json", str(out)]
+    args = ["--days", "60", "--assets", "3", "--gaps", "0.05", "--json", str(out)]
     for label in ("parent", "change"):
         run = subprocess.run([sys.executable, str(script), *args, "--label", label],
                              env=env, capture_output=True, text=True, timeout=120)
