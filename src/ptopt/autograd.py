@@ -294,37 +294,36 @@ def embed(x: Tensor, omega: Tensor, phi: Tensor, w: Tensor, b: Tensor) -> Tensor
 
 
 def mha(
-    q: Tensor, k: Tensor, v: Tensor,
+    x: Tensor, memory: Tensor | None,
     wq: Sequence[Tensor], wk: Sequence[Tensor], wv: Sequence[Tensor], wo: Tensor,
     scale: float, causal: bool = False,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention of ``q`` (..., m, d) over ``k``/``v`` (..., n, d).
+    """Multi-head scaled dot-product attention of ``x`` (..., m, d) over ``memory`` (..., n, d),
+    or over ``x`` itself (self-attention) when ``memory`` is None.
 
     Head i projects with ``wq[i]``, ``wk[i]`` and ``wv[i]``, each (d, dk), and
     the heads run as a batch axis. Scores are divided by ``scale``; with
     ``causal``, query row i attends to key rows j <= i only, as ``MASK_BLOCK``
     added to every score with j > i. The heads' outputs are concatenated and
-    mixed by ``wo`` (h*dk, d). An input passed in several roles (``q is k is
-    v`` for self-attention) is projected, and receives its gradient, in one
-    product with all of its matrices side by side.
+    mixed by ``wo`` (h*dk, d). Each input is projected, and receives its
+    gradient, in one product with all of its matrices side by side.
     """
     h = len(wq)
     d, dk = wq[0].shape
-    qd, kd, vd = q.data, k.data, v.data
-    lead, m, n = qd.shape[:-2], qd.shape[-2], kd.shape[-2]
+    xd = x.data
+    md = xd if memory is None else memory.data
+    lead, m, n = xd.shape[:-2], xd.shape[-2], md.shape[-2]
     if (
-        qd.ndim < 2 or qd.shape[-1] != d or kd.shape != vd.shape or kd.shape[:-2] != lead or kd.shape[-1] != d
+        xd.ndim < 2 or xd.shape[-1] != d or md.shape[:-2] != lead or md.shape[-1] != d
         or any(w.shape != (d, dk) for w in (*wq, *wk, *wv)) or wo.shape != (h * dk, d)
     ):
-        raise ShapeError(f"mha: incompatible shapes {q.shape}, {k.shape}, {v.shape} with {h} heads of {(d, dk)}")
-    inputs, weights = (q, k, v), (wq, wk, wv)
-    roles: dict[int, list[int]] = {}  # the roles (0 = q, 1 = k, 2 = v) of each distinct input
-    for i, x in enumerate(inputs):
-        roles.setdefault(id(x), []).append(i)
-    groups = [(inputs[idx[0]], idx, np.array([w.data for i in idx for w in weights[i]])) for idx in roles.values()]
+        raise ShapeError(f"mha: incompatible shapes {xd.shape}, {md.shape} with {h} heads of {(d, dk)}")
+    # each input with its roles (0 = q, 1 = k, 2 = v) and their matrices stacked in role order
+    roles = [(x, (0, 1, 2))] if memory is None else [(x, (0,)), (memory, (1, 2))]
+    groups = [(t, idx, np.array([w.data for i in idx for w in (wq, wk, wv)[i]])) for t, idx in roles]
     proj = [None] * 3  # per role, (..., h, rows, dk)
-    for x, idx, w in groups:
-        y = x.data[..., None, :, :] @ w
+    for t, idx, w in groups:
+        y = t.data[..., None, :, :] @ w
         for j, i in enumerate(idx):
             proj[i] = y[..., j * h : (j + 1) * h, :, :]
     Q, K, V = proj
@@ -341,17 +340,16 @@ def mha(
         g_s = g_heads @ V.swapaxes(-1, -2)
         g_s = p * (g_s - np.add.reduce(g_s * p, axis=-1, keepdims=True)) * (1.0 / scale)
         g_proj = (g_s @ K, g_s.swapaxes(-1, -2) @ Q, p.swapaxes(-1, -2) @ g_heads)
-        g_in, g_w = [None] * 3, [None] * 3
-        for x, idx, w in groups:
+        g_in, g_w = [], [None] * 3
+        for t, idx, w in groups:
             gy = _merge_heads(np.concatenate([g_proj[i] for i in idx], axis=-3))
-            if x.requires_grad:
-                g_in[idx[0]] = gy @ _merge_heads(w).T
-            gw = _shared_grad(x.data, gy)  # (d, roles * h * dk): one column block per matrix
+            g_in.append(gy @ _merge_heads(w).T if t.requires_grad else None)
+            gw = _shared_grad(t.data, gy)  # (d, roles * h * dk): one column block per matrix
             for j, i in enumerate(idx):
                 g_w[i] = [gw[:, c * dk : (c + 1) * dk] for c in range(j * h, (j + 1) * h)]
         return (*g_in, *g_w[0], *g_w[1], *g_w[2], _shared_grad(mixed, g))
 
-    return emit((q, k, v, *wq, *wk, *wv, wo), mixed @ wod, back)
+    return emit((*(t for t, _, _ in groups), *wq, *wk, *wv, wo), mixed @ wod, back)
 
 
 def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:

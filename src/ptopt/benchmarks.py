@@ -18,7 +18,7 @@ import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
 from ptopt.model import (
-    Dense, PortfolioTransformer, _cast_fields, _check_assets_and_window, _collect, _uniform_init, batched_weights, last_rows,
+    Dense, PortfolioTransformer, _cast_fields, _check_assets_and_window, _collect, _pack, _uniform_init, batched_weights, last_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,7 @@ class MLPModel:
         rng = np.random.default_rng(config.seed)
         widths = [config.window * config.n_assets, *config.hidden, config.n_assets]
         self.layers = [Dense(a, b, rng) for a, b in zip(widths, widths[1:])]
+        self.vector = _pack(self.parameters())
 
     def parameters(self) -> dict[str, Tensor]:
         return _collect(layer=self.layers)
@@ -183,6 +184,7 @@ class LSTMModel:
         self.wh = _uniform_init(rng, h, (h, 4 * h))
         self.b = Tensor(np.zeros(4 * h), requires_grad=True)
         self.head = Dense(h, n, rng)
+        self.vector = _pack(self.parameters())
 
     def parameters(self) -> dict[str, Tensor]:
         return _collect(wx=self.wx, wh=self.wh, b=self.b, head=self.head)

@@ -94,7 +94,8 @@ def _first_fault(path, tickers: list[str]) -> DataError:
 def load_csv(path) -> PriceTable:
     """Read a price CSV, streaming its rows into one flat buffer of packed doubles.
 
-    Only ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Rows are sorted by date
+    The header is ``date`` and then each ticker once, none of them empty. Only
+    ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Rows are sorted by date
     (stably) when the file lists them out of order. A bad field count, date
     or price raises a ``ParseError`` or ``DataError`` naming the first bad
     line in file order; a duplicate date raises a ``DataError`` naming it.
@@ -111,6 +112,9 @@ def load_csv(path) -> PriceTable:
         tickers = header[1:]
         if any(t == "" for t in tickers):
             raise ParseError(f"{path}:1: empty ticker name in header")
+        if len(set(tickers)) < len(tickers):
+            duplicate = next(t for i, t in enumerate(tickers) if t in tickers[:i])
+            raise ParseError(f"{path}:1: duplicate ticker {duplicate!r} in header")
 
         dates: list[dt.date] = []
         values = array("d")  # every price, row after row: 8 bytes a cell
@@ -244,35 +248,31 @@ def yearly_splits(table: ReturnTable, first_test_year: int) -> WalkForwardSchedu
 # synthetic market
 
 
+SYNTH_DRIFT_RANGE = (0.0, 4e-4)  # per-asset daily log drift
+SYNTH_VOL_RANGE = (0.01, 0.02)  # per-asset daily log volatility
+SYNTH_MOMENTUM_WINDOW = 5  # days in the trailing mean the momentum term reads
+SYNTH_START = dt.date(2014, 1, 2)
+SYNTH_START_PRICE = 100.0
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Geometric random walk with a planted momentum signal.
 
-    Per-asset drift and volatility are drawn once from the given ranges.
-    Each day's log return adds ``momentum`` times the asset's trailing mean
-    log return over ``momentum_window`` days, giving learning-based
-    strategies a recoverable edge when the coefficient is positive.
+    Per-asset drift and volatility are drawn once from ``SYNTH_DRIFT_RANGE``
+    and ``SYNTH_VOL_RANGE``. Each day's log return adds ``momentum`` times the
+    asset's trailing mean log return over ``SYNTH_MOMENTUM_WINDOW`` days, giving
+    learning-based strategies a recoverable edge when the coefficient is positive.
     """
 
     n_assets: int
     n_days: int
     seed: int = 0
-    drift_range: tuple[float, float] = (0.0, 4e-4)
-    vol_range: tuple[float, float] = (0.01, 0.02)
     momentum: float = 0.0
-    momentum_window: int = 5
-    start: dt.date = dt.date(2014, 1, 2)
-    start_price: float = 100.0
 
     def __post_init__(self):
         if self.n_assets < 1 or self.n_days < 2:
             raise ValueError("need n_assets >= 1 and n_days >= 2")
-        if self.vol_range[0] <= 0 or self.vol_range[1] < self.vol_range[0]:
-            raise ValueError(f"bad volatility range {self.vol_range}")
-        if self.momentum_window < 1:
-            raise ValueError("momentum_window must be >= 1")
-        if self.start_price <= 0:
-            raise ValueError("start_price must be positive")
 
 
 def trading_days(start: dt.date, n: int) -> list[dt.date]:
@@ -288,18 +288,18 @@ def trading_days(start: dt.date, n: int) -> list[dt.date]:
 
 def synth_generate(cfg: SynthConfig) -> PriceTable:
     rng = np.random.default_rng(cfg.seed)
-    drift = rng.uniform(cfg.drift_range[0], cfg.drift_range[1], cfg.n_assets)
-    vol = rng.uniform(cfg.vol_range[0], cfg.vol_range[1], cfg.n_assets)
+    drift = rng.uniform(SYNTH_DRIFT_RANGE[0], SYNTH_DRIFT_RANGE[1], cfg.n_assets)
+    vol = rng.uniform(SYNTH_VOL_RANGE[0], SYNTH_VOL_RANGE[1], cfg.n_assets)
     shocks = rng.standard_normal((cfg.n_days - 1, cfg.n_assets))
 
     log_r = np.zeros((cfg.n_days - 1, cfg.n_assets))
     for t in range(cfg.n_days - 1):
-        lo = max(0, t - cfg.momentum_window)
+        lo = max(0, t - SYNTH_MOMENTUM_WINDOW)
         signal = log_r[lo:t].mean(axis=0) if t > 0 else np.zeros(cfg.n_assets)
         log_r[t] = drift + cfg.momentum * signal + vol * shocks[t]
 
     levels = np.vstack([np.zeros(cfg.n_assets), np.cumsum(log_r, axis=0)])
-    prices = cfg.start_price * np.exp(levels)
-    dates = trading_days(cfg.start, cfg.n_days)
+    prices = SYNTH_START_PRICE * np.exp(levels)
+    dates = trading_days(SYNTH_START, cfg.n_days)
     tickers = [f"A{i + 1}" for i in range(cfg.n_assets)]
     return PriceTable(dates, tickers, prices)

@@ -13,6 +13,10 @@ a shared linear projection into model width.
 Every layer works on activations of shape ``(..., rows, width)``: a
 minibatch of B windows is one ``(B, rows, width)`` tensor, and a single
 window is the batch of one.
+
+Each model's constructor ends by packing its parameters, in checkpoint order,
+into one float64 vector, ``model.vector``, of which every tensor's data is a
+view. Training and checkpoint loads write into it; no tensor is rebound.
 """
 
 from __future__ import annotations
@@ -115,6 +119,14 @@ def _collect(**parts) -> dict[str, Tensor]:
     return out
 
 
+def _pack(params: dict[str, Tensor]) -> np.ndarray:
+    """Copy ``params`` into one float64 vector and make each tensor's data a view of its slice."""
+    flat = np.concatenate([p.data for p in params.values()], axis=None)
+    for p, part in zip(params.values(), np.split(flat, np.cumsum([p.data.size for p in params.values()])[:-1])):
+        p.data = part.reshape(p.shape)
+    return flat
+
+
 class Dense:
     """Affine map x @ W + b on row-major activations."""
 
@@ -160,9 +172,9 @@ class MHALayer:
         return _collect(**heads, o=self.wo)
 
 
-def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, layer: MHALayer, causal: bool = False) -> Tensor:
-    """Every head of ``layer`` in one tape node; with ``causal``, row i attends to rows j <= i only."""
-    return ag.mha(q_in, k_in, v_in, layer.wq, layer.wk, layer.wv, layer.wo, layer.scale, causal)
+def multi_head_attention(x: Tensor, memory: Tensor | None, layer: MHALayer, causal: bool = False) -> Tensor:
+    """Every head of ``layer`` in one tape node: ``x`` over ``memory``, or over itself if None; ``causal`` as in ``ag.mha``."""
+    return ag.mha(x, memory, layer.wq, layer.wk, layer.wv, layer.wo, layer.scale, causal)
 
 
 class GRNLayer:
@@ -203,7 +215,7 @@ class EncoderLayer:
         self.grn = GRNLayer(d_model, rng)
 
     def forward(self, x: Tensor, drop=_no_drop) -> Tensor:
-        attended = drop(multi_head_attention(x, x, x, self.mha))
+        attended = drop(multi_head_attention(x, None, self.mha))
         a = ag.residual_layer_norm(x, attended, self.ln_gain, self.ln_bias)
         return grn(a, self.grn, drop)
 
@@ -222,9 +234,9 @@ class DecoderLayer:
         self.grn = GRNLayer(d_model, rng)
 
     def forward(self, x: Tensor, enc_out: Tensor, drop=_no_drop) -> Tensor:
-        self_att = drop(multi_head_attention(x, x, x, self.self_mha, causal=True))
+        self_att = drop(multi_head_attention(x, None, self.self_mha, causal=True))
         a = ag.residual_layer_norm(x, self_att, self.ln1_gain, self.ln1_bias)
-        cross = drop(multi_head_attention(a, enc_out, enc_out, self.cross_mha))
+        cross = drop(multi_head_attention(a, enc_out, self.cross_mha))
         b = ag.residual_layer_norm(a, cross, self.ln2_gain, self.ln2_bias)
         return grn(b, self.grn, drop)
 
@@ -251,6 +263,7 @@ class PortfolioTransformer:
         self.encoder = [EncoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
         self.decoder = [DecoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
         self.head = Dense(d, config.n_assets, rng)
+        self.vector = _pack(self.parameters())
 
     def parameters(self) -> dict[str, Tensor]:
         return _collect(t2v=self.time2vec, input_proj=self.input_proj, enc=self.encoder, dec=self.decoder, head=self.head)
@@ -390,5 +403,5 @@ def load_checkpoint(path):
         data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         if data.shape != t.shape:
             raise ShapeError(f"checkpoint shape {data.shape} != model shape {t.shape} for {name}")
-        t.data = data
+        t.data[...] = data
     return model

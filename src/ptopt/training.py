@@ -151,7 +151,7 @@ class FitResult:
     history: list[EpochStats]
     best_epoch: int
     best_val: float
-    vector: np.ndarray  # the fitted parameters, in ``model.parameters()`` order
+    vector: np.ndarray  # the fitted ``model.vector``, in ``model.parameters()`` order
 
 
 def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
@@ -165,24 +165,16 @@ def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
         return _mean_window_loss(model, windows, costs).item()
 
 
-def _flatten(params: list[Tensor]) -> np.ndarray:
-    """Copy ``params`` into one vector and make each tensor's data a view of its slice."""
-    flat = np.concatenate([p.data for p in params], axis=None)
-    for p, part in zip(params, np.split(flat, np.cumsum([p.data.size for p in params])[:-1])):
-        p.data = part.reshape(p.shape)
-    return flat
-
-
 def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
     """Train with the Sharpe loss until patience on validation runs out.
 
-    The model's parameters become views into one vector, ``FitResult.vector``,
-    which Adam updates as a whole and which ends holding the best epoch's values.
+    Adam updates ``model.vector`` in place, which ends holding the best epoch's
+    values and is returned as ``FitResult.vector``.
     """
     if not train_windows or not valid_windows:
         raise TrainingError("fit needs non-empty train and validation window sets")
     params = list(model.parameters().values())
-    flat = _flatten(params)
+    flat = model.vector
     optimizer = Adam(flat, cfg.learning_rate)
     drop_rng = np.random.default_rng(cfg.seed)
 
@@ -535,7 +527,7 @@ def walk_forward(
                 model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
             else:
                 model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
-                _flatten(list(model.parameters().values()))[:] = result.vector
+                model.vector[:] = result.vector
             # every test day of the split in one gradient-free forward
             rows = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
             outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))

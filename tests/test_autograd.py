@@ -484,14 +484,12 @@ def test_mul_backward_skips_an_input_without_gradient():
     assert g_keep is None
 
 
-# how q, k and v are passed: one tensor (self-attention, with and without
-# causal masking), queries over a longer k/v tensor (cross-attention), or
-# three tensors with k/v rows that differ from the query rows
+# the two attentions the model runs: one tensor (self-attention, with and
+# without causal masking), or queries over a longer memory (cross-attention)
 MHA_MODES = {
     "self": (("x", "x", "x"), 5, False),
     "self_masked": (("x", "x", "x"), 5, True),
     "cross": (("x", "kv", "kv"), 6, False),
-    "distinct": (("x", "k", "v"), 6, False),
 }
 
 
@@ -508,8 +506,8 @@ def mha_case(heads, lead, mode, d=8):
         return [t[f"w{role}{i}"] for i in range(heads)]
 
     def fused(t):
-        q, k, v = (t[name] for name in roles)
-        return ag.mha(q, k, v, weights(t, "q"), weights(t, "k"), weights(t, "v"), t["wo"], scale, causal)
+        memory = None if roles[1] == "x" else t[roles[1]]
+        return ag.mha(t["x"], memory, weights(t, "q"), weights(t, "k"), weights(t, "v"), t["wo"], scale, causal)
 
     def composed(t):
         layer = SimpleNamespace(wq=weights(t, "q"), wk=weights(t, "k"), wv=weights(t, "v"), wo=t["wo"],
@@ -529,8 +527,9 @@ def test_mha_matches_composition(heads, lead, mode):
 
 
 def test_mha_rejects_bad_shapes():
-    _, _, inputs = mha_case(2, (), "self")
+    _, _, inputs = mha_case(2, (), "cross")
     x, w = Tensor(inputs["x"]), Tensor(inputs["wq0"])
+    memory = Tensor(inputs["kv"][:, :6])  # 6 columns where the model is 8 wide
     with pytest.raises(ShapeError):
-        ag.mha(x, Tensor(inputs["x"][:, :6]), x, [w, w], [w, w], [w, w], Tensor(inputs["wo"]), 1.0)
+        ag.mha(x, memory, [w, w], [w, w], [w, w], Tensor(inputs["wo"]), 1.0)
 

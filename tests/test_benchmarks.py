@@ -183,8 +183,8 @@ def test_mlp_forward_shape_and_constraint():
 
 def test_mlp_zero_output_layer_gives_equal_long_weights():
     model = MLPModel(MLPConfig(n_assets=4, window=3, hidden=(5,), seed=3))
-    model.layers[-1].W.data = np.zeros_like(model.layers[-1].W.data)
-    model.layers[-1].b.data = np.zeros_like(model.layers[-1].b.data)
+    model.layers[-1].W.data[...] = 0.0
+    model.layers[-1].b.data[...] = 0.0
     w = model.day_weights(RNG.standard_normal((6, 4)))
     np.testing.assert_allclose(w, equal_weights(4), atol=1e-15)
 
@@ -228,7 +228,7 @@ def test_mlp_shape_errors():
 def test_lstm_zero_parameters_give_constant_equal_weights():
     model = LSTMModel(LSTMConfig(n_assets=3, window=4, hidden=5, seed=8))
     for t in model.parameters().values():
-        t.data = np.zeros_like(t.data)
+        t.data[...] = 0.0
     w = lstm_forward(RNG.standard_normal((4, 3)), model).data
     np.testing.assert_allclose(w, np.tile(equal_weights(3), (4, 1)), atol=1e-15)
 
@@ -300,7 +300,7 @@ def test_lstm_matches_composition(hidden, lead):
     every parameter gradient, and its gradients pass the finite-difference check."""
     rng = np.random.default_rng(hidden)
     model = LSTMModel(LSTMConfig(n_assets=3, window=4, hidden=hidden, seed=hidden))
-    model.b.data = rng.standard_normal(model.b.shape)
+    model.b.data[:] = rng.standard_normal(model.b.shape)
     x = rng.standard_normal((*lead, 4, 3))
     coef = rng.standard_normal((*lead, 4, 3))
     weights, grads = weights_and_grads(lstm_forward, model, x, coef)

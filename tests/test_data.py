@@ -124,6 +124,10 @@ def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
         ("date,AAA\n2020-01-02,-5\n2020-01-02,1\n", DataError, ":2: non-positive price -5 for AAA"),
         ("", ParseError, ": empty file"),
         ("\n2020-01-02,1\n", ParseError, ":1: header must be 'date,<TICKER1>,...', got ''"),
+        # the header names each ticker once, none of them empty
+        ("date,A,,B\n2020-01-02,1,2,3\n", ParseError, ":1: empty ticker name in header"),
+        ("date,A,A\n2020-01-02,1,2\n", ParseError, ":1: duplicate ticker 'A' in header"),
+        ("date,B,A,C,A,B\n", ParseError, ":1: duplicate ticker 'A' in header"),
         # line numbers count blank lines, whatever ends a line
         ("date,AAA\r\n\r\n2020-01-02,100\r\n2020-01-03,0\r\n", DataError, ":4: non-positive price 0 for AAA"),
         ("date,AAA\n\n\n2020-01-02,1,2\n", ParseError, ":4: expected 2 fields, got 3"),
@@ -434,8 +438,6 @@ def test_synth_momentum_plants_positive_autocorrelation():
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(n_assets=0, n_days=100)
-    with pytest.raises(ValueError):
-        SynthConfig(n_assets=2, n_days=100, vol_range=(0.0, 0.01))
     with pytest.raises(ValueError):
         SynthConfig(n_assets=2, n_days=1)
 

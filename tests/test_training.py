@@ -14,7 +14,7 @@ from ptopt.autograd import Tensor
 from ptopt.data import ReturnTable, Split, SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.errors import TrainingError
 from ptopt.metrics import run_backtest
-from ptopt.model import PTConfig, PortfolioTransformer
+from ptopt.model import PTConfig, PortfolioTransformer, _pack
 from ptopt.objective import CostModel
 
 from helpers import NamedAdam, concat, matmul, record_executors
@@ -65,9 +65,10 @@ def test_adam_rejects_mismatched_gradient_shape():
 
 
 def test_flat_adam_equals_the_per_name_oracle_over_pt_parameters():
-    params = PortfolioTransformer(PTConfig(n_assets=4, window=8)).parameters()
+    model = PortfolioTransformer(PTConfig(n_assets=4, window=8))
+    params = model.parameters()
     oracle = NamedAdam({name: p.data.copy() for name, p in params.items()}, lr=3e-3)
-    opt = tr.Adam(tr._flatten(list(params.values())), lr=3e-3)
+    opt = tr.Adam(model.vector, lr=3e-3)
     rng = np.random.default_rng(0)
     for _ in range(60):
         # magnitudes from 1e-6 to 1e2, so eps and the bias corrections both matter
@@ -202,6 +203,7 @@ class Steerable:
 
     def __init__(self, theta=0.0):
         self.theta = Tensor(np.array([[theta]]), requires_grad=True)
+        self.vector = _pack(self.parameters())
 
     def parameters(self):
         return {"theta": self.theta}
@@ -680,12 +682,8 @@ def test_walk_forward_search_once_reuses_first_split_choice():
     train, valid = tr.split_windows(table, schedule.splits[1], 4)
     _, fit = tr.fit_combo("lstm", 3, 4, later.params, 1 + 1, train, valid, tr.TrainConfig(max_epochs=1, seed=0), CostModel())
     assert later.model.config.seed == 2
-    assert np.array_equal(flat_params(later.model), fit.vector)
+    assert np.array_equal(later.model.vector, fit.vector)
     assert later.history == fit.history
-
-
-def flat_params(model):
-    return np.concatenate([p.data for p in model.parameters().values()], axis=None)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -703,7 +701,7 @@ def test_searched_split_ships_the_winning_trial(jobs):
         # the shipped model is the winner's fit, not a refit at another seed
         train, valid = tr.split_windows(table, split, 4)
         _, solo = tr.fit_combo("lstm", 3, 4, winner.params, seed, train, valid, cfg, CostModel())
-        assert np.array_equal(flat_params(outcome.model), solo.vector)
+        assert np.array_equal(outcome.model.vector, solo.vector)
         assert outcome.history == solo.history
         assert solo.best_val == winner.val_loss
 
