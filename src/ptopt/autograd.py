@@ -112,16 +112,18 @@ def emit(inputs: tuple[Tensor, ...], out_data: Array, back: Callable) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every differentiable tensor reachable from ``loss``.
+    """Populate ``grad`` on every differentiable leaf reachable from ``loss``.
 
     Gradients accumulate across fan-out: a tensor consumed by several later
-    nodes receives the sum of all path gradients.
+    nodes receives the sum of all path gradients. An op output's gradient is
+    complete when the sweep reaches its node, which clears it after use, so
+    every op output (``loss`` too) ends with ``grad`` None; the tape keeps its nodes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
     for inputs, out, back in reversed(tape.nodes):
-        g = out.grad
+        g, out.grad = out.grad, None
         if g is None:
             continue
         for t, gi in zip(inputs, back(g)):

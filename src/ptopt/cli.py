@@ -90,17 +90,18 @@ def effective_seed(flag_seed: int) -> int:
 
 
 def version_string() -> str:
-    """git-describe of the source tree when available, else the package version."""
-    here = Path(__file__).resolve().parent
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(here), "describe", "--tags", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
-    except OSError:
-        pass
+    """git-describe of the source checkout ptopt runs from, else the package version."""
+    root = Path(__file__).resolve().parents[2]
+    if (root / ".git").exists():  # git would otherwise describe a repository that merely encloses the package
+        try:
+            out = subprocess.run(
+                ["git", "-C", str(root), "describe", "--tags", "--always", "--dirty"],
+                capture_output=True, text=True, timeout=5,
+            )
+            if out.returncode == 0 and out.stdout.strip():
+                return out.stdout.strip()
+        except OSError:
+            pass
     return f"v{__version__}"
 
 

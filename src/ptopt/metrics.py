@@ -24,6 +24,7 @@ from ptopt.errors import AlignmentError, DataError
 from ptopt.objective import CostModel
 
 TRADING_DAYS = 252
+_BACKTEST_BLOCK = 256  # days per block of run_backtest: its temporaries are a block x assets, not days x assets
 
 
 @dataclass
@@ -122,7 +123,8 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
     The weight dated d is held over the following trading day and earns that
     day's returns; turnover is charged against the previous day's book, with
     an all-zero book before the first day. The table's dates ascend, as
-    ``load_csv`` sorts them.
+    ``load_csv`` sorts them. Held returns and turnover form ``_BACKTEST_BLOCK``
+    days at a time; a day's sums do not depend on the blocking.
     """
     if stream.weights.shape[1] != table.n_assets:
         raise AlignmentError(
@@ -143,12 +145,17 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
         raise AlignmentError(f"weight dates skip trading days before {stream.dates[skips[0] + 1]}")
 
     w = stream.weights
-    held = table.returns[rows + 1]  # a gathered copy, so the product can form in place
-    held *= w
-    turnover = w.copy()  # diffs against an all-zero first book, in place: this sets a wide run's memory peak
-    np.subtract(w[1:], w[:-1], out=turnover[1:])
-    np.abs(turnover, out=turnover)
-    net = held.sum(axis=1) - costs.cost_rate * turnover.sum(axis=1)
+    net = np.empty(len(rows))
+    for lo in range(0, len(rows), _BACKTEST_BLOCK):
+        hi = min(lo + _BACKTEST_BLOCK, len(rows))
+        held = table.returns[rows[lo:hi] + 1]  # a gathered copy, so the product can form in place
+        held *= w[lo:hi]
+        turnover = w[lo:hi].copy()  # diffs against the previous book, all-zero before the first, in place
+        np.subtract(w[lo + 1 : hi], w[lo : hi - 1], out=turnover[1:])
+        if lo:
+            turnover[0] -= w[lo - 1]
+        np.abs(turnover, out=turnover)
+        net[lo:hi] = held.sum(axis=1) - costs.cost_rate * turnover.sum(axis=1)
     earn_dates = table.dates[rows[0] + 1 : rows[-1] + 2] if len(rows) else []
     return EquityCurve(earn_dates, net)
 

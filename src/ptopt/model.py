@@ -31,6 +31,7 @@ import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = "PTCKPT1"
+_INFER_BLOCK = 64  # windows per gradient-free forward of ``last_rows`` and ``training.evaluate_loss``
 _CASTS = {"int": int, "float": float, "str": str}  # config annotations are strings under __future__.annotations
 
 
@@ -361,9 +362,19 @@ def batched_weights(forward: Callable[[np.ndarray], Tensor], block: np.ndarray, 
 
 
 def last_rows(model, block: np.ndarray) -> np.ndarray:
-    """Gradient-free next-day allocation(s): the last weight row per block."""
+    """Gradient-free next-day allocation(s): the last weight row per block.
+
+    A stack runs ``_INFER_BLOCK`` windows per forward into one (B, n_assets)
+    array. A window's weights do not depend on its batch, so the rows equal
+    one forward's bit for bit.
+    """
     with ag.no_grad():
-        return model.window_weights(block).data[..., -1, :].copy()
+        if np.ndim(block) != 3:
+            return model.window_weights(block).data[-1].copy()
+        out = np.empty((len(block), model.config.n_assets))
+        for i in range(0, len(block), _INFER_BLOCK):
+            out[i : i + _INFER_BLOCK] = model.window_weights(block[i : i + _INFER_BLOCK]).data[:, -1]
+        return out
 
 
 # ---------------------------------------------------------------------------

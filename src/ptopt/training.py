@@ -19,6 +19,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +30,7 @@ from ptopt.benchmarks import MODEL_KINDS, MVConfig, equal_weights, mv_weights
 from ptopt.data import ReturnTable, Split, WalkForwardSchedule
 from ptopt.errors import DataError, TrainingError
 from ptopt.metrics import WeightStream
-from ptopt.model import _cast_fields
+from ptopt.model import _INFER_BLOCK, _cast_fields
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 # test days per mv_weights call: a whole split in one call costs megabytes of temporaries
@@ -129,14 +130,15 @@ def split_windows(table: ReturnTable, split: Split, tau: int) -> tuple[Windows, 
     return build_windows(table, tau, 0, split.val_start), build_windows(table, tau, split.val_start, split.train_end)
 
 
-def make_batches(windows, batch_size: int, seed: int) -> list:
-    """Shuffle ``windows`` (anything indexable by an index array) into batches."""
+def make_batches(windows, batch_size: int, seed: int) -> Iterator:
+    """Shuffle ``windows`` (anything indexable by an index array) into batches, each
+    gathered only when the returned iterator reaches it; the arguments are checked at the call."""
     if not len(windows):
         raise TrainingError("cannot batch an empty window list")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed).permutation(len(windows))
-    return [windows[order[i : i + batch_size]] for i in range(0, len(order), batch_size)]
+    return (windows[order[i : i + batch_size]] for i in range(0, len(order), batch_size))
 
 
 @dataclass
@@ -154,15 +156,26 @@ class FitResult:
     vector: np.ndarray  # the fitted ``model.vector``, in ``model.parameters()`` order
 
 
-def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
+def _window_losses(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
     weights = model.window_weights(windows.blocks, rng=rng)
-    return ag.mean(sharpe_loss(weights, ReturnsWindow(windows.realized), costs))
+    return sharpe_loss(weights, ReturnsWindow(windows.realized), costs)
+
+
+def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
+    return ag.mean(_window_losses(model, windows, costs, rng))
 
 
 def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
-    """Mean window loss from one gradient-free forward over every window."""
+    """Mean window loss over every window, from gradient-free forwards of ``_INFER_BLOCK`` windows.
+
+    A window's loss does not depend on its batch, so one ``np.mean`` over the
+    blocks' losses gives the bits of ``ag.mean`` over a single forward.
+    """
+    losses = np.empty(len(windows))
     with ag.no_grad():
-        return _mean_window_loss(model, windows, costs).item()
+        for i in range(0, len(windows), _INFER_BLOCK):
+            losses[i : i + _INFER_BLOCK] = _window_losses(model, windows[i : i + _INFER_BLOCK], costs).data
+    return float(np.mean(losses))
 
 
 def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
@@ -490,7 +503,7 @@ def walk_forward(
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     n = table.n_assets
     all_dates: list = []
-    all_weights: list[np.ndarray] = []
+    weights = np.empty((sum(s.test_end - s.train_end for s in schedule.splits), n))
     outcomes: list[SplitOutcome] = []
     chosen: dict | None = None
     mv_config = MVConfig()
@@ -501,15 +514,17 @@ def walk_forward(
         # one decision per test-year return row, dated the prior trading day
         first = split.train_end - 1
         dates = table.dates[first : split.test_end - 1]
+        rows = weights[len(all_dates) : len(all_dates) + len(dates)]  # this split's rows of the stream
         if strategy == "equal_weight":
-            rows = np.tile(equal_weights(n), (len(dates), 1))
+            rows[:] = equal_weights(n)
             outcomes.append(SplitOutcome(split.test_year, {}, [], None))
         elif strategy == "mv":
             if split.train_end < mv_config.lookback:
                 raise DataError(f"need {mv_config.lookback} rows before {split.test_year} for the mean-variance window")
             # each test day's trailing lookback rows, as views, solved a chunk at a time
             histories = _stacked(table.returns, mv_config.lookback, first - mv_config.lookback + 1, len(dates))
-            rows = np.vstack([mv_weights(histories[i : i + _MV_CHUNK], mv_config) for i in range(0, len(dates), _MV_CHUNK)])
+            for i in range(0, len(dates), _MV_CHUNK):
+                rows[i : i + _MV_CHUNK] = mv_weights(histories[i : i + _MV_CHUNK], mv_config)
             outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
             train_windows, valid_windows = split_windows(table, split, tau)
@@ -528,10 +543,9 @@ def walk_forward(
             else:
                 model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
                 model.vector[:] = result.vector
-            # every test day of the split in one gradient-free forward
-            rows = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
+            # every test day of the split, _INFER_BLOCK windows per gradient-free forward
+            rows[:] = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
             outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))
         all_dates.extend(dates)
-        all_weights.append(rows)
 
-    return WalkForwardResult(stream=WeightStream(all_dates, np.vstack(all_weights)), outcomes=outcomes)
+    return WalkForwardResult(stream=WeightStream(all_dates, weights), outcomes=outcomes)

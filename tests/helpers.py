@@ -709,6 +709,17 @@ def sharpe_loss_composed(weights: Tensor, window, costs) -> Tensor:
     return scale(sharpe(portfolio_returns(weights, window, costs)), -1.0)
 
 
+def backward_keeping_grads(loss: Tensor, tape) -> None:
+    """``ag.backward`` without freeing: every op output keeps its gradient."""
+    loss.grad = np.ones_like(loss.data)
+    for inputs, out, back in reversed(tape.nodes):
+        if out.grad is None:
+            continue
+        for t, gi in zip(inputs, back(out.grad)):
+            if gi is not None and t.requires_grad:
+                t.grad = gi if t.grad is None else t.grad + gi
+
+
 def tape_value_and_grads(fn, inputs: dict[str, np.ndarray], coef_seed: int = 0):
     """``fn``'s value on fresh leaf tensors of ``inputs`` (a dict of arrays, passed
     to ``fn`` as a dict of tensors), and the gradient of a fixed random

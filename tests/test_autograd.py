@@ -19,11 +19,14 @@ from scipy.special import expit
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tape, Tensor
+from ptopt.model import PTConfig, PortfolioTransformer
+from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 from helpers import (
     absolute,
     add,
     assert_fused_matches_composed,
+    backward_keeping_grads,
     broadcast_to,
     causal_mask,
     concat,
@@ -292,6 +295,30 @@ def test_fanout_gradients_accumulate():
         y = reduce_sum(add(ag.mul(x, x), scale(x, 3.0)))
         ag.backward(y, tape)
     np.testing.assert_allclose(x.grad, 2.0 * x.data + 3.0)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_backward_frees_op_gradients_and_keeps_leaf_gradients(dropout):
+    """After backward every op output holds no gradient and the tape keeps its
+    nodes; each parameter's gradient equals a sweep that frees nothing."""
+    model = PortfolioTransformer(PTConfig(n_assets=4, window=8, n_layers=2, dropout=dropout, seed=3))
+    rng = np.random.default_rng(4)
+    blocks, realized = rng.normal(0.0, 0.02, (8, 16, 4)), rng.normal(0.0, 0.01, (8, 8, 4))
+    grads = []
+    for sweep in (ag.backward, backward_keeping_grads):
+        for p in model.parameters().values():
+            p.grad = None
+        with Tape() as tape:
+            weights = model.window_weights(blocks, rng=np.random.default_rng(5))
+            loss = ag.mean(sharpe_loss(weights, ReturnsWindow(realized), CostModel()))
+            nodes = len(tape.nodes)
+            sweep(loss, tape)
+        assert len(tape.nodes) == nodes
+        outputs = [out for _, out, _ in tape.nodes]
+        assert all(out.grad is None for out in outputs) == (sweep is ag.backward)
+        grads.append({name: p.grad for name, p in model.parameters().items()})
+    for name, g in grads[0].items():
+        assert np.array_equal(g, grads[1][name]), name
 
 
 def test_backward_rejects_nonscalar_loss():

@@ -4,7 +4,10 @@ Every trainable model takes (B, 2*tau, n) block stacks; a single block is
 the batch of one. These tests pin the batched path to the single-window
 results it replaces: weights bit for bit, the mean Sharpe loss and every
 parameter gradient within 1e-12, and the walk-forward's test-day weights
-bit for bit against a checkpoint replayed one day at a time.
+bit for bit against a checkpoint replayed one day at a time. The passes that
+run a whole split a block of windows at a time (``day_weights``,
+``evaluate_loss``) equal one forward bit for bit across block boundaries,
+and their ``tracemalloc`` peak does not grow with the number of windows.
 """
 
 import numpy as np
@@ -12,10 +15,10 @@ import pytest
 
 import ptopt.autograd as ag
 import ptopt.training as tr
-from helpers import model_grad_errors
+from helpers import model_grad_errors, traced_peak
 from ptopt.benchmarks import LSTMConfig, LSTMModel, MLPConfig, MLPModel
 from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
-from ptopt.model import PTConfig, PortfolioTransformer, load_checkpoint, save_checkpoint
+from ptopt.model import _INFER_BLOCK, PTConfig, PortfolioTransformer, load_checkpoint, save_checkpoint
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 # The sizes of the default configs: at toy widths a vector-matrix and a
@@ -47,13 +50,16 @@ def loss_and_grads(model, blocks, realized):
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_batched_weights_equal_single_windows(kind):
+    # day_weights runs the stack in blocks, so this size crosses two block boundaries
+    count = 2 * _INFER_BLOCK + 5
     model = MODELS[kind]()
-    blocks, _ = stack(7)
+    blocks, _ = stack(count)
     batched = model.window_weights(blocks).data
-    assert batched.shape == (7, TAU, N)
+    days = model.day_weights(blocks)
+    assert batched.shape == (count, TAU, N) and days.shape == (count, N)
     for i, block in enumerate(blocks):
         assert np.array_equal(batched[i], model.window_weights(block).data)
-        assert np.array_equal(model.day_weights(blocks)[i], model.day_weights(block))
+        assert np.array_equal(days[i], model.day_weights(block))
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -69,6 +75,17 @@ def test_batched_loss_and_gradients_equal_single_window_mean(kind):
     for name, g in grads.items():
         ref = np.mean([s[1][name] for s in single], axis=0)
         assert np.max(np.abs(g - ref)) <= TOL * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_blocked_validation_loss_equals_one_forward(kind):
+    model = MODELS[kind]()
+    count = 2 * _INFER_BLOCK + 5
+    blocks, realized = stack(count, seed=4)
+    windows = tr.Windows(blocks, realized, np.arange(count))
+    with ag.no_grad():
+        whole = ag.mean(sharpe_loss(model.window_weights(blocks), ReturnsWindow(realized), CostModel())).item()
+    assert tr.evaluate_loss(model, windows, CostModel()) == whole
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -114,3 +131,31 @@ def test_walk_forward_test_days_equal_checkpoint_replay(kind, tmp_path):
         assert len(result.stream.weights) == len(days)
         for row, p in zip(result.stream.weights, days):
             assert np.array_equal(row, replay.day_weights(table.returns[p - 2 * TAU + 1 : p + 1]))
+
+
+# Peak memory of the blocked passes: 16 blocks of windows may peak above 4
+# blocks by the larger result (for evaluate_loss, its one loss per window)
+# and this slack (allocator and bookkeeping noise) alone. One forward over
+# every window grew by megabytes.
+PEAK_SLACK = 32 * 1024
+
+
+def test_day_weights_peak_does_not_grow_with_windows():
+    model = MODELS["pt"]()
+    small, _ = stack(4 * _INFER_BLOCK, seed=5)
+    large, _ = stack(16 * _INFER_BLOCK, seed=5)
+    _, small_peak = traced_peak(lambda: model.day_weights(small))
+    _, large_peak = traced_peak(lambda: model.day_weights(large))
+    returned = 12 * _INFER_BLOCK * N * 8
+    assert large_peak - small_peak <= returned + PEAK_SLACK, (small_peak, large_peak)
+
+
+def test_evaluate_loss_peak_does_not_grow_with_windows():
+    model = MODELS["pt"]()
+    peaks = []
+    for count in (4 * _INFER_BLOCK, 16 * _INFER_BLOCK):
+        blocks, realized = stack(count, seed=6)
+        windows = tr.Windows(blocks, realized, np.arange(count))
+        peaks.append(traced_peak(lambda: tr.evaluate_loss(model, windows, CostModel()))[1])
+    losses = 12 * _INFER_BLOCK * 8
+    assert peaks[1] - peaks[0] <= losses + PEAK_SLACK, peaks

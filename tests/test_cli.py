@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -547,3 +548,23 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _git(*args, cwd):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd, check=True, capture_output=True, timeout=60)
+
+
+def test_version_describes_only_the_source_checkout(tmp_path):
+    # a repository that encloses an installed copy, and one whose src/ holds the package
+    _git("init", "-q", cwd=tmp_path)
+    _git("commit", "-q", "--allow-empty", "-m", "outer", cwd=tmp_path)
+    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
+    package = Path(cli.__file__).resolve().parent
+    probe = "import ptopt, ptopt.cli; print(ptopt.cli.version_string(), ptopt.__version__)"
+    for parent, expect_commit in ((tmp_path / "venv" / "lib" / "site-packages", False), (tmp_path / "src", True)):
+        shutil.copytree(package, parent / "ptopt", ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PYTHONPATH": str(parent)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        version, package_version = out.stdout.split()
+        assert (version.startswith(commit) if expect_commit else version == f"v{package_version}"), (parent, version)

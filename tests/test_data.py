@@ -240,18 +240,21 @@ def test_ingest_peak_memory_per_matrix_byte(tmp_path):
 
 
 def test_ingest_report_stores_two_sides(tmp_path):
-    script = Path(__file__).parent / "ingest_report.py"
+    script = Path(__file__).parent / "layer_report.py"
     env = {**os.environ, "PYTHONPATH": str(Path(data.__file__).resolve().parents[1])}
-    out = tmp_path / "ingest.json"
-    args = ["--days", "60", "--assets", "3", "--gaps", "0.05", "--json", str(out)]
+    out = tmp_path / "layers.json"
+    args = ["--days", "800", "--assets", "3", "--gaps", "0.05", "--model-days", "560", "--repeats", "2", "--json", str(out)]
+    rows = {"load_csv", "clean_and_return", "mv_walk", "run_backtest", "pt_fit", "evaluate_loss", "day_weights"}
     for label in ("parent", "change"):
         run = subprocess.run([sys.executable, str(script), *args, "--label", label],
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stdout + run.stderr
-        assert "load_csv" in run.stdout and "clean_and_return" in run.stdout
+        assert all(name in run.stdout for name in rows)
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["workload"]["days"] == 60 and set(doc["sides"]) == {"parent", "change"}
-    assert doc["sides"]["change"]["matrix_bytes"] == 60 * 3 * 8
+    assert doc["workload"]["days"] == 800 and set(doc["sides"]) == {"parent", "change"}
+    side = doc["sides"]["change"]
+    assert side["matrix_bytes"] == 800 * 3 * 8 and set(side["rows"]) == rows
+    assert all(row["peak_bytes"] > 0 and row["s"]["samples"] == 2 for row in side["rows"].values())
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

@@ -8,7 +8,9 @@ weight row decided before ``c`` must not move, and every split trained on
 rows before ``c`` (``train_end <= c``) must ship the same model: the same
 parameter vector, training history, trials (but for their wall time) and
 checkpoint bytes. That covers the validation slice, early stopping, the
-search and the one-forward stack of test days.
+search and the blocked forwards of test days. The mean-variance and equal
+weight rules run the plain way under the same cuts, which covers the weight
+matrix that every split writes its rows into.
 """
 
 from functools import cache
@@ -65,6 +67,18 @@ def test_the_market_has_two_splits_and_each_cut_falls_where_it_should():
     assert first.train_end < cut_row("val_start") < cut_row("train_end") < cut_row("test_day") < second.test_end
 
 
+def assert_rows_before_cut_hold(a, b, c: int, moves: bool = True) -> None:
+    """Weight rows decided before row ``c`` are equal; with ``moves``, a later one differs."""
+    assert a.stream.dates == b.stream.dates
+    row_of = {d: r for r, d in enumerate(TABLE.dates)}
+    decided = np.array([row_of[d] for d in a.stream.dates])
+    before = decided < c
+    assert before.any() and (~before).any()
+    assert np.array_equal(a.stream.weights[before], b.stream.weights[before])
+    if moves:
+        assert not np.array_equal(a.stream.weights[~before], b.stream.weights[~before])  # the perturbation shows
+
+
 @pytest.mark.parametrize("cut", CUTS)
 @pytest.mark.parametrize("way", WAYS)
 @pytest.mark.parametrize("strategy", tr.TRAINED_STRATEGIES)
@@ -72,14 +86,7 @@ def test_no_weight_or_model_reads_a_return_from_its_future(strategy, way, cut, t
     c = cut_row(cut)
     a = unperturbed(strategy, way)
     b = run(perturbed_from(c), strategy, way)
-
-    assert a.stream.dates == b.stream.dates
-    row_of = {d: r for r, d in enumerate(TABLE.dates)}
-    decided = np.array([row_of[d] for d in a.stream.dates])
-    before = decided < c
-    assert before.any() and (~before).any()
-    assert np.array_equal(a.stream.weights[before], b.stream.weights[before])
-    assert not np.array_equal(a.stream.weights[~before], b.stream.weights[~before])  # the perturbation shows
+    assert_rows_before_cut_hold(a, b, c)
 
     for i, (split, x, y) in enumerate(zip(SCHEDULE.splits, a.outcomes, b.outcomes)):
         if split.train_end > c:
@@ -91,3 +98,13 @@ def test_no_weight_or_model_reads_a_return_from_its_future(strategy, way, cut, t
         save_checkpoint(x.model, tmp_path / f"a{i}.ckpt")
         save_checkpoint(y.model, tmp_path / f"b{i}.ckpt")
         assert (tmp_path / f"a{i}.ckpt").read_bytes() == (tmp_path / f"b{i}.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("cut", CUTS)
+@pytest.mark.parametrize("strategy", ("mv", "equal_weight"))
+def test_no_rule_weight_reads_a_return_from_its_future(strategy, cut):
+    c = cut_row(cut)
+    a = unperturbed(strategy, "fit")
+    b = run(perturbed_from(c), strategy, "fit")
+    assert_rows_before_cut_hold(a, b, c, moves=strategy != "equal_weight")  # equal weight rows never move
+    assert [(x.test_year, x.params) for x in a.outcomes] == [(y.test_year, y.params) for y in b.outcomes]

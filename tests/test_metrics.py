@@ -10,6 +10,7 @@ from ptopt.autograd import ContractError
 from ptopt.data import ReturnTable, trading_days
 from ptopt.errors import AlignmentError, DataError
 from ptopt.metrics import (
+    _BACKTEST_BLOCK,
     EquityCurve,
     WeightStream,
     compute_metrics,
@@ -22,7 +23,7 @@ from ptopt.metrics import (
 )
 from ptopt.objective import CostModel
 
-from helpers import metrics_oracle, rolling_sharpe_oracle, run_backtest_oracle
+from helpers import metrics_oracle, rolling_sharpe_oracle, run_backtest_oracle, traced_peak
 
 ROOT252 = math.sqrt(252)
 
@@ -224,6 +225,33 @@ def test_backtest_matches_the_loop_oracle_bit_for_bit():
     dates, net = run_backtest_oracle(stream, table, 0.0007)
     assert curve.dates == dates
     assert np.array_equal(curve.daily_returns, net)
+
+
+@pytest.mark.parametrize("days", [1, _BACKTEST_BLOCK, _BACKTEST_BLOCK + 1, 3 * _BACKTEST_BLOCK + 7])
+def test_blocked_backtest_matches_the_loop_oracle_at_every_block_boundary(days):
+    rng = np.random.default_rng(days)
+    table = table_from(rng.standard_normal((days + 3, 4)) * 0.01)
+    w = rng.standard_normal((days, 4))
+    w /= np.abs(w).sum(axis=1, keepdims=True)
+    stream = WeightStream(table.dates[1 : days + 1], w)
+    curve = run_backtest(stream, table, CostModel(0.0007))
+    dates, net = run_backtest_oracle(stream, table, 0.0007)
+    assert curve.dates == dates
+    assert np.array_equal(curve.daily_returns, net)
+
+
+def test_backtest_peak_does_not_grow_with_days_times_assets():
+    """4,000 days x 50 assets may peak above 1,000 days by the returned curve
+    (net returns, their running product and a list of dates) and the per-day
+    date indices (a few int64 per day) alone: under 100 bytes per added day.
+    Whole-stream held returns and turnover grew by 800 bytes per day."""
+    peaks = []
+    for days in (1000, 4000):
+        rng = np.random.default_rng(days)
+        table = table_from(rng.standard_normal((days + 1, 50)) * 0.01)
+        stream = WeightStream(table.dates[:-1], rng.standard_normal((days, 50)) / 50)
+        peaks.append(traced_peak(lambda: run_backtest(stream, table, CostModel(0.0002)))[1])
+    assert peaks[1] - peaks[0] <= 100 * 3000, peaks
 
 
 def test_alignment_errors():
