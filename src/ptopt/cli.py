@@ -271,6 +271,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Walk every listed strategy forward on the same splits and write their table and curves.
+
+    Only each strategy's equity curve and report outlive its turn, so the
+    command holds one strategy's weight stream and models at a time.
+    """
     if len(args.strategies) < 2:
         raise UsageError("compare needs at least 2 strategies")
     if len(set(args.strategies)) != len(args.strategies):
@@ -286,7 +291,8 @@ def cmd_compare(args) -> int:
     curves = {}
     with _trial_pool(table, spaces, args.jobs) as pool:
         for strategy in args.strategies:
-            result, curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, seed, pool)
+            # the walk-forward result (its weights and models) is freed here, before the next strategy runs
+            curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, seed, pool)[1:]
             rows.append((strategy, report))
             curves[strategy] = curve
 

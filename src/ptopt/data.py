@@ -19,6 +19,8 @@ import numpy as np
 
 from ptopt.errors import DataError, ParseError
 
+_FILL_BLOCK = 256  # rows per block of clean_and_return: its temporaries are a block x assets, not days x assets
+
 
 @dataclass
 class PriceTable:
@@ -52,7 +54,8 @@ class ReturnTable:
         self.returns = np.asarray(self.returns, dtype=np.float64)
         if self.returns.shape != (len(self.dates), len(self.tickers)):
             raise DataError("return matrix shape does not match dates/tickers")
-        if np.any(~np.isfinite(self.returns)) or np.any(self.returns <= -1):
+        r = self.returns  # two reductions and no temporary matrix: NaN fails both comparisons
+        if r.size and not (r.min() > -1 and r.max() < np.inf):
             raise DataError("returns must be finite and > -1")
 
     @property
@@ -153,29 +156,54 @@ def write_csv(table: PriceTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["date", *table.tickers]) + "\n")
         for day, row in zip(table.dates, table.prices):
-            fh.write(",".join([day.isoformat(), *("" if np.isnan(x) else repr(float(x)) for x in row)]) + "\n")
+            # one row's floats at a time, never the whole matrix as a list; NaN alone differs from itself
+            fh.write(",".join([day.isoformat(), *("" if x != x else repr(x) for x in row.tolist())]) + "\n")
 
 
 def clean_and_return(table: PriceTable) -> ReturnTable:
-    """Forward-fill gaps, align starts, and convert prices to simple returns."""
-    observed = ~np.isnan(table.prices)
-    short = np.flatnonzero(observed.sum(axis=0) < 2)
+    """Forward-fill gaps, align starts, and convert prices to simple returns.
+
+    Two passes of ``_FILL_BLOCK`` rows each: the first counts every column's
+    observations and finds its first one, the second forms each row's
+    forward-fill index and writes its returns into one preallocated matrix.
+    A column's last observed row carries from block to block, from before the
+    aligned start too, so the blocking changes no bit of the result.
+    """
+    prices = table.prices
+    t, n = prices.shape
+    count = np.zeros(n, dtype=np.int64)
+    first = np.full(n, t)
+    for lo in range(0, t, _FILL_BLOCK):
+        seen = ~np.isnan(prices[lo : lo + _FILL_BLOCK])
+        count += seen.sum(axis=0)
+        np.minimum(first, np.where(seen.any(axis=0), lo + seen.argmax(axis=0), t), out=first)
+    short = np.flatnonzero(count < 2)
     if short.size:
         raise DataError(f"ticker {table.tickers[short[0]]} has fewer than 2 observations")
-    start = int(observed.argmax(axis=0).max())
-    t, n = observed.shape
+    start = int(first.max())
     if t - start < 2:
         raise DataError("fewer than 2 rows after aligning ticker starts")
-    # each cell reads the latest observed row of its column at or above it. The
-    # index is int32, half the bytes of int64, and each array is freed once the
-    # next is formed, so at most two matrices live beside the prices.
-    last = np.where(observed, np.arange(t, dtype=np.int32)[:, None], 0)
-    del observed
-    np.maximum.accumulate(last, axis=0, out=last)
-    block = table.prices[last[start:], np.arange(n)]
-    del last
-    returns = block[1:] / block[:-1]
-    del block
+
+    flat = prices.ravel()  # a view of a C-ordered table; a copy of any other, made once
+    returns = np.empty((t - start - 1, n))
+    # per block, the flat index (row * n + column) of each cell's latest observed price, and that
+    # price, for the block's rows after a row 0 that carries the previous block's last row
+    last = np.empty((_FILL_BLOCK + 1, n), dtype=np.intp)
+    last[0] = cols = np.arange(n)  # row 0 before any price, as the whole-matrix fill read it
+    filled = np.empty((_FILL_BLOCK + 1, n))
+    for lo in range(0, t, _FILL_BLOCK):
+        hi = min(lo + _FILL_BLOCK, t)
+        index = last[: hi - lo + 1]
+        index[1:] = cols
+        index[1:] += np.arange(lo * n, hi * n, n)[:, None]
+        index[1:][np.isnan(prices[lo:hi])] = 0
+        np.maximum.accumulate(index, axis=0, out=index)
+        if hi > start:
+            k = max(start + 1 - lo, 0)  # the first row gathered is max(start, lo - 1)
+            # "clip" takes straight into ``out`` (every index is valid); "raise" would buffer a copy
+            block = np.take(flat, index[k:], out=filled[: hi - lo + 1 - k], mode="clip")
+            np.divide(block[1:], block[:-1], out=returns[lo - 1 + k - start : hi - 1 - start])
+        last[0] = index[-1]
     returns -= 1.0
     return ReturnTable(table.dates[start + 1 :], list(table.tickers), returns)
 

@@ -25,6 +25,7 @@ from ptopt.objective import CostModel
 
 TRADING_DAYS = 252
 _BACKTEST_BLOCK = 256  # days per block of run_backtest: its temporaries are a block x assets, not days x assets
+_ROLLING_BLOCK = 256  # windows per block of rolling_sharpe: its temporaries are a block x window, not windows x window
 
 
 @dataclass
@@ -105,12 +106,20 @@ def compute_metrics(curve: EquityCurve) -> MetricsReport:
 
 
 def rolling_sharpe(curve: EquityCurve, window: int = TRADING_DAYS) -> tuple[list[dt.date], np.ndarray]:
-    """Annualized Sharpe over each trailing ``window`` of daily returns."""
+    """Annualized Sharpe over each trailing ``window`` of daily returns.
+
+    The windows' means and deviations form ``_ROLLING_BLOCK`` windows at a
+    time; each window's figures do not depend on the blocking.
+    """
     r = curve.daily_returns
     if r.size < window:
         raise ContractError(f"curve length {r.size} shorter than window {window}")
     chunks = sliding_window_view(r, window)
-    mean, sd = chunks.mean(axis=-1), chunks.std(axis=-1)
+    mean, sd = np.empty(len(chunks)), np.empty(len(chunks))
+    for lo in range(0, len(chunks), _ROLLING_BLOCK):
+        block = chunks[lo : lo + _ROLLING_BLOCK]
+        block.mean(axis=-1, out=mean[lo : lo + _ROLLING_BLOCK])
+        block.std(axis=-1, out=sd[lo : lo + _ROLLING_BLOCK])
     sentinel = np.where(mean >= 0, math.inf, -math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(sd == 0.0, sentinel, mean / sd * math.sqrt(TRADING_DAYS))

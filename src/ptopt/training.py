@@ -33,8 +33,9 @@ from ptopt.metrics import WeightStream
 from ptopt.model import _INFER_BLOCK, _cast_fields
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
-# test days per mv_weights call: a whole split in one call costs megabytes of temporaries
-_MV_CHUNK = 64
+# bytes of one (days, n, n) stack of the MV walk, whose mv_weights call holds about three such
+# stacks: a chunk is this budget over n * n doubles in days, at least one (13 days at 50 assets)
+_MV_STACK_BYTES = 256 * 1024
 
 TRAINED_STRATEGIES = tuple(MODEL_KINDS)
 STRATEGIES = (*TRAINED_STRATEGIES, "mv", "equal_weight")
@@ -495,9 +496,12 @@ def walk_forward(
     seed and history; a split without one fits at seed ``seed + split_idx``.
     Every search runs its trials on ``pool``, or in-process without one.
     A ``base_combo`` key the space leaves out joins it as a one-value axis.
-    Rule-based strategies skip straight to daily weight emission. Weight
-    rows are dated the decision day and earn the following trading day's
-    returns.
+    Rule-based strategies skip straight to daily weight emission; MV solves
+    as many test days per ``mv_weights`` call as fit one ``(days, n, n)``
+    stack in ``_MV_STACK_BYTES``, so its temporaries do not grow with the
+    universe. Every split writes its rows into one ``(test days, n)`` matrix.
+    Weight rows are dated the decision day and earn the following trading
+    day's returns.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -523,8 +527,9 @@ def walk_forward(
                 raise DataError(f"need {mv_config.lookback} rows before {split.test_year} for the mean-variance window")
             # each test day's trailing lookback rows, as views, solved a chunk at a time
             histories = _stacked(table.returns, mv_config.lookback, first - mv_config.lookback + 1, len(dates))
-            for i in range(0, len(dates), _MV_CHUNK):
-                rows[i : i + _MV_CHUNK] = mv_weights(histories[i : i + _MV_CHUNK], mv_config)
+            chunk = max(1, _MV_STACK_BYTES // (8 * n * n))
+            for i in range(0, len(dates), chunk):
+                rows[i : i + chunk] = mv_weights(histories[i : i + chunk], mv_config)
             outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
             train_windows, valid_windows = split_windows(table, split, tau)

@@ -21,7 +21,8 @@ import numpy as np
 
 import ptopt.autograd as ag
 from ptopt.autograd import ContractError, ShapeError, Tensor
-from ptopt.data import PriceTable, SynthConfig, synth_generate, write_csv
+from ptopt.data import PriceTable, ReturnTable, SynthConfig, synth_generate, write_csv
+from ptopt.errors import DataError
 
 FD_STEP = 1e-5
 # relative-error floor: below this magnitude the fd quotient is dominated
@@ -213,6 +214,25 @@ def forward_fill_oracle(prices: np.ndarray) -> np.ndarray:
             else:
                 seen = True
     return out
+
+
+def clean_and_return_oracle(table: PriceTable) -> ReturnTable:
+    """``clean_and_return`` on the whole matrix at once: one forward-fill index
+    for every cell, one gathered block of filled prices and one division."""
+    observed = ~np.isnan(table.prices)
+    short = np.flatnonzero(observed.sum(axis=0) < 2)
+    if short.size:
+        raise DataError(f"ticker {table.tickers[short[0]]} has fewer than 2 observations")
+    start = int(observed.argmax(axis=0).max())
+    t, n = observed.shape
+    if t - start < 2:
+        raise DataError("fewer than 2 rows after aligning ticker starts")
+    last = np.where(observed, np.arange(t, dtype=np.int32)[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    block = table.prices[last[start:], np.arange(n)]
+    returns = block[1:] / block[:-1]
+    returns -= 1.0
+    return ReturnTable(table.dates[start + 1 :], list(table.tickers), returns)
 
 
 def write_gapped_csv(path, days: int, assets: int, gaps: float, seed: int = 0) -> None:

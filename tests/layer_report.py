@@ -4,8 +4,9 @@ It runs each row on one of two seeded (seed 0) markets:
 
 - a generated ``--days`` x ``--assets`` price CSV with a ``--gaps`` share of
   empty cells: ``load_csv``, ``clean_and_return``, the mean-variance
-  walk-forward from the CSV's third calendar year (``mv_walk``) and
-  ``run_backtest`` of its weights;
+  walk-forward from the CSV's third calendar year (``mv_walk``),
+  ``run_backtest`` of its weights and the trailing-year ``rolling_sharpe``
+  of that backtest's curve;
 - a ``--model-days`` x 4-asset momentum market, whose last complete calendar
   year is the test year (at the default 2,000 days, the ``pt_walkforward``
   benchmark's split: 1,391 train, 149 validation and 262 test windows): a
@@ -14,10 +15,10 @@ It runs each row on one of two seeded (seed 0) markets:
 
 For each row it prints the median seconds of ``--repeats`` untraced calls
 (15), with quartiles, and the ``tracemalloc`` peak above the memory held before the
-call; the CSV rows also per byte of the price matrix. BLAS runs one thread.
+call; the ingest, MV and backtest rows also per byte of the price matrix. BLAS runs one thread.
 With ``--json`` the figures are stored in that file under ``--label``, beside
-the sides of earlier runs of the same workload, so that one file holds one
-harness run on two source trees:
+the sides of earlier runs of the same workload (the file keeps one entry per
+workload), so that one file holds one harness run on two source trees:
 
     PYTHONPATH=/path/to/parent/src python3 tests/layer_report.py --label parent --json layers.json
     PYTHONPATH=src python3 tests/layer_report.py --label change --json layers.json
@@ -42,13 +43,13 @@ import numpy as np
 
 import ptopt.training as tr
 from ptopt.data import SynthConfig, clean_and_return, load_csv, synth_generate, yearly_splits
-from ptopt.metrics import run_backtest
+from ptopt.metrics import rolling_sharpe, run_backtest
 from ptopt.objective import CostModel
 
 from helpers import traced_peak, write_gapped_csv
 
 TAU = 8
-CSV_ROWS = ("load_csv", "clean_and_return", "mv_walk", "run_backtest")
+CSV_ROWS = ("load_csv", "clean_and_return", "mv_walk", "run_backtest")  # peaks also given per matrix byte
 
 
 def _seconds(fn, repeats: int) -> dict:
@@ -67,11 +68,13 @@ def csv_rows(path) -> tuple[dict, int]:
     table = clean_and_return(prices)
     schedule = yearly_splits(table, table.dates[0].year + 2)
     stream = tr.walk_forward(table, schedule, "mv").stream
+    curve = run_backtest(stream, table, CostModel())
     return {
         "load_csv": lambda: load_csv(path),
         "clean_and_return": lambda: clean_and_return(prices),
         "mv_walk": lambda: tr.walk_forward(table, schedule, "mv"),
         "run_backtest": lambda: run_backtest(stream, table, CostModel()),
+        "rolling_sharpe": lambda: rolling_sharpe(curve),
     }, prices.prices.nbytes
 
 
@@ -136,13 +139,14 @@ def main() -> int:
 
     if args.json:
         out = Path(args.json)
-        doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"workload": workload, "sides": {}}
-        if doc["workload"] != workload:
-            print(f"{out} holds another workload {doc['workload']}; not overwritten", file=sys.stderr)
-            return 1
-        doc["sides"][args.label] = side
+        doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"workloads": []}
+        entry = next((e for e in doc["workloads"] if e["workload"] == workload), None)
+        if entry is None:
+            entry = {"workload": workload, "sides": {}}
+            doc["workloads"].append(entry)
+        entry["sides"][args.label] = side
         out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote side {args.label!r} to {out}")
+        print(f"wrote side {args.label!r} of {workload} to {out}")
     return 0
 
 

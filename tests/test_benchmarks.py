@@ -1,5 +1,6 @@
 """Tests for the mean-variance, MLP, and LSTM baseline strategies."""
 
+import datetime
 import os
 import subprocess
 import sys
@@ -22,7 +23,10 @@ from ptopt.benchmarks import (
     mv_weights,
     tangency_weights,
 )
-from ptopt.data import PriceTable, SynthConfig, clean_and_return, synth_generate, yearly_splits
+import ptopt.training as tr
+from ptopt.data import (
+    PriceTable, ReturnTable, Split, SynthConfig, WalkForwardSchedule, clean_and_return, synth_generate, trading_days, yearly_splits,
+)
 from ptopt.errors import DataError, NumericError
 from ptopt.model import load_checkpoint, save_checkpoint
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
@@ -36,6 +40,7 @@ from helpers import (
     model_grad_errors,
     mv_weights_oracle,
     reduce_sum,
+    traced_peak,
 )
 
 RNG = np.random.default_rng(31)
@@ -156,11 +161,41 @@ def test_walk_forward_mv_equals_per_day_oracle():
     table = clean_and_return(PriceTable(raw.dates, raw.tickers, prices))
     schedule = yearly_splits(table, 2015)
     assert [s.test_year for s in schedule.splits] == [2015, 2016]
-    assert all(s.test_end - s.train_end > 64 for s in schedule.splits)  # chunk boundaries inside each split
+    chunk = tr._MV_STACK_BYTES // (8 * 24 * 24)
+    assert all(s.test_end - s.train_end > chunk for s in schedule.splits)  # chunk boundaries inside each split
     cfg = MVConfig()
     weights = walk_forward(table, schedule, "mv").stream.weights
     decisions = range(schedule.splits[0].train_end - 1, schedule.splits[-1].test_end - 1)
     np.testing.assert_array_equal(weights, mv_weights_oracle(table.returns, decisions, cfg.lookback, cfg.ridge))
+
+
+def mv_market(days, n, seed=0):
+    rng = np.random.default_rng(seed)
+    dates = trading_days(datetime.date(2020, 1, 2), days)
+    return ReturnTable(dates, [f"A{j}" for j in range(n)], rng.normal(0.0005, 0.01, (days, n)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, 200])
+def test_mv_walk_weights_do_not_depend_on_the_chunk(chunk, monkeypatch):
+    table = mv_market(400, 12)
+    schedule = WalkForwardSchedule([Split(2020, 250, 225, 400)])  # 150 test days
+    expected = walk_forward(table, schedule, "mv").stream.weights
+    monkeypatch.setattr(tr, "_MV_STACK_BYTES", chunk * 8 * 12 * 12)
+    assert np.array_equal(walk_forward(table, schedule, "mv").stream.weights, expected)
+
+
+def test_mv_walk_peak_does_not_grow_with_assets():
+    """Over 20 test days, the MV walk's temporaries (its peak above the weights
+    it returns) at 160 assets stay within those at 40 assets plus 64 KiB: a
+    chunk holds one (days, n, n) stack of ``_MV_STACK_BYTES`` or a single day.
+    One call for all 20 days took 14 times as much at 160 assets as at 40."""
+    temporaries = []
+    for n in (40, 160):
+        table = mv_market(80, n, seed=n)
+        schedule = WalkForwardSchedule([Split(2020, 60, 54, 80)])
+        result, peak = traced_peak(lambda: walk_forward(table, schedule, "mv"))
+        temporaries.append(peak - result.stream.weights.nbytes)
+    assert temporaries[1] <= temporaries[0] + 64 * 1024, temporaries
 
 
 def test_mv_config_validation():

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -488,6 +489,34 @@ def test_compare_two_strategies(prices_csv, tmp_path, capsys):
     curves = (out / "equity_curves.csv").read_text().splitlines()
     assert curves[0] == "date,mv,equal_weight"
     assert all(len(line.split(",")) == 3 for line in curves)
+
+
+def test_compare_holds_one_weight_stream_at_a_time(tmp_path, monkeypatch):
+    """When the second strategy starts, the first has left only its curve and
+    report: the memory traced then exceeds that at the first start by less than
+    half a weight stream (1,300 test days x 20 assets, 208 KB). A result kept
+    until the next strategy's turn held the first stream through it."""
+    data = tmp_path / "wide.csv"
+    assert cli.main(["synth", "--assets", "20", "--days", "1560", "--seed", "3", "--out", str(data)]) == 0
+    held, streams = [], []
+    walk = cli.walk_forward
+
+    def traced_walk(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        result = walk(*args, **kwargs)
+        streams.append(result.stream.weights.nbytes)
+        return result
+
+    monkeypatch.setattr(cli, "walk_forward", traced_walk)
+    tracemalloc.start()
+    try:
+        code = cli.main(["compare", "--strategies", "equal_weight", "mv", "--data", str(data),
+                         "--out", str(tmp_path / "cmp"), "--first-test-year", "2015"])
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(held) == 2
+    assert streams[0] == streams[1] >= 1300 * 20 * 8
+    assert held[1] - held[0] < streams[0] / 2, (held, streams)
 
 
 def test_compare_needs_two_strategies(prices_csv, tmp_path):

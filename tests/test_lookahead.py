@@ -11,15 +11,36 @@ checkpoint bytes. That covers the validation slice, early stopping, the
 search and the blocked forwards of test days. The mean-variance and equal
 weight rules run the plain way under the same cuts, which covers the weight
 matrix that every split writes its rows into.
+
+The command line has two twins of its own, for every strategy, without a
+search, with ``--budget`` and with ``--budget --search-once``. They start from
+a gapped price CSV, so they cover ``load_csv``, the blocked forward fill and
+``yearly_splits`` too:
+
+- the CSV cut after 31 December 2016 gives ``equity.csv`` rows equal to the
+  whole file's through 2016;
+- the CSV with every price from the first day of 2016 altered gives the same
+  checkpoints, ``history.csv`` and trials (but for their wall time), and the
+  same ``equity.csv`` rows through 2015.
+
+Neither twin can see a weight that reads the very return it earns (a test
+day's stack one row late): each equity row holds that return on both sides.
+The walk-forward tests above catch it.
 """
 
+import datetime as dt
+import json
 from functools import cache
 
 import numpy as np
 import pytest
 
+import ptopt.cli as cli
 import ptopt.training as tr
-from ptopt.data import ReturnTable, SynthConfig, clean_and_return, synth_generate, yearly_splits
+from ptopt import data
+from ptopt.data import (
+    PriceTable, ReturnTable, SynthConfig, clean_and_return, synth_generate, trading_days, write_csv, yearly_splits,
+)
 from ptopt.model import save_checkpoint
 
 TAU = 2
@@ -108,3 +129,87 @@ def test_no_rule_weight_reads_a_return_from_its_future(strategy, cut):
     b = run(perturbed_from(c), strategy, "fit")
     assert_rows_before_cut_hold(a, b, c, moves=strategy != "equal_weight")  # equal weight rows never move
     assert [(x.test_year, x.params) for x in a.outcomes] == [(y.test_year, y.params) for y in b.outcomes]
+
+
+# ---------------------------------------------------------------------------
+# the command line, from a price CSV
+
+CUT_YEAR = 2016
+# 670 trading days from 2014-09-01 to 2017-03-24, tested from 2015: two splits, 2015 and 2016
+CSV_DATES = trading_days(dt.date(2014, 9, 1), 670)
+CUT_START, CUT_END = (int(np.searchsorted([d.year for d in CSV_DATES], y)) for y in (CUT_YEAR, CUT_YEAR + 1))  # its rows
+CLI_FLAGS = ["--window", "2", "--max-epochs", "1", "--patience", "1", "--first-test-year", "2015", "--seed", "3"]
+CLI_WAYS = {"fit": [], "search": ["--budget", "2"], "search_once": ["--budget", "2", "--search-once"]}
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """``run(csv, strategy, way)``: the output directory of one cached ``ptopt run``.
+
+    The CSV names ``full``, ``cut`` (rows after CUT_YEAR dropped) and ``bent``
+    (every price from the first day of CUT_YEAR altered). The forward fill
+    runs in blocks of 16 rows, so that block edges fall inside the 20-day gap
+    of A2 that ends with CUT_YEAR (A2 is next priced on the first day after it).
+    """
+    root = tmp_path_factory.mktemp("cli_lookahead")
+    prices = synth_generate(SynthConfig(n_assets=3, n_days=len(CSV_DATES), seed=21, momentum=0.3)).prices.copy()
+    rng = np.random.default_rng(21)
+    prices[rng.random(prices.shape) < 0.05] = np.nan
+    prices[:30, 2] = np.nan  # A3 lists on row 30, the aligned start
+    prices[CUT_END - 20 : CUT_END, 1] = np.nan
+    prices[[0, CUT_END], 1] = prices[30, 2] = 100.0
+    bent = prices.copy()
+    bent[CUT_START:] *= np.exp(rng.normal(0.0, 0.02, bent[CUT_START:].shape))
+    tickers = ["A1", "A2", "A3"]
+    write_csv(PriceTable(CSV_DATES, tickers, prices), root / "full.csv")
+    write_csv(PriceTable(CSV_DATES[:CUT_END], tickers, prices[:CUT_END]), root / "cut.csv")
+    write_csv(PriceTable(CSV_DATES, tickers, bent), root / "bent.csv")
+    space = root / "space.json"
+    space.write_text(json.dumps({name: {"axes": axes} for name, axes in SPACES.items()}), encoding="utf-8")
+    done = set()
+
+    def run(csv, strategy, way):
+        out = root / f"{csv}-{strategy}-{way}"
+        if out not in done:
+            flags = CLI_WAYS[way] + (["--space", str(space)] if way != "fit" else [])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_FILL_BLOCK", 16)
+                code = cli.main(["run", "--strategy", strategy, "--data", str(root / f"{csv}.csv"),
+                                 "--out", str(out), *CLI_FLAGS, *flags])
+            assert code == 0
+            done.add(out)
+        return out
+
+    return run
+
+
+def equity_through(out, year):
+    _, *rows = (out / "equity.csv").read_text(encoding="utf-8").splitlines()
+    return [row for row in rows if int(row[:4]) <= year]
+
+
+@pytest.mark.parametrize("way", CLI_WAYS)
+@pytest.mark.parametrize("strategy", tr.STRATEGIES)
+def test_cli_equity_through_a_year_ignores_every_later_row(strategy, way, cli_runs):
+    full, cut = cli_runs("full", strategy, way), cli_runs("cut", strategy, way)
+    rows = equity_through(full, CUT_YEAR)
+    assert rows[-1].startswith(CSV_DATES[CUT_END - 1].isoformat())
+    assert (cut / "equity.csv").read_text(encoding="utf-8").splitlines()[1:] == rows
+
+
+def without_seconds(out):
+    return [row.rsplit(",", 1)[0] for row in (out / "trials.csv").read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("way", CLI_WAYS)
+@pytest.mark.parametrize("strategy", tr.TRAINED_STRATEGIES)
+def test_cli_models_of_a_year_ignore_its_rows(strategy, way, cli_runs):
+    full, bent = cli_runs("full", strategy, way), cli_runs("bent", strategy, way)
+    assert equity_through(full, CUT_YEAR - 1) == equity_through(bent, CUT_YEAR - 1)
+    assert equity_through(full, CUT_YEAR) != equity_through(bent, CUT_YEAR)  # the altered prices show
+    for year in (CUT_YEAR - 1, CUT_YEAR):
+        name = f"checkpoint_{year}.ckpt"
+        assert (full / name).read_bytes() == (bent / name).read_bytes()
+    assert (full / "history.csv").read_bytes() == (bent / "history.csv").read_bytes()
+    trials = without_seconds(full)
+    assert trials == without_seconds(bent) and len(trials) == 1 + {"fit": 0, "search": 4, "search_once": 2}[way]

@@ -11,6 +11,7 @@ from ptopt.data import ReturnTable, trading_days
 from ptopt.errors import AlignmentError, DataError
 from ptopt.metrics import (
     _BACKTEST_BLOCK,
+    _ROLLING_BLOCK,
     EquityCurve,
     WeightStream,
     compute_metrics,
@@ -163,6 +164,25 @@ def test_rolling_sharpe_matches_per_window_loop(window):
     np.testing.assert_array_equal(values, expected)
     assert np.isposinf(expected).any() and np.isneginf(expected).any()
     assert len(dates) == len(values)
+
+
+@pytest.mark.parametrize("windows", [1, _ROLLING_BLOCK, _ROLLING_BLOCK + 1, 3 * _ROLLING_BLOCK + 7])
+def test_blocked_rolling_sharpe_matches_the_loop_at_every_block_boundary(windows):
+    r = np.random.default_rng(windows).standard_normal(windows + 251) * 0.01
+    dates, values = rolling_sharpe(curve_from(r))
+    assert len(dates) == len(values) == windows
+    assert np.array_equal(values, rolling_sharpe_oracle(r, 252))
+
+
+def test_rolling_sharpe_peak_does_not_grow_with_curve_length():
+    """8,000 days may peak above 1,000 by the result (a value and a date per
+    window) and per-window temporaries of the same length: under 100 bytes per
+    added day. Every window's deviation at once grew by 4 KB per day."""
+    peaks = []
+    for days in (1000, 8000):
+        curve = curve_from(np.random.default_rng(days).standard_normal(days) * 0.01)
+        peaks.append(traced_peak(lambda: rolling_sharpe(curve))[1])
+    assert peaks[1] - peaks[0] <= 100 * 7000, peaks
 
 
 def test_rolling_sharpe_rejects_short_curve():
