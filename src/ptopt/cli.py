@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -84,11 +83,6 @@ class RunConfig:
             raise UsageError(f"budget must be >= 0, got {self.budget}")
 
 
-def effective_seed(flag_seed: int) -> int:
-    env = os.environ.get("PT_SEED")
-    return int(env) if env else flag_seed
-
-
 def version_string() -> str:
     """git-describe of the source checkout ptopt runs from, else the package version."""
     root = Path(__file__).resolve().parents[2]
@@ -128,15 +122,17 @@ def check_out_dir(path: str, force: bool) -> Path:
     return out
 
 
-def write_manifest(out: Path, command: str, cfg: dict, seed: int, data_path: str) -> None:
+def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha256: str) -> None:
+    """``version`` and ``input_sha256`` are read before the input is loaded, so
+    the manifest describes the bytes the run read, not the file at its end."""
     doc = {
         "command": command,
         "config": cfg,
-        "seed": seed,
-        "version": version_string(),
+        "seed": cfg["seed"],
+        "version": version,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "input_sha256": file_sha256(data_path),
+        "input_sha256": input_sha256,
     }
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -191,13 +187,13 @@ def _trial_pool(table, spaces: dict, jobs: int) -> TrialPool:
     return TrialPool(table, min(jobs, max((s.budget for s in spaces.values() if s is not None), default=1)))
 
 
-def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, seed: int, pool: TrialPool):
+def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, pool: TrialPool):
     base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
-    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=seed)
+    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=cfg.seed)
     result = walk_forward(
         table, schedule, strategy,
         tau=cfg.window, space=space, base_cfg=base_cfg,
-        costs=CostModel(cfg.cost_rate), seed=seed, pool=pool,
+        costs=CostModel(cfg.cost_rate), seed=cfg.seed, pool=pool,
         search_each_split=not cfg.search_once, base_combo=base_combo,
     )
     curve = run_backtest(result.stream, table, CostModel(cfg.cost_rate))
@@ -245,9 +241,7 @@ def render_table(rows: list[tuple[str, MetricsReport]]) -> str:
 
 def cmd_synth(args) -> int:
     try:
-        cfg = SynthConfig(
-            n_assets=args.assets, n_days=args.days, seed=effective_seed(args.seed), momentum=args.momentum
-        )
+        cfg = SynthConfig(n_assets=args.assets, n_days=args.days, seed=args.seed, momentum=args.momentum)
     except ValueError as err:
         raise UsageError(str(err)) from err
     write_csv(synth_generate(cfg), args.out)
@@ -257,15 +251,15 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _run_config(args)
-    seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
     spaces = _resolve_spaces(cfg, [cfg.strategy], TRAINED_STRATEGIES)
+    provenance = version_string(), file_sha256(cfg.data)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
     with _trial_pool(table, spaces, args.jobs) as pool:
-        result, curve, report = _execute_strategy(table, schedule, cfg.strategy, spaces[cfg.strategy], cfg, seed, pool)
+        result, curve, report = _execute_strategy(table, schedule, cfg.strategy, spaces[cfg.strategy], cfg, pool)
     _write_run_artifacts(out, result, curve, report)
-    write_manifest(out, "run", asdict(cfg), seed, cfg.data)
+    write_manifest(out, "run", asdict(cfg), *provenance)
     print(f"{cfg.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
     return 0
 
@@ -281,9 +275,9 @@ def cmd_compare(args) -> int:
     if len(set(args.strategies)) != len(args.strategies):
         raise UsageError("duplicate strategy in compare list")
     cfg = _run_config(args, strategy=args.strategies[0])
-    seed = effective_seed(cfg.seed)
     out = check_out_dir(cfg.out_dir, args.force)
     spaces = _resolve_spaces(cfg, args.strategies, args.strategies)
+    provenance = version_string(), file_sha256(cfg.data)
     table = clean_and_return(load_csv(cfg.data))
     schedule = yearly_splits(table, cfg.first_test_year)
 
@@ -292,7 +286,7 @@ def cmd_compare(args) -> int:
     with _trial_pool(table, spaces, args.jobs) as pool:
         for strategy in args.strategies:
             # the walk-forward result (its weights and models) is freed here, before the next strategy runs
-            curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, seed, pool)[1:]
+            curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, pool)[1:]
             rows.append((strategy, report))
             curves[strategy] = curve
 
@@ -306,7 +300,7 @@ def cmd_compare(args) -> int:
     dates = curves[args.strategies[0]].dates
     write_series_csv(dates, {s: curves[s].cumulative for s in args.strategies}, out / "equity_curves.csv")
 
-    write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, seed, cfg.data)
+    write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, *provenance)
     print(table_text, end="")
     return 0
 

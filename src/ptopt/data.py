@@ -19,8 +19,6 @@ import numpy as np
 
 from ptopt.errors import DataError, ParseError
 
-_FILL_BLOCK = 256  # rows per block of clean_and_return: its temporaries are a block x assets, not days x assets
-
 
 @dataclass
 class PriceTable:
@@ -163,47 +161,31 @@ def write_csv(table: PriceTable, path) -> None:
 def clean_and_return(table: PriceTable) -> ReturnTable:
     """Forward-fill gaps, align starts, and convert prices to simple returns.
 
-    Two passes of ``_FILL_BLOCK`` rows each: the first counts every column's
-    observations and finds its first one, the second forms each row's
-    forward-fill index and writes its returns into one preallocated matrix.
-    A column's last observed row carries from block to block, from before the
-    aligned start too, so the blocking changes no bit of the result.
+    Two loops over tickers: the first counts each column's observations and
+    finds its first one, the second forms the column's forward-fill index and
+    divides its filled prices straight into its column of one preallocated
+    returns matrix. Scratch is a few column lengths, whatever the universe.
     """
     prices = table.prices
     t, n = prices.shape
-    count = np.zeros(n, dtype=np.int64)
-    first = np.full(n, t)
-    for lo in range(0, t, _FILL_BLOCK):
-        seen = ~np.isnan(prices[lo : lo + _FILL_BLOCK])
-        count += seen.sum(axis=0)
-        np.minimum(first, np.where(seen.any(axis=0), lo + seen.argmax(axis=0), t), out=first)
-    short = np.flatnonzero(count < 2)
-    if short.size:
-        raise DataError(f"ticker {table.tickers[short[0]]} has fewer than 2 observations")
+    first = np.empty(n, dtype=np.intp)
+    for j in range(n):
+        seen = ~np.isnan(prices[:, j])
+        if np.count_nonzero(seen) < 2:
+            raise DataError(f"ticker {table.tickers[j]} has fewer than 2 observations")
+        first[j] = seen.argmax()
     start = int(first.max())
     if t - start < 2:
         raise DataError("fewer than 2 rows after aligning ticker starts")
 
-    flat = prices.ravel()  # a view of a C-ordered table; a copy of any other, made once
     returns = np.empty((t - start - 1, n))
-    # per block, the flat index (row * n + column) of each cell's latest observed price, and that
-    # price, for the block's rows after a row 0 that carries the previous block's last row
-    last = np.empty((_FILL_BLOCK + 1, n), dtype=np.intp)
-    last[0] = cols = np.arange(n)  # row 0 before any price, as the whole-matrix fill read it
-    filled = np.empty((_FILL_BLOCK + 1, n))
-    for lo in range(0, t, _FILL_BLOCK):
-        hi = min(lo + _FILL_BLOCK, t)
-        index = last[: hi - lo + 1]
-        index[1:] = cols
-        index[1:] += np.arange(lo * n, hi * n, n)[:, None]
-        index[1:][np.isnan(prices[lo:hi])] = 0
-        np.maximum.accumulate(index, axis=0, out=index)
-        if hi > start:
-            k = max(start + 1 - lo, 0)  # the first row gathered is max(start, lo - 1)
-            # "clip" takes straight into ``out`` (every index is valid); "raise" would buffer a copy
-            block = np.take(flat, index[k:], out=filled[: hi - lo + 1 - k], mode="clip")
-            np.divide(block[1:], block[:-1], out=returns[lo - 1 + k - start : hi - 1 - start])
-        last[0] = index[-1]
+    for j in range(n):
+        column = prices[:, j]
+        index = np.arange(t)
+        index[np.isnan(column)] = 0  # the row of the latest observed price, once accumulated
+        np.maximum.accumulate(index, out=index)
+        filled = column[index[start:]]
+        np.divide(filled[1:], filled[:-1], out=returns[:, j])
     returns -= 1.0
     return ReturnTable(table.dates[start + 1 :], list(table.tickers), returns)
 

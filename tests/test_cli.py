@@ -81,6 +81,27 @@ def test_run_manifest_records_config_seed_version_checksum(prices_csv, tmp_path)
     assert manifest["version"]
 
 
+@pytest.mark.parametrize(
+    "command", [["run", "--strategy", "equal_weight"], ["compare", "--strategies", "mv", "equal_weight"]], ids=["run", "compare"]
+)
+def test_manifest_hashes_the_input_as_it_was_read(command, prices_csv, tmp_path, monkeypatch):
+    data = tmp_path / "prices.csv"
+    shutil.copyfile(prices_csv, data)
+    digest = cli.file_sha256(data)
+    load_csv = cli.load_csv
+
+    def load_then_rewrite(path):
+        table = load_csv(path)
+        Path(path).write_text("date,A1\n", encoding="utf-8")  # the file changes once the run has read it
+        return table
+
+    monkeypatch.setattr(cli, "load_csv", load_then_rewrite)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--data", str(data), "--out", str(out)]) == 0
+    assert cli.file_sha256(data) != digest
+    assert json.loads((out / "manifest.json").read_text())["input_sha256"] == digest
+
+
 def test_run_manifest_records_result_flags_and_versions(prices_csv, tmp_path):
     import platform
 
@@ -437,22 +458,6 @@ def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch):
 
 def test_missing_subcommand_is_usage_error():
     assert cli.main([]) == 1
-
-
-def test_env_seed_overrides_flag(prices_csv, tmp_path, monkeypatch):
-    monkeypatch.setenv("PT_SEED", "42")
-    out = tmp_path / "run"
-    assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out), "--seed", "1"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["seed"] == 42
-
-
-def test_env_seed_drives_synth(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("PT_SEED", "7")
-    assert cli.main(["synth", "--assets", "3", "--days", "30", "--seed", "0", "--out", str(a)]) == 0
-    monkeypatch.delenv("PT_SEED")
-    assert cli.main(["synth", "--assets", "3", "--days", "30", "--seed", "7", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_run_trained_strategy_writes_checkpoint(prices_csv, tmp_path):

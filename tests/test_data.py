@@ -12,7 +12,6 @@ import pytest
 
 from ptopt import data
 from ptopt.data import (
-    _FILL_BLOCK,
     PriceTable,
     ReturnTable,
     SynthConfig,
@@ -345,25 +344,36 @@ def gapped_prices(t, n, seed, gaps=0.1):
     return prices
 
 
+# The 256-row edges these cases name are where an earlier fill carried its state
+# from block to block; the per-ticker fill sees them as ordinary gaps.
 def gap_across_block_edges():
-    prices = gapped_prices(2 * _FILL_BLOCK + 40, 4, seed=1)
-    prices[_FILL_BLOCK - 5 : _FILL_BLOCK + 5, 1] = np.nan
-    prices[2 * _FILL_BLOCK - 1 : 2 * _FILL_BLOCK + 2, 2] = np.nan
+    prices = gapped_prices(552, 4, seed=1)
+    prices[251:261, 1] = np.nan
+    prices[511:514, 2] = np.nan
     return prices
 
 
 def last_seen_before_start():
-    """Column 2 lists at row _FILL_BLOCK + 10, the aligned start; column 0, last
-    seen at row 3, is missing from there to past the start, a block later."""
-    prices = gapped_prices(2 * _FILL_BLOCK, 3, seed=2)
-    prices[4 : _FILL_BLOCK + 20, 0] = np.nan
-    prices[: _FILL_BLOCK + 10, 2] = np.nan
+    """Column 2 lists at row 266, the aligned start; column 0, last seen at
+    row 3, is missing from there to row 276."""
+    prices = gapped_prices(512, 3, seed=2)
+    prices[4:276, 0] = np.nan
+    prices[:266, 2] = np.nan
     return prices
 
 
 def one_block_and_a_row():
-    prices = gapped_prices(_FILL_BLOCK + 1, 3, seed=3)
-    prices[_FILL_BLOCK - 1 :, 1] = np.nan  # the last row of the first block and the lone row of the second
+    prices = gapped_prices(257, 3, seed=3)
+    prices[255:, 1] = np.nan  # a gap on the last two rows
+    return prices
+
+
+def one_return_row():
+    """Column 1 lists on the second-to-last row, so the aligned start leaves one return."""
+    prices = gapped_prices(30, 3, seed=5, gaps=0.3)
+    prices[:, 1] = np.nan
+    prices[28:, 1] = [50.0, 51.0]
+    prices[-1, 0] = np.nan
     return prices
 
 
@@ -373,6 +383,8 @@ FILL_CASES = {
     "fewer_rows_than_a_block": lambda: gapped_prices(40, 3, seed=4),
     "one_block_and_a_row": one_block_and_a_row,
     "column_major_prices": lambda: np.asfortranarray(gap_across_block_edges()),
+    "one_return_row": one_return_row,
+    "strided_column_slice": lambda: gapped_prices(300, 11, seed=6, gaps=0.2)[:, 1::3],
 }
 
 
@@ -384,36 +396,27 @@ def test_blocked_fill_equals_the_whole_matrix_fill(case):
     assert out.dates == expected.dates
     assert np.array_equal(out.returns, expected.returns)
     if case == "last_seen_before_start":
-        start = _FILL_BLOCK + 10
-        assert out.dates[0] == table.dates[start + 1] and np.isnan(prices[start, 0])
-        assert np.array_equal(out.returns[: 9, 0], np.zeros(9))  # row 3's price carried over two blocks
+        assert out.dates[0] == table.dates[267] and np.isnan(prices[266, 0])
+        assert np.array_equal(out.returns[:9, 0], np.zeros(9))  # row 3's price carried past the start
+    if case == "one_return_row":
+        assert out.returns.shape == (1, 3) and out.dates == table.dates[-1:]
+    if case == "strided_column_slice":
+        assert not table.prices.flags.c_contiguous and not table.prices.flags.f_contiguous
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
-def test_any_block_size_gives_the_whole_matrix_fill(block, monkeypatch):
-    prices = gapped_prices(90, 5, seed=block, gaps=0.3)
-    for j, lead in enumerate([0, 4, 9, 13, 2]):  # staggered listings: the aligned start is row 13
-        prices[:lead, j] = np.nan
-        prices[lead, j] = 50.0
-    table = PriceTable(days(90), list("VWXYZ"), prices)
-    monkeypatch.setattr(data, "_FILL_BLOCK", block)
-    out, expected = clean_and_return(table), clean_and_return_oracle(table)
-    assert out.dates == expected.dates == table.dates[14:]
-    assert np.array_equal(out.returns, expected.returns)
-
-
-def test_clean_and_return_peak_is_the_returns_and_a_block():
-    """Above the prices it is given, ``clean_and_return`` peaks at its returns
-    matrix plus one block of rows: the block's flat fill index and filled
-    prices (16 bytes a cell), its NaN mask, the list of dates and numpy's
-    iteration buffer, under 32 bytes a cell of the block. It measures 243 KB
-    over the returns here; the whole-matrix fill took 960 KB, as much again
-    as the returns."""
-    t, n = 3000, 40
-    table = PriceTable(days(t), [f"T{j}" for j in range(n)], gapped_prices(t, n, seed=6, gaps=0.01))
-    out, peak = traced_peak(lambda: clean_and_return(table))
-    assert out.returns.shape == (t - 1, n)
-    assert peak <= out.returns.nbytes + 32 * (_FILL_BLOCK + 1) * n, peak
+def test_clean_and_return_peak_does_not_grow_with_the_universe():
+    """Above its returns matrix, ``clean_and_return`` holds a few column lengths
+    of scratch (a column's fill index, its filled prices and NaN masks) and the
+    list of dates, whatever the number of tickers: at 160 tickers it may take
+    at most three column lengths more than at 40."""
+    t = 3000
+    above = []
+    for n in (40, 160):
+        table = PriceTable(days(t), [f"T{j}" for j in range(n)], gapped_prices(t, n, seed=6, gaps=0.01))
+        out, peak = traced_peak(lambda: clean_and_return(table))
+        assert out.returns.shape == (t - 1, n)
+        above.append(peak - out.returns.nbytes)
+    assert above[1] <= above[0] + 3 * 8 * t, above
 
 
 def test_cleaning_leaves_no_gaps():

@@ -14,7 +14,7 @@ matrix that every split writes its rows into.
 
 The command line has two twins of its own, for every strategy, without a
 search, with ``--budget`` and with ``--budget --search-once``. They start from
-a gapped price CSV, so they cover ``load_csv``, the blocked forward fill and
+a gapped price CSV, so they cover ``load_csv``, the forward fill and
 ``yearly_splits`` too:
 
 - the CSV cut after 31 December 2016 gives ``equity.csv`` rows equal to the
@@ -37,7 +37,6 @@ import pytest
 
 import ptopt.cli as cli
 import ptopt.training as tr
-from ptopt import data
 from ptopt.data import (
     PriceTable, ReturnTable, SynthConfig, clean_and_return, synth_generate, trading_days, write_csv, yearly_splits,
 )
@@ -147,9 +146,8 @@ def cli_runs(tmp_path_factory):
     """``run(csv, strategy, way)``: the output directory of one cached ``ptopt run``.
 
     The CSV names ``full``, ``cut`` (rows after CUT_YEAR dropped) and ``bent``
-    (every price from the first day of CUT_YEAR altered). The forward fill
-    runs in blocks of 16 rows, so that block edges fall inside the 20-day gap
-    of A2 that ends with CUT_YEAR (A2 is next priced on the first day after it).
+    (every price from the first day of CUT_YEAR altered). A2 has a 20-day gap
+    that ends with CUT_YEAR (A2 is next priced on the first day after it).
     """
     root = tmp_path_factory.mktemp("cli_lookahead")
     prices = synth_generate(SynthConfig(n_assets=3, n_days=len(CSV_DATES), seed=21, momentum=0.3)).prices.copy()
@@ -172,10 +170,8 @@ def cli_runs(tmp_path_factory):
         out = root / f"{csv}-{strategy}-{way}"
         if out not in done:
             flags = CLI_WAYS[way] + (["--space", str(space)] if way != "fit" else [])
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(data, "_FILL_BLOCK", 16)
-                code = cli.main(["run", "--strategy", strategy, "--data", str(root / f"{csv}.csv"),
-                                 "--out", str(out), *CLI_FLAGS, *flags])
+            code = cli.main(["run", "--strategy", strategy, "--data", str(root / f"{csv}.csv"),
+                             "--out", str(out), *CLI_FLAGS, *flags])
             assert code == 0
             done.add(out)
         return out
