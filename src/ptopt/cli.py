@@ -15,7 +15,6 @@ back to exactly what produced it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import platform
 import subprocess
@@ -35,6 +34,7 @@ from ptopt.metrics import (
     run_backtest,
     write_equity_csv,
     write_rolling_sharpe_csv,
+    write_rows,
     write_series_csv,
 )
 from ptopt.model import PTConfig, save_checkpoint
@@ -99,14 +99,6 @@ def version_string() -> str:
     return f"v{__version__}"
 
 
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def check_out_dir(path: str, force: bool) -> Path:
     """Refuse an output path that cannot take this run, before any work.
 
@@ -123,8 +115,8 @@ def check_out_dir(path: str, force: bool) -> Path:
 
 
 def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha256: str) -> None:
-    """``version`` and ``input_sha256`` are read before the input is loaded, so
-    the manifest describes the bytes the run read, not the file at its end."""
+    """``version`` is read before the input is loaded and ``input_sha256`` is of
+    the bytes ``load_csv`` parsed, so the manifest describes the input the run read."""
     doc = {
         "command": command,
         "config": cfg,
@@ -165,48 +157,16 @@ def _resolve_spaces(cfg: RunConfig, strategies, keys) -> dict[str, HyperparamSpa
     return spaces
 
 
-def _write_rows(path, header: list[str], rows) -> None:
-    """A CSV of ``header`` and then ``rows``, whose floats the callers give as ``repr`` strings."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_all_trials(outcomes, path) -> None:
-    _write_rows(path, ["test_year", "trial", "params", "train_loss", "val_loss", "seconds"], (
-        [o.test_year, t.index, json.dumps(t.params, sort_keys=True), repr(t.train_loss), repr(t.val_loss), repr(t.seconds)]
-        for o in outcomes for t in o.trials
-    ))
-
-
-def _trial_pool(table, spaces: dict, jobs: int) -> TrialPool:
-    """The command's trial pool, with no more workers than its largest search has trials."""
-    return TrialPool(table, min(jobs, max((s.budget for s in spaces.values() if s is not None), default=1)))
-
-
-def _execute_strategy(table, schedule, strategy: str, space, cfg: RunConfig, pool: TrialPool):
-    base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
-    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=cfg.seed)
-    result = walk_forward(
-        table, schedule, strategy,
-        tau=cfg.window, space=space, base_cfg=base_cfg,
-        costs=CostModel(cfg.cost_rate), seed=cfg.seed, pool=pool,
-        search_each_split=not cfg.search_once, base_combo=base_combo,
-    )
-    curve = run_backtest(result.stream, table, CostModel(cfg.cost_rate))
-    return result, curve, compute_metrics(curve)
-
-
 def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_equity_csv(curve, out / "equity.csv")
     write_rolling_sharpe_csv(curve, out / "rolling_sharpe.csv")
-    _write_all_trials(result.outcomes, out / "trials.csv")
-    _write_rows(out / "history.csv", ["test_year", "epoch", "train_loss", "val_loss"], (
+    write_rows(out / "trials.csv", ["test_year", "trial", "params", "train_loss", "val_loss", "seconds"], (
+        [o.test_year, t.index, json.dumps(t.params, sort_keys=True), repr(t.train_loss), repr(t.val_loss), repr(t.seconds)]
+        for o in result.outcomes for t in o.trials
+    ))
+    write_rows(out / "history.csv", ["test_year", "epoch", "train_loss", "val_loss"], (
         [o.test_year, e.epoch, repr(e.train_loss), repr(e.val_loss)] for o in result.outcomes for e in o.history
     ))
     for outcome in result.outcomes:
@@ -249,15 +209,43 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _run_config(args)
+def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path, str, str, list]:
+    """The pipeline of ``run`` and ``compare``: check the flags and the output
+    path, load and split the data once, then walk each strategy forward and
+    back-test it on one trial pool. ``keep(result, curve, report)`` takes each
+    strategy's turn before the next starts; only what it returns outlives it.
+    Returns the config, output path, version, input digest and what was kept.
+    """
+    cfg = _run_config(args, strategies[0])
     out = check_out_dir(cfg.out_dir, args.force)
-    spaces = _resolve_spaces(cfg, [cfg.strategy], TRAINED_STRATEGIES)
-    provenance = version_string(), file_sha256(cfg.data)
-    table = clean_and_return(load_csv(cfg.data))
+    spaces = _resolve_spaces(cfg, strategies, keys)
+    version = version_string()
+    try:
+        prices = load_csv(cfg.data)
+    except UnicodeDecodeError as err:
+        raise DataError(f"{cfg.data}: not UTF-8: {err}") from None
+    digest, table = prices.sha256, clean_and_return(prices)
+    del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
-    with _trial_pool(table, spaces, args.jobs) as pool:
-        result, curve, report = _execute_strategy(table, schedule, cfg.strategy, spaces[cfg.strategy], cfg, pool)
+    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=cfg.seed)
+    costs, kept = CostModel(cfg.cost_rate), []
+    # no more workers than the largest search has trials
+    with TrialPool(table, min(args.jobs, max((s.budget for s in spaces.values() if s is not None), default=1))) as pool:
+        for strategy in strategies:
+            result = walk_forward(
+                table, schedule, strategy,
+                tau=cfg.window, space=spaces[strategy], base_cfg=base_cfg, costs=costs, seed=cfg.seed, pool=pool,
+                search_each_split=not cfg.search_once, base_combo={"t2v_k": cfg.t2v_k} if strategy == "pt" else None,
+            )
+            curve = run_backtest(result.stream, table, costs)
+            kept.append(keep(result, curve, compute_metrics(curve)))
+            del result  # its weights and models go before the next strategy runs, unless kept
+    return cfg, out, version, digest, kept
+
+
+def cmd_run(args) -> int:
+    cfg, out, *provenance, [turn] = _walk_each(args, [args.strategy], TRAINED_STRATEGIES, lambda *turn: turn)
+    result, curve, report = turn
     _write_run_artifacts(out, result, curve, report)
     write_manifest(out, "run", asdict(cfg), *provenance)
     print(f"{cfg.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
@@ -274,40 +262,27 @@ def cmd_compare(args) -> int:
         raise UsageError("compare needs at least 2 strategies")
     if len(set(args.strategies)) != len(args.strategies):
         raise UsageError("duplicate strategy in compare list")
-    cfg = _run_config(args, strategy=args.strategies[0])
-    out = check_out_dir(cfg.out_dir, args.force)
-    spaces = _resolve_spaces(cfg, args.strategies, args.strategies)
-    provenance = version_string(), file_sha256(cfg.data)
-    table = clean_and_return(load_csv(cfg.data))
-    schedule = yearly_splits(table, cfg.first_test_year)
-
-    rows: list[tuple[str, MetricsReport]] = []
-    curves = {}
-    with _trial_pool(table, spaces, args.jobs) as pool:
-        for strategy in args.strategies:
-            # the walk-forward result (its weights and models) is freed here, before the next strategy runs
-            curve, report = _execute_strategy(table, schedule, strategy, spaces[strategy], cfg, pool)[1:]
-            rows.append((strategy, report))
-            curves[strategy] = curve
+    cfg, out, *provenance, turns = _walk_each(args, args.strategies, args.strategies, lambda _, curve, report: (curve, report))
+    curves, reports = zip(*turns)
 
     out.mkdir(parents=True, exist_ok=True)
-    columns = {c: [getattr(report, c) for _, report in rows] for c in METRIC_COLUMNS}
+    columns = {c: [getattr(report, c) for report in reports] for c in METRIC_COLUMNS}
     write_series_csv(args.strategies, columns, out / "comparison.csv", key="strategy")
 
-    table_text = render_table(rows)
+    table_text = render_table(list(zip(args.strategies, reports)))
     (out / "comparison.txt").write_text(table_text, encoding="utf-8")
 
-    dates = curves[args.strategies[0]].dates
-    write_series_csv(dates, {s: curves[s].cumulative for s in args.strategies}, out / "equity_curves.csv")
+    cumulative = {s: curve.cumulative for s, curve in zip(args.strategies, curves)}
+    write_series_csv(curves[0].dates, cumulative, out / "equity_curves.csv")
 
     write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, *provenance)
     print(table_text, end="")
     return 0
 
 
-def _run_config(args, strategy: str | None = None) -> RunConfig:
+def _run_config(args, strategy: str) -> RunConfig:
     values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "strategy"}
-    return RunConfig(strategy=strategy if strategy is not None else args.strategy, **values)
+    return RunConfig(strategy=strategy, **values)
 
 
 # ---------------------------------------------------------------------------

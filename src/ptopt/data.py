@@ -12,6 +12,7 @@ observation are dropped.
 from __future__ import annotations
 
 import datetime as dt
+import io
 from array import array
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ class PriceTable:
     dates: list[dt.date]
     tickers: list[str]
     prices: np.ndarray
+    sha256: str | None = None  # hex digest of the bytes ``load_csv`` parsed this table from
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=np.float64)
@@ -92,6 +94,19 @@ def _first_fault(path, tickers: list[str]) -> DataError:
     return DataError(f"{path}: file changed while it was read")
 
 
+class _Hashed(io.FileIO):
+    """A file that feeds ``digest`` each byte it reads through ``readinto``, as a ``BufferedReader`` reads."""
+
+    def __init__(self, path, digest):
+        self.digest = digest
+        super().__init__(path)
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
 def load_csv(path) -> PriceTable:
     """Read a price CSV, streaming its rows into one flat buffer of packed doubles.
 
@@ -101,8 +116,12 @@ def load_csv(path) -> PriceTable:
     or price raises a ``ParseError`` or ``DataError`` naming the first bad
     line in file order; a duplicate date raises a ``DataError`` naming it.
     Bytes that are not UTF-8 raise the decoder's ``UnicodeDecodeError``.
+    The table's ``sha256`` is of the bytes parsed, hashed in the same read.
     """
-    with open(path, encoding="utf-8") as fh:
+    import hashlib  # here, not at import: only a load needs libcrypto
+
+    digest = hashlib.sha256()
+    with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest)), encoding="utf-8") as fh:
         line = fh.readline()
         if not line:
             raise ParseError(f"{path}: empty file")
@@ -147,7 +166,7 @@ def load_csv(path) -> PriceTable:
         for a, b in zip(dates, dates[1:]):
             if a == b:
                 raise DataError(f"{path}: duplicate date {a}")
-    return PriceTable(dates, tickers, prices)
+    return PriceTable(dates, tickers, prices, digest.hexdigest())
 
 
 def write_csv(table: PriceTable, path) -> None:

@@ -10,6 +10,7 @@ backtests legitimately produce them.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import json
 import math
@@ -173,13 +174,18 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
 # plot-ready serialization
 
 
+def write_rows(path, header: list[str], rows) -> None:
+    """The writer of every output CSV: ``header``, then ``rows`` (floats as ``repr`` strings), ``\\n``-ended."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_series_csv(keys: list, columns: dict[str, np.ndarray], path, key: str = "date") -> None:
     """A ``key`` column of ``str(k)`` (ISO for a date), then one column per name, each value as ``repr(float)``."""
     series = [np.asarray(values, dtype=np.float64).tolist() for values in columns.values()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([key, *columns]) + "\n")
-        for k, *values in zip(keys, *series):
-            fh.write(",".join([str(k), *map(repr, values)]) + "\n")
+    write_rows(path, [key, *columns], ([str(k), *map(repr, values)] for k, *values in zip(keys, *series)))
 
 
 def write_equity_csv(curve: EquityCurve, path) -> None:

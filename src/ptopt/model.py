@@ -146,7 +146,6 @@ class Time2VecLayer:
     """Learned time features: one linear component plus k sinusoids."""
 
     def __init__(self, k: int, rng: np.random.Generator):
-        self.k = k
         self.omega = Tensor(rng.uniform(-1.0, 1.0, k + 1), requires_grad=True)
         self.phi = Tensor(rng.uniform(-1.0, 1.0, k + 1), requires_grad=True)
 

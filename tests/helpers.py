@@ -574,8 +574,9 @@ def dense_composed(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def time2vec_matrix(n_rows: int, layer) -> Tensor:
     """Stacked time features for positions 0..n_rows-1, shape (n_rows, k+1)."""
     t = Tensor(np.arange(n_rows, dtype=np.float64).reshape(n_rows, 1))
-    a = add(matmul(t, ag.reshape(layer.omega, (1, layer.k + 1))), layer.phi)
-    return concat([slice_(a, 1, 0, 1), sin(slice_(a, 1, 1, layer.k + 1))], axis=1)
+    width = layer.omega.data.size  # k + 1
+    a = add(matmul(t, ag.reshape(layer.omega, (1, width))), layer.phi)
+    return concat([slice_(a, 1, 0, 1), sin(slice_(a, 1, 1, width))], axis=1)
 
 
 def embed_composed(x: Tensor, time2vec, proj) -> Tensor:

@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through main() in-process."""
 
+import csv
+import hashlib
 import json
 import os
 import shutil
@@ -14,6 +16,7 @@ import ptopt.cli as cli
 from ptopt.errors import NumericError
 from ptopt.metrics import MetricsReport
 from ptopt.model import PTConfig
+from ptopt.training import STRATEGIES
 
 from helpers import record_executors
 
@@ -77,7 +80,7 @@ def test_run_manifest_records_config_seed_version_checksum(prices_csv, tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert manifest["config"]["strategy"] == "equal_weight"
-    assert manifest["input_sha256"] == cli.file_sha256(prices_csv)
+    assert manifest["input_sha256"] == hashlib.sha256(prices_csv.read_bytes()).hexdigest()
     assert manifest["version"]
 
 
@@ -87,7 +90,7 @@ def test_run_manifest_records_config_seed_version_checksum(prices_csv, tmp_path)
 def test_manifest_hashes_the_input_as_it_was_read(command, prices_csv, tmp_path, monkeypatch):
     data = tmp_path / "prices.csv"
     shutil.copyfile(prices_csv, data)
-    digest = cli.file_sha256(data)
+    digest = hashlib.sha256(data.read_bytes()).hexdigest()
     load_csv = cli.load_csv
 
     def load_then_rewrite(path):
@@ -98,8 +101,41 @@ def test_manifest_hashes_the_input_as_it_was_read(command, prices_csv, tmp_path,
     monkeypatch.setattr(cli, "load_csv", load_then_rewrite)
     out = tmp_path / "out"
     assert cli.main([*command, "--data", str(data), "--out", str(out)]) == 0
-    assert cli.file_sha256(data) != digest
+    assert hashlib.sha256(data.read_bytes()).hexdigest() != digest
     assert json.loads((out / "manifest.json").read_text())["input_sha256"] == digest
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--strategy", "equal_weight"], ["compare", "--strategies", "mv", "equal_weight"]], ids=["run", "compare"]
+)
+def test_manifest_hashes_the_bytes_that_were_parsed(command, prices_csv, tmp_path, monkeypatch):
+    data = tmp_path / "prices.csv"
+    shutil.copyfile(prices_csv, data)
+    load_csv = cli.load_csv
+    parsed = []
+
+    def rewrite_then_load(path):
+        # another valid market replaces the file once the command has started, just before the parse
+        assert cli.main(["synth", "--assets", "3", "--days", "790", "--seed", "6", "--out", str(path)]) == 0
+        parsed.append(Path(path).read_bytes())
+        return load_csv(path)
+
+    monkeypatch.setattr(cli, "load_csv", rewrite_then_load)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--data", str(data), "--out", str(out)]) == 0
+    assert parsed[0] != prices_csv.read_bytes()
+    assert json.loads((out / "manifest.json").read_text())["input_sha256"] == hashlib.sha256(parsed[0]).hexdigest()
+
+
+@pytest.mark.parametrize("command", [["run", "--strategy", "mv"], ["compare", "--strategies", "mv", "equal_weight"]])
+def test_data_that_is_not_utf8_is_a_data_error(command, tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"date,A\xff\n2020-01-02,1\n2020-01-03,2\n")
+    out = tmp_path / "o"
+    assert cli.main([*command, "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(data) in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_run_manifest_records_result_flags_and_versions(prices_csv, tmp_path):
@@ -494,6 +530,48 @@ def test_compare_two_strategies(prices_csv, tmp_path, capsys):
     curves = (out / "equity_curves.csv").read_text().splitlines()
     assert curves[0] == "date,mv,equal_weight"
     assert all(len(line.split(",")) == 3 for line in curves)
+
+
+@pytest.fixture(scope="module", params=[[], ["--budget", "2", "--search-once"]], ids=["fit", "search_once"])
+def compare_and_runs(request, prices_csv, tmp_path_factory):
+    """One compare of every strategy over two test years, and one run per strategy, with the same flags."""
+    root = tmp_path_factory.mktemp("parity")
+    flags = ["--data", str(prices_csv), *SHORT_FLAGS, *request.param]
+    assert cli.main(["compare", "--strategies", *STRATEGIES, "--out", str(root / "compare"), *flags]) == 0
+    for strategy in STRATEGIES:
+        assert cli.main(["run", "--strategy", strategy, "--out", str(root / strategy), *flags]) == 0
+    return root
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_compare_reports_what_run_reports(compare_and_runs):
+    header, *rows = read_csv(compare_and_runs / "compare" / "comparison.csv")
+    curves = read_csv(compare_and_runs / "compare" / "equity_curves.csv")
+    assert header == ["strategy", *cli.METRIC_COLUMNS] and [row[0] for row in rows] == list(STRATEGIES)
+    assert curves[0] == ["date", *STRATEGIES]
+    for col, (strategy, *values) in enumerate(rows, start=1):
+        metrics = json.loads((compare_and_runs / strategy / "metrics.json").read_text())
+        assert values == [repr(metrics[c]) for c in cli.METRIC_COLUMNS], strategy
+        equity = read_csv(compare_and_runs / strategy / "equity.csv")
+        assert [[r[0], r[col]] for r in curves[1:]] == equity[1:], strategy
+
+
+def test_every_table_is_one_dialect(compare_and_runs):
+    """Each CSV ends its lines with \\n alone, and each of its rows has as many fields as its header."""
+    tables = [compare_and_runs / "compare" / name for name in ("comparison.csv", "equity_curves.csv")]
+    for strategy in STRATEGIES:
+        tables += [compare_and_runs / strategy / name for name in ("equity.csv", "rolling_sharpe.csv", "trials.csv", "history.csv")]
+    for path in tables:
+        assert b"\r" not in path.read_bytes(), path
+        header, *rows = read_csv(path)
+        assert all(len(row) == len(header) for row in rows), path
+    searched = json.loads((compare_and_runs / "lstm" / "manifest.json").read_text())["config"]["budget"] > 0
+    # a search's trial rows hold params with commas and quotes: two trials, the first split's alone
+    assert len(read_csv(compare_and_runs / "lstm" / "trials.csv")) == (3 if searched else 1)
 
 
 def test_compare_holds_one_weight_stream_at_a_time(tmp_path, monkeypatch):

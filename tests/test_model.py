@@ -105,9 +105,9 @@ def test_time2vec_linear_component():
 
 def embedded_time_features(n_rows: int, layer: Time2VecLayer) -> np.ndarray:
     """The features ``ag.embed`` appends, read through a zero-width window and an identity map."""
-    eye = np.eye(layer.k + 1)
+    width = layer.omega.data.size  # the linear component and the k sinusoids
     x = Tensor(np.zeros((n_rows, 0)))
-    return ag.embed(x, layer.omega, layer.phi, Tensor(eye), Tensor(np.zeros(layer.k + 1))).data
+    return ag.embed(x, layer.omega, layer.phi, Tensor(np.eye(width)), Tensor(np.zeros(width))).data
 
 
 @given(st.integers(0, 1000), st.integers(0, 2**31 - 1))

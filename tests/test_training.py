@@ -13,7 +13,7 @@ import ptopt.training as tr
 from ptopt.autograd import Tensor
 from ptopt.data import ReturnTable, Split, SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.errors import TrainingError
-from ptopt.metrics import run_backtest
+from ptopt.metrics import EquityCurve, MetricsReport, WeightStream, run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, _pack
 from ptopt.objective import CostModel
 
@@ -570,8 +570,10 @@ def test_trials_csv_roundtrip(tmp_path):
         tr.Trial(index=0, params={"hidden": 4, "learning_rate": 1e-3}, train_loss=-0.25, val_loss=-0.125, seconds=1.5),
         tr.Trial(index=1, params={"hidden": 8, "learning_rate": 3e-3}, train_loss=-0.3, val_loss=np.inf, seconds=0.75),
     ]
+    outcome = tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=None)
+    result = tr.WalkForwardResult(WeightStream([], np.empty((0, 2))), [outcome])
+    cli._write_run_artifacts(tmp_path, result, EquityCurve([], []), MetricsReport(*[0.0] * 7))
     path = tmp_path / "trials.csv"
-    cli._write_all_trials([tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=None)], path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["test_year", "trial", "params", "train_loss", "val_loss", "seconds"]
