@@ -17,9 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 from ptopt.errors import DataError, NumericError
-from ptopt.model import (
-    Dense, PortfolioTransformer, _cast_fields, _check_assets_and_window, _collect, _pack, _uniform_init, batched_weights, last_rows,
-)
+from ptopt.model import Dense, PortfolioTransformer, WindowConfig, _collect, _pack, _uniform_init, batched_weights, last_rows
 
 # ---------------------------------------------------------------------------
 # mean-variance
@@ -94,15 +92,12 @@ def _moments(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class MLPConfig:
-    n_assets: int
-    window: int
+class MLPConfig(WindowConfig):
     hidden: tuple[int, ...] = (32,)
     seed: int = 0
 
     def __post_init__(self):
-        _cast_fields(self)
-        _check_assets_and_window(self)
+        super().__post_init__()
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError(f"bad hidden sizes {self.hidden}")
 
@@ -144,8 +139,7 @@ class MLPModel:
         trailing = sliding_window_view(blocks, tau, axis=1)[:, 1:].transpose(0, 1, 3, 2)
         return ag.signed_softmax(self._scores(trailing.reshape(blocks.shape[0], tau, tau * n)))
 
-    def day_weights(self, block: np.ndarray) -> np.ndarray:
-        return last_rows(self, block)
+    day_weights = last_rows
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +147,12 @@ class MLPModel:
 
 
 @dataclass(frozen=True)
-class LSTMConfig:
-    n_assets: int
-    window: int
+class LSTMConfig(WindowConfig):
     hidden: int = 16
     seed: int = 0
 
     def __post_init__(self):
-        _cast_fields(self)
-        _check_assets_and_window(self)
+        super().__post_init__()
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 
@@ -194,8 +185,7 @@ class LSTMModel:
         tau = self.config.window
         return batched_weights(lambda b: lstm_forward(b[:, tau:], self), block, self.config)
 
-    def day_weights(self, block: np.ndarray) -> np.ndarray:
-        return last_rows(self, block)
+    day_weights = last_rows
 
 
 def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:

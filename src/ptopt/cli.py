@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -116,7 +117,9 @@ def check_out_dir(path: str, force: bool) -> Path:
 
 def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha256: str) -> None:
     """``version`` is read before the input is loaded and ``input_sha256`` is of
-    the bytes ``load_csv`` parsed, so the manifest describes the input the run read."""
+    the bytes ``load_csv`` parsed, so the manifest describes the input the run read.
+    The BLAS build (null before numpy 1.26) and its thread variables go in too: results can differ across them."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
     doc = {
         "command": command,
         "config": cfg,
@@ -124,6 +127,8 @@ def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha25
         "version": version,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": None if blas is None else {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        "blas_threads": {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "input_sha256": input_sha256,
     }
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -275,7 +280,8 @@ def cmd_compare(args) -> int:
     cumulative = {s: curve.cumulative for s, curve in zip(args.strategies, curves)}
     write_series_csv(curves[0].dates, cumulative, out / "equity_curves.csv")
 
-    write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, *provenance)
+    config = {k: v for k, v in asdict(cfg).items() if k != "strategy"}  # cfg's strategy is just the first listed
+    write_manifest(out, "compare", {**config, "strategies": args.strategies}, *provenance)
     print(table_text, end="")
     return 0
 

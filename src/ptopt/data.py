@@ -233,6 +233,8 @@ class WalkForwardSchedule:
     splits: list[Split]
 
     def __post_init__(self):
+        if not self.splits:
+            raise ValueError("a schedule needs at least one split")
         for prev, s in zip([None, *self.splits], self.splits):
             if not (0 < s.val_start < s.train_end < s.test_end):
                 raise ValueError(f"malformed split for {s.test_year}")

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ptopt.autograd import ContractError
 from ptopt.data import ReturnTable
 from ptopt.errors import AlignmentError, DataError
-from ptopt.objective import CostModel
+from ptopt.objective import CostModel, net_returns
 
 TRADING_DAYS = 252
 _BACKTEST_BLOCK = 256  # days per block of run_backtest: its temporaries are a block x assets, not days x assets
@@ -131,9 +131,9 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
     """Realize a weight stream against next-day returns under the cost model.
 
     The weight dated d is held over the following trading day and earns that
-    day's returns; turnover is charged against the previous day's book, with
-    an all-zero book before the first day. The table's dates ascend, as
-    ``load_csv`` sorts them. Held returns and turnover form ``_BACKTEST_BLOCK``
+    day's returns net of the costs of ``objective.net_returns``: turnover against
+    the previous day's book, all-zero before the first day. The table's dates
+    ascend, as ``load_csv`` sorts them. Net returns form ``_BACKTEST_BLOCK``
     days at a time; a day's sums do not depend on the blocking.
     """
     if stream.weights.shape[1] != table.n_assets:
@@ -157,15 +157,8 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
     w = stream.weights
     net = np.empty(len(rows))
     for lo in range(0, len(rows), _BACKTEST_BLOCK):
-        hi = min(lo + _BACKTEST_BLOCK, len(rows))
-        held = table.returns[rows[lo:hi] + 1]  # a gathered copy, so the product can form in place
-        held *= w[lo:hi]
-        turnover = w[lo:hi].copy()  # diffs against the previous book, all-zero before the first, in place
-        np.subtract(w[lo + 1 : hi], w[lo : hi - 1], out=turnover[1:])
-        if lo:
-            turnover[0] -= w[lo - 1]
-        np.abs(turnover, out=turnover)
-        net[lo:hi] = held.sum(axis=1) - costs.cost_rate * turnover.sum(axis=1)
+        block = slice(lo, lo + _BACKTEST_BLOCK)
+        net[block] = net_returns(w[block], table.returns[rows[block] + 1], w[lo - 1] if lo else 0.0, costs.cost_rate)[0]
     earn_dates = table.dates[rows[0] + 1 : rows[-1] + 2] if len(rows) else []
     return EquityCurve(earn_dates, net)
 

@@ -31,7 +31,7 @@ import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = "PTCKPT1"
-_INFER_BLOCK = 64  # windows per gradient-free forward of ``last_rows`` and ``training.evaluate_loss``
+_INFER_BLOCK = 64  # items per gradient-free call of ``blockwise``
 _CASTS = {"int": int, "float": float, "str": str}  # config annotations are strings under __future__.annotations
 
 
@@ -63,18 +63,23 @@ def _cast_fields(config) -> None:
             object.__setattr__(config, f.name, _cast(f.name, f.type, value))
 
 
-def _check_assets_and_window(config) -> None:
-    """The check of every window model's config: at least 2 assets and a window of at least 2 rows."""
-    if config.n_assets < 2 or config.window < 2:
-        raise ValueError(f"need n_assets >= 2 and window >= 2, got {config.n_assets} and {config.window}")
-
-
 @dataclass(frozen=True)
-class PTConfig:
-    """Architecture hyperparameters of the allocation network; a combo's missing axes take these defaults."""
+class WindowConfig:
+    """The first fields and check of every window model's config (each subclass declares ``seed`` last)."""
 
     n_assets: int
     window: int
+
+    def __post_init__(self):
+        _cast_fields(self)
+        if self.n_assets < 2 or self.window < 2:
+            raise ValueError(f"need n_assets >= 2 and window >= 2, got {self.n_assets} and {self.window}")
+
+
+@dataclass(frozen=True)
+class PTConfig(WindowConfig):
+    """Architecture hyperparameters of the allocation network; a combo's missing axes take these defaults."""
+
     d_model: int = 16
     n_heads: int = 2
     t2v_k: int = 3
@@ -84,8 +89,7 @@ class PTConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _cast_fields(self)
-        _check_assets_and_window(self)
+        super().__post_init__()
         if not (self.d_model >= self.n_heads >= 1):
             raise ValueError(f"need d_model >= n_heads >= 1, got {self.d_model}/{self.n_heads}")
         if self.d_model % self.n_heads != 0:
@@ -247,6 +251,45 @@ class DecoderLayer:
         )
 
 
+# ---------------------------------------------------------------------------
+# block batching shared by every window model
+
+
+def batched_weights(forward: Callable[[np.ndarray], Tensor], block: np.ndarray, config) -> Tensor:
+    """Run ``forward`` on a (B, 2*window, n_assets) stack of blocks.
+
+    A single (2*window, n_assets) block runs as the batch of one and its
+    weights come back without the batch axis. The stack is made contiguous
+    first, so every window meets the same matrix kernels whatever the batch.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    want = (2 * config.window, config.n_assets)
+    if block.ndim not in (2, 3) or block.shape[-2:] != want:
+        raise ShapeError(f"block shape {block.shape} != {want} or (B, *{want})")
+    single = block.ndim == 2
+    weights = forward(np.ascontiguousarray(block[None] if single else block))
+    return ag.reshape(weights, weights.shape[1:]) if single else weights
+
+
+def blockwise(fn: Callable, stack, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with ``fn`` of ``_INFER_BLOCK`` items of ``stack`` at a time, gradient-free; an
+    item's result does not depend on its block, so ``out`` holds the bits of one call over the stack."""
+    with ag.no_grad():
+        for i in range(0, len(stack), _INFER_BLOCK):
+            out[i : i + _INFER_BLOCK] = fn(stack[i : i + _INFER_BLOCK])
+    return out
+
+
+def last_rows(model, block: np.ndarray) -> np.ndarray:
+    """Every window model's ``day_weights``: the gradient-free last weight row of a block, or
+    of each block of a (B, 2*window, n_assets) stack as one (B, n_assets) array through ``blockwise``."""
+    if np.ndim(block) != 3:
+        with ag.no_grad():
+            return model.window_weights(block).data[-1].copy()
+    out = np.empty((len(block), model.config.n_assets))
+    return blockwise(lambda b: model.window_weights(b).data[:, -1], block, out)
+
+
 class PortfolioTransformer:
     """The full allocation network; see the module docstring for layout."""
 
@@ -289,12 +332,7 @@ class PortfolioTransformer:
         tau = self.config.window
         return batched_weights(lambda b: pt_forward(b[:, :tau], b[:, tau:], self, rng=rng), block, self.config)
 
-    def day_weights(self, block: np.ndarray) -> np.ndarray:
-        """Next-day allocation: the last decoder row, gradient-free.
-
-        A stack of B blocks gives B allocations from one forward pass.
-        """
-        return last_rows(self, block)
+    day_weights = last_rows
 
 
 def embed_window(x: np.ndarray, model: PortfolioTransformer) -> Tensor:
@@ -338,42 +376,6 @@ def pt_forward(
         dec = layer.forward(dec, enc, drop)
 
     return ag.signed_softmax(model.head(dec))
-
-
-# ---------------------------------------------------------------------------
-# block batching shared by every window model
-
-
-def batched_weights(forward: Callable[[np.ndarray], Tensor], block: np.ndarray, config) -> Tensor:
-    """Run ``forward`` on a (B, 2*window, n_assets) stack of blocks.
-
-    A single (2*window, n_assets) block runs as the batch of one and its
-    weights come back without the batch axis. The stack is made contiguous
-    first, so every window meets the same matrix kernels whatever the batch.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    want = (2 * config.window, config.n_assets)
-    if block.ndim not in (2, 3) or block.shape[-2:] != want:
-        raise ShapeError(f"block shape {block.shape} != {want} or (B, *{want})")
-    single = block.ndim == 2
-    weights = forward(np.ascontiguousarray(block[None] if single else block))
-    return ag.reshape(weights, weights.shape[1:]) if single else weights
-
-
-def last_rows(model, block: np.ndarray) -> np.ndarray:
-    """Gradient-free next-day allocation(s): the last weight row per block.
-
-    A stack runs ``_INFER_BLOCK`` windows per forward into one (B, n_assets)
-    array. A window's weights do not depend on its batch, so the rows equal
-    one forward's bit for bit.
-    """
-    with ag.no_grad():
-        if np.ndim(block) != 3:
-            return model.window_weights(block).data[-1].copy()
-        out = np.empty((len(block), model.config.n_assets))
-        for i in range(0, len(block), _INFER_BLOCK):
-            out[i : i + _INFER_BLOCK] = model.window_weights(block[i : i + _INFER_BLOCK]).data[:, -1]
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -61,28 +61,32 @@ class ReturnsWindow:
                 )
 
 
-def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
-    """Negated Sharpe of the cost-adjusted window returns (to be minimized),
-    one loss per window of a stack, as one tape node.
+def net_returns(weights: np.ndarray, realized: np.ndarray, prev, cost_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cost model of the loss and the backtest: ``(net, diff)`` per weight row.
 
-    Row t contributes sum(weights[t] * realized[t]) minus ``cost_rate`` times
-    the L1 distance between weight row t and the previous row; the Sharpe
-    ratio is mean over ``EPS``-guarded population standard deviation, per window.
+    ``diff[t]`` is weight row t minus row t-1, the first row minus ``prev`` (a
+    book, or 0.0 for the zero book). Row t nets sum(weights[t] * realized[t])
+    minus ``cost_rate`` times the L1 norm of ``diff[t]``. Leading axes stack windows.
     """
+    diff = weights.copy()
+    diff[..., 1:, :] -= weights[..., :-1, :]
+    diff[..., 0, :] -= prev
+    return np.add.reduce(weights * realized, axis=-1) - np.add.reduce(np.abs(diff), axis=-1) * cost_rate, diff
+
+
+def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Tensor:
+    """Negated Sharpe of the ``net_returns`` of each window of a stack (to be minimized), as one
+    tape node: mean over ``EPS``-guarded population standard deviation, per window."""
     wd, realized = weights.data, window.realized
     if wd.ndim not in (2, 3):
         raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
     if realized.shape != wd.shape:
         raise ShapeError(f"returns shape {realized.shape} does not match weights {weights.shape}")
-    t, n = wd.shape[-2:]
+    t = wd.shape[-2]
     if t < 2:
         raise ContractError(f"sharpe needs at least 2 returns per window, got {t}")
-    prev = window.prev_weights if window.prev_weights is not None else np.zeros(n)
     cost_rate = costs.cost_rate
-    diff = wd.copy()  # each weight row minus the one before it, the first minus prev
-    diff[..., 1:, :] -= wd[..., :-1, :]
-    diff[..., 0, :] -= prev
-    net = np.add.reduce(wd * realized, axis=-1) - np.add.reduce(np.abs(diff), axis=-1) * cost_rate
+    net, diff = net_returns(wd, realized, 0.0 if window.prev_weights is None else window.prev_weights, cost_rate)
     m = np.add.reduce(net, axis=-1) / t
     sd = np.sqrt(np.add.reduce(net * net, axis=-1) / t - m * m + EPS)
 

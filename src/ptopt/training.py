@@ -30,7 +30,7 @@ from ptopt.benchmarks import MODEL_KINDS, MVConfig, equal_weights, mv_weights
 from ptopt.data import ReturnTable, Split, WalkForwardSchedule
 from ptopt.errors import DataError, TrainingError
 from ptopt.metrics import WeightStream
-from ptopt.model import _INFER_BLOCK, _cast_fields
+from ptopt.model import _cast_fields, blockwise
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 # bytes of one (days, n, n) stack of the MV walk, whose mv_weights call holds about three such
@@ -106,10 +106,11 @@ class Windows:
         return Windows(self.blocks[index], self.realized[index], self.decision_index[index])
 
 
-def _stacked(r: np.ndarray, length: int, first: int, count: int) -> np.ndarray:
-    """Read-only (count, length, n) view of the runs r[first+i : first+i+length]."""
+def _ending_at(r: np.ndarray, length: int, last: int, count: int) -> np.ndarray:
+    """Read-only (count, length, n) view: the ``length`` rows of ``r`` ending at row last+i, for each i < count."""
     if count <= 0:
         return np.empty((0, length, r.shape[1]))
+    first = last - length + 1
     return sliding_window_view(r, length, axis=0)[first : first + count].transpose(0, 2, 1)
 
 
@@ -120,8 +121,8 @@ def build_windows(table: ReturnTable, tau: int, lo: int, hi: int) -> Windows:
     decisions = np.arange(first, min(hi - 2, r.shape[0] - 2) + 1)
     count = len(decisions)
     return Windows(
-        blocks=_stacked(r, 2 * tau, first - 2 * tau + 1, count),
-        realized=_stacked(r, tau, first - tau + 2, count),
+        blocks=_ending_at(r, 2 * tau, first, count),
+        realized=_ending_at(r, tau, first + 1, count),
         decision_index=decisions,
     )
 
@@ -167,15 +168,12 @@ def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Te
 
 
 def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
-    """Mean window loss over every window, from gradient-free forwards of ``_INFER_BLOCK`` windows.
+    """Mean window loss over every window, from the gradient-free forwards of ``ptopt.model.blockwise``.
 
     A window's loss does not depend on its batch, so one ``np.mean`` over the
     blocks' losses gives the bits of ``ag.mean`` over a single forward.
     """
-    losses = np.empty(len(windows))
-    with ag.no_grad():
-        for i in range(0, len(windows), _INFER_BLOCK):
-            losses[i : i + _INFER_BLOCK] = _window_losses(model, windows[i : i + _INFER_BLOCK], costs).data
+    losses = blockwise(lambda w: _window_losses(model, w, costs).data, windows, np.empty(len(windows)))
     return float(np.mean(losses))
 
 
@@ -506,8 +504,9 @@ def walk_forward(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     n = table.n_assets
-    all_dates: list = []
-    weights = np.empty((sum(s.test_end - s.train_end for s in schedule.splits), n))
+    start = schedule.splits[0].train_end - 1  # the stream's first decision row; the splits are consecutive
+    dates = table.dates[start : schedule.splits[-1].test_end - 1]
+    weights = np.empty((len(dates), n))
     outcomes: list[SplitOutcome] = []
     chosen: dict | None = None
     mv_config = MVConfig()
@@ -517,8 +516,7 @@ def walk_forward(
     for split_idx, split in enumerate(schedule.splits):
         # one decision per test-year return row, dated the prior trading day
         first = split.train_end - 1
-        dates = table.dates[first : split.test_end - 1]
-        rows = weights[len(all_dates) : len(all_dates) + len(dates)]  # this split's rows of the stream
+        rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream
         if strategy == "equal_weight":
             rows[:] = equal_weights(n)
             outcomes.append(SplitOutcome(split.test_year, {}, [], None))
@@ -526,9 +524,9 @@ def walk_forward(
             if split.train_end < mv_config.lookback:
                 raise DataError(f"need {mv_config.lookback} rows before {split.test_year} for the mean-variance window")
             # each test day's trailing lookback rows, as views, solved a chunk at a time
-            histories = _stacked(table.returns, mv_config.lookback, first - mv_config.lookback + 1, len(dates))
+            histories = _ending_at(table.returns, mv_config.lookback, first, len(rows))
             chunk = max(1, _MV_STACK_BYTES // (8 * n * n))
-            for i in range(0, len(dates), chunk):
+            for i in range(0, len(rows), chunk):
                 rows[i : i + chunk] = mv_weights(histories[i : i + chunk], mv_config)
             outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
@@ -548,9 +546,8 @@ def walk_forward(
             else:
                 model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
                 model.vector[:] = result.vector
-            # every test day of the split, _INFER_BLOCK windows per gradient-free forward
-            rows[:] = model.day_weights(_stacked(table.returns, 2 * tau, first - 2 * tau + 1, len(dates)))
+            # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
+            rows[:] = model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
             outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))
-        all_dates.extend(dates)
 
-    return WalkForwardResult(stream=WeightStream(all_dates, weights), outcomes=outcomes)
+    return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=outcomes)

@@ -138,11 +138,14 @@ def test_data_that_is_not_utf8_is_a_data_error(command, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_manifest_records_result_flags_and_versions(prices_csv, tmp_path):
+def test_run_manifest_records_result_flags_and_versions(prices_csv, tmp_path, monkeypatch):
     import platform
 
     import numpy as np
 
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
     out = tmp_path / "run"
     assert cli.main(
         ["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out),
@@ -154,6 +157,12 @@ def test_run_manifest_records_result_flags_and_versions(prices_csv, tmp_path):
     assert manifest["config"]["search_once"] is True
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas")
+    if blas is None:
+        assert manifest["blas"] is None
+    else:
+        assert manifest["blas"] == {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3"}
 
     defaults = tmp_path / "defaults"
     assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(defaults)]) == 0
@@ -512,6 +521,14 @@ def test_run_trained_strategy_writes_checkpoint(prices_csv, tmp_path):
 
 # ---------------------------------------------------------------------------
 # compare
+
+
+def test_compare_manifest_records_its_strategies_and_no_single_strategy(prices_csv, tmp_path):
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--strategies", "mv", "equal_weight", "--data", str(prices_csv), "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["strategies"] == ["mv", "equal_weight"]
+    assert "strategy" not in config
 
 
 def test_compare_two_strategies(prices_csv, tmp_path, capsys):

@@ -14,7 +14,9 @@ from ptopt import data
 from ptopt.data import (
     PriceTable,
     ReturnTable,
+    Split,
     SynthConfig,
+    WalkForwardSchedule,
     clean_and_return,
     load_csv,
     synth_generate,
@@ -490,6 +492,21 @@ def test_splits_cover_test_years_disjointly():
         seen.extend(range(s.train_end, s.test_end))
     first = schedule.splits[0].train_end
     assert seen == list(range(first, schedule.splits[-1].test_end))
+
+
+@pytest.mark.parametrize(
+    "splits, message",
+    [
+        ([], "at least one split"),
+        ([Split(2016, 250, 225, 500), Split(2017, 490, 441, 750)], "not consecutive at 2017"),
+        ([Split(2016, 250, 225, 500), Split(2018, 500, 450, 750)], "not consecutive at 2018"),
+    ],
+    ids=["empty", "overlapping", "skipped_year"],
+)
+def test_schedule_refuses_what_is_not_one_run_of_test_years(splits, message):
+    # walk_forward dates its whole stream as one slice of the table, from the first split on
+    with pytest.raises(ValueError, match=message):
+        WalkForwardSchedule(splits)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ptopt.autograd import ContractError
+from ptopt.autograd import ContractError, Tensor
 from ptopt.data import ReturnTable, trading_days
 from ptopt.errors import AlignmentError, DataError
 from ptopt.metrics import (
@@ -22,7 +22,7 @@ from ptopt.metrics import (
     write_rolling_sharpe_csv,
     write_series_csv,
 )
-from ptopt.objective import CostModel
+from ptopt.objective import EPS, CostModel, ReturnsWindow, sharpe_loss
 
 from helpers import metrics_oracle, rolling_sharpe_oracle, run_backtest_oracle, traced_peak
 
@@ -258,6 +258,24 @@ def test_blocked_backtest_matches_the_loop_oracle_at_every_block_boundary(days):
     dates, net = run_backtest_oracle(stream, table, 0.0007)
     assert curve.dates == dates
     assert np.array_equal(curve.daily_returns, net)
+
+
+def test_the_loss_charges_the_backtests_costs():
+    """The Sharpe that ``sharpe_loss`` trains on is the Sharpe of ``run_backtest``'s
+    daily returns, bit for bit, over a stream that crosses a block boundary."""
+    days = _BACKTEST_BLOCK + 60
+    rng = np.random.default_rng(21)
+    table = table_from(rng.standard_normal((days + 1, 4)) * 0.01)
+    weights = rng.standard_normal((days, 4))
+    weights /= np.abs(weights).sum(axis=1, keepdims=True)
+    realized = table.returns[1:]
+    costs = CostModel(0.0007)
+    net = run_backtest(WeightStream(table.dates[:-1], weights), table, costs).daily_returns
+    m = np.add.reduce(net) / days
+    sd = np.sqrt(np.add.reduce(net * net) / days - m * m + EPS)
+    single = sharpe_loss(Tensor(weights), ReturnsWindow(realized), costs).item()
+    stacked = sharpe_loss(Tensor(weights[None]), ReturnsWindow(realized[None]), costs).data[0]
+    assert m / sd == -single == -stacked
 
 
 def test_backtest_peak_does_not_grow_with_days_times_assets():

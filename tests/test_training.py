@@ -626,6 +626,19 @@ def test_walk_forward_equal_weight_dates_and_rows():
     assert np.allclose(result.stream.weights, 1.0 / 3.0)
 
 
+@pytest.mark.parametrize("strategy", tr.STRATEGIES)
+def test_a_multi_split_stream_is_one_run_of_decision_days(strategy):
+    # criterion 07's calendar: 2014-2018, three test years from 2016
+    n_days = int(np.busday_count("2014-01-02", "2019-01-01"))
+    table = clean_and_return(synth_generate(SynthConfig(n_assets=4, n_days=n_days, seed=2)))
+    schedule = yearly_splits(table, 2016)
+    splits = schedule.splits
+    assert len(splits) == 3
+    stream = tr.walk_forward(table, schedule, strategy, tau=4, base_cfg=tr.TrainConfig(max_epochs=1)).stream
+    assert stream.dates == table.dates[splits[0].train_end - 1 : splits[-1].test_end - 1]
+    assert stream.weights.shape == (len(stream.dates), 4)
+
+
 def test_walk_forward_curve_covers_exactly_the_test_rows():
     table = wf_table()
     schedule = yearly_splits(table, 2016)
