@@ -15,9 +15,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
-from ptopt.autograd import ShapeError, Tensor
+from ptopt.autograd import Tensor
 from ptopt.errors import DataError, NumericError
-from ptopt.model import Dense, PortfolioTransformer, WindowConfig, _collect, _pack, _uniform_init, batched_weights, last_rows
+from ptopt.model import Dense, Layer, PortfolioTransformer, WindowConfig, _pack, _uniform_init, batched_weights, last_rows
 
 # ---------------------------------------------------------------------------
 # mean-variance
@@ -102,7 +102,7 @@ class MLPConfig(WindowConfig):
             raise ValueError(f"bad hidden sizes {self.hidden}")
 
 
-class MLPModel:
+class MLPModel(Layer):
     """Dense stack over the flattened trailing window, one weight row out."""
 
     kind = "mlp"
@@ -112,18 +112,8 @@ class MLPModel:
         self.config = config
         rng = np.random.default_rng(config.seed)
         widths = [config.window * config.n_assets, *config.hidden, config.n_assets]
-        self.layers = [Dense(a, b, rng) for a, b in zip(widths, widths[1:])]
+        self.layer = [Dense(a, b, rng) for a, b in zip(widths, widths[1:])]
         self.vector = _pack(self.parameters())
-
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(layer=self.layers)
-
-    def _scores(self, x: np.ndarray) -> Tensor:
-        """Scores for flattened trailing windows, rows of shape (..., window*n_assets)."""
-        h = Tensor(x)
-        for layer in self.layers[:-1]:
-            h = ag.elu(layer(h))
-        return self.layers[-1](h)
 
     def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
         """One weight row per decoder position of each 2*window block.
@@ -137,7 +127,10 @@ class MLPModel:
         tau, n = self.config.window, self.config.n_assets
         # (B, tau+1, n, tau) views of every length-tau run; drop the oldest
         trailing = sliding_window_view(blocks, tau, axis=1)[:, 1:].transpose(0, 1, 3, 2)
-        return ag.signed_softmax(self._scores(trailing.reshape(blocks.shape[0], tau, tau * n)))
+        h = Tensor(trailing.reshape(blocks.shape[0], tau, tau * n))  # flattened trailing windows
+        for layer in self.layer[:-1]:
+            h = ag.elu(layer(h))
+        return ag.signed_softmax(self.layer[-1](h))
 
     day_weights = last_rows
 
@@ -157,7 +150,7 @@ class LSTMConfig(WindowConfig):
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 
 
-class LSTMModel:
+class LSTMModel(Layer):
     """Single-layer LSTM over the window with per-step allocation scores.
 
     Gate order in the packed projections is input, forget, candidate,
@@ -177,9 +170,6 @@ class LSTMModel:
         self.head = Dense(h, n, rng)
         self.vector = _pack(self.parameters())
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(wx=self.wx, wh=self.wh, b=self.b, head=self.head)
-
     def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
         """One weight row per row of the newer half of each 2*window block."""
         tau = self.config.window
@@ -191,12 +181,9 @@ class LSTMModel:
 def lstm_forward(x: np.ndarray, model: LSTMModel) -> Tensor:
     """Run the recurrence over a window; weight row t uses rows 0..t only.
 
-    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack; the
-    whole recurrence is one ``ag.lstm`` tape node.
+    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack, whose
+    width ``ag.lstm`` checks; the whole recurrence is one ``ag.lstm`` tape node.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
-        raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
     return ag.signed_softmax(model.head(ag.lstm(Tensor(x), model.wx, model.wh, model.b)))
 
 

@@ -109,17 +109,16 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
 
-def _collect(**parts) -> dict[str, Tensor]:
-    """Name the parameters of ``parts`` in keyword order, as checkpoints key them: a
-    Tensor by its keyword, a layer's names under ``keyword.``, a list's under ``keyword0.``, ..."""
+def _collect(parts: dict) -> dict[str, Tensor]:
+    """Name the parameters among ``parts`` in their order, as checkpoints key them: a Tensor
+    by its key, a layer's names under ``key.``, a list's under ``key0.``, ...; other values are skipped."""
     out = {}
     for name, part in parts.items():
         if isinstance(part, Tensor):
             out[name] = part
         elif isinstance(part, list):
-            for i, layer in enumerate(part):
-                out.update(_collect(**{f"{name}{i}": layer}))
-        else:
+            out.update(_collect({f"{name}{i}": item for i, item in enumerate(part)}))
+        elif isinstance(part, Layer):
             out.update({f"{name}.{k}": v for k, v in part.parameters().items()})
     return out
 
@@ -132,7 +131,15 @@ def _pack(params: dict[str, Tensor]) -> np.ndarray:
     return flat
 
 
-class Dense:
+class Layer:
+    """A layer or model whose parameters are its Tensor, layer and list attributes, each named
+    by its attribute, in the order they were set (``config``, ``vector``, ``scale``, ... are not)."""
+
+    def parameters(self) -> dict[str, Tensor]:
+        return _collect(vars(self))
+
+
+class Dense(Layer):
     """Affine map x @ W + b on row-major activations."""
 
     def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
@@ -142,22 +149,16 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return ag.dense(x, self.W, self.b)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(W=self.W, b=self.b)
 
-
-class Time2VecLayer:
+class Time2VecLayer(Layer):
     """Learned time features: one linear component plus k sinusoids."""
 
     def __init__(self, k: int, rng: np.random.Generator):
         self.omega = Tensor(rng.uniform(-1.0, 1.0, k + 1), requires_grad=True)
         self.phi = Tensor(rng.uniform(-1.0, 1.0, k + 1), requires_grad=True)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(omega=self.omega, phi=self.phi)
 
-
-class MHALayer:
+class MHALayer(Layer):
     """Multi-head attention: per-head Q/K/V projections and output mix."""
 
     def __init__(self, d_model: int, n_heads: int, scale: float, rng: np.random.Generator):
@@ -170,10 +171,9 @@ class MHALayer:
         self.wo = _uniform_init(rng, n_heads * d_k, (n_heads * d_k, d_model))
 
     def parameters(self) -> dict[str, Tensor]:
-        heads = {}
-        for i in range(self.n_heads):
-            heads.update({f"q{i}": self.wq[i], f"k{i}": self.wk[i], f"v{i}": self.wv[i]})
-        return _collect(**heads, o=self.wo)
+        """``q0, k0, v0, q1, ..., o``: checkpoints interleave the heads that the RNG draws q by q, then k, then v."""
+        heads = {f"{kind}{i}": ws[i] for i in range(self.n_heads) for kind, ws in zip("qkv", (self.wq, self.wk, self.wv))}
+        return {**heads, "o": self.wo}
 
 
 def multi_head_attention(x: Tensor, memory: Tensor | None, layer: MHALayer, causal: bool = False) -> Tensor:
@@ -181,7 +181,7 @@ def multi_head_attention(x: Tensor, memory: Tensor | None, layer: MHALayer, caus
     return ag.mha(x, memory, layer.wq, layer.wk, layer.wv, layer.wo, layer.scale, causal)
 
 
-class GRNLayer:
+class GRNLayer(Layer):
     """Gated residual block: dense pair, GLU gate, residual layer norm."""
 
     def __init__(self, d_model: int, rng: np.random.Generator):
@@ -191,12 +191,6 @@ class GRNLayer:
         self.glu_gate = Dense(d_model, d_model, rng)
         self.ln_gain = Tensor(np.ones(d_model), requires_grad=True)
         self.ln_bias = Tensor(np.zeros(d_model), requires_grad=True)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(
-            inner=self.inner, outer=self.outer, glu_value=self.glu_value, glu_gate=self.glu_gate,
-            ln_gain=self.ln_gain, ln_bias=self.ln_bias,
-        )
 
 
 def _no_drop(x: Tensor) -> Tensor:
@@ -211,7 +205,7 @@ def grn(z: Tensor, layer: GRNLayer, drop: Callable[[Tensor], Tensor] = _no_drop)
     return ag.residual_layer_norm(z, gated, layer.ln_gain, layer.ln_bias)
 
 
-class EncoderLayer:
+class EncoderLayer(Layer):
     def __init__(self, d_model: int, n_heads: int, scale: float, rng: np.random.Generator):
         self.mha = MHALayer(d_model, n_heads, scale, rng)
         self.ln_gain = Tensor(np.ones(d_model), requires_grad=True)
@@ -223,11 +217,8 @@ class EncoderLayer:
         a = ag.residual_layer_norm(x, attended, self.ln_gain, self.ln_bias)
         return grn(a, self.grn, drop)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(mha=self.mha, ln_gain=self.ln_gain, ln_bias=self.ln_bias, grn=self.grn)
 
-
-class DecoderLayer:
+class DecoderLayer(Layer):
     def __init__(self, d_model: int, n_heads: int, scale: float, rng: np.random.Generator):
         self.self_mha = MHALayer(d_model, n_heads, scale, rng)
         self.ln1_gain = Tensor(np.ones(d_model), requires_grad=True)
@@ -243,12 +234,6 @@ class DecoderLayer:
         cross = drop(multi_head_attention(a, enc_out, self.cross_mha))
         b = ag.residual_layer_norm(a, cross, self.ln2_gain, self.ln2_bias)
         return grn(b, self.grn, drop)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(
-            self_mha=self.self_mha, ln1_gain=self.ln1_gain, ln1_bias=self.ln1_bias,
-            cross_mha=self.cross_mha, ln2_gain=self.ln2_gain, ln2_bias=self.ln2_bias, grn=self.grn,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +275,7 @@ def last_rows(model, block: np.ndarray) -> np.ndarray:
     return blockwise(lambda b: model.window_weights(b).data[:, -1], block, out)
 
 
-class PortfolioTransformer:
+class PortfolioTransformer(Layer):
     """The full allocation network; see the module docstring for layout."""
 
     kind = "pt"
@@ -301,15 +286,12 @@ class PortfolioTransformer:
         rng = np.random.default_rng(config.seed)
         d, h, k = config.d_model, config.n_heads, config.t2v_k
         scale = np.sqrt(float(d)) if config.attention_scale_mode == "d_model" else np.sqrt(d / h)
-        self.time2vec = Time2VecLayer(k, rng)
+        self.t2v = Time2VecLayer(k, rng)
         self.input_proj = Dense(config.n_assets + k + 1, d, rng)
-        self.encoder = [EncoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
-        self.decoder = [DecoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
+        self.enc = [EncoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
+        self.dec = [DecoderLayer(d, h, scale, rng) for _ in range(config.n_layers)]
         self.head = Dense(d, config.n_assets, rng)
         self.vector = _pack(self.parameters())
-
-    def parameters(self) -> dict[str, Tensor]:
-        return _collect(t2v=self.time2vec, input_proj=self.input_proj, enc=self.encoder, dec=self.decoder, head=self.head)
 
     def _drop_fn(self, rng: np.random.Generator | None):
         p = self.config.dropout
@@ -329,8 +311,7 @@ class PortfolioTransformer:
         n_assets) stack; the result is (window, n_assets) or (B, window,
         n_assets) accordingly.
         """
-        tau = self.config.window
-        return batched_weights(lambda b: pt_forward(b[:, :tau], b[:, tau:], self, rng=rng), block, self.config)
+        return batched_weights(lambda b: pt_forward(b, self, rng), block, self.config)
 
     day_weights = last_rows
 
@@ -338,41 +319,28 @@ class PortfolioTransformer:
 def embed_window(x: np.ndarray, model: PortfolioTransformer) -> Tensor:
     """Project asset returns plus per-position time features to model width.
 
-    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack.
+    ``x`` is one (rows, n_assets) window or a (B, rows, n_assets) stack; ``ag.embed`` checks its width.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != model.config.n_assets:
-        raise ShapeError(f"window shape {x.shape} does not match n_assets={model.config.n_assets}")
-    t2v, proj = model.time2vec, model.input_proj
+    t2v, proj = model.t2v, model.input_proj
     return ag.embed(Tensor(x), t2v.omega, t2v.phi, proj.W, proj.b)
 
 
-def pt_forward(
-    x_enc: np.ndarray,
-    x_dec: np.ndarray,
-    model: PortfolioTransformer,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Map an (older, newer) pair of return windows to weight rows.
+def pt_forward(blocks: np.ndarray, model: PortfolioTransformer, rng: np.random.Generator | None = None) -> Tensor:
+    """Map a (B, 2*window, n_assets) stack of blocks, as ``batched_weights`` checks it, to weight rows.
 
-    Output row j is the allocation decided at the j-th position of the newer
-    window; only the final row is used for live inference. Both windows may
-    carry the same leading batch axis.
+    The encoder reads each block's older window and the decoder its newer
+    one. Output row j is the allocation decided at the j-th position of the
+    newer window; only the final row is used for live inference.
     """
     tau = model.config.window
-    x_enc = np.asarray(x_enc, dtype=np.float64)
-    x_dec = np.asarray(x_dec, dtype=np.float64)
-    want = (tau, model.config.n_assets)
-    if x_enc.shape[-2:] != want or x_dec.shape != x_enc.shape:
-        raise ShapeError(f"window shapes {x_enc.shape}/{x_dec.shape} != {want}")
     drop = model._drop_fn(rng)
 
-    enc = drop(embed_window(x_enc, model))
-    for layer in model.encoder:
+    enc = drop(embed_window(blocks[:, :tau], model))
+    for layer in model.enc:
         enc = layer.forward(enc, drop)
 
-    dec = drop(embed_window(x_dec, model))
-    for layer in model.decoder:
+    dec = drop(embed_window(blocks[:, tau:], model))
+    for layer in model.dec:
         dec = layer.forward(dec, enc, drop)
 
     return ag.signed_softmax(model.head(dec))

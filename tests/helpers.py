@@ -72,10 +72,10 @@ def time2vec_encode(t_index: int, layer) -> np.ndarray:
 def mlp_forward(x: np.ndarray, model) -> np.ndarray:
     """Allocation of an MLP model for one (window, n_assets) trailing window."""
     h = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    for layer in model.layers[:-1]:
+    for layer in model.layer[:-1]:
         z = h @ layer.W.data + layer.b.data
         h = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
-    s = (h @ model.layers[-1].W.data + model.layers[-1].b.data)[0]
+    s = (h @ model.layer[-1].W.data + model.layer[-1].b.data)[0]
     return np.where(s >= 0, 1.0, -1.0) * softmax_rows(s)
 
 
@@ -653,14 +653,14 @@ def pt_weights_composed(model, block: np.ndarray, rng: np.random.Generator | Non
     drop = model._drop_fn(rng)
 
     def embed(x):
-        return drop(embed_composed(Tensor(x), model.time2vec, model.input_proj))
+        return drop(embed_composed(Tensor(x), model.t2v, model.input_proj))
 
     enc = embed(block[:, :tau])
-    for layer in model.encoder:
+    for layer in model.enc:
         a = residual_layer_norm_composed(enc, drop(mha_composed(enc, enc, enc, layer.mha)), layer.ln_gain, layer.ln_bias)
         enc = grn_composed(a, layer.grn, drop)
     dec = embed(block[:, tau:])
-    for layer in model.decoder:
+    for layer in model.dec:
         self_att = drop(mha_composed(dec, dec, dec, layer.self_mha, causal_mask(tau)))
         a = residual_layer_norm_composed(dec, self_att, layer.ln1_gain, layer.ln1_bias)
         cross = drop(mha_composed(a, enc, enc, layer.cross_mha))

@@ -100,8 +100,9 @@ def test_batched_loss_gradients_match_finite_differences(kind):
     assert max(errs.values()) < 1e-4, max(errs, key=errs.get)
 
 
-def test_block_stack_rejects_bad_shapes():
-    model = MODELS["pt"]()
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_block_stack_rejects_bad_shapes(kind):
+    model = MODELS[kind]()
     for bad in (np.zeros((2 * TAU, N + 1)), np.zeros((3, 2 * TAU - 1, N)), np.zeros((1, 1, 2 * TAU, N))):
         with pytest.raises(ag.ShapeError):
             model.window_weights(bad)

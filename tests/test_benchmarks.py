@@ -218,8 +218,8 @@ def test_mlp_forward_shape_and_constraint():
 
 def test_mlp_zero_output_layer_gives_equal_long_weights():
     model = MLPModel(MLPConfig(n_assets=4, window=3, hidden=(5,), seed=3))
-    model.layers[-1].W.data[...] = 0.0
-    model.layers[-1].b.data[...] = 0.0
+    model.layer[-1].W.data[...] = 0.0
+    model.layer[-1].b.data[...] = 0.0
     w = model.day_weights(RNG.standard_normal((6, 4)))
     np.testing.assert_allclose(w, equal_weights(4), atol=1e-15)
 

@@ -26,7 +26,6 @@ from ptopt.model import (
     grn,
     load_checkpoint,
     multi_head_attention,
-    pt_forward,
     save_checkpoint,
 )
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
@@ -124,7 +123,7 @@ def test_time2vec_matrix_matches_per_position():
     m = embed_window(x, model)
     for t in range(4):
         row = model.input_proj(
-            ag.reshape(concat([Tensor(x[t]), Tensor(time2vec_encode(t, model.time2vec))], axis=0), (1, 6))
+            ag.reshape(concat([Tensor(x[t]), Tensor(time2vec_encode(t, model.t2v))], axis=0), (1, 6))
         )
         np.testing.assert_allclose(m.data[t], row.data[0], atol=1e-14)
 
@@ -156,7 +155,7 @@ def test_embed_window_matches_composition(lead):
     model = tiny_model()
     x = RNG.standard_normal((*lead, 4, 3)) * 0.02
     out = embed_window(x, model).data
-    assert scaled_gap(out, embed_composed(Tensor(x), model.time2vec, model.input_proj).data) <= 1e-12
+    assert scaled_gap(out, embed_composed(Tensor(x), model.t2v, model.input_proj).data) <= 1e-12
 
 
 def test_embed_window_rejects_wrong_width():
@@ -344,18 +343,15 @@ def test_forward_shape_and_constraint():
     model = tiny_model()
     x_enc = RNG.standard_normal((4, 3)) * 0.02
     x_dec = RNG.standard_normal((4, 3)) * 0.02
-    w = pt_forward(x_enc, x_dec, model).data
+    w = model.window_weights(np.vstack([x_enc, x_dec])).data
     assert w.shape == (4, 3)
     np.testing.assert_allclose(np.abs(w).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_forward_rejects_bad_shapes():
     model = tiny_model()
-    good = np.zeros((4, 3))
     with pytest.raises(ShapeError):
-        pt_forward(np.zeros((3, 3)), good, model)
-    with pytest.raises(ShapeError):
-        pt_forward(good, np.zeros((4, 2)), model)
+        model.window_weights(np.zeros((8, 2)))
     with pytest.raises(ShapeError):
         model.window_weights(np.zeros((7, 3)))
 
@@ -364,11 +360,11 @@ def test_forward_is_causal_in_decoder_rows():
     model = tiny_model()
     x_enc = RNG.standard_normal((4, 3)) * 0.02
     x_dec = RNG.standard_normal((4, 3)) * 0.02
-    base = pt_forward(x_enc, x_dec, model).data
+    base = model.window_weights(np.vstack([x_enc, x_dec])).data
     for j in range(4):
         bumped = x_dec.copy()
         bumped[j] += 0.05
-        out = pt_forward(x_enc, bumped, model).data
+        out = model.window_weights(np.vstack([x_enc, bumped])).data
         if j > 0:
             assert np.max(np.abs(out[:j] - base[:j])) < 1e-12
         assert not np.allclose(out[j], base[j])
@@ -378,10 +374,10 @@ def test_forward_depends_on_encoder_window():
     model = tiny_model()
     x_enc = RNG.standard_normal((4, 3)) * 0.02
     x_dec = RNG.standard_normal((4, 3)) * 0.02
-    base = pt_forward(x_enc, x_dec, model).data
+    base = model.window_weights(np.vstack([x_enc, x_dec])).data
     bumped = x_enc.copy()
     bumped[0] += 0.05
-    assert not np.allclose(pt_forward(bumped, x_dec, model).data, base)
+    assert not np.allclose(model.window_weights(np.vstack([bumped, x_dec])).data, base)
 
 
 def test_forward_deterministic_for_fixed_seed():
@@ -392,7 +388,7 @@ def test_forward_deterministic_for_fixed_seed():
         assert np.array_equal(pa[name].data, pb[name].data)
     x_enc = RNG.standard_normal((4, 3))
     x_dec = RNG.standard_normal((4, 3))
-    assert np.array_equal(pt_forward(x_enc, x_dec, a).data, pt_forward(x_enc, x_dec, b).data)
+    assert np.array_equal(a.window_weights(np.vstack([x_enc, x_dec])).data, b.window_weights(np.vstack([x_enc, x_dec])).data)
 
 
 def test_forward_seed_changes_parameters():
@@ -413,16 +409,16 @@ def test_permuting_assets_permutes_weights():
 
     x_enc = RNG.standard_normal((4, 3)) * 0.02
     x_dec = RNG.standard_normal((4, 3)) * 0.02
-    base = pt_forward(x_enc, x_dec, model).data
-    out = pt_forward(x_enc[:, perm], x_dec[:, perm], permuted).data
+    base = model.window_weights(np.vstack([x_enc, x_dec])).data
+    out = permuted.window_weights(np.vstack([x_enc[:, perm], x_dec[:, perm]])).data
     np.testing.assert_allclose(out, base[:, perm], atol=1e-12)
 
 
 def test_scale_mode_changes_outputs():
     x_enc = RNG.standard_normal((4, 3))
     x_dec = RNG.standard_normal((4, 3))
-    a = pt_forward(x_enc, x_dec, tiny_model()).data
-    b = pt_forward(x_enc, x_dec, tiny_model(attention_scale_mode="d_k")).data
+    a = tiny_model().window_weights(np.vstack([x_enc, x_dec])).data
+    b = tiny_model(attention_scale_mode="d_k").window_weights(np.vstack([x_enc, x_dec])).data
     assert not np.allclose(a, b)
 
 
@@ -544,7 +540,7 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(clone.parameters()[name].data, t.data)
     x_enc = RNG.standard_normal((4, 3))
     x_dec = RNG.standard_normal((4, 3))
-    assert np.array_equal(pt_forward(x_enc, x_dec, clone).data, pt_forward(x_enc, x_dec, model).data)
+    assert np.array_equal(clone.window_weights(np.vstack([x_enc, x_dec])).data, model.window_weights(np.vstack([x_enc, x_dec])).data)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
