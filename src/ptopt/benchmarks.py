@@ -115,15 +115,12 @@ class MLPModel(Layer):
         self.layer = [Dense(a, b, rng) for a, b in zip(widths, widths[1:])]
         self.vector = _pack(self.parameters())
 
-    def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
-        """One weight row per decoder position of each 2*window block.
+    def forward(self, blocks: np.ndarray, rng=None) -> Tensor:
+        """One weight row per decoder position of each block of a checked (B, 2*window, n_assets) stack.
 
         Row j of a block reads the trailing window block[j+1 : window+j+1];
-        all of them, for every block of a stack, go through one matmul.
+        all of them, for every block of the stack, go through one matmul.
         """
-        return batched_weights(self._trailing_weights, block, self.config)
-
-    def _trailing_weights(self, blocks: np.ndarray) -> Tensor:
         tau, n = self.config.window, self.config.n_assets
         # (B, tau+1, n, tau) views of every length-tau run; drop the oldest
         trailing = sliding_window_view(blocks, tau, axis=1)[:, 1:].transpose(0, 1, 3, 2)
@@ -132,6 +129,7 @@ class MLPModel(Layer):
             h = ag.elu(layer(h))
         return ag.signed_softmax(self.layer[-1](h))
 
+    window_weights = batched_weights
     day_weights = last_rows
 
 
@@ -170,11 +168,11 @@ class LSTMModel(Layer):
         self.head = Dense(h, n, rng)
         self.vector = _pack(self.parameters())
 
-    def window_weights(self, block: np.ndarray, rng=None) -> Tensor:
-        """One weight row per row of the newer half of each 2*window block."""
-        tau = self.config.window
-        return batched_weights(lambda b: lstm_forward(b[:, tau:], self), block, self.config)
+    def forward(self, blocks: np.ndarray, rng=None) -> Tensor:
+        """One weight row per row of the newer half of each block of a checked (B, 2*window, n_assets) stack."""
+        return lstm_forward(blocks[:, self.config.window :], self)
 
+    window_weights = batched_weights
     day_weights = last_rows
 
 

@@ -72,10 +72,12 @@ class WeightStream:
             raise DataError(f"weight matrix shape {self.weights.shape} does not match {len(self.dates)} dates")
 
 
-def _ratio_or_sentinel(numerator: float, denominator: float, annualize: float = 1.0) -> float:
-    if denominator == 0.0:
-        return math.inf if numerator >= 0 else -math.inf
-    return numerator / denominator * annualize
+def _ratio_or_sentinel(numerator, denominator, annualize: float = 1.0) -> np.ndarray:
+    """``numerator / denominator * annualize`` elementwise; where the denominator is 0, ±inf by the
+    numerator's sign (+inf for 0). ``np.divide``, since ``/`` on two Python floats raises at 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(numerator, denominator) * annualize
+    return np.where(denominator == 0.0, np.where(numerator >= 0, math.inf, -math.inf), ratio)
 
 
 def max_drawdown(cumulative: np.ndarray) -> float:
@@ -98,10 +100,10 @@ def compute_metrics(curve: EquityCurve) -> MetricsReport:
     return MetricsReport(
         returns=ann_return,
         vol=sd * root_days,
-        sharpe=_ratio_or_sentinel(mean, sd, root_days),
-        sortino=_ratio_or_sentinel(mean, downside, root_days),
+        sharpe=float(_ratio_or_sentinel(mean, sd, root_days)),
+        sortino=float(_ratio_or_sentinel(mean, downside, root_days)),
         mdd=mdd,
-        calmar=_ratio_or_sentinel(ann_return, mdd),
+        calmar=float(_ratio_or_sentinel(ann_return, mdd)),
         pct_positive=float(np.mean(r > 0)),
     )
 
@@ -116,14 +118,10 @@ def rolling_sharpe(curve: EquityCurve, window: int = TRADING_DAYS) -> tuple[list
     if r.size < window:
         raise ContractError(f"curve length {r.size} shorter than window {window}")
     chunks = sliding_window_view(r, window)
-    mean, sd = np.empty(len(chunks)), np.empty(len(chunks))
+    values = np.empty(len(chunks))
     for lo in range(0, len(chunks), _ROLLING_BLOCK):
         block = chunks[lo : lo + _ROLLING_BLOCK]
-        block.mean(axis=-1, out=mean[lo : lo + _ROLLING_BLOCK])
-        block.std(axis=-1, out=sd[lo : lo + _ROLLING_BLOCK])
-    sentinel = np.where(mean >= 0, math.inf, -math.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(sd == 0.0, sentinel, mean / sd * math.sqrt(TRADING_DAYS))
+        values[lo : lo + _ROLLING_BLOCK] = _ratio_or_sentinel(block.mean(axis=-1), block.std(axis=-1), math.sqrt(TRADING_DAYS))
     return curve.dates[window - 1 :], values
 
 

@@ -240,19 +240,21 @@ class DecoderLayer(Layer):
 # block batching shared by every window model
 
 
-def batched_weights(forward: Callable[[np.ndarray], Tensor], block: np.ndarray, config) -> Tensor:
-    """Run ``forward`` on a (B, 2*window, n_assets) stack of blocks.
+def batched_weights(model, block: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+    """Every window model's ``window_weights``: ``model.forward`` on blocks of 2*window return rows.
 
-    A single (2*window, n_assets) block runs as the batch of one and its
-    weights come back without the batch axis. The stack is made contiguous
-    first, so every window meets the same matrix kernels whatever the batch.
+    ``block`` is one (2*window, n_assets) block or a (B, 2*window, n_assets)
+    stack; the result is (window, n_assets) or (B, window, n_assets)
+    accordingly. A single block runs as the batch of one. The stack is made
+    contiguous first, so every window meets the same matrix kernels whatever
+    the batch.
     """
     block = np.asarray(block, dtype=np.float64)
-    want = (2 * config.window, config.n_assets)
+    want = (2 * model.config.window, model.config.n_assets)
     if block.ndim not in (2, 3) or block.shape[-2:] != want:
         raise ShapeError(f"block shape {block.shape} != {want} or (B, *{want})")
     single = block.ndim == 2
-    weights = forward(np.ascontiguousarray(block[None] if single else block))
+    weights = model.forward(np.ascontiguousarray(block[None] if single else block), rng)
     return ag.reshape(weights, weights.shape[1:]) if single else weights
 
 
@@ -268,9 +270,8 @@ def blockwise(fn: Callable, stack, out: np.ndarray) -> np.ndarray:
 def last_rows(model, block: np.ndarray) -> np.ndarray:
     """Every window model's ``day_weights``: the gradient-free last weight row of a block, or
     of each block of a (B, 2*window, n_assets) stack as one (B, n_assets) array through ``blockwise``."""
-    if np.ndim(block) != 3:
-        with ag.no_grad():
-            return model.window_weights(block).data[-1].copy()
+    if np.ndim(block) == 2:
+        return last_rows(model, np.asarray(block)[None])[0]
     out = np.empty((len(block), model.config.n_assets))
     return blockwise(lambda b: model.window_weights(b).data[:, -1], block, out)
 
@@ -304,15 +305,27 @@ class PortfolioTransformer(Layer):
 
         return drop
 
-    def window_weights(self, block: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
-        """Weight rows for blocks of 2*window consecutive return rows.
+    def forward(self, blocks: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """Map a (B, 2*window, n_assets) stack of blocks, as ``batched_weights`` checks it, to weight rows.
 
-        ``block`` is one (2*window, n_assets) block or a (B, 2*window,
-        n_assets) stack; the result is (window, n_assets) or (B, window,
-        n_assets) accordingly.
+        The encoder reads each block's older window and the decoder its newer
+        one. Output row j is the allocation decided at the j-th position of the
+        newer window; only the final row is used for live inference.
         """
-        return batched_weights(lambda b: pt_forward(b, self, rng), block, self.config)
+        tau = self.config.window
+        drop = self._drop_fn(rng)
 
+        enc = drop(embed_window(blocks[:, :tau], self))
+        for layer in self.enc:
+            enc = layer.forward(enc, drop)
+
+        dec = drop(embed_window(blocks[:, tau:], self))
+        for layer in self.dec:
+            dec = layer.forward(dec, enc, drop)
+
+        return ag.signed_softmax(self.head(dec))
+
+    window_weights = batched_weights
     day_weights = last_rows
 
 
@@ -323,27 +336,6 @@ def embed_window(x: np.ndarray, model: PortfolioTransformer) -> Tensor:
     """
     t2v, proj = model.t2v, model.input_proj
     return ag.embed(Tensor(x), t2v.omega, t2v.phi, proj.W, proj.b)
-
-
-def pt_forward(blocks: np.ndarray, model: PortfolioTransformer, rng: np.random.Generator | None = None) -> Tensor:
-    """Map a (B, 2*window, n_assets) stack of blocks, as ``batched_weights`` checks it, to weight rows.
-
-    The encoder reads each block's older window and the decoder its newer
-    one. Output row j is the allocation decided at the j-th position of the
-    newer window; only the final row is used for live inference.
-    """
-    tau = model.config.window
-    drop = model._drop_fn(rng)
-
-    enc = drop(embed_window(blocks[:, :tau], model))
-    for layer in model.enc:
-        enc = layer.forward(enc, drop)
-
-    dec = drop(embed_window(blocks[:, tau:], model))
-    for layer in model.dec:
-        dec = layer.forward(dec, enc, drop)
-
-    return ag.signed_softmax(model.head(dec))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ Every trainable model takes (B, 2*tau, n) block stacks; a single block is
 the batch of one. These tests pin the batched path to the single-window
 results it replaces: weights bit for bit, the mean Sharpe loss and every
 parameter gradient within 1e-12, and the walk-forward's test-day weights
-bit for bit against a checkpoint replayed one day at a time. The passes that
-run a whole split a block of windows at a time (``day_weights``,
+bit for bit against a checkpoint replayed one day at a time, and, for drawn
+configs, a strided stack bit for bit against its blocks one at a time. The
+passes that run a whole split a block of windows at a time (``day_weights``,
 ``evaluate_loss``) equal one forward bit for bit across block boundaries,
 and their ``tracemalloc`` peak does not grow with the number of windows.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptopt.autograd as ag
 import ptopt.training as tr
@@ -59,6 +62,40 @@ def test_batched_weights_equal_single_windows(kind):
     assert batched.shape == (count, TAU, N) and days.shape == (count, N)
     for i, block in enumerate(blocks):
         assert np.array_equal(batched[i], model.window_weights(block).data)
+        assert np.array_equal(days[i], model.day_weights(block))
+
+
+@st.composite
+def any_model(draw, kind):
+    """A model of ``kind`` at up to 6 assets, window 10 and realistic widths."""
+    shape = {"n_assets": draw(st.integers(2, 6)), "window": draw(st.integers(2, 10)), "seed": draw(st.integers(0, 99))}
+    if kind == "pt":
+        d_model = draw(st.integers(1, 32))
+        n_heads = draw(st.sampled_from([h for h in range(1, d_model + 1) if d_model % h == 0]))
+        mode = draw(st.sampled_from(["d_model", "d_k"]))
+        layers = draw(st.integers(1, 2))
+        return PortfolioTransformer(
+            PTConfig(**shape, d_model=d_model, n_heads=n_heads, n_layers=layers, attention_scale_mode=mode)
+        )
+    if kind == "lstm":
+        return LSTMModel(LSTMConfig(**shape, hidden=draw(st.integers(1, 32))))
+    return MLPModel(MLPConfig(**shape, hidden=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=2)))))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data(), batch=st.integers(1, 70) | st.integers(_INFER_BLOCK + 1, 70))  # the second crosses a block
+def test_any_stack_equals_its_blocks_one_at_a_time(kind, data, batch):
+    """Every row of ``window_weights`` and ``day_weights`` of a stack equals its block run alone,
+    for any config; the stack is the strided view ``walk_forward`` passes, and ``day_weights``
+    crosses an ``_INFER_BLOCK`` boundary from 65 blocks on."""
+    model = data.draw(any_model(kind))
+    tau, n = model.config.window, model.config.n_assets
+    returns = np.random.default_rng(batch).normal(0.0, 0.02, (batch + 2 * tau - 1, n))
+    blocks = tr._ending_at(returns, 2 * tau, 2 * tau - 1, batch)
+    weights, days = model.window_weights(blocks).data, model.day_weights(blocks)
+    for i, block in enumerate(blocks):
+        assert np.array_equal(weights[i], model.window_weights(block).data)
         assert np.array_equal(days[i], model.day_weights(block))
 
 
