@@ -15,6 +15,7 @@ back to exactly what produced it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -64,7 +65,6 @@ class RunConfig:
     """The result-affecting flags of run/compare; its defaults are the flags' defaults."""
 
     data: str
-    strategy: str
     out_dir: str
     seed: int = 0
     cost_rate: float = CostModel.cost_rate
@@ -78,12 +78,11 @@ class RunConfig:
     search_once: bool = False
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise UsageError(f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}")
         if self.budget < 0:
             raise UsageError(f"budget must be >= 0, got {self.budget}")
 
 
+@functools.cache  # the code a process runs is the tree it imported
 def version_string() -> str:
     """git-describe of the source checkout ptopt runs from, else the package version."""
     root = Path(__file__).resolve().parents[2]
@@ -221,7 +220,7 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     strategy's turn before the next starts; only what it returns outlives it.
     Returns the config, output path, version, input digest and what was kept.
     """
-    cfg = _run_config(args, strategies[0])
+    cfg = _run_config(args)
     out = check_out_dir(cfg.out_dir, args.force)
     spaces = _resolve_spaces(cfg, strategies, keys)
     version = version_string()
@@ -232,7 +231,7 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     digest, table = prices.sha256, clean_and_return(prices)
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
-    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience, seed=cfg.seed)
+    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience)
     costs, kept = CostModel(cfg.cost_rate), []
     # no more workers than the largest search has trials
     with TrialPool(table, min(args.jobs, max((s.budget for s in spaces.values() if s is not None), default=1))) as pool:
@@ -252,8 +251,8 @@ def cmd_run(args) -> int:
     cfg, out, *provenance, [turn] = _walk_each(args, [args.strategy], TRAINED_STRATEGIES, lambda *turn: turn)
     result, curve, report = turn
     _write_run_artifacts(out, result, curve, report)
-    write_manifest(out, "run", asdict(cfg), *provenance)
-    print(f"{cfg.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
+    write_manifest(out, "run", {**asdict(cfg), "strategy": args.strategy}, *provenance)
+    print(f"{args.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
     return 0
 
 
@@ -280,15 +279,13 @@ def cmd_compare(args) -> int:
     cumulative = {s: curve.cumulative for s, curve in zip(args.strategies, curves)}
     write_series_csv(curves[0].dates, cumulative, out / "equity_curves.csv")
 
-    config = {k: v for k, v in asdict(cfg).items() if k != "strategy"}  # cfg's strategy is just the first listed
-    write_manifest(out, "compare", {**config, "strategies": args.strategies}, *provenance)
+    write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, *provenance)
     print(table_text, end="")
     return 0
 
 
-def _run_config(args, strategy: str) -> RunConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "strategy"}
-    return RunConfig(strategy=strategy, **values)
+def _run_config(args) -> RunConfig:
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 # ---------------------------------------------------------------------------

@@ -245,16 +245,14 @@ def batched_weights(model, block: np.ndarray, rng: np.random.Generator | None = 
 
     ``block`` is one (2*window, n_assets) block or a (B, 2*window, n_assets)
     stack; the result is (window, n_assets) or (B, window, n_assets)
-    accordingly. A single block runs as the batch of one. The stack is made
-    contiguous first, so every window meets the same matrix kernels whatever
-    the batch.
+    accordingly. A single block runs as the batch of one.
     """
     block = np.asarray(block, dtype=np.float64)
     want = (2 * model.config.window, model.config.n_assets)
     if block.ndim not in (2, 3) or block.shape[-2:] != want:
         raise ShapeError(f"block shape {block.shape} != {want} or (B, *{want})")
     single = block.ndim == 2
-    weights = model.forward(np.ascontiguousarray(block[None] if single else block), rng)
+    weights = model.forward(block[None] if single else block, rng)
     return ag.reshape(weights, weights.shape[1:]) if single else weights
 
 

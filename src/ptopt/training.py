@@ -85,27 +85,6 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
-@dataclass
-class Windows:
-    """Training samples stacked along a leading window axis.
-
-    ``blocks[i]`` holds the 2*tau consecutive return rows ending at decision
-    row ``decision_index[i]``; ``realized[i]`` holds the tau rows shifted one
-    day forward of the weight rows the model emits for the newer half of the
-    block. Indexing with an index array selects a subset.
-    """
-
-    blocks: np.ndarray
-    realized: np.ndarray
-    decision_index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.decision_index)
-
-    def __getitem__(self, index) -> "Windows":
-        return Windows(self.blocks[index], self.realized[index], self.decision_index[index])
-
-
 def _ending_at(r: np.ndarray, length: int, last: int, count: int) -> np.ndarray:
     """Read-only (count, length, n) view: the ``length`` rows of ``r`` ending at row last+i, for each i < count."""
     if count <= 0:
@@ -114,20 +93,20 @@ def _ending_at(r: np.ndarray, length: int, last: int, count: int) -> np.ndarray:
     return sliding_window_view(r, length, axis=0)[first : first + count].transpose(0, 2, 1)
 
 
-def build_windows(table: ReturnTable, tau: int, lo: int, hi: int) -> Windows:
-    """All daily-stride windows whose realized rows lie inside rows [lo, hi)."""
+def build_windows(table: ReturnTable, tau: int, lo: int, hi: int) -> np.ndarray:
+    """Every daily-stride training sample whose realized rows lie inside rows [lo, hi), as one
+    read-only (count, 2*tau+1, n) view of ``table.returns``.
+
+    Sample i is the 2*tau+1 rows ending one row after its decision row d: rows ``[:-1]`` are the
+    block the model reads, ending at d, and rows ``[-tau:]`` are the returns its tau weight rows earn.
+    """
     r = table.returns
-    first = max(2 * tau - 1, lo + tau - 2)
-    decisions = np.arange(first, min(hi - 2, r.shape[0] - 2) + 1)
-    count = len(decisions)
-    return Windows(
-        blocks=_ending_at(r, 2 * tau, first, count),
-        realized=_ending_at(r, tau, first + 1, count),
-        decision_index=decisions,
-    )
+    first = max(2 * tau - 1, lo + tau - 2)  # the first decision row
+    count = min(hi - 2, r.shape[0] - 2) - first + 1
+    return _ending_at(r, 2 * tau + 1, first + 1, count)
 
 
-def split_windows(table: ReturnTable, split: Split, tau: int) -> tuple[Windows, Windows]:
+def split_windows(table: ReturnTable, split: Split, tau: int) -> tuple[np.ndarray, np.ndarray]:
     """The train and validation windows of a split: before and from ``val_start``."""
     return build_windows(table, tau, 0, split.val_start), build_windows(table, tau, split.val_start, split.train_end)
 
@@ -158,16 +137,17 @@ class FitResult:
     vector: np.ndarray  # the fitted ``model.vector``, in ``model.parameters()`` order
 
 
-def _window_losses(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
-    weights = model.window_weights(windows.blocks, rng=rng)
-    return sharpe_loss(weights, ReturnsWindow(windows.realized), costs)
+def _window_losses(model, samples: np.ndarray, costs: CostModel, rng=None) -> Tensor:
+    """The loss of each ``build_windows`` sample: its block's weights against the returns they earn."""
+    weights = model.window_weights(samples[:, :-1], rng=rng)
+    return sharpe_loss(weights, ReturnsWindow(samples[:, -model.config.window :]), costs)
 
 
-def _mean_window_loss(model, windows: Windows, costs: CostModel, rng=None) -> Tensor:
-    return ag.mean(_window_losses(model, windows, costs, rng))
+def _mean_window_loss(model, samples: np.ndarray, costs: CostModel, rng=None) -> Tensor:
+    return ag.mean(_window_losses(model, samples, costs, rng))
 
 
-def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
+def evaluate_loss(model, windows: np.ndarray, costs: CostModel) -> float:
     """Mean window loss over every window, from the gradient-free forwards of ``ptopt.model.blockwise``.
 
     A window's loss does not depend on its batch, so one ``np.mean`` over the
@@ -177,13 +157,13 @@ def evaluate_loss(model, windows: Windows, costs: CostModel) -> float:
     return float(np.mean(losses))
 
 
-def fit(model, train_windows: Windows, valid_windows: Windows, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
+def fit(model, train_windows: np.ndarray, valid_windows: np.ndarray, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
     """Train with the Sharpe loss until patience on validation runs out.
 
     Adam updates ``model.vector`` in place, which ends holding the best epoch's
     values and is returned as ``FitResult.vector``.
     """
-    if not train_windows or not valid_windows:
+    if not len(train_windows) or not len(valid_windows):
         raise TrainingError("fit needs non-empty train and validation window sets")
     params = list(model.parameters().values())
     flat = model.vector
@@ -333,7 +313,7 @@ def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
 
 def fit_combo(
     strategy: str, n_assets: int, tau: int, combo: dict, seed: int,
-    train: Windows, valid: Windows, base_cfg: TrainConfig, costs: CostModel,
+    train: np.ndarray, valid: np.ndarray, base_cfg: TrainConfig, costs: CostModel,
 ):
     """Build the model ``combo`` describes and fit it: ``(model, FitResult)``.
 
@@ -531,7 +511,7 @@ def walk_forward(
             outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
         else:
             train_windows, valid_windows = split_windows(table, split, tau)
-            if not train_windows or not valid_windows:
+            if not len(train_windows) or not len(valid_windows):
                 raise DataError(f"training range before {split.test_year} too short for window length {tau}")
             search = None
             if space is not None and (search_each_split or chosen is None):

@@ -1,4 +1,5 @@
-"""Layer time and memory report: ingest, the PT fit and its whole-split passes, the MV walk and the backtest.
+"""Layer time and memory report: ingest, the PT fit and its whole-split passes, one train step
+of each window model, the MV walk and the backtest.
 
 It runs each row on one of two seeded (seed 0) markets:
 
@@ -11,7 +12,10 @@ It runs each row on one of two seeded (seed 0) markets:
   year is the test year (at the default 2,000 days, the ``pt_walkforward``
   benchmark's split: 1,391 train, 149 validation and 262 test windows): a
   one-epoch default PT fit (``pt_fit``), ``evaluate_loss`` on the validation
-  windows and ``day_weights`` on the test year's windows.
+  windows, ``day_weights`` on the test year's windows and, for the default
+  config of each window model, one train step (``pt_step``, ``lstm_step``,
+  ``mlp_step``): the gather of a 32-window minibatch of the training
+  samples, forward, loss, backward and Adam step.
 
 For each row it prints the median seconds of ``--repeats`` untraced calls
 (15), with quartiles, and the ``tracemalloc`` peak above the memory held before the
@@ -34,6 +38,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # before numpy loads
@@ -41,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # b
 
 import numpy as np
 
+import ptopt.autograd as ag
 import ptopt.training as tr
 from ptopt.data import SynthConfig, clean_and_return, load_csv, synth_generate, yearly_splits
 from ptopt.metrics import rolling_sharpe, run_backtest
@@ -78,8 +84,26 @@ def csv_rows(path) -> tuple[dict, int]:
     }, prices.prices.nbytes
 
 
+def train_step(strategy: str, train) -> Callable[[], None]:
+    """One step of ``fit`` for the default ``strategy`` model on a fixed minibatch of ``train``."""
+    model = tr.build_model(strategy, 4, TAU, {}, seed=0)
+    params = list(model.parameters().values())
+    optimizer = tr.Adam(model.vector, tr.TrainConfig.learning_rate)
+    index = np.random.default_rng(0).permutation(len(train))[: tr.TrainConfig.batch_size]
+    drop_rng = np.random.default_rng(0)
+
+    def step():
+        for p in params:
+            p.grad = None
+        with ag.Tape() as tape:
+            ag.backward(tr._mean_window_loss(model, train[index], CostModel(), rng=drop_rng), tape)
+        optimizer.step(np.concatenate([p.grad for p in params], axis=None))
+
+    return step
+
+
 def model_rows(days: int) -> dict:
-    """The rows run on the momentum market: one PT fit and its two whole-split passes."""
+    """The rows run on the momentum market: one PT fit, its two whole-split passes and a train step per model."""
     table = clean_and_return(synth_generate(SynthConfig(n_assets=4, n_days=days, seed=0, momentum=0.6)))
     split = yearly_splits(table, table.dates[0].year + 1).splits[-1]
     train, valid = tr.split_windows(table, split, TAU)
@@ -90,6 +114,7 @@ def model_rows(days: int) -> dict:
         "pt_fit": lambda: tr.fit_combo("pt", 4, TAU, {}, 0, train, valid, cfg, CostModel()),
         "evaluate_loss": lambda: tr.evaluate_loss(model, valid, CostModel()),
         "day_weights": lambda: model.day_weights(test),
+        **{f"{kind}_step": train_step(kind, train) for kind in tr.TRAINED_STRATEGIES},
     }
 
 

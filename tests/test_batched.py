@@ -5,7 +5,8 @@ the batch of one. These tests pin the batched path to the single-window
 results it replaces: weights bit for bit, the mean Sharpe loss and every
 parameter gradient within 1e-12, and the walk-forward's test-day weights
 bit for bit against a checkpoint replayed one day at a time, and, for drawn
-configs, a strided stack bit for bit against its blocks one at a time. The
+configs, a strided stack bit for bit against its blocks one at a time. A fit
+on strided sample views equals one on contiguous copies bit for bit. The
 passes that run a whole split a block of windows at a time (``day_weights``,
 ``evaluate_loss``) equal one forward bit for bit across block boundaries,
 and their ``tracemalloc`` peak does not grow with the number of windows.
@@ -21,7 +22,7 @@ import ptopt.training as tr
 from helpers import model_grad_errors, traced_peak
 from ptopt.benchmarks import LSTMConfig, LSTMModel, MLPConfig, MLPModel
 from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
-from ptopt.model import _INFER_BLOCK, PTConfig, PortfolioTransformer, load_checkpoint, save_checkpoint
+from ptopt.model import _INFER_BLOCK, PTConfig, PortfolioTransformer, batched_weights, load_checkpoint, save_checkpoint
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
 # The sizes of the default configs: at toy widths a vector-matrix and a
@@ -39,6 +40,11 @@ MODELS = {
 def stack(batch, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 0.02, (batch, 2 * TAU, N)), rng.normal(0.0005, 0.01, (batch, TAU, N))
+
+
+def samples(count, seed=0):
+    """``count`` random training samples in the ``build_windows`` layout: (count, 2*TAU+1, N)."""
+    return np.random.default_rng(seed).normal(0.0005, 0.02, (count, 2 * TAU + 1, N))
 
 
 def loss_and_grads(model, blocks, realized):
@@ -118,11 +124,31 @@ def test_batched_loss_and_gradients_equal_single_window_mean(kind):
 def test_blocked_validation_loss_equals_one_forward(kind):
     model = MODELS[kind]()
     count = 2 * _INFER_BLOCK + 5
-    blocks, realized = stack(count, seed=4)
-    windows = tr.Windows(blocks, realized, np.arange(count))
+    windows = samples(count, seed=4)
     with ag.no_grad():
-        whole = ag.mean(sharpe_loss(model.window_weights(blocks), ReturnsWindow(realized), CostModel())).item()
+        weights = model.window_weights(windows[:, :-1])
+        whole = ag.mean(sharpe_loss(weights, ReturnsWindow(windows[:, -TAU:]), CostModel())).item()
     assert tr.evaluate_loss(model, windows, CostModel()) == whole
+
+
+def contiguous_forwards(model):
+    """``model`` with every forward reading a contiguous copy of its blocks."""
+    model.window_weights = lambda blocks, rng=None: batched_weights(model, np.ascontiguousarray(blocks), rng)
+    return model
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_fit_on_strided_samples_equals_fit_on_contiguous_blocks(kind):
+    """``fit`` hands the forward strided views (``samples[:, :-1]`` of each gathered batch,
+    ``blockwise`` slices of the ``build_windows`` view): its vector and history, backward
+    passes included, equal a fit whose every forward reads a contiguous copy."""
+    table = clean_and_return(synth_generate(SynthConfig(n_assets=N, n_days=300, seed=2, momentum=0.4)))
+    train, valid = tr.build_windows(table, TAU, 0, 200), tr.build_windows(table, TAU, 200, 300)
+    cfg = tr.TrainConfig(max_epochs=2, seed=1)
+    strided = tr.fit(MODELS[kind](), train, valid, cfg)
+    contiguous = tr.fit(contiguous_forwards(MODELS[kind]()), train, valid, cfg)
+    assert np.array_equal(strided.vector, contiguous.vector)
+    assert strided.history == contiguous.history
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -192,8 +218,7 @@ def test_evaluate_loss_peak_does_not_grow_with_windows():
     model = MODELS["pt"]()
     peaks = []
     for count in (4 * _INFER_BLOCK, 16 * _INFER_BLOCK):
-        blocks, realized = stack(count, seed=6)
-        windows = tr.Windows(blocks, realized, np.arange(count))
+        windows = samples(count, seed=6)
         peaks.append(traced_peak(lambda: tr.evaluate_loss(model, windows, CostModel()))[1])
     losses = 12 * _INFER_BLOCK * 8
     assert peaks[1] - peaks[0] <= losses + PEAK_SLACK, peaks

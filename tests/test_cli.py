@@ -649,16 +649,11 @@ def test_render_table_flags_max_and_min_correctly():
     assert not a_cells[cols.index("vol")].endswith("*")
 
 
-def test_run_config_rejects_unknown_strategy():
-    with pytest.raises(cli.UsageError):
-        cli.RunConfig(data="x", strategy="bogus", out_dir="y")
-
-
 @pytest.mark.parametrize("head", [["run", "--strategy", "pt"], ["compare", "--strategies", "pt", "mv"]])
 def test_flag_defaults_are_the_run_config_defaults(head):
     args = cli.build_parser().parse_args([*head, "--data", "d.csv", "--out", "o"])
-    built = cli._run_config(args, strategy="pt")
-    assert built == cli.RunConfig(data="d.csv", strategy="pt", out_dir="o")
+    built = cli._run_config(args)
+    assert built == cli.RunConfig(data="d.csv", out_dir="o")
     assert cli.RunConfig.t2v_k == PTConfig.t2v_k
 
 
@@ -681,6 +676,17 @@ def test_import_loads_no_process_pool():
 
 def _git(*args, cwd):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd, check=True, capture_output=True, timeout=60)
+
+
+def test_git_describe_runs_once_per_process(prices_csv, tmp_path, monkeypatch):
+    calls = []
+    run = subprocess.run
+    monkeypatch.setattr(cli.subprocess, "run", lambda *a, **k: calls.append(a) or run(*a, **k))
+    cli.version_string.cache_clear()
+    for name in ("a", "b"):
+        assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(tmp_path / name)]) == 0
+    checkout = (Path(cli.__file__).resolve().parents[2] / ".git").exists()
+    assert len(calls) == checkout
 
 
 def test_version_describes_only_the_source_checkout(tmp_path):

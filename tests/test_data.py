@@ -246,7 +246,8 @@ def test_ingest_report_stores_two_sides(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(data.__file__).resolve().parents[1])}
     out = tmp_path / "layers.json"
     args = ["--days", "800", "--assets", "3", "--gaps", "0.05", "--model-days", "560", "--repeats", "2", "--json", str(out)]
-    rows = {"load_csv", "clean_and_return", "mv_walk", "run_backtest", "rolling_sharpe", "pt_fit", "evaluate_loss", "day_weights"}
+    rows = {"load_csv", "clean_and_return", "mv_walk", "run_backtest", "rolling_sharpe", "pt_fit", "evaluate_loss", "day_weights",
+            "pt_step", "lstm_step", "mlp_step"}
     for label in ("parent", "change"):
         run = subprocess.run([sys.executable, str(script), *args, "--label", label],
                              env=env, capture_output=True, text=True, timeout=120)

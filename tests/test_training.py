@@ -3,9 +3,11 @@
 import csv
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
 import ptopt.cli as cli
@@ -117,31 +119,37 @@ def test_train_config_rejects_bad_values(kwargs):
 # window building and batching
 
 
+def decision_rows(table, samples):
+    """The decision row of each sample, found by matching it against every run of rows of the table;
+    a sample's last row is the day after its decision."""
+    length = samples.shape[1]
+    runs = sliding_window_view(table.returns, length, axis=0).transpose(0, 2, 1)
+    return [int(np.flatnonzero((runs == s).all(axis=(1, 2)))[0]) + length - 2 for s in samples]
+
+
 def test_build_windows_alignment():
     table = make_table(80)
     tau = 4
-    windows = tr.build_windows(table, tau, 0, 50)
+    samples = tr.build_windows(table, tau, 0, 50)
     r = table.returns
-    assert windows.decision_index[0] == 2 * tau - 1
-    assert windows.decision_index[-1] == 48
-    assert len(windows) == len(windows.blocks) == len(windows.realized)
-    for block, realized, d in zip(windows.blocks, windows.realized, windows.decision_index):
-        assert np.array_equal(block, r[d - 2 * tau + 1 : d + 1])
-        assert np.array_equal(realized, r[d - tau + 2 : d + 2])
-        assert block.shape == (2 * tau, 3)
-        assert realized.shape == (tau, 3)
+    decisions = range(2 * tau - 1, 49)
+    assert samples.shape == (len(decisions), 2 * tau + 1, 3)
+    assert not samples.flags.writeable
+    for sample, d in zip(samples, decisions):
+        assert np.array_equal(sample[: 2 * tau], r[d - 2 * tau + 1 : d + 1])
+        assert np.array_equal(sample[-tau:], r[d - tau + 2 : d + 2])
 
 
 def test_build_windows_daily_stride():
     table = make_table(60)
-    idx = list(tr.build_windows(table, 4, 0, 40).decision_index)
+    idx = decision_rows(table, tr.build_windows(table, 4, 0, 40))
     assert idx == list(range(idx[0], idx[0] + len(idx)))
 
 
 def test_build_windows_respects_realized_range():
     table = make_table(80)
     tau = 5
-    for d in tr.build_windows(table, tau, 30, 60).decision_index:
+    for d in decision_rows(table, tr.build_windows(table, tau, 30, 60)):
         first_realized = d - tau + 2
         last_realized = d + 1
         assert first_realized >= 30
@@ -151,9 +159,10 @@ def test_build_windows_respects_realized_range():
 def test_build_windows_realized_is_one_day_ahead_of_block():
     # the block ends on the decision row, the earned rows end one row later
     table = make_table(60)
-    w = tr.build_windows(table, 4, 0, 40)[0]
-    assert np.array_equal(w.realized[-1], table.returns[w.decision_index + 1])
-    assert np.array_equal(w.blocks[-1], table.returns[w.decision_index])
+    sample = tr.build_windows(table, 4, 0, 40)[0]
+    d = 2 * 4 - 1  # the first decision row with a full block
+    assert np.array_equal(sample[-1], table.returns[d + 1])
+    assert np.array_equal(sample[:-1][-1], table.returns[d])
 
 
 def test_make_batches_sizes_with_remainder():
@@ -200,6 +209,7 @@ class Steerable:
     """
 
     kind = "steerable"
+    config = SimpleNamespace(window=2)
 
     def __init__(self, theta=0.0):
         self.theta = Tensor(np.array([[theta]]), requires_grad=True)
@@ -216,9 +226,11 @@ class Steerable:
 
 
 def steer_window(up, realized_first):
-    block = np.array([[1.0 if up else -1.0, 0.0]])
-    realized = np.array([[realized_first, 0.0], [realized_first, 0.0]])
-    return tr.Windows(blocks=block[None], realized=realized[None], decision_index=np.array([0]))
+    """One sample in the ``build_windows`` layout at window 2: row 0 steers, the last 2 rows are earned."""
+    sample = np.zeros((5, 2))
+    sample[0, 0] = 1.0 if up else -1.0
+    sample[-2:, 0] = realized_first
+    return sample[None]
 
 
 def test_fit_patience_one_stops_after_two_epochs_and_restores():
@@ -525,7 +537,7 @@ def test_search_payloads_carry_neither_table_nor_windows(recording_executor):
         assert executor.initargs == (table,)  # the table goes to each worker once, at start-up
         assert len(executor.payloads) == 2
         for payload in executor.payloads:
-            assert not any(isinstance(item, (ReturnTable, tr.Windows)) for item in payload)
+            assert not any(isinstance(item, (ReturnTable, np.ndarray)) for item in payload)
         sizes.append({len(pickle.dumps(payload)) for payload in executor.payloads})
     # a payload does not grow with the table
     assert sizes[0] == sizes[1]
