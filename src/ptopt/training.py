@@ -143,10 +143,6 @@ def _window_losses(model, samples: np.ndarray, costs: CostModel, rng=None) -> Te
     return sharpe_loss(weights, ReturnsWindow(samples[:, -model.config.window :]), costs)
 
 
-def _mean_window_loss(model, samples: np.ndarray, costs: CostModel, rng=None) -> Tensor:
-    return ag.mean(_window_losses(model, samples, costs, rng))
-
-
 def evaluate_loss(model, windows: np.ndarray, costs: CostModel) -> float:
     """Mean window loss over every window, from the gradient-free forwards of ``ptopt.model.blockwise``.
 
@@ -155,6 +151,23 @@ def evaluate_loss(model, windows: np.ndarray, costs: CostModel) -> float:
     """
     losses = blockwise(lambda w: _window_losses(model, w, costs).data, windows, np.empty(len(windows)))
     return float(np.mean(losses))
+
+
+def train_step(model, params: list[Tensor], optimizer: Adam, batch: np.ndarray, costs: CostModel, rng, epoch: int, b_idx: int) -> float:
+    """One Adam step on ``model``'s mean window loss over ``batch``; returns the loss.
+
+    ``params`` are ``model.parameters()``' tensors, in order, and ``optimizer`` holds ``model.vector``.
+    A non-finite loss raises, naming ``epoch`` and ``b_idx``, before any gradient or update."""
+    for p in params:
+        p.grad = None
+    with ag.Tape() as tape:
+        loss = ag.mean(_window_losses(model, batch, costs, rng))
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingError(f"non-finite loss {value} in epoch {epoch}, batch {b_idx}")
+        ag.backward(loss, tape)
+    optimizer.step(np.concatenate([p.grad for p in params], axis=None))
+    return value
 
 
 def fit(model, train_windows: np.ndarray, valid_windows: np.ndarray, cfg: TrainConfig, costs: CostModel = CostModel()) -> FitResult:
@@ -174,36 +187,20 @@ def fit(model, train_windows: np.ndarray, valid_windows: np.ndarray, cfg: TrainC
     best_val = np.inf
     best_epoch = -1
     best_params = flat.copy()
-    since_best = 0
 
     for epoch in range(cfg.max_epochs):
-        batches = make_batches(train_windows, cfg.batch_size, cfg.seed + epoch)
-        seen = 0
         loss_sum = 0.0
-        for b_idx, batch in enumerate(batches):
-            for p in params:
-                p.grad = None
-            with ag.Tape() as tape:
-                loss = _mean_window_loss(model, batch, costs, rng=drop_rng)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(f"non-finite loss {value} in epoch {epoch}, batch {b_idx}")
-                ag.backward(loss, tape)
-            optimizer.step(np.concatenate([p.grad for p in params], axis=None))
-            loss_sum += value * len(batch)
-            seen += len(batch)
+        for b_idx, batch in enumerate(make_batches(train_windows, cfg.batch_size, cfg.seed + epoch)):
+            loss_sum += train_step(model, params, optimizer, batch, costs, drop_rng, epoch, b_idx) * len(batch)
         val_loss = evaluate_loss(model, valid_windows, costs)
-        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen, val_loss=val_loss))
+        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(train_windows), val_loss=val_loss))
 
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
             best_params = flat.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
     flat[:] = best_params
     return FitResult(history=history, best_epoch=best_epoch, best_val=best_val, vector=flat)

@@ -13,9 +13,9 @@ It runs each row on one of two seeded (seed 0) markets:
   benchmark's split: 1,391 train, 149 validation and 262 test windows): a
   one-epoch default PT fit (``pt_fit``), ``evaluate_loss`` on the validation
   windows, ``day_weights`` on the test year's windows and, for the default
-  config of each window model, one train step (``pt_step``, ``lstm_step``,
-  ``mlp_step``): the gather of a 32-window minibatch of the training
-  samples, forward, loss, backward and Adam step.
+  config of each window model, one ``training.train_step`` (``pt_step``,
+  ``lstm_step``, ``mlp_step``): the gather of a 32-window minibatch of the
+  training samples, forward, loss, backward and Adam step, as ``fit`` runs it.
 
 For each row it prints the median seconds of ``--repeats`` untraced calls
 (15), with quartiles, and the ``tracemalloc`` peak above the memory held before the
@@ -46,7 +46,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # b
 
 import numpy as np
 
-import ptopt.autograd as ag
 import ptopt.training as tr
 from ptopt.data import SynthConfig, clean_and_return, load_csv, synth_generate, yearly_splits
 from ptopt.metrics import rolling_sharpe, run_backtest
@@ -84,22 +83,14 @@ def csv_rows(path) -> tuple[dict, int]:
     }, prices.prices.nbytes
 
 
-def train_step(strategy: str, train) -> Callable[[], None]:
-    """One step of ``fit`` for the default ``strategy`` model on a fixed minibatch of ``train``."""
+def train_step(strategy: str, train) -> Callable[[], float]:
+    """One ``training.train_step`` of the default ``strategy`` model on a fixed minibatch gathered from ``train``."""
     model = tr.build_model(strategy, 4, TAU, {}, seed=0)
     params = list(model.parameters().values())
     optimizer = tr.Adam(model.vector, tr.TrainConfig.learning_rate)
     index = np.random.default_rng(0).permutation(len(train))[: tr.TrainConfig.batch_size]
     drop_rng = np.random.default_rng(0)
-
-    def step():
-        for p in params:
-            p.grad = None
-        with ag.Tape() as tape:
-            ag.backward(tr._mean_window_loss(model, train[index], CostModel(), rng=drop_rng), tape)
-        optimizer.step(np.concatenate([p.grad for p in params], axis=None))
-
-    return step
+    return lambda: tr.train_step(model, params, optimizer, train[index], CostModel(), drop_rng, 0, 0)
 
 
 def model_rows(days: int) -> dict:
@@ -109,7 +100,7 @@ def model_rows(days: int) -> dict:
     train, valid = tr.split_windows(table, split, TAU)
     cfg = tr.TrainConfig(max_epochs=1, patience=1)
     model, _ = tr.fit_combo("pt", 4, TAU, {}, 0, train, valid, cfg, CostModel())
-    test = np.stack([table.returns[p - 2 * TAU + 1 : p + 1] for p in range(split.train_end - 1, split.test_end - 1)])
+    test = tr._ending_at(table.returns, 2 * TAU, split.train_end - 1, split.test_end - split.train_end)  # walk_forward's view
     return {
         "pt_fit": lambda: tr.fit_combo("pt", 4, TAU, {}, 0, train, valid, cfg, CostModel()),
         "evaluate_loss": lambda: tr.evaluate_loss(model, valid, CostModel()),

@@ -91,12 +91,12 @@ def test_flat_adam_equals_the_per_name_oracle_over_pt_parameters():
     ids=["pt", "lstm", "mlp"],
 )
 def test_one_training_step_gives_every_parameter_a_gradient(strategy, combo):
-    # fit gathers one flat gradient from every parameter, so none may be left without one
+    # train_step gathers one flat gradient from every parameter, so none may be left without one
     table = make_table(120, momentum=0.4)
     batch = tr.build_windows(table, 8, 0, 100)[np.arange(16)]
     model = tr.build_model(strategy, 3, 8, combo, seed=4)
-    with ag.Tape() as tape:
-        ag.backward(tr._mean_window_loss(model, batch, CostModel(), rng=np.random.default_rng(0)), tape)
+    params = list(model.parameters().values())
+    tr.train_step(model, params, tr.Adam(model.vector, 1e-3), batch, CostModel(), np.random.default_rng(0), 0, 0)
     missing = [name for name, p in model.parameters().items() if p.grad is None or p.grad.shape != p.shape]
     assert not missing
 
@@ -278,6 +278,17 @@ def test_fit_identical_seeds_identical_history():
     assert histories[0] == histories[1]
 
 
+def test_fit_keeps_the_first_of_tied_epochs():
+    # at learning rate 0 every epoch's validation loss ties, so epoch 0 stays best and patience runs out
+    table = make_table(200, momentum=0.4)
+    train = tr.build_windows(table, 4, 0, 140)
+    valid = tr.build_windows(table, 4, 140, 180)
+    model = tr.build_model("mlp", 3, 4, {"hidden": (6,)}, seed=2)
+    result = tr.fit(model, train, valid, tr.TrainConfig(learning_rate=0.0, max_epochs=20, patience=3))
+    assert result.best_epoch == 0
+    assert len(result.history) == 3 + 1
+
+
 def test_fit_aborts_on_non_finite_loss_naming_batch():
     train = steer_window(True, 0.02)
     valid = steer_window(True, 0.01)
@@ -365,6 +376,28 @@ def test_search_zero_learning_rate_loses():
     moving = min(t.val_loss for t in result.trials if t.params["learning_rate"] == 1e-2)
     assert moving < frozen
 
+
+class TiedPool:
+    """A trial pool whose every trial ends at the same validation loss, each with its own fit."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def run(self, payloads):
+        return [
+            (tr.Trial(index=i, params=combo, train_loss=0.0, val_loss=1.0, seconds=0.0), tr.FitResult([], 0, 1.0, np.array([float(i)])))
+            for i, combo, *_ in payloads
+        ]
+
+
+def test_search_breaks_a_tie_for_the_earliest_trial():
+    table, split = search_fixture()
+    pool = TiedPool(table)
+    space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
+    result = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=pool)
+    assert result.best == result.trials[0].params
+    assert result.seed == 7 + 0
+    assert result.fit.vector.tolist() == [0.0]
 
 def test_search_filters_invalid_combinations():
     table, split = search_fixture()
