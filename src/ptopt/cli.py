@@ -174,8 +174,7 @@ def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> Non
         [o.test_year, e.epoch, repr(e.train_loss), repr(e.val_loss)] for o in result.outcomes for e in o.history
     ))
     for outcome in result.outcomes:
-        if outcome.model is not None:
-            save_checkpoint(outcome.model, out / f"checkpoint_{outcome.test_year}.ckpt")
+        save_checkpoint(outcome.model, out / f"checkpoint_{outcome.test_year}.ckpt")
 
 
 def render_table(rows: list[tuple[str, MetricsReport]]) -> str:

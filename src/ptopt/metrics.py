@@ -22,6 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ptopt.autograd import ContractError
 from ptopt.data import ReturnTable
 from ptopt.errors import AlignmentError, DataError
+from ptopt.model import blockwise
 from ptopt.objective import CostModel, net_returns
 
 TRADING_DAYS = 252
@@ -112,16 +113,15 @@ def rolling_sharpe(curve: EquityCurve, window: int = TRADING_DAYS) -> tuple[list
     """Annualized Sharpe over each trailing ``window`` of daily returns.
 
     The windows' means and deviations form ``_ROLLING_BLOCK`` windows at a
-    time; each window's figures do not depend on the blocking.
+    time, through ``ptopt.model.blockwise``; each window's figures do not
+    depend on the blocking.
     """
     r = curve.daily_returns
     if r.size < window:
         raise ContractError(f"curve length {r.size} shorter than window {window}")
     chunks = sliding_window_view(r, window)
     values = np.empty(len(chunks))
-    for lo in range(0, len(chunks), _ROLLING_BLOCK):
-        block = chunks[lo : lo + _ROLLING_BLOCK]
-        values[lo : lo + _ROLLING_BLOCK] = _ratio_or_sentinel(block.mean(axis=-1), block.std(axis=-1), math.sqrt(TRADING_DAYS))
+    blockwise(lambda b: _ratio_or_sentinel(b.mean(axis=-1), b.std(axis=-1), math.sqrt(TRADING_DAYS)), chunks, values, _ROLLING_BLOCK)
     return curve.dates[window - 1 :], values
 
 

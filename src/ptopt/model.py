@@ -31,7 +31,7 @@ import ptopt.autograd as ag
 from ptopt.autograd import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = "PTCKPT1"
-_INFER_BLOCK = 64  # items per gradient-free call of ``blockwise``
+_INFER_BLOCK = 64  # default items per gradient-free call of ``blockwise``
 _CASTS = {"int": int, "float": float, "str": str}  # config annotations are strings under __future__.annotations
 
 
@@ -256,12 +256,12 @@ def batched_weights(model, block: np.ndarray, rng: np.random.Generator | None = 
     return ag.reshape(weights, weights.shape[1:]) if single else weights
 
 
-def blockwise(fn: Callable, stack, out: np.ndarray) -> np.ndarray:
-    """``out`` filled with ``fn`` of ``_INFER_BLOCK`` items of ``stack`` at a time, gradient-free; an
+def blockwise(fn: Callable, stack, out: np.ndarray, size: int = _INFER_BLOCK) -> np.ndarray:
+    """``out`` filled with ``fn`` of ``size`` items of ``stack`` at a time, gradient-free; an
     item's result does not depend on its block, so ``out`` holds the bits of one call over the stack."""
     with ag.no_grad():
-        for i in range(0, len(stack), _INFER_BLOCK):
-            out[i : i + _INFER_BLOCK] = fn(stack[i : i + _INFER_BLOCK])
+        for i in range(0, len(stack), size):
+            out[i : i + size] = fn(stack[i : i + size])
     return out
 
 
@@ -270,8 +270,7 @@ def last_rows(model, block: np.ndarray) -> np.ndarray:
     of each block of a (B, 2*window, n_assets) stack as one (B, n_assets) array through ``blockwise``."""
     if np.ndim(block) == 2:
         return last_rows(model, np.asarray(block)[None])[0]
-    out = np.empty((len(block), model.config.n_assets))
-    return blockwise(lambda b: model.window_weights(b).data[:, -1], block, out)
+    return blockwise(lambda b: model.window_weights(b).data[:, -1], block, np.empty((len(block), model.config.n_assets)))
 
 
 class PortfolioTransformer(Layer):

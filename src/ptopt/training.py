@@ -18,7 +18,7 @@ import contextlib
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -436,13 +436,13 @@ def random_grid_search(
 
 @dataclass
 class SplitOutcome:
-    """A split's combo and trials, the model it ships (none for a rule) and that model's training curve."""
+    """A trained split's combo and trials, the model it ships and that model's training curve."""
 
     test_year: int
     params: dict
     trials: list[Trial]
-    model: object | None
-    history: list[EpochStats] = field(default_factory=list)
+    model: object
+    history: list[EpochStats]
 
 
 @dataclass
@@ -466,17 +466,16 @@ def walk_forward(
 ) -> WalkForwardResult:
     """Retrain per test year on all prior data and emit daily allocations.
 
-    For trained strategies a split with a ``space`` runs a grid search scored
-    on the chronological validation slice and ships the winning trial, its
-    seed and history; a split without one fits at seed ``seed + split_idx``.
-    Every search runs its trials on ``pool``, or in-process without one.
-    A ``base_combo`` key the space leaves out joins it as a one-value axis.
-    Rule-based strategies skip straight to daily weight emission; MV solves
-    as many test days per ``mv_weights`` call as fit one ``(days, n, n)``
-    stack in ``_MV_STACK_BYTES``, so its temporaries do not grow with the
-    universe. Every split writes its rows into one ``(test days, n)`` matrix.
-    Weight rows are dated the decision day and earn the following trading
-    day's returns.
+    Rows go into one ``(test days, n)`` matrix, dated the decision day and
+    earning the following trading day's returns. A rule fills it once, over the
+    whole test stream, and returns no outcomes. MV does so in one ``blockwise``
+    pass of as many days per ``mv_weights`` call as fit one ``(days, n, n)`` stack
+    in ``_MV_STACK_BYTES``, so its temporaries do not grow with the universe.
+    A trained strategy walks split by split, one outcome per split: with a
+    ``space``, a grid search on ``pool`` (or in-process), scored on the
+    chronological validation slice, ships its winning trial, seed and history;
+    without one, the split fits at seed ``seed + split_idx``. A ``base_combo``
+    key the space leaves out joins it as a one-value axis.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -484,47 +483,42 @@ def walk_forward(
     start = schedule.splits[0].train_end - 1  # the stream's first decision row; the splits are consecutive
     dates = table.dates[start : schedule.splits[-1].test_end - 1]
     weights = np.empty((len(dates), n))
+    if strategy == "equal_weight":
+        weights[:] = equal_weights(n)
+    elif strategy == "mv":
+        mv = MVConfig()
+        if schedule.splits[0].train_end < mv.lookback:  # the first split has the fewest rows before it
+            raise DataError(f"need {mv.lookback} rows before {schedule.splits[0].test_year} for the mean-variance window")
+        histories = _ending_at(table.returns, mv.lookback, start, len(dates))  # each test day's trailing rows, as views
+        blockwise(lambda h: mv_weights(h, mv), histories, weights, max(1, _MV_STACK_BYTES // (8 * n * n)))
+    if strategy not in TRAINED_STRATEGIES:
+        return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
+
     outcomes: list[SplitOutcome] = []
     chosen: dict | None = None
-    mv_config = MVConfig()
     if space is not None and base_combo:
         space = replace(space, axes={**space.axes, **{k: [v] for k, v in base_combo.items() if k not in space.axes}})
-
     for split_idx, split in enumerate(schedule.splits):
-        # one decision per test-year return row, dated the prior trading day
-        first = split.train_end - 1
+        first = split.train_end - 1  # one decision per test-year return row, dated the prior trading day
         rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream
-        if strategy == "equal_weight":
-            rows[:] = equal_weights(n)
-            outcomes.append(SplitOutcome(split.test_year, {}, [], None))
-        elif strategy == "mv":
-            if split.train_end < mv_config.lookback:
-                raise DataError(f"need {mv_config.lookback} rows before {split.test_year} for the mean-variance window")
-            # each test day's trailing lookback rows, as views, solved a chunk at a time
-            histories = _ending_at(table.returns, mv_config.lookback, first, len(rows))
-            chunk = max(1, _MV_STACK_BYTES // (8 * n * n))
-            for i in range(0, len(rows), chunk):
-                rows[i : i + chunk] = mv_weights(histories[i : i + chunk], mv_config)
-            outcomes.append(SplitOutcome(split.test_year, {"lookback": mv_config.lookback, "ridge": mv_config.ridge}, [], None))
+        train_windows, valid_windows = split_windows(table, split, tau)
+        if not len(train_windows) or not len(valid_windows):
+            raise DataError(f"training range before {split.test_year} too short for window length {tau}")
+        search = None
+        if space is not None and (search_each_split or chosen is None):
+            search = random_grid_search(
+                space, strategy, table, split, tau, base_cfg,
+                costs=costs, seed=seed + 104729 * split_idx, pool=pool,
+            )
+            chosen = search.best
+        combo = {**(base_combo or {}), **(chosen or {})}
+        if search is None:
+            model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
         else:
-            train_windows, valid_windows = split_windows(table, split, tau)
-            if not len(train_windows) or not len(valid_windows):
-                raise DataError(f"training range before {split.test_year} too short for window length {tau}")
-            search = None
-            if space is not None and (search_each_split or chosen is None):
-                search = random_grid_search(
-                    space, strategy, table, split, tau, base_cfg,
-                    costs=costs, seed=seed + 104729 * split_idx, pool=pool,
-                )
-                chosen = search.best
-            combo = {**(base_combo or {}), **(chosen or {})}
-            if search is None:
-                model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
-            else:
-                model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
-                model.vector[:] = result.vector
-            # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
-            rows[:] = model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
-            outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))
+            model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
+            model.vector[:] = result.vector
+        # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
+        rows[:] = model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
+        outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))
 
     return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=outcomes)

@@ -493,6 +493,28 @@ def test_run_missing_data_file_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def short_history_csv(tmp_path_factory):
+    """A 3-asset market of 2015-12-01 ... 2017-01-25: under a month of rows before 2016."""
+    path = tmp_path_factory.mktemp("short") / "prices.csv"
+    assert cli.main(["synth", "--assets", "3", "--days", "800", "--seed", "1", "--out", str(path)]) == 0
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(row for row in rows if row[:10] >= "2015-12-01"))
+    return path
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("mv", "need 50 rows before 2016 for the mean-variance window"),
+    ("lstm", "training range before 2016 too short for window length 8"),
+])
+def test_too_short_a_history_before_the_first_test_year_exits_2(strategy, message, short_history_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["run", "--strategy", strategy, "--data", str(short_history_csv), "--out", str(out), "--first-test-year", "2016"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch):
     def explode(*a, **k):
         raise NumericError("boom")

@@ -615,7 +615,8 @@ def test_trials_csv_roundtrip(tmp_path):
         tr.Trial(index=0, params={"hidden": 4, "learning_rate": 1e-3}, train_loss=-0.25, val_loss=-0.125, seconds=1.5),
         tr.Trial(index=1, params={"hidden": 8, "learning_rate": 3e-3}, train_loss=-0.3, val_loss=np.inf, seconds=0.75),
     ]
-    outcome = tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=None)
+    model = tr.build_model("lstm", 2, 4, {"hidden": 4}, seed=0)
+    outcome = tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=model, history=[])
     result = tr.WalkForwardResult(WeightStream([], np.empty((0, 2))), [outcome])
     cli._write_run_artifacts(tmp_path, result, EquityCurve([], []), MetricsReport(*[0.0] * 7))
     path = tmp_path / "trials.csv"
@@ -664,6 +665,7 @@ def test_walk_forward_equal_weight_dates_and_rows():
     schedule = yearly_splits(table, 2016)
     split = schedule.splits[0]
     result = tr.walk_forward(table, schedule, "equal_weight")
+    assert result.outcomes == []
     n_test = split.test_end - split.train_end
     assert len(result.stream.dates) == n_test
     assert result.stream.dates[0] == table.dates[split.train_end - 1]
