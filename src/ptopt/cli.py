@@ -94,7 +94,7 @@ def version_string() -> str:
             )
             if out.returncode == 0 and out.stdout.strip():
                 return out.stdout.strip()
-        except OSError:
+        except (OSError, subprocess.SubprocessError):  # no git, or it hung past the timeout
             pass
     return f"v{__version__}"
 
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except (NumericError, ContractError, np.linalg.LinAlgError) as err:

@@ -278,7 +278,7 @@ def default_space(strategy: str) -> HyperparamSpace:
 
 
 # the combo keys each trainable strategy's model_config reads: every field of its
-# config but the three a run sets itself. fit_combo reads FIT_AXES.
+# config but the three a run sets itself. _run_trial reads FIT_AXES.
 MODEL_AXES = {
     kind: tuple(f.name for f in fields(cls.config_class) if f.name not in ("n_assets", "window", "seed"))
     for kind, cls in MODEL_KINDS.items()
@@ -306,21 +306,6 @@ def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int)
 def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     """Instantiate a trainable strategy model from sampled hyperparameters."""
     return MODEL_KINDS[strategy](model_config(strategy, n_assets, tau, combo, seed))
-
-
-def fit_combo(
-    strategy: str, n_assets: int, tau: int, combo: dict, seed: int,
-    train: np.ndarray, valid: np.ndarray, base_cfg: TrainConfig, costs: CostModel,
-):
-    """Build the model ``combo`` describes and fit it: ``(model, FitResult)``.
-
-    Search trials and the fits of unsearched splits train through here. A
-    searched split ships its winning trial, so a combo scores on validation
-    exactly the model it would become.
-    """
-    cfg = replace(base_cfg, seed=seed, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
-    model = build_model(strategy, n_assets, tau, combo, seed=seed)
-    return model, fit(model, train, valid, cfg, costs)
 
 
 def _combo_error(strategy: str, n_assets: int, tau: int, combo: dict) -> str | None:
@@ -359,25 +344,29 @@ def _init_worker(table: ReturnTable) -> None:
     _worker_table = table
 
 
-def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitResult | None]:
-    """Fit one trial on ``table``, or in a pool worker on the table it was started with."""
-    index, combo, strategy, split, tau, base_cfg, costs, master_seed = payload
+def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitResult | TrainingError]:
+    """Fit the model ``combo`` describes on ``split``'s windows at seed ``seed + index``, on ``table``
+    or in a pool worker on the table it was started with. Every fit of a walk runs here, so a
+    search scores on validation exactly the model it ships. A fit's TrainingError is returned."""
+    index, combo, strategy, split, tau, base_cfg, costs, seed = payload
     table = _worker_table if table is None else table
     train, valid = split_windows(table, split, tau)
+    if not len(train) or not len(valid):
+        raise DataError(f"training range before {split.test_year} too short for window length {tau}")
+    cfg = replace(base_cfg, seed=seed + index, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
     start = time.perf_counter()
     try:
-        _, result = fit_combo(strategy, table.n_assets, tau, combo, master_seed + index, train, valid, base_cfg, costs)
-        train_loss = result.history[result.best_epoch].train_loss
-        val_loss = result.best_val
-    except TrainingError:
-        result, train_loss, val_loss = None, np.inf, np.inf
+        result = fit(build_model(strategy, table.n_assets, tau, combo, cfg.seed), train, valid, cfg, costs)
+        train_loss, val_loss = result.history[result.best_epoch].train_loss, result.best_val
+    except TrainingError as exc:  # without its traceback, which would hold the fit's frames alive
+        result, train_loss, val_loss = exc.with_traceback(None), np.inf, np.inf
     return Trial(index=index, params=combo, train_loss=train_loss, val_loss=val_loss, seconds=time.perf_counter() - start), result
 
 
 class TrialPool(contextlib.AbstractContextManager):
-    """Runs search trials on ``table``: in-process, or with ``jobs > 1`` on one lazily
+    """Runs ``_run_trial`` tasks on ``table``: in-process, or with ``jobs > 1`` on one lazily
     started ``ProcessPoolExecutor`` whose workers get the table once, through the
-    initializer, and serve every later search. Leaving the context shuts it down."""
+    initializer, and serve every later batch. Leaving the context shuts it down."""
 
     def __init__(self, table: ReturnTable, jobs: int = 1):
         self.table, self.jobs, self._executor = table, jobs, None
@@ -386,7 +375,7 @@ class TrialPool(contextlib.AbstractContextManager):
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
 
-    def run(self, payloads: list) -> list[tuple[Trial, FitResult | None]]:
+    def run(self, payloads: list) -> list[tuple[Trial, FitResult | TrainingError]]:
         if self.jobs <= 1:
             return [_run_trial(p, self.table) for p in payloads]
         if self._executor is None:
@@ -424,8 +413,8 @@ def random_grid_search(
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(combos), size=space.budget)
     done = pool.run([(i, combos[k], strategy, split, tau, base_cfg, costs, seed) for i, k in enumerate(picks)])
-    best, fit_result = min(done, key=lambda d: (d[1] is None, d[0].val_loss))
-    if fit_result is None:
+    best, fit_result = min(done, key=lambda d: (isinstance(d[1], TrainingError), d[0].val_loss))
+    if isinstance(fit_result, TrainingError):
         raise TrainingError(f"all {len(done)} trials for test year {split.test_year} failed")
     return SearchResult(best=best.params, trials=[t for t, _ in done], seed=seed + best.index, fit=fit_result)
 
@@ -471,11 +460,12 @@ def walk_forward(
     whole test stream, and returns no outcomes. MV does so in one ``blockwise``
     pass of as many days per ``mv_weights`` call as fit one ``(days, n, n)`` stack
     in ``_MV_STACK_BYTES``, so its temporaries do not grow with the universe.
-    A trained strategy walks split by split, one outcome per split: with a
-    ``space``, a grid search on ``pool`` (or in-process), scored on the
-    chronological validation slice, ships its winning trial, seed and history;
-    without one, the split fits at seed ``seed + split_idx``. A ``base_combo``
-    key the space leaves out joins it as a one-value axis.
+    A trained strategy walks split by split, one outcome per split, and fits on
+    ``pool`` (in-process if None), which must hold ``table``: with a ``space``, a grid
+    search scored on the chronological validation slice picks the winning trial;
+    without one, the split fits as a one-task batch at seed ``seed + split_idx``. Either
+    way the shipped model is built from its combo and seed and takes the fitted vector.
+    A ``base_combo`` key the space leaves out joins it as a one-value axis.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -494,6 +484,9 @@ def walk_forward(
     if strategy not in TRAINED_STRATEGIES:
         return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
 
+    pool = pool or TrialPool(table)
+    if pool.table is not table:
+        raise ValueError("the trial pool holds another return table")
     outcomes: list[SplitOutcome] = []
     chosen: dict | None = None
     if space is not None and base_combo:
@@ -501,9 +494,6 @@ def walk_forward(
     for split_idx, split in enumerate(schedule.splits):
         first = split.train_end - 1  # one decision per test-year return row, dated the prior trading day
         rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream
-        train_windows, valid_windows = split_windows(table, split, tau)
-        if not len(train_windows) or not len(valid_windows):
-            raise DataError(f"training range before {split.test_year} too short for window length {tau}")
         search = None
         if space is not None and (search_each_split or chosen is None):
             search = random_grid_search(
@@ -513,12 +503,14 @@ def walk_forward(
             chosen = search.best
         combo = {**(base_combo or {}), **(chosen or {})}
         if search is None:
-            model, result = fit_combo(strategy, n, tau, combo, seed + split_idx, train_windows, valid_windows, base_cfg, costs)
-        else:
-            model, result = build_model(strategy, n, tau, combo, search.seed), search.fit
-            model.vector[:] = result.vector
+            [(_, result)] = pool.run([(0, combo, strategy, split, tau, base_cfg, costs, seed + split_idx)])
+            if isinstance(result, TrainingError):
+                raise result
+            search = SearchResult(best=combo, trials=[], seed=seed + split_idx, fit=result)
+        model = build_model(strategy, n, tau, combo, search.seed)
+        model.vector[:] = search.fit.vector
         # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
         rows[:] = model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
-        outcomes.append(SplitOutcome(split.test_year, combo, search.trials if search else [], model, result.history))
+        outcomes.append(SplitOutcome(split.test_year, combo, search.trials, model, search.fit.history))
 
     return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=outcomes)

@@ -98,11 +98,12 @@ def model_rows(days: int) -> dict:
     table = clean_and_return(synth_generate(SynthConfig(n_assets=4, n_days=days, seed=0, momentum=0.6)))
     split = yearly_splits(table, table.dates[0].year + 1).splits[-1]
     train, valid = tr.split_windows(table, split, TAU)
-    cfg = tr.TrainConfig(max_epochs=1, patience=1)
-    model, _ = tr.fit_combo("pt", 4, TAU, {}, 0, train, valid, cfg, CostModel())
+    task = (0, {}, "pt", split, TAU, tr.TrainConfig(max_epochs=1, patience=1), CostModel(), 0)  # a walk's unsearched fit
+    model = tr.build_model("pt", 4, TAU, {}, seed=0)
+    model.vector[:] = tr._run_trial(task, table)[1].vector
     test = tr._ending_at(table.returns, 2 * TAU, split.train_end - 1, split.test_end - split.train_end)  # walk_forward's view
     return {
-        "pt_fit": lambda: tr.fit_combo("pt", 4, TAU, {}, 0, train, valid, cfg, CostModel()),
+        "pt_fit": lambda: tr._run_trial(task, table),
         "evaluate_loss": lambda: tr.evaluate_loss(model, valid, CostModel()),
         "day_weights": lambda: model.day_weights(test),
         **{f"{kind}_step": train_step(kind, train) for kind in tr.TRAINED_STRATEGIES},

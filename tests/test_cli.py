@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import ptopt.cli as cli
-from ptopt.errors import NumericError
+import ptopt.training as tr
+from ptopt import __version__
+from ptopt.errors import NumericError, TrainingError
 from ptopt.metrics import MetricsReport
 from ptopt.model import PTConfig
 from ptopt.training import STRATEGIES
@@ -422,22 +424,24 @@ def test_compare_runs_every_search_on_one_pool(prices_csv, tmp_path, counted_poo
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
 
-def test_run_results_do_not_depend_on_jobs(prices_csv, tmp_path, counted_pools):
+@pytest.mark.parametrize("once", [[], ["--search-once"]], ids=["search_each_split", "search_once"])
+def test_run_results_do_not_depend_on_jobs(once, prices_csv, tmp_path, counted_pools):
     import csv
 
     outs = {}
     for jobs in ("1", "2"):
         outs[jobs] = tmp_path / f"jobs{jobs}"
         code = cli.main(
-            ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(outs[jobs]), "--jobs", jobs, *SEARCH_FLAGS]
+            ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(outs[jobs]), "--jobs", jobs, *SEARCH_FLAGS, *once]
         )
         assert code == 0
+    # with --search-once the 2016 split fits unsearched while the 2-worker pool is up
     assert counted_pools == [[2, True]]
     trials = {}
     for jobs, out in outs.items():
         with open(out / "trials.csv", newline="") as fh:
             trials[jobs] = [row[:-1] for row in csv.reader(fh)]  # all but the seconds column
-    assert len(trials["1"]) == 5 and trials["1"] == trials["2"]
+    assert len(trials["1"]) == (3 if once else 5) and trials["1"] == trials["2"]
     for name in ("metrics.json", "equity.csv", "history.csv", "checkpoint_2015.ckpt", "checkpoint_2016.ckpt"):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
@@ -487,9 +491,11 @@ def test_no_worker_outlives_a_run_whose_trials_all_fail(prices_csv, tmp_path, ca
     assert not out.exists()
 
 
-def test_run_missing_data_file_exits_2(tmp_path):
+@pytest.mark.parametrize("data", ["no.csv", "file.csv/x"], ids=["missing", "under_a_file"])
+def test_run_missing_data_file_exits_2(data, tmp_path):
+    (tmp_path / "file.csv").write_text("date,A\n2020-01-02,1\n")
     out = tmp_path / "o"
-    assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / "no.csv"), "--out", str(out)]) == 2
+    assert cli.main(["run", "--strategy", "mv", "--data", str(tmp_path / data), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -503,15 +509,30 @@ def short_history_csv(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("strategy, message", [
+@pytest.mark.parametrize("flags, message", [
     ("mv", "need 50 rows before 2016 for the mean-variance window"),
     ("lstm", "training range before 2016 too short for window length 8"),
+    # the check runs in each trial, so with --jobs 2 it raises in a worker
+    ("lstm --budget 2", "training range before 2016 too short for window length 8"),
+    ("lstm --budget 2 --jobs 2", "training range before 2016 too short for window length 8"),
 ])
-def test_too_short_a_history_before_the_first_test_year_exits_2(strategy, message, short_history_csv, tmp_path, capsys):
+def test_too_short_a_history_before_the_first_test_year_exits_2(flags, message, short_history_csv, tmp_path, capsys):
     out = tmp_path / "run"
-    argv = ["run", "--strategy", strategy, "--data", str(short_history_csv), "--out", str(out), "--first-test-year", "2016"]
+    argv = ["run", "--strategy", *flags.split(), "--data", str(short_history_csv), "--out", str(out), "--first-test-year", "2016"]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unsearched_fit_that_fails_exits_3_naming_its_batch(prices_csv, tmp_path, monkeypatch, capsys):
+    def explode(*a, **k):
+        raise TrainingError("non-finite loss nan in epoch 0, batch 0")
+
+    monkeypatch.setattr(tr, "fit", explode)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), *SHORT_FLAGS]) == 3
+    err = capsys.readouterr().err
+    assert "epoch 0, batch 0" in err and "trials" not in err  # the fit's own error, not a search's summary
     assert not out.exists()
 
 
@@ -709,6 +730,19 @@ def test_git_describe_runs_once_per_process(prices_csv, tmp_path, monkeypatch):
         assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(tmp_path / name)]) == 0
     checkout = (Path(cli.__file__).resolve().parents[2] / ".git").exists()
     assert len(calls) == checkout
+
+
+def test_a_git_describe_that_times_out_falls_back_to_the_package_version(prices_csv, tmp_path, monkeypatch):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(cli.subprocess, "run", hang)
+    cli.version_string.cache_clear()
+    try:
+        assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        cli.version_string.cache_clear()
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["version"] == f"v{__version__}"
 
 
 def test_version_describes_only_the_source_checkout(tmp_path):

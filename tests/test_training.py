@@ -488,10 +488,19 @@ def test_axes_are_exactly_the_keys_a_fit_reads(strategy, monkeypatch):
     combo = _ReadKeys()
     tr.model_config(strategy, 4, 8, combo, seed=0)
     assert combo.read == set(tr.MODEL_AXES[strategy])
-    monkeypatch.setattr(tr, "fit", lambda *a, **k: None)
+
+    def no_fit(*a, **k):
+        raise TrainingError("non-finite loss nan in epoch 0, batch 0")
+
+    monkeypatch.setattr(tr, "fit", no_fit)
+    table, split = search_fixture()
     combo = _ReadKeys()
-    tr.fit_combo(strategy, 4, 8, combo, 0, None, None, tr.TrainConfig(), CostModel())
+    trial, result = tr._run_trial((0, combo, strategy, split, 8, tr.TrainConfig(), CostModel(), 0), table)
     assert combo.read == set(tr.MODEL_AXES[strategy]) | set(tr.FIT_AXES)
+    # a failed fit comes back as its error, and its trial ranks last
+    assert isinstance(result, TrainingError) and "epoch 0, batch 0" in str(result)
+    assert result.__traceback__ is None  # it keeps none of the fit's frames alive
+    assert trial.val_loss == np.inf
 
 
 @pytest.mark.parametrize(
@@ -608,6 +617,13 @@ def test_search_refuses_a_pool_of_another_table():
     with tr.TrialPool(make_table(170, seed=3), 1) as pool:
         with pytest.raises(ValueError, match="another return table"):
             tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
+
+
+def test_walk_forward_refuses_a_pool_of_another_table():
+    table = wf_table()
+    with tr.TrialPool(make_table(170, seed=3), 1) as pool:
+        with pytest.raises(ValueError, match="another return table"):
+            tr.walk_forward(table, yearly_splits(table, 2016), "lstm", tau=4, base_cfg=tr.TrainConfig(max_epochs=1), pool=pool)
 
 
 def test_trials_csv_roundtrip(tmp_path):
@@ -741,8 +757,7 @@ def test_walk_forward_search_once_reuses_first_split_choice():
     assert result.outcomes[1].params == result.outcomes[0].params
     # a split that did not search fits as before, at seed + split_idx
     later = result.outcomes[1]
-    train, valid = tr.split_windows(table, schedule.splits[1], 4)
-    _, fit = tr.fit_combo("lstm", 3, 4, later.params, 1 + 1, train, valid, tr.TrainConfig(max_epochs=1, seed=0), CostModel())
+    _, fit = tr._run_trial((0, later.params, "lstm", schedule.splits[1], 4, tr.TrainConfig(max_epochs=1, seed=0), CostModel(), 1 + 1), table)
     assert later.model.config.seed == 2
     assert np.array_equal(later.model.vector, fit.vector)
     assert later.history == fit.history
@@ -761,8 +776,7 @@ def test_searched_split_ships_the_winning_trial(jobs):
         seed = 1 + 104729 * split_idx + winner.index
         assert outcome.model.config.seed == seed
         # the shipped model is the winner's fit, not a refit at another seed
-        train, valid = tr.split_windows(table, split, 4)
-        _, solo = tr.fit_combo("lstm", 3, 4, winner.params, seed, train, valid, cfg, CostModel())
+        _, solo = tr._run_trial((0, winner.params, "lstm", split, 4, cfg, CostModel(), seed), table)
         assert np.array_equal(outcome.model.vector, solo.vector)
         assert outcome.history == solo.history
         assert solo.best_val == winner.val_loss
