@@ -78,8 +78,9 @@ class RunConfig:
     search_once: bool = False
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise UsageError(f"budget must be >= 0, got {self.budget}")
+        for name in ("seed", "budget"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @functools.cache  # the code a process runs is the tree it imported
@@ -139,14 +140,16 @@ def _resolve_spaces(cfg: RunConfig, strategies, keys) -> dict[str, HyperparamSpa
     strategy may name only trained strategies among ``keys``."""
     given = {}
     if cfg.space_path is not None:
-        doc = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
-        if isinstance(doc, HyperparamSpace):
-            doc = dict.fromkeys(strategies, doc)
+        try:
+            given = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
+        except ValueError as err:  # bad bytes, bad JSON or a malformed space
+            raise UsageError(f"--space {cfg.space_path}: {err}") from None
+        if isinstance(given, HyperparamSpace):
+            given = dict.fromkeys(strategies, given)
         else:
-            stray = [name for name in doc if name not in keys or name not in TRAINED_STRATEGIES]
+            stray = [name for name in given if name not in keys or name not in TRAINED_STRATEGIES]
             if stray:
                 raise UsageError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
-        given = doc
     spaces = {}
     for strategy in strategies:
         space = given.get(strategy)
@@ -222,6 +225,8 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     cfg = _run_config(args)
     out = check_out_dir(cfg.out_dir, args.force)
     spaces = _resolve_spaces(cfg, strategies, keys)
+    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience)
+    costs, kept = CostModel(cfg.cost_rate), []
     version = version_string()
     try:
         prices = load_csv(cfg.data)
@@ -230,8 +235,6 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     digest, table = prices.sha256, clean_and_return(prices)
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
-    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience)
-    costs, kept = CostModel(cfg.cost_rate), []
     # no more workers than the largest search has trials
     with TrialPool(table, min(args.jobs, max((s.budget for s in spaces.values() if s is not None), default=1))) as pool:
         for strategy in strategies:

@@ -360,10 +360,17 @@ def load_checkpoint(path):
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
         doc = json.load(fh)
+    missing = [key for key in ("kind", "config", "params") if key not in doc]
+    if missing:
+        raise ValueError(f"checkpoint has no {missing[0]!r} entry")
     cls = MODEL_KINDS.get(doc["kind"])
     if cls is None:
         raise ValueError(f"unknown model kind {doc['kind']!r} in checkpoint")
-    model = cls(cls.config_class(**doc["config"]))
+    try:
+        config = cls.config_class(**doc["config"])
+    except TypeError as err:  # an unknown field, or a missing required one
+        raise ValueError(f"checkpoint config does not fit {doc['kind']!r}: {err}") from None
+    model = cls(config)
     params = model.parameters()
     if set(params) != set(doc["params"]):
         raise ValueError("checkpoint parameter names do not match the model")

@@ -327,13 +327,14 @@ class Trial:
 
 
 @dataclass
-class SearchResult:
-    """Every trial, and the winner's combo, seed and fit: the model to ship."""
+class SplitOutcome:
+    """A trained split's combo and trials, the model it ships and that model's training curve."""
 
-    best: dict
+    test_year: int
+    params: dict
     trials: list[Trial]
-    seed: int
-    fit: FitResult
+    model: object
+    history: list[EpochStats]
 
 
 _worker_table: ReturnTable | None = None  # a pool worker's table, set once by _init_worker
@@ -394,12 +395,14 @@ def random_grid_search(
     costs: CostModel = CostModel(),
     seed: int = 0,
     pool: TrialPool | None = None,
-) -> SearchResult:
-    """Sample the grid uniformly with replacement and pick the best trial.
+) -> SplitOutcome:
+    """Sample the grid uniformly with replacement and ship the best trial's model.
 
     Trial ``i`` fits on ``split``'s train and validation windows at seed ``seed + i``, on ``pool``
     (which must hold ``table``) or in-process. Ties on validation loss go to the earliest
-    trial index, and a trial whose fit raised ranks last; if every one did, raise TrainingError.
+    trial index, and a trial whose fit raised ranks last; if every one did, raise TrainingError
+    naming the test year and the earliest trial's error. The winner's model is built from its
+    combo and seed and takes the fitted vector.
     """
     pool = pool or TrialPool(table)
     if pool.table is not table:
@@ -414,24 +417,17 @@ def random_grid_search(
     picks = rng.integers(0, len(combos), size=space.budget)
     done = pool.run([(i, combos[k], strategy, split, tau, base_cfg, costs, seed) for i, k in enumerate(picks)])
     best, fit_result = min(done, key=lambda d: (isinstance(d[1], TrainingError), d[0].val_loss))
-    if isinstance(fit_result, TrainingError):
-        raise TrainingError(f"all {len(done)} trials for test year {split.test_year} failed")
-    return SearchResult(best=best.params, trials=[t for t, _ in done], seed=seed + best.index, fit=fit_result)
+    if isinstance(fit_result, TrainingError):  # every trial failed, and min kept the earliest
+        year = f"test year {split.test_year}"
+        where = year if len(done) == 1 else f"all {len(done)} trials for {year} failed; trial {best.index}"
+        raise TrainingError(f"{where}: {fit_result}")
+    model = build_model(strategy, table.n_assets, tau, best.params, seed + best.index)
+    model.vector[:] = fit_result.vector
+    return SplitOutcome(split.test_year, best.params, [t for t, _ in done], model, fit_result.history)
 
 
 # ---------------------------------------------------------------------------
 # walk-forward
-
-
-@dataclass
-class SplitOutcome:
-    """A trained split's combo and trials, the model it ships and that model's training curve."""
-
-    test_year: int
-    params: dict
-    trials: list[Trial]
-    model: object
-    history: list[EpochStats]
 
 
 @dataclass
@@ -460,12 +456,12 @@ def walk_forward(
     whole test stream, and returns no outcomes. MV does so in one ``blockwise``
     pass of as many days per ``mv_weights`` call as fit one ``(days, n, n)`` stack
     in ``_MV_STACK_BYTES``, so its temporaries do not grow with the universe.
-    A trained strategy walks split by split, one outcome per split, and fits on
-    ``pool`` (in-process if None), which must hold ``table``: with a ``space``, a grid
-    search scored on the chronological validation slice picks the winning trial;
-    without one, the split fits as a one-task batch at seed ``seed + split_idx``. Either
-    way the shipped model is built from its combo and seed and takes the fitted vector.
-    A ``base_combo`` key the space leaves out joins it as a one-value axis.
+    A trained strategy walks split by split, one ``random_grid_search`` outcome each, on ``pool``
+    (in-process if None), which must hold ``table``. With a ``space``, a search scored on the
+    chronological validation slice picks the winner; a split that does not search (each without a
+    space, the later ones unless ``search_each_split``) runs a one-trial search of the base combo,
+    or of the first split's winner, at seed ``seed + split_idx`` and lists no trial. A
+    ``base_combo`` key the space leaves out joins it as a one-value axis.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -484,33 +480,22 @@ def walk_forward(
     if strategy not in TRAINED_STRATEGIES:
         return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
 
-    pool = pool or TrialPool(table)
-    if pool.table is not table:
-        raise ValueError("the trial pool holds another return table")
     outcomes: list[SplitOutcome] = []
-    chosen: dict | None = None
+    combo = base_combo or {}
     if space is not None and base_combo:
         space = replace(space, axes={**space.axes, **{k: [v] for k, v in base_combo.items() if k not in space.axes}})
     for split_idx, split in enumerate(schedule.splits):
         first = split.train_end - 1  # one decision per test-year return row, dated the prior trading day
         rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream
-        search = None
-        if space is not None and (search_each_split or chosen is None):
-            search = random_grid_search(
-                space, strategy, table, split, tau, base_cfg,
-                costs=costs, seed=seed + 104729 * split_idx, pool=pool,
-            )
-            chosen = search.best
-        combo = {**(base_combo or {}), **(chosen or {})}
-        if search is None:
-            [(_, result)] = pool.run([(0, combo, strategy, split, tau, base_cfg, costs, seed + split_idx)])
-            if isinstance(result, TrainingError):
-                raise result
-            search = SearchResult(best=combo, trials=[], seed=seed + split_idx, fit=result)
-        model = build_model(strategy, n, tau, combo, search.seed)
-        model.vector[:] = search.fit.vector
+        if space is not None and (search_each_split or split_idx == 0):
+            outcome = random_grid_search(space, strategy, table, split, tau, base_cfg, costs, seed + 104729 * split_idx, pool)
+            combo = outcome.params
+        else:  # a one-trial search: its generator draws index 0, so the trial fits at seed + split_idx
+            one = HyperparamSpace(axes={k: [v] for k, v in combo.items()}, budget=1)
+            outcome = random_grid_search(one, strategy, table, split, tau, base_cfg, costs, seed + split_idx, pool)
+            outcome.trials = []
         # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
-        rows[:] = model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
-        outcomes.append(SplitOutcome(split.test_year, combo, search.trials, model, search.fit.history))
+        rows[:] = outcome.model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
+        outcomes.append(outcome)
 
     return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=outcomes)

@@ -217,6 +217,21 @@ def test_run_malformed_space_file_is_usage_error(prices_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_truncated_space_file_is_usage_error_naming_the_file(prices_csv, tmp_path, capsys, monkeypatch):
+    def no_work(*a, **k):
+        raise AssertionError("the data was read before the space was checked")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)
+    space = tmp_path / "space.json"
+    space.write_text('{"axes": {"hidden": [4, 8]}, "budget" 2}')
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--space", str(space)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --space {space}: Expecting ':' delimiter") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_run_space_axis_no_model_reads_is_usage_error(prices_csv, tmp_path, capsys, monkeypatch):
     def no_work(*a, **k):
         raise AssertionError("the data was read before the space was checked")
@@ -376,6 +391,25 @@ def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--seed", "-1", "seed"),
+    ("--max-epochs", "0", "max_epochs"),
+    ("--patience", "0", "patience"),
+    ("--cost-rate", "-1", "cost_rate"),
+])
+def test_run_bad_flag_is_usage_error_before_the_data_is_read(prices_csv, tmp_path, capsys, monkeypatch, flag, value, field):
+    def no_work(*a, **k):
+        raise AssertionError(f"the data was read before {flag} was checked")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", flag, value, "--data", str(prices_csv), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the trial pool
 
@@ -532,7 +566,20 @@ def test_an_unsearched_fit_that_fails_exits_3_naming_its_batch(prices_csv, tmp_p
     out = tmp_path / "o"
     assert cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), *SHORT_FLAGS]) == 3
     err = capsys.readouterr().err
-    assert "epoch 0, batch 0" in err and "trials" not in err  # the fit's own error, not a search's summary
+    # the fit's own error, not a search's summary, under the year whose split raised it
+    assert "test year 2015: non-finite loss nan in epoch 0, batch 0" in err and "trials" not in err
+    assert not out.exists()
+
+
+def test_a_one_trial_search_that_fails_exits_3_naming_its_year(prices_csv, tmp_path, monkeypatch, capsys):
+    def explode(*a, **k):
+        raise TrainingError("non-finite loss nan in epoch 0, batch 0")
+
+    monkeypatch.setattr(tr, "fit", explode)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--strategy", "lstm", "--budget", "1", "--data", str(prices_csv), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: test year 2016: non-finite loss nan in epoch 0, batch 0\n"
     assert not out.exists()
 
 

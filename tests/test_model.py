@@ -4,6 +4,7 @@ The model's blocks run as fused tape ops; their op-by-op compositions in
 ``tests/helpers.py`` are the oracles, down to a whole forward pass.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -589,4 +590,20 @@ def test_checkpoint_config_with_a_bool_for_an_int_is_rejected(tmp_path):
     path = tmp_path / "bool.ckpt"
     path.write_text(text.replace('"n_layers": 2', '"n_layers": true'))
     with pytest.raises(ValueError, match="n_layers"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc.pop("kind"), "no 'kind' entry"),
+    (lambda doc: doc.pop("params"), "no 'params' entry"),
+    (lambda doc: doc["config"].update(depth=2), "'depth'"),
+    (lambda doc: doc["config"].pop("n_assets"), "'n_assets'"),
+], ids=["no_kind", "no_params", "unknown_field", "missing_field"])
+def test_malformed_checkpoint_raises_value_error(edit, match, tmp_path):
+    magic, body = (Path(__file__).parent / "data" / "lstm.ckpt").read_text().split("\n", 1)
+    doc = json.loads(body)
+    edit(doc)
+    path = tmp_path / "bad.ckpt"
+    path.write_text(f"{magic}\n{json.dumps(doc)}\n")
+    with pytest.raises(ValueError, match=match):
         load_checkpoint(path)

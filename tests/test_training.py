@@ -360,7 +360,7 @@ def test_search_budget_and_single_combo():
     )
     assert len(result.trials) == 3
     assert all(t.params == {"hidden": 4} for t in result.trials)
-    assert result.best == {"hidden": 4}
+    assert result.params == {"hidden": 4}
 
 
 def test_search_zero_learning_rate_loses():
@@ -371,7 +371,7 @@ def test_search_zero_learning_rate_loses():
     )
     sampled = {t.params["learning_rate"] for t in result.trials}
     assert sampled == {0.0, 1e-2}
-    assert result.best["learning_rate"] == 1e-2
+    assert result.params["learning_rate"] == 1e-2
     frozen = min(t.val_loss for t in result.trials if t.params["learning_rate"] == 0.0)
     moving = min(t.val_loss for t in result.trials if t.params["learning_rate"] == 1e-2)
     assert moving < frozen
@@ -395,9 +395,23 @@ def test_search_breaks_a_tie_for_the_earliest_trial():
     pool = TiedPool(table)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
     result = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=pool)
-    assert result.best == result.trials[0].params
-    assert result.seed == 7 + 0
-    assert result.fit.vector.tolist() == [0.0]
+    assert result.params == result.trials[0].params
+    assert result.model.config.seed == 7 + 0
+    assert set(result.model.vector.tolist()) == {0.0}  # trial 0's one-value vector, broadcast
+
+
+def test_search_ships_a_trial_that_trained_over_an_earlier_one_that_failed():
+    class FirstFailsPool(TiedPool):
+        def run(self, payloads):
+            (trial, _), *rest = super().run(payloads)
+            return [(replace(trial, train_loss=np.inf, val_loss=np.inf), TrainingError("non-finite loss")), *rest]
+
+    table, split = search_fixture()
+    space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
+    result = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=FirstFailsPool(table))
+    assert result.params == result.trials[1].params
+    assert result.model.config.seed == 7 + 1
+    assert set(result.model.vector.tolist()) == {1.0}
 
 def test_search_filters_invalid_combinations():
     table, split = search_fixture()
@@ -556,8 +570,8 @@ def test_search_parallel_matches_serial():
     assert [(t.params, t.train_loss, t.val_loss) for t in serial.trials] == [
         (t.params, t.train_loss, t.val_loss) for t in parallel.trials
     ]
-    assert serial.seed == parallel.seed
-    assert np.array_equal(serial.fit.vector, parallel.fit.vector)
+    assert serial.model.config.seed == parallel.model.config.seed
+    assert np.array_equal(serial.model.vector, parallel.model.vector)
 
 
 @pytest.fixture
@@ -789,7 +803,7 @@ def test_search_where_every_trial_fails_raises(monkeypatch):
     monkeypatch.setattr(tr, "fit", explode)
     table = wf_table()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=3)
-    with pytest.raises(TrainingError, match="all 3 trials for test year 2016 failed"):
+    with pytest.raises(TrainingError, match="all 3 trials for test year 2016 failed; trial 0: non-finite loss"):
         tr.walk_forward(table, yearly_splits(table, 2016), "lstm", tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
 
 
