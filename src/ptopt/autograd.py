@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ptopt.errors import ContractError
+
 Array = np.ndarray
 LAYER_NORM_EPS = 1e-5
 MASK_BLOCK = -1e9  # an additive attention-mask entry that blocks a pair
@@ -34,10 +36,6 @@ MASK_BLOCK = -1e9  # an additive attention-mask entry that blocks a pair
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
-
-
-class ContractError(RuntimeError):
-    """An operation was invoked outside its documented contract."""
 
 
 _TAPES: list = []  # the active tapes, innermost last; None while no_grad suspends recording

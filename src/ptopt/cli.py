@@ -5,11 +5,11 @@ Three subcommands share one pipeline. ``synth`` writes a price CSV,
 output directory, ``compare`` does the same for several strategies against
 identical splits and cost model and renders a side-by-side table.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Every ``run``/``compare`` writes a manifest.json recording the effective
-config (every flag that changes results), seed, package, Python and numpy
-versions, and a checksum of the input file, so any result can be traced
-back to exactly what produced it.
+Exit codes map the ``ptopt.errors`` hierarchy: 0 success, 1 usage (any other
+ValueError), 2 DataError or OSError, 3 NumericError. Every ``run``/``compare``
+writes a manifest.json recording the effective config (every flag that
+changes results), seed, package, Python and numpy versions, and a checksum
+of the input file, so any result can be traced back to what produced it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from ptopt import __version__
-from ptopt.autograd import ContractError
 from ptopt.data import SynthConfig, clean_and_return, load_csv, synth_generate, write_csv, yearly_splits
 from ptopt.errors import DataError, NumericError
 from ptopt.metrics import (
@@ -47,17 +46,13 @@ from ptopt.training import (
     HyperparamSpace,
     TrainConfig,
     TrialPool,
-    check_axes,
     default_space,
     walk_forward,
+    walk_space,
 )
 
 METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 LOWER_IS_BETTER = {"vol", "mdd"}
-
-
-class UsageError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("seed", "budget"):
             if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @functools.cache  # the code a process runs is the tree it imported
@@ -109,9 +104,9 @@ def check_out_dir(path: str, force: bool) -> Path:
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
-        raise UsageError(f"output path {out}: {existing} exists and is not a directory")
+        raise ValueError(f"output path {out}: {existing} exists and is not a directory")
     if existing == out and any(out.iterdir()) and not force:
-        raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")
+        raise ValueError(f"output directory {out} is not empty; pass --force to overwrite")
     return out
 
 
@@ -134,32 +129,31 @@ def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha25
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _resolve_spaces(cfg: RunConfig, strategies, keys) -> dict[str, HyperparamSpace | None]:
-    """The search space of each of ``strategies``: its ``--space`` entry, else the
-    default grid when ``--budget`` asks for a search. A space file keyed by
-    strategy may name only trained strategies among ``keys``."""
+def _resolve_spaces(cfg: RunConfig, strategies, keys, base_combos) -> dict[str, HyperparamSpace | None]:
+    """The search space of each of ``strategies``: its ``--space`` entry, else the default grid when
+    ``--budget`` asks for a search. A space file keyed by strategy may name only trained strategies
+    among ``keys``. Each trained strategy's space and ``base_combos`` entry are checked here."""
     given = {}
     if cfg.space_path is not None:
         try:
             given = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
         except ValueError as err:  # bad bytes, bad JSON or a malformed space
-            raise UsageError(f"--space {cfg.space_path}: {err}") from None
+            raise ValueError(f"--space {cfg.space_path}: {err}") from None
         if isinstance(given, HyperparamSpace):
             given = dict.fromkeys(strategies, given)
         else:
             stray = [name for name in given if name not in keys or name not in TRAINED_STRATEGIES]
             if stray:
-                raise UsageError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
+                raise ValueError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
     spaces = {}
     for strategy in strategies:
         space = given.get(strategy)
         if space is None and cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
             space = default_space(strategy)
-        if space is not None:
-            if cfg.budget > 0:
-                space.budget = cfg.budget
-            if strategy in TRAINED_STRATEGIES:
-                check_axes(space, strategy)
+        if space is not None and cfg.budget > 0:
+            space.budget = cfg.budget
+        if strategy in TRAINED_STRATEGIES:  # at 2 assets, the fewest a model takes; walk_forward checks the table's count
+            walk_space(strategy, 2, cfg.window, space, base_combos.get(strategy))
         spaces[strategy] = space
     return spaces
 
@@ -206,10 +200,7 @@ def render_table(rows: list[tuple[str, MetricsReport]]) -> str:
 
 
 def cmd_synth(args) -> int:
-    try:
-        cfg = SynthConfig(n_assets=args.assets, n_days=args.days, seed=args.seed, momentum=args.momentum)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    cfg = SynthConfig(n_assets=args.assets, n_days=args.days, seed=args.seed, momentum=args.momentum)
     write_csv(synth_generate(cfg), args.out)
     print(f"wrote {args.days} rows x {args.assets} assets to {args.out}")
     return 0
@@ -224,7 +215,8 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     """
     cfg = _run_config(args)
     out = check_out_dir(cfg.out_dir, args.force)
-    spaces = _resolve_spaces(cfg, strategies, keys)
+    base_combos = {"pt": {"t2v_k": cfg.t2v_k}}  # the model settings a flag sets
+    spaces = _resolve_spaces(cfg, strategies, keys, base_combos)
     base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience)
     costs, kept = CostModel(cfg.cost_rate), []
     version = version_string()
@@ -241,7 +233,7 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
             result = walk_forward(
                 table, schedule, strategy,
                 tau=cfg.window, space=spaces[strategy], base_cfg=base_cfg, costs=costs, seed=cfg.seed, pool=pool,
-                search_each_split=not cfg.search_once, base_combo={"t2v_k": cfg.t2v_k} if strategy == "pt" else None,
+                search_each_split=not cfg.search_once, base_combo=base_combos.get(strategy),
             )
             curve = run_backtest(result.stream, table, costs)
             kept.append(keep(result, curve, compute_metrics(curve)))
@@ -265,9 +257,9 @@ def cmd_compare(args) -> int:
     command holds one strategy's weight stream and models at a time.
     """
     if len(args.strategies) < 2:
-        raise UsageError("compare needs at least 2 strategies")
+        raise ValueError("compare needs at least 2 strategies")
     if len(set(args.strategies)) != len(args.strategies):
-        raise UsageError("duplicate strategy in compare list")
+        raise ValueError("duplicate strategy in compare list")
     cfg, out, *provenance, turns = _walk_each(args, args.strategies, args.strategies, lambda _, curve, report: (curve, report))
     curves, reports = zip(*turns)
 
@@ -354,15 +346,12 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         if getattr(args, "jobs", 1) < 1:  # checked here, not in RunConfig: --jobs never changes results
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
-    except (NumericError, ContractError, np.linalg.LinAlgError) as err:
+    except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

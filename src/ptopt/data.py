@@ -246,26 +246,20 @@ def yearly_splits(table: ReturnTable, first_test_year: int) -> WalkForwardSchedu
     """One split per full calendar year from ``first_test_year`` onward.
 
     A year counts as full when data continues into the next year or its last
-    observation falls in the final trading days of December.
+    observation falls in the final trading days of December; a year with no row raises.
     """
     years = np.array([d.year for d in table.dates])
     last_date = table.dates[-1]
-    test_years = []
-    for year in range(first_test_year, last_date.year + 1):
-        if not np.any(years == year):
-            continue
-        complete = np.any(years > year) or (last_date.month == 12 and last_date.day >= 20)
-        if complete:
-            test_years.append(year)
+    test_years = range(first_test_year, last_date.year + int(last_date.month == 12 and last_date.day >= 20))
     if not test_years:
         raise DataError(f"no complete test year at or after {first_test_year}")
-    if test_years[0] != first_test_year:
-        raise DataError(f"no data for first test year {first_test_year}")
 
     splits = []
     for year in test_years:
         train_end = int(np.searchsorted(years, year))
         test_end = int(np.searchsorted(years, year + 1))
+        if train_end == test_end:
+            raise DataError(f"no data for test year {year}")
         if train_end == 0:
             raise DataError(f"no training data before test year {year}")
         val_rows = train_end // 10

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so keep the hierarchy flat:
-anything wrong with input data is a DataError, anything wrong with the
-arithmetic of a run is a NumericError.
+The hierarchy is the CLI's exit-code map, so keep it flat: bad input data is
+a DataError (exit 2), a failure of a run's arithmetic a NumericError (exit 3)
+and any other ValueError a usage error (exit 1).
 """
 
 
@@ -24,3 +24,7 @@ class NumericError(RuntimeError):
 
 class TrainingError(NumericError):
     """Training aborted; message names the offending epoch/batch."""
+
+
+class ContractError(NumericError):
+    """An operation was invoked outside its documented contract."""

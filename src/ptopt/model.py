@@ -72,8 +72,9 @@ class WindowConfig:
 
     def __post_init__(self):
         _cast_fields(self)
-        if self.n_assets < 2 or self.window < 2:
-            raise ValueError(f"need n_assets >= 2 and window >= 2, got {self.n_assets} and {self.window}")
+        for name in ("n_assets", "window"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,10 @@ def load_checkpoint(path):
         raise ValueError("checkpoint parameter names do not match the model")
     for name, t in params.items():
         entry = doc["params"][name]
-        data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as err:  # no shape or data, not an object, or data that does not fill its shape
+            raise ValueError(f"checkpoint parameter {name!r} is malformed: {type(err).__name__}: {err}") from None
         if data.shape != t.shape:
             raise ShapeError(f"checkpoint shape {data.shape} != model shape {t.shape} for {name}")
         t.data[...] = data

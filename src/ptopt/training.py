@@ -286,14 +286,6 @@ MODEL_AXES = {
 FIT_AXES = ("learning_rate", "batch_size")
 
 
-def check_axes(space: HyperparamSpace, strategy: str) -> None:
-    """Reject an axis that neither the strategy's model nor its fit reads."""
-    known = MODEL_AXES[strategy] + FIT_AXES
-    unknown = [name for name in space.axes if name not in known]
-    if unknown:
-        raise ValueError(f"{strategy} reads no hyperparameter {unknown[0]!r}; its axes are {', '.join(known)}")
-
-
 def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     """The validated architecture config of a trainable strategy; an axis the combo leaves out keeps its default."""
     if strategy not in MODEL_AXES:
@@ -308,13 +300,34 @@ def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     return MODEL_KINDS[strategy](model_config(strategy, n_assets, tau, combo, seed))
 
 
-def _combo_error(strategy: str, n_assets: int, tau: int, combo: dict) -> str | None:
-    """Why ``combo`` builds no valid model, or None if it does."""
-    try:
-        model_config(strategy, n_assets, tau, combo, seed=0)
-    except ValueError as exc:
-        return str(exc)
-    return None
+def valid_combos(space: HyperparamSpace, strategy: str, n_assets: int, tau: int) -> list[dict]:
+    """The combos of ``space`` that build a valid ``strategy`` model, in grid order. An axis that
+    neither the model nor its fit reads raises ValueError, and so does a space with no valid combo."""
+    known = MODEL_AXES[strategy] + FIT_AXES
+    unknown = [name for name in space.axes if name not in known]
+    if unknown:
+        raise ValueError(f"{strategy} reads no hyperparameter {unknown[0]!r}; its axes are {', '.join(known)}")
+    every, combos, first_error = space.combinations(), [], None
+    for combo in every:
+        try:
+            model_config(strategy, n_assets, tau, combo, seed=0)
+            combos.append(combo)
+        except ValueError as exc:
+            first_error = first_error or exc
+    if not combos:
+        raise ValueError(f"hyperparameter space contains no valid combination; the first, {every[0]}, fails: {first_error}")
+    return combos
+
+
+def walk_space(strategy: str, n_assets: int, tau: int, space: HyperparamSpace | None, base_combo: dict | None) -> HyperparamSpace | None:
+    """The space a trained walk's first split searches, or None if it does not search: ``space`` with each
+    ``base_combo`` key it leaves out as a one-value axis. ValueError unless a combo, or the lone base combo, is valid."""
+    if space is not None:
+        space = replace(space, axes={**space.axes, **{k: [v] for k, v in (base_combo or {}).items() if k not in space.axes}})
+        valid_combos(space, strategy, n_assets, tau)
+    else:  # the base combo's own error, which names its setting
+        model_config(strategy, n_assets, tau, base_combo or {}, seed=0)
+    return space
 
 
 @dataclass
@@ -407,12 +420,7 @@ def random_grid_search(
     pool = pool or TrialPool(table)
     if pool.table is not table:
         raise ValueError("the trial pool holds another return table")
-    check_axes(space, strategy)
-    every = space.combinations()
-    errors = [_combo_error(strategy, table.n_assets, tau, c) for c in every]
-    combos = [c for c, error in zip(every, errors) if error is None]
-    if not combos:
-        raise ValueError(f"hyperparameter space contains no valid combination; the first, {every[0]}, fails: {errors[0]}")
+    combos = valid_combos(space, strategy, table.n_assets, tau)
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(combos), size=space.budget)
     done = pool.run([(i, combos[k], strategy, split, tau, base_cfg, costs, seed) for i, k in enumerate(picks)])
@@ -460,8 +468,8 @@ def walk_forward(
     (in-process if None), which must hold ``table``. With a ``space``, a search scored on the
     chronological validation slice picks the winner; a split that does not search (each without a
     space, the later ones unless ``search_each_split``) runs a one-trial search of the base combo,
-    or of the first split's winner, at seed ``seed + split_idx`` and lists no trial. A
-    ``base_combo`` key the space leaves out joins it as a one-value axis.
+    or of the first split's winner, at seed ``seed + split_idx`` and lists no trial. Before the
+    first split, a table of fewer than 2 assets raises DataError, and ``walk_space`` checks the settings.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -480,10 +488,11 @@ def walk_forward(
     if strategy not in TRAINED_STRATEGIES:
         return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
 
+    if n < 2:
+        raise DataError(f"{strategy} needs at least 2 assets, got {n}")
     outcomes: list[SplitOutcome] = []
     combo = base_combo or {}
-    if space is not None and base_combo:
-        space = replace(space, axes={**space.axes, **{k: [v] for k, v in base_combo.items() if k not in space.axes}})
+    space = walk_space(strategy, n, tau, space, base_combo)
     for split_idx, split in enumerate(schedule.splits):
         first = split.train_end - 1  # one decision per test-year return row, dated the prior trading day
         rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream

@@ -32,7 +32,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 # the catalogue check is left out: on a mutant's copy it fails by construction
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutation_report.py"]
 
-TRAINING, OBJECTIVE = "src/ptopt/training.py", "src/ptopt/objective.py"
+TRAINING, OBJECTIVE, CLI = "src/ptopt/training.py", "src/ptopt/objective.py", "src/ptopt/cli.py"
 CATALOGUE = [
     # the split's fit: one random_grid_search per trained split
     (TRAINING, "costs, seed + split_idx, pool)", "costs, seed + split_idx + 1, pool)",
@@ -80,6 +80,21 @@ CATALOGUE = [
      "costs are subtracted from the gross return"),
     (OBJECTIVE, "(1.0 - (m / (sd * sd))", "(np.nextafter(1.0, 2.0) - (m / (sd * sd))",
      "a one-ulp change to the Sharpe loss's backward"),
+    ("src/ptopt/metrics.py", "np.where(numerator >= 0, math.inf", "np.where(numerator > 0, math.inf",
+     "a zero ratio over zero dispersion reads +inf, by the numerator's sign rule"),
+    # the exit-code map and the checks that pick an exit code
+    (CLI, "        return 3\n", "        return 2\n",
+     "a NumericError exits 3"),
+    ("src/ptopt/errors.py", "class ContractError(NumericError):", "class ContractError(RuntimeError):",
+     "a ContractError is a NumericError, so it exits 3"),
+    (TRAINING, "    if n < 2:\n", "    if n < 1:\n",
+     "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
+    ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
+     "a year missing from the data is a data error, not a broken schedule"),
+    (CLI, "space, base_combos.get(strategy))", "space, None)",
+     "--t2v-k is checked with pt's settings before the data is read"),
+    ("src/ptopt/model.py", "except (KeyError, TypeError, ValueError) as err:", "except (TypeError, ValueError) as err:",
+     "a checkpoint parameter entry without its shape or data raises ValueError naming it"),
 ]
 
 

@@ -15,6 +15,7 @@ import pytest
 import ptopt.cli as cli
 import ptopt.training as tr
 from ptopt import __version__
+from ptopt.autograd import ContractError
 from ptopt.errors import NumericError, TrainingError
 from ptopt.metrics import MetricsReport
 from ptopt.model import PTConfig
@@ -391,22 +392,38 @@ def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--seed", "-1", "seed"),
-    ("--max-epochs", "0", "max_epochs"),
-    ("--patience", "0", "patience"),
-    ("--cost-rate", "-1", "cost_rate"),
+@pytest.mark.parametrize("flags, field", [
+    pytest.param("run --strategy lstm --seed -1", "seed", id="--seed--1-seed"),
+    pytest.param("run --strategy lstm --max-epochs 0", "max_epochs", id="--max-epochs-0-max_epochs"),
+    pytest.param("run --strategy lstm --patience 0", "patience", id="--patience-0-patience"),
+    pytest.param("run --strategy lstm --cost-rate -1", "cost_rate", id="--cost-rate--1-cost_rate"),
+    pytest.param("run --strategy pt --t2v-k 0", "t2v_k must be >= 1, got 0", id="pt--t2v-k-0"),
+    pytest.param("run --strategy pt --window 1", "window must be >= 2, got 1", id="pt--window-1"),
+    pytest.param("run --strategy mlp --window 1", "window must be >= 2, got 1", id="mlp--window-1"),
+    # a later strategy's setting is refused before an earlier one trains
+    pytest.param("compare --strategies lstm pt --t2v-k 0", "t2v_k must be >= 1, got 0", id="compare-lstm-pt--t2v-k-0"),
+    pytest.param("run --strategy pt --budget 2 --window 1", "no valid combination; the first, {'d_model': 8", id="pt--budget-2--window-1"),
+    pytest.param("run --strategy lstm --space LSTM_SPACE", "no valid combination; the first, {'hidden': 0}, fails: hidden must be >= 1, got 0",
+                 id="lstm--space"),
+    pytest.param("compare --strategies lstm pt --space PT_SPACE --budget 2", "the first, {'n_heads': 3, 't2v_k': 3}, fails: n_heads 3 must divide",
+                 id="compare-lstm-pt--space"),
 ])
-def test_run_bad_flag_is_usage_error_before_the_data_is_read(prices_csv, tmp_path, capsys, monkeypatch, flag, value, field):
+def test_run_bad_flag_is_usage_error_before_the_data_is_read(prices_csv, tmp_path, capsys, monkeypatch, flags, field):
     def no_work(*a, **k):
-        raise AssertionError(f"the data was read before {flag} was checked")
+        raise AssertionError(f"the data was read before {flags} was checked")
 
     monkeypatch.setattr(cli, "load_csv", no_work)
+    spaces = {"PT_SPACE": '{"pt": {"axes": {"n_heads": [3]}}}', "LSTM_SPACE": '{"axes": {"hidden": [0, -1]}}'}
+    for name, text in spaces.items():  # no combo of either builds a model
+        (tmp_path / name).write_text(text)
+        flags = flags.replace(name, str(tmp_path / name))
     out = tmp_path / "o"
-    code = cli.main(["run", "--strategy", "lstm", flag, value, "--data", str(prices_csv), "--out", str(out)])
+    code = cli.main([*flags.split(), "--data", str(prices_csv), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err and len(err.splitlines()) == 1
+    # a run that does not search names the setting alone
+    assert ("hyperparameter space" in err) == ("--budget" in flags or "--space" in flags)
     assert not out.exists()
 
 
@@ -558,6 +575,25 @@ def test_too_short_a_history_before_the_first_test_year_exits_2(flags, message, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["lstm", "pt"])
+def test_a_trained_strategy_on_one_asset_is_a_data_error(strategy, tmp_path, capsys):
+    data, out = tmp_path / "one.csv", tmp_path / "o"
+    assert cli.main(["synth", "--assets", "1", "--days", "800", "--out", str(data)]) == 0
+    assert cli.main(["compare", "--strategies", "mv", strategy, "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"data error: {strategy} needs at least 2 assets, got 1\n")
+    assert not out.exists()
+
+
+def test_a_year_missing_from_the_data_is_a_data_error(tmp_path, capsys):
+    data, out = tmp_path / "gap.csv", tmp_path / "o"
+    assert cli.main(["synth", "--assets", "3", "--days", "1600", "--seed", "2", "--out", str(data)]) == 0
+    header, *rows = data.read_text().splitlines(keepends=True)
+    data.write_text(header + "".join(row for row in rows if not row.startswith("2017-")))
+    assert cli.main(["run", "--strategy", "mv", "--first-test-year", "2016", "--data", str(data), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: no data for test year 2017\n"
+    assert not out.exists()
+
+
 def test_an_unsearched_fit_that_fails_exits_3_naming_its_batch(prices_csv, tmp_path, monkeypatch, capsys):
     def explode(*a, **k):
         raise TrainingError("non-finite loss nan in epoch 0, batch 0")
@@ -583,12 +619,14 @@ def test_a_one_trial_search_that_fails_exits_3_naming_its_year(prices_csv, tmp_p
     assert not out.exists()
 
 
-def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [NumericError, TrainingError, ContractError])
+def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch, capsys, error):
     def explode(*a, **k):
-        raise NumericError("boom")
+        raise error("boom")
 
     monkeypatch.setattr(cli, "clean_and_return", explode)
     assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", str(tmp_path / "o")]) == 2 + 1
+    assert capsys.readouterr().err == "numeric failure: boom\n"
 
 
 def test_missing_subcommand_is_usage_error():

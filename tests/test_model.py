@@ -598,7 +598,11 @@ def test_checkpoint_config_with_a_bool_for_an_int_is_rejected(tmp_path):
     (lambda doc: doc.pop("params"), "no 'params' entry"),
     (lambda doc: doc["config"].update(depth=2), "'depth'"),
     (lambda doc: doc["config"].pop("n_assets"), "'n_assets'"),
-], ids=["no_kind", "no_params", "unknown_field", "missing_field"])
+    (lambda doc: doc["params"]["wh"].pop("shape"), "parameter 'wh' is malformed: KeyError: 'shape'"),
+    (lambda doc: doc["params"]["wh"].pop("data"), "parameter 'wh' is malformed: KeyError: 'data'"),
+    (lambda doc: doc["params"].update(b=[0.0] * 12), "parameter 'b' is malformed: TypeError"),
+    (lambda doc: doc["params"]["head.W"]["data"].pop(), "parameter 'head.W' is malformed: ValueError: cannot reshape"),
+], ids=["no_kind", "no_params", "unknown_field", "missing_field", "no_shape", "no_data", "not_an_object", "short_data"])
 def test_malformed_checkpoint_raises_value_error(edit, match, tmp_path):
     magic, body = (Path(__file__).parent / "data" / "lstm.ckpt").read_text().split("\n", 1)
     doc = json.loads(body)

@@ -435,11 +435,11 @@ def test_combo_filter_validates_configs_like_built_models():
 
     for strategy in tr.TRAINED_STRATEGIES:
         combos = tr.default_space(strategy).combinations()
-        kept = [c for c in combos if tr._combo_error(strategy, 4, 8, c) is None]
+        kept = tr.valid_combos(tr.default_space(strategy), strategy, 4, 8)
         assert kept == [c for c in combos if builds(strategy, c)]
         assert len(kept) == len(combos)
-    user = tr.HyperparamSpace(axes={"d_model": [8, 12], "n_heads": [2, 3], "t2v_k": [2]}).combinations()
-    kept = [c for c in user if tr._combo_error("pt", 4, 8, c) is None]
+    space = tr.HyperparamSpace(axes={"d_model": [8, 12], "n_heads": [2, 3], "t2v_k": [2]})
+    user, kept = space.combinations(), tr.valid_combos(space, "pt", 4, 8)
     assert kept == [c for c in user if builds("pt", c)]
     assert kept == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 3, "t2v_k": 2}]
 
@@ -478,7 +478,7 @@ def test_space_file_numbers_become_declared_field_types():
             tr.TrainConfig(**bad)
     # so a search drops a combo holding one, as it drops any invalid combo
     space = tr.HyperparamSpace(axes={"d_model": [8.5, 8.0], "n_heads": [2]})
-    assert [c for c in space.combinations() if tr._combo_error("pt", 4, 8, c) is None] == [{"d_model": 8.0, "n_heads": 2}]
+    assert tr.valid_combos(space, "pt", 4, 8) == [{"d_model": 8.0, "n_heads": 2}]
 
 
 class _ReadKeys(dict):
@@ -539,8 +539,8 @@ def test_search_rejects_an_axis_no_model_reads(strategy, axes):
 
 def test_search_accepts_every_default_axis_and_the_fit_axes():
     for strategy in tr.TRAINED_STRATEGIES:
-        tr.check_axes(tr.default_space(strategy), strategy)
-        tr.check_axes(tr.HyperparamSpace(axes={"learning_rate": [1e-3], "batch_size": [8]}), strategy)
+        tr.valid_combos(tr.default_space(strategy), strategy, 4, 8)
+        tr.valid_combos(tr.HyperparamSpace(axes={"learning_rate": [1e-3], "batch_size": [8]}), strategy, 4, 8)
 
 
 def test_search_no_valid_combination_raises():
