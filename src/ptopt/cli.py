@@ -45,10 +45,12 @@ from ptopt.training import (
     TRAINED_STRATEGIES,
     HyperparamSpace,
     TrainConfig,
+    TrainedWalk,
     TrialPool,
     default_space,
+    plan_walk,
     walk_forward,
-    walk_space,
+    walk_outcomes,
 )
 
 METRIC_COLUMNS = tuple(f.name for f in fields(MetricsReport))
@@ -129,10 +131,10 @@ def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha25
     (out / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _resolve_spaces(cfg: RunConfig, strategies, keys, base_combos) -> dict[str, HyperparamSpace | None]:
-    """The search space of each of ``strategies``: its ``--space`` entry, else the default grid when
-    ``--budget`` asks for a search. A space file keyed by strategy may name only trained strategies
-    among ``keys``. Each trained strategy's space and ``base_combos`` entry are checked here."""
+def _plan_walks(cfg: RunConfig, strategies, keys) -> dict[str, TrainedWalk]:
+    """The checked ``plan_walk`` of each trained strategy among ``strategies``. It searches its ``--space``
+    entry, else the default grid when ``--budget`` asks for a search. A space file keyed by strategy may
+    name only trained strategies among ``keys``. ``--t2v-k`` sets pt's base combo."""
     given = {}
     if cfg.space_path is not None:
         try:
@@ -145,17 +147,17 @@ def _resolve_spaces(cfg: RunConfig, strategies, keys, base_combos) -> dict[str, 
             stray = [name for name in given if name not in keys or name not in TRAINED_STRATEGIES]
             if stray:
                 raise ValueError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
-    spaces = {}
-    for strategy in strategies:
+    base_cfg, costs = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience), CostModel(cfg.cost_rate)
+    walks = {}
+    for strategy in (s for s in strategies if s in TRAINED_STRATEGIES):
         space = given.get(strategy)
-        if space is None and cfg.budget > 0 and strategy in TRAINED_STRATEGIES:
+        if space is None and cfg.budget > 0:
             space = default_space(strategy)
         if space is not None and cfg.budget > 0:
             space.budget = cfg.budget
-        if strategy in TRAINED_STRATEGIES:  # at 2 assets, the fewest a model takes; walk_forward checks the table's count
-            walk_space(strategy, 2, cfg.window, space, base_combos.get(strategy))
-        spaces[strategy] = space
-    return spaces
+        base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
+        walks[strategy] = plan_walk(strategy, cfg.window, space, base_combo, base_cfg, costs, cfg.seed, not cfg.search_once)
+    return walks
 
 
 def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> None:
@@ -208,33 +210,25 @@ def cmd_synth(args) -> int:
 
 def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path, str, str, list]:
     """The pipeline of ``run`` and ``compare``: check the flags and the output
-    path, load and split the data once, then walk each strategy forward and
-    back-test it on one trial pool. ``keep(result, curve, report)`` takes each
-    strategy's turn before the next starts; only what it returns outlives it.
+    path, load and split the data once, send every trained strategy's fits to
+    one trial pool as one batch, then walk each strategy forward and back-test
+    it. ``keep(result, curve, report)`` takes each strategy's turn before the
+    next starts; only what it returns outlives it.
     Returns the config, output path, version, input digest and what was kept.
     """
     cfg = _run_config(args)
     out = check_out_dir(cfg.out_dir, args.force)
-    base_combos = {"pt": {"t2v_k": cfg.t2v_k}}  # the model settings a flag sets
-    spaces = _resolve_spaces(cfg, strategies, keys, base_combos)
-    base_cfg = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience)
+    walks = _plan_walks(cfg, strategies, keys)
     costs, kept = CostModel(cfg.cost_rate), []
     version = version_string()
-    try:
-        prices = load_csv(cfg.data)
-    except UnicodeDecodeError as err:
-        raise DataError(f"{cfg.data}: not UTF-8: {err}") from None
+    prices = load_csv(cfg.data)
     digest, table = prices.sha256, clean_and_return(prices)
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
-    # no more workers than the largest search has trials
-    with TrialPool(table, min(args.jobs, max((s.budget for s in spaces.values() if s is not None), default=1))) as pool:
+    with TrialPool(table, args.jobs) as pool:
+        outcomes = dict(zip(walks, walk_outcomes(table, schedule, list(walks.values()), pool)))
         for strategy in strategies:
-            result = walk_forward(
-                table, schedule, strategy,
-                tau=cfg.window, space=spaces[strategy], base_cfg=base_cfg, costs=costs, seed=cfg.seed, pool=pool,
-                search_each_split=not cfg.search_once, base_combo=base_combos.get(strategy),
-            )
+            result = walk_forward(table, schedule, strategy, tau=cfg.window, outcomes=outcomes.get(strategy))
             curve = run_backtest(result.stream, table, costs)
             kept.append(keep(result, curve, compute_metrics(curve)))
             del result  # its weights and models go before the next strategy runs, unless kept
@@ -307,7 +301,7 @@ def _add_shared_run_flags(p) -> None:
     p.add_argument("--budget", type=int, help="grid-search trials per split (0 = no search)")
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--patience", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="grid-search worker processes, one pool per command")
+    p.add_argument("--jobs", type=int, default=1, help="most worker processes for the fits, one pool per command")
     p.add_argument("--search-once", action="store_true", help="reuse the first split's search result")
     p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
     p.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})

@@ -115,45 +115,48 @@ def load_csv(path) -> PriceTable:
     (stably) when the file lists them out of order. A bad field count, date
     or price raises a ``ParseError`` or ``DataError`` naming the first bad
     line in file order; a duplicate date raises a ``DataError`` naming it.
-    Bytes that are not UTF-8 raise the decoder's ``UnicodeDecodeError``.
+    Bytes that are not UTF-8 raise a ``DataError`` quoting the decoder's error.
     The table's ``sha256`` is of the bytes parsed, hashed in the same read.
     """
     import hashlib  # here, not at import: only a load needs libcrypto
 
     digest = hashlib.sha256()
-    with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest)), encoding="utf-8") as fh:
-        line = fh.readline()
-        if not line:
-            raise ParseError(f"{path}: empty file")
-        line = line.rstrip("\n")
-        header = line.split(",")
-        if len(header) < 2 or header[0] != "date":
-            raise ParseError(f"{path}:1: header must be 'date,<TICKER1>,...', got {line!r}")
-        tickers = header[1:]
-        if any(t == "" for t in tickers):
-            raise ParseError(f"{path}:1: empty ticker name in header")
-        if len(set(tickers)) < len(tickers):
-            duplicate = next(t for i, t in enumerate(tickers) if t in tickers[:i])
-            raise ParseError(f"{path}:1: duplicate ticker {duplicate!r} in header")
+    try:
+        with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest)), encoding="utf-8") as fh:
+            line = fh.readline()
+            if not line:
+                raise ParseError(f"{path}: empty file")
+            line = line.rstrip("\n")
+            header = line.split(",")
+            if len(header) < 2 or header[0] != "date":
+                raise ParseError(f"{path}:1: header must be 'date,<TICKER1>,...', got {line!r}")
+            tickers = header[1:]
+            if any(t == "" for t in tickers):
+                raise ParseError(f"{path}:1: empty ticker name in header")
+            if len(set(tickers)) < len(tickers):
+                duplicate = next(t for i, t in enumerate(tickers) if t in tickers[:i])
+                raise ParseError(f"{path}:1: duplicate ticker {duplicate!r} in header")
 
-        dates: list[dt.date] = []
-        values = array("d")  # every price, row after row: 8 bytes a cell
-        empty = 0  # empty cells, each parsed to NaN; a literal nan would be one NaN more
-        try:
-            for line in fh:
-                if line == "\n":
-                    continue
-                cells = line.rstrip("\n").split(",")
-                if len(cells) != len(header):
-                    raise ValueError  # like a bad date or price: named below
-                dates.append(dt.date.fromisoformat(cells[0]))
-                del cells[0]
-                empty += cells.count("")
-                values.fromlist([float(cell) if cell else np.nan for cell in cells])
-        except UnicodeDecodeError:
-            raise  # not a bad cell: the bytes are not UTF-8
-        except ValueError:
-            raise _first_fault(path, tickers) from None  # an earlier bad price comes first
+            dates: list[dt.date] = []
+            values = array("d")  # every price, row after row: 8 bytes a cell
+            empty = 0  # empty cells, each parsed to NaN; a literal nan would be one NaN more
+            try:
+                for line in fh:
+                    if line == "\n":
+                        continue
+                    cells = line.rstrip("\n").split(",")
+                    if len(cells) != len(header):
+                        raise ValueError  # like a bad date or price: named below
+                    dates.append(dt.date.fromisoformat(cells[0]))
+                    del cells[0]
+                    empty += cells.count("")
+                    values.fromlist([float(cell) if cell else np.nan for cell in cells])
+            except UnicodeDecodeError:
+                raise  # not a bad cell: caught below
+            except ValueError:
+                raise _first_fault(path, tickers) from None  # an earlier bad price comes first
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8: {err}") from None
 
     prices = np.frombuffer(values).reshape(len(dates), len(tickers))
     # every cell is empty or a finite positive price; NaN fails both comparisons

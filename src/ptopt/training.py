@@ -319,15 +319,54 @@ def valid_combos(space: HyperparamSpace, strategy: str, n_assets: int, tau: int)
     return combos
 
 
-def walk_space(strategy: str, n_assets: int, tau: int, space: HyperparamSpace | None, base_combo: dict | None) -> HyperparamSpace | None:
-    """The space a trained walk's first split searches, or None if it does not search: ``space`` with each
-    ``base_combo`` key it leaves out as a one-value axis. ValueError unless a combo, or the lone base combo, is valid."""
+@dataclass(frozen=True)
+class TrainedWalk:
+    """How a trained walk fits split ``k``: a search of ``budget`` draws of ``combos`` at seed
+    ``seed + 104729 * k`` (split 0's alone unless ``search_each_split``), or else one trial, listed
+    nowhere, of split 0's winner or ``combo`` at seed ``seed + k``. A search draws uniformly with
+    replacement from its seed's generator, and its trial ``i`` fits at that seed plus ``i``."""
+
+    strategy: str
+    tau: int
+    combos: list[dict] | None
+    budget: int
+    combo: dict
+    base_cfg: TrainConfig
+    costs: CostModel
+    seed: int
+    search_each_split: bool
+
+    def searches(self, k: int) -> bool:
+        return self.combos is not None and (self.search_each_split or k == 0)
+
+    def plans(self, splits: list[Split], first: int = 0, winner: dict | None = None) -> list[list]:
+        """The ``_run_trial`` payloads of each of ``splits``, the first being split ``first``."""
+        plans = []
+        for k, split in enumerate(splits, first):
+            if self.searches(k):
+                combos, budget, seed = self.combos, self.budget, self.seed + 104729 * k
+            else:
+                combos, budget, seed = [winner or self.combo], 1, self.seed + k
+            picks = np.random.default_rng(seed).integers(0, len(combos), size=budget)
+            plans.append([(i, combos[j], self.strategy, split, self.tau, self.base_cfg, self.costs, seed) for i, j in enumerate(picks)])
+        return plans
+
+
+def plan_walk(
+    strategy: str, tau: int, space: HyperparamSpace | None, base_combo: dict | None,
+    base_cfg: TrainConfig, costs: CostModel, seed: int, search_each_split: bool,
+) -> TrainedWalk:
+    """The checked plan of a ``strategy`` walk. It searches the combos ``valid_combos`` keeps of ``space``,
+    each ``base_combo`` key it leaves out a one-value axis, or without a space, fits the base combo, which
+    must be valid. Configs are checked at 2 assets, the fewest a model takes: only that bound reads the
+    asset count, and ``walk_outcomes`` checks it against the table."""
+    combo, combos = base_combo or {}, None
     if space is not None:
-        space = replace(space, axes={**space.axes, **{k: [v] for k, v in (base_combo or {}).items() if k not in space.axes}})
-        valid_combos(space, strategy, n_assets, tau)
+        axes = {**space.axes, **{k: [v] for k, v in combo.items() if k not in space.axes}}
+        combos = valid_combos(replace(space, axes=axes), strategy, 2, tau)
     else:  # the base combo's own error, which names its setting
-        model_config(strategy, n_assets, tau, base_combo or {}, seed=0)
-    return space
+        model_config(strategy, 2, tau, combo, seed=0)
+    return TrainedWalk(strategy, tau, combos, space.budget if space else 1, combo, base_cfg, costs, seed, search_each_split)
 
 
 @dataclass
@@ -378,9 +417,9 @@ def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitRes
 
 
 class TrialPool(contextlib.AbstractContextManager):
-    """Runs ``_run_trial`` tasks on ``table``: in-process, or with ``jobs > 1`` on one lazily
-    started ``ProcessPoolExecutor`` whose workers get the table once, through the
-    initializer, and serve every later batch. Leaving the context shuts it down."""
+    """Runs ``_run_trial`` tasks on ``table``: in-process, or on one lazily started
+    ``ProcessPoolExecutor`` of at most ``jobs`` workers, which get the table once, through
+    the initializer, and serve every later batch. Leaving the context shuts it down."""
 
     def __init__(self, table: ReturnTable, jobs: int = 1):
         self.table, self.jobs, self._executor = table, jobs, None
@@ -389,49 +428,87 @@ class TrialPool(contextlib.AbstractContextManager):
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
 
-    def run(self, payloads: list) -> list[tuple[Trial, FitResult | TrainingError]]:
-        if self.jobs <= 1:
-            return [_run_trial(p, self.table) for p in payloads]
-        if self._executor is None:
+    def run(self, payloads: list, largest: int = 0) -> Iterator[tuple[Trial, FitResult | TrainingError]]:
+        """Each payload's result, lazily and in order; a task's error is raised where its result is read. The
+        first batch that can run two tasks at once starts the executor with min(``jobs``, ``largest``) workers,
+        ``largest`` being the caller's largest batch (by default this one). Until then a batch runs in-process."""
+        workers = min(self.jobs, largest or len(payloads))
+        if self._executor is None and workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs, initializer=_init_worker, initargs=(self.table,))
-        return list(self._executor.map(_run_trial, payloads))
+            self._executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(self.table,))
+        if self._executor is None:
+            return map(_run_trial, payloads, itertools.repeat(self.table))
+        return self._executor.map(_run_trial, payloads)
 
 
-def random_grid_search(
-    space: HyperparamSpace,
-    strategy: str,
-    table: ReturnTable,
-    split: Split,
-    tau: int,
-    base_cfg: TrainConfig,
-    costs: CostModel = CostModel(),
-    seed: int = 0,
-    pool: TrialPool | None = None,
-) -> SplitOutcome:
-    """Sample the grid uniformly with replacement and ship the best trial's model.
+def _best(done: list) -> tuple:
+    """The split's winning ``(Trial, result)``: least validation loss, then earliest; a failed fit ranks last."""
+    return min(done, key=lambda d: (isinstance(d[1], TrainingError), d[0].val_loss))
 
-    Trial ``i`` fits on ``split``'s train and validation windows at seed ``seed + i``, on ``pool``
-    (which must hold ``table``) or in-process. Ties on validation loss go to the earliest
-    trial index, and a trial whose fit raised ranks last; if every one did, raise TrainingError
-    naming the test year and the earliest trial's error. The winner's model is built from its
-    combo and seed and takes the fitted vector.
+
+def random_grid_search(plan: list, done: Iterator, n_assets: int) -> SplitOutcome:
+    """The pick of a planned split: read its trials' results from ``done``, in plan order, and ship the best.
+
+    If the ``_best`` trial's fit failed, so did every one's: raise TrainingError naming the test year and
+    its error. The winner's model is built from its combo and seed and takes the fitted vector.
     """
-    pool = pool or TrialPool(table)
-    if pool.table is not table:
-        raise ValueError("the trial pool holds another return table")
-    combos = valid_combos(space, strategy, table.n_assets, tau)
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(combos), size=space.budget)
-    done = pool.run([(i, combos[k], strategy, split, tau, base_cfg, costs, seed) for i, k in enumerate(picks)])
-    best, fit_result = min(done, key=lambda d: (isinstance(d[1], TrainingError), d[0].val_loss))
-    if isinstance(fit_result, TrainingError):  # every trial failed, and min kept the earliest
+    done = [next(done) for _ in plan]
+    best, fit_result = _best(done)
+    _, _, strategy, split, tau, _, _, seed = plan[0]
+    if isinstance(fit_result, TrainingError):
         year = f"test year {split.test_year}"
         where = year if len(done) == 1 else f"all {len(done)} trials for {year} failed; trial {best.index}"
         raise TrainingError(f"{where}: {fit_result}")
-    model = build_model(strategy, table.n_assets, tau, best.params, seed + best.index)
+    model = build_model(strategy, n_assets, tau, best.params, seed + best.index)
     model.vector[:] = fit_result.vector
     return SplitOutcome(split.test_year, best.params, [t for t, _ in done], model, fit_result.history)
+
+
+def _picks(walk: TrainedWalk, plans: list, done: Iterator, n_assets: int, error: Exception | None = None) -> Iterator[SplitOutcome]:
+    if error is not None:  # raised where the walk reads its first outcome, after every earlier walk has run
+        raise error
+    for k, plan in enumerate(plans):
+        outcome = random_grid_search(plan, done, n_assets)
+        if not walk.searches(k):
+            outcome.trials = []
+        yield outcome
+
+
+def walk_outcomes(
+    table: ReturnTable, schedule: WalkForwardSchedule, walks: list[TrainedWalk], pool: TrialPool
+) -> list[Iterator[SplitOutcome]]:
+    """Each walk's outcome of each split of ``schedule``, picked as the walk reads it, from one batch of
+    every walk's tasks, sent to ``pool`` (which must hold ``table``) before any result is read.
+
+    If a walk searches its first split alone, the batch goes in two rounds: every walk's first split, then
+    every later split, planned on the first splits' winners. A task's error is raised where its walk reads
+    it, so no walk's failure comes before an earlier walk's. A table of fewer than 2 assets raises DataError.
+    """
+    if pool.table is not table:
+        raise ValueError("the trial pool holds another return table")
+    if walks and table.n_assets < 2:
+        raise DataError(f"{walks[0].strategy} needs at least 2 assets, got {table.n_assets}")
+    splits, n = schedule.splits, table.n_assets
+    once = len(splits) > 1 and any(w.combos is not None and not w.search_each_split for w in walks)
+    plans = [w.plans(splits[:1] if once else splits) for w in walks]
+    later = sum(w.budget if w.searches(k) else 1 for w in walks for k in range(1, len(splits))) if once else 0
+    largest = max(sum(len(plan) for ps in plans for plan in ps), later)
+    done = pool.run([task for ps in plans for plan in ps for task in plan], largest)
+    if not once:
+        return [_picks(w, ps, done, n) for w, ps in zip(walks, plans)]
+    firsts, error = [], None
+    for w, ps in zip(walks, plans):
+        try:
+            firsts.append([next(done) for _ in ps[0]])
+        except Exception as exc:  # its walk and every later one raise it when read
+            error = exc
+            break
+        ps += w.plans(splits[1:], 1, _best(firsts[-1])[0].params)  # if every trial failed, the walk raises first
+    done = pool.run([task for ps in plans for plan in ps[1:] for task in plan], largest)
+    return [
+        _picks(w, ps, itertools.chain(*firsts[i : i + 1], done), n, None if i < len(firsts) else error)
+        for i, (w, ps) in enumerate(zip(walks, plans))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +526,17 @@ def walk_forward(
     schedule: WalkForwardSchedule,
     strategy: str,
     tau: int = 8,
-    space: HyperparamSpace | None = None,
-    base_cfg: TrainConfig = TrainConfig(),
-    costs: CostModel = CostModel(),
-    seed: int = 0,
-    pool: TrialPool | None = None,
-    search_each_split: bool = True,
-    base_combo: dict | None = None,
+    outcomes: Iterator[SplitOutcome] | None = None,
 ) -> WalkForwardResult:
-    """Retrain per test year on all prior data and emit daily allocations.
+    """Emit daily allocations over every test year of ``schedule``.
 
     Rows go into one ``(test days, n)`` matrix, dated the decision day and
     earning the following trading day's returns. A rule fills it once, over the
     whole test stream, and returns no outcomes. MV does so in one ``blockwise``
     pass of as many days per ``mv_weights`` call as fit one ``(days, n, n)`` stack
     in ``_MV_STACK_BYTES``, so its temporaries do not grow with the universe.
-    A trained strategy walks split by split, one ``random_grid_search`` outcome each, on ``pool``
-    (in-process if None), which must hold ``table``. With a ``space``, a search scored on the
-    chronological validation slice picks the winner; a split that does not search (each without a
-    space, the later ones unless ``search_each_split``) runs a one-trial search of the base combo,
-    or of the first split's winner, at seed ``seed + split_idx`` and lists no trial. Before the
-    first split, a table of fewer than 2 assets raises DataError, and ``walk_space`` checks the settings.
+    A trained strategy reads one outcome per split from ``outcomes``, as ``walk_outcomes``
+    picks them, and fills the split's rows from the outcome's model, retrained on all prior data.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -488,23 +555,12 @@ def walk_forward(
     if strategy not in TRAINED_STRATEGIES:
         return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
 
-    if n < 2:
-        raise DataError(f"{strategy} needs at least 2 assets, got {n}")
-    outcomes: list[SplitOutcome] = []
-    combo = base_combo or {}
-    space = walk_space(strategy, n, tau, space, base_combo)
-    for split_idx, split in enumerate(schedule.splits):
+    kept: list[SplitOutcome] = []
+    for split, outcome in zip(schedule.splits, outcomes):  # zip reads no outcome past the last split
         first = split.train_end - 1  # one decision per test-year return row, dated the prior trading day
         rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream
-        if space is not None and (search_each_split or split_idx == 0):
-            outcome = random_grid_search(space, strategy, table, split, tau, base_cfg, costs, seed + 104729 * split_idx, pool)
-            combo = outcome.params
-        else:  # a one-trial search: its generator draws index 0, so the trial fits at seed + split_idx
-            one = HyperparamSpace(axes={k: [v] for k, v in combo.items()}, budget=1)
-            outcome = random_grid_search(one, strategy, table, split, tau, base_cfg, costs, seed + split_idx, pool)
-            outcome.trials = []
         # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
         rows[:] = outcome.model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
-        outcomes.append(outcome)
+        kept.append(outcome)
 
-    return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=outcomes)
+    return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=kept)

@@ -20,9 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 import ptopt.autograd as ag
+import ptopt.training as tr
 from ptopt.autograd import ContractError, ShapeError, Tensor
-from ptopt.data import PriceTable, ReturnTable, SynthConfig, synth_generate, write_csv
+from ptopt.data import PriceTable, ReturnTable, SynthConfig, WalkForwardSchedule, synth_generate, write_csv
 from ptopt.errors import DataError
+from ptopt.objective import CostModel
 
 FD_STEP = 1e-5
 # relative-error floor: below this magnitude the fd quotient is dominated
@@ -367,8 +369,6 @@ def record_executors(monkeypatch) -> list:
     for the test's duration; return the list of those constructed."""
     import concurrent.futures
 
-    import ptopt.training as tr
-
     made = []
 
     def make(**kwargs):
@@ -378,6 +378,28 @@ def record_executors(monkeypatch) -> list:
     monkeypatch.setattr(tr, "_worker_table", None)  # the in-process initializer sets it
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     return made
+
+
+def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed=0, pool=None) -> tr.SplitOutcome:
+    """The outcome of a grid search of ``space`` on ``split`` alone: a one-split walk's, whose
+    generator and trials start at ``seed``, planned, sent to ``pool`` (in-process if None) and
+    picked as ``ptopt run`` does each split."""
+    walk = tr.plan_walk(strategy, tau, space, None, base_cfg, costs, seed, True)
+    [outcomes] = tr.walk_outcomes(table, WalkForwardSchedule([split]), [walk], pool or tr.TrialPool(table))
+    return next(outcomes)
+
+
+def walk(
+    table, schedule, strategy, tau=8, space=None, base_cfg=tr.TrainConfig(), costs=CostModel(), seed=0, pool=None,
+    search_each_split=True, base_combo=None,
+) -> tr.WalkForwardResult:
+    """``training.walk_forward`` of one strategy, a trained one's walk planned and its fits sent to
+    ``pool`` (in-process if None) as ``ptopt run`` plans and sends them."""
+    outcomes = None
+    if strategy in tr.TRAINED_STRATEGIES:
+        walk = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed, search_each_split)
+        [outcomes] = tr.walk_outcomes(table, schedule, [walk], pool or tr.TrialPool(table))
+    return tr.walk_forward(table, schedule, strategy, tau, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,17 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", 
 
 TRAINING, OBJECTIVE, CLI = "src/ptopt/training.py", "src/ptopt/objective.py", "src/ptopt/cli.py"
 CATALOGUE = [
-    # the split's fit: one random_grid_search per trained split
-    (TRAINING, "costs, seed + split_idx, pool)", "costs, seed + split_idx + 1, pool)",
+    # the split's fit: one random_grid_search pick per trained split
+    (TRAINING, "1, self.seed + k\n", "1, self.seed + k + 1\n",
      "an unsearched split fits at seed + split_idx"),
-    (TRAINING, "seed + 104729 * split_idx", "seed + 104723 * split_idx",
+    (TRAINING, "self.seed + 104729 * k", "self.seed + 104723 * k",
      "a searched split's generator and trials start at seed + 104729 * split_idx"),
-    (TRAINING, "(search_each_split or split_idx == 0)", "(search_each_split or split_idx <= 1)",
+    (TRAINING, "(self.search_each_split or k == 0)", "(self.search_each_split or k <= 1)",
      "--search-once searches the first split only"),
+    (TRAINING, "ps += w.plans(splits[1:], 1, _best(firsts[-1])[0].params)", "ps += w.plans(splits[1:], 1)",
+     "with --search-once, the later splits fit the first split's winner"),
+    (TRAINING, "            error = exc\n", "            raise\n",
+     "a first split's error, read before any walk, is raised on its own walk's turn"),
     (TRAINING, "(isinstance(d[1], TrainingError), d[0].val_loss)", "(not isinstance(d[1], TrainingError), d[0].val_loss)",
      "a trial whose fit raised ranks last"),
     (TRAINING, "d[0].val_loss))", "d[0].val_loss, -d[0].index))",
@@ -87,20 +91,28 @@ CATALOGUE = [
      "a NumericError exits 3"),
     ("src/ptopt/errors.py", "class ContractError(NumericError):", "class ContractError(RuntimeError):",
      "a ContractError is a NumericError, so it exits 3"),
-    (TRAINING, "    if n < 2:\n", "    if n < 1:\n",
+    (TRAINING, "if walks and table.n_assets < 2:", "if walks and table.n_assets < 1:",
      "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
     ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
      "a year missing from the data is a data error, not a broken schedule"),
-    (CLI, "space, base_combos.get(strategy))", "space, None)",
+    (TRAINING, "model_config(strategy, 2, tau, combo, seed=0)", "model_config(strategy, 2, tau, {}, seed=0)",
      "--t2v-k is checked with pt's settings before the data is read"),
     ("src/ptopt/model.py", "except (KeyError, TypeError, ValueError) as err:", "except (TypeError, ValueError) as err:",
      "a checkpoint parameter entry without its shape or data raises ValueError naming it"),
+    # the command line
+    (CLI, "sort_keys=True, indent=2)", "sort_keys=True, indent=3)",
+     "manifest.json's bytes are pinned, not only its parsed JSON"),
+    (CLI, 'p.add_argument("--data", required=True', 'p.add_argument("--data", required=False',
+     "a command without --data exits 1 before any output"),
+    (CLI, "if space is None and cfg.budget > 0:", "if space is None and cfg.budget > 1:",
+     "--budget 1 runs a search of one trial, which trials.csv lists"),
 ]
 
 
 def first_failure(output: str) -> str:
-    """The first test pytest's summary names as failed or errored, else its last line."""
-    found = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
+    """The first test pytest's summary names as failed or errored, else its last line. The test's ID
+    runs to pytest's `` - `` separator or the end of the line: a parametrized ID may hold spaces."""
+    found = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", output, re.MULTILINE)
     if found:
         return found.group(1)
     lines = output.strip().splitlines()

@@ -1,17 +1,19 @@
-"""Byte parity of two source trees: the outputs of seven commands, file by file.
+"""Byte parity of two source trees: the outputs of eight commands, file by file.
 
     python3 tests/parity_report.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout or an export of this repository. For each, in its own
 subprocess with ``OPENBLAS_NUM_THREADS=1`` and that tree's ``src`` and
 ``perfbench`` first on the path, the script writes the seed-1 markets of
-``perfbench/workloads.py`` and runs seven commands:
+``perfbench/workloads.py`` and runs eight commands:
 
 - the three perfbench workload commands, each on its own market;
 - on the baseline_search market, with ``--first-test-year 2015 --max-epochs 2``:
   ``run --strategy pt --budget 2 --patience 1``,
   ``compare --strategies pt lstm mlp mv equal_weight --budget 2 --search-once``,
-  ``run --strategy mlp --budget 2 --search-once --jobs 2`` and ``run --strategy lstm``.
+  ``run --strategy mlp --budget 2 --search-once --jobs 2``, ``run --strategy lstm``
+  and ``compare --strategies lstm mlp mv --jobs 2``, whose unsearched fits of
+  both test years go to the pool as one batch.
 
 It then prints one line per file, the markets included: identical, identical
 apart from ignored fields, or how it differs, and a count of each. Ignored are
@@ -32,19 +34,20 @@ from pathlib import Path
 
 WORKLOADS = ("pt_walkforward", "baseline_search", "wide_ingest")
 SEED = 1
-MARKET = "baseline_search"  # the market of the four commands below
+MARKET = "baseline_search"  # the market of the five commands below
 SHARED = ["--first-test-year", "2015", "--max-epochs", "2"]
 COMMANDS = {
     "run_pt_search": ["run", "--strategy", "pt", "--budget", "2", "--patience", "1"],
     "compare_all": ["compare", "--strategies", "pt", "lstm", "mlp", "mv", "equal_weight", "--budget", "2", "--search-once"],
     "run_mlp_jobs": ["run", "--strategy", "mlp", "--budget", "2", "--search-once", "--jobs", "2"],
     "run_lstm": ["run", "--strategy", "lstm"],
+    "compare_unsearched_jobs": ["compare", "--strategies", "lstm", "mlp", "mv", "--jobs", "2"],
 }
 IDENTICAL, IGNORED_ONLY = "identical", "identical apart from ignored fields"
 
 
 def run_commands(tree: Path, work: Path) -> None:
-    """Write the markets and run the seven commands on ``tree``'s code, into ``work``."""
+    """Write the markets and run the eight commands on ``tree``'s code, into ``work``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import ptopt
     from ptopt.cli import main

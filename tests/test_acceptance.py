@@ -14,7 +14,7 @@ import numpy as np
 
 import ptopt.cli as cli
 import ptopt.training as tr
-from helpers import metrics_oracle, model_grad_errors, portfolio_returns_oracle, sharpe_oracle
+from helpers import metrics_oracle, model_grad_errors, portfolio_returns_oracle, sharpe_oracle, walk
 from ptopt.autograd import Tensor
 from ptopt.benchmarks import LSTMConfig, LSTMModel, MVConfig, mv_weights, tangency_weights
 from ptopt.data import SynthConfig, clean_and_return, synth_generate, trading_days, yearly_splits
@@ -186,8 +186,8 @@ def test_criterion_08_learning_smoke_test():
     assert len(schedule.splits) == 1
     cfg = tr.TrainConfig(batch_size=64, learning_rate=3e-3, max_epochs=50, patience=5, seed=0)
     combo = {"d_model": 8, "n_heads": 2, "t2v_k": 3, "n_layers": 1}
-    pt_run = tr.walk_forward(table, schedule, "pt", tau=8, base_cfg=cfg, seed=3, base_combo=combo)
-    ew_run = tr.walk_forward(table, schedule, "equal_weight", tau=8, seed=3)
+    pt_run = walk(table, schedule, "pt", tau=8, base_cfg=cfg, seed=3, base_combo=combo)
+    ew_run = walk(table, schedule, "equal_weight", tau=8, seed=3)
     costs = CostModel()
     pt = compute_metrics(run_backtest(pt_run.stream, table, costs))
     ew = compute_metrics(run_backtest(ew_run.stream, table, costs))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import ptopt.autograd as ag
 import ptopt.training as tr
-from helpers import model_grad_errors, traced_peak
+from helpers import model_grad_errors, traced_peak, walk
 from ptopt.benchmarks import LSTMConfig, LSTMModel, MLPConfig, MLPModel
 from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.model import _INFER_BLOCK, PTConfig, PortfolioTransformer, batched_weights, load_checkpoint, save_checkpoint
@@ -183,7 +183,7 @@ def test_walk_forward_test_days_equal_checkpoint_replay(kind, tmp_path):
     split = schedule.splits[0]
     days = range(split.train_end - 1, split.test_end - 1)
     for space in (None, tr.HyperparamSpace(axes={"learning_rate": [1e-3, 1e-2]}, budget=2)):
-        result = tr.walk_forward(
+        result = walk(
             table, schedule, kind, tau=TAU, space=space, base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=3, base_combo=combo
         )
         path = tmp_path / "model.ckpt"

@@ -87,6 +87,58 @@ def test_run_manifest_records_config_seed_version_checksum(prices_csv, tmp_path)
     assert manifest["version"]
 
 
+MANIFEST = """{
+  "blas": %(blas)s,
+  "blas_threads": {
+    "MKL_NUM_THREADS": null,
+    "OMP_NUM_THREADS": null,
+    "OPENBLAS_NUM_THREADS": null
+  },
+  "command": "run",
+  "config": {
+    "budget": 0,
+    "cost_rate": 0.0002,
+    "data": %(data)s,
+    "first_test_year": 2016,
+    "max_epochs": 100,
+    "out_dir": %(out_dir)s,
+    "patience": 10,
+    "search_once": false,
+    "seed": 9,
+    "space_path": null,
+    "strategy": "equal_weight",
+    "t2v_k": 3,
+    "window": 8
+  },
+  "input_sha256": %(input_sha256)s,
+  "numpy": %(numpy)s,
+  "python": %(python)s,
+  "seed": 9,
+  "version": %(version)s
+}
+"""
+
+
+def test_manifest_bytes_are_pinned_apart_from_the_provenance_fields(prices_csv, tmp_path, monkeypatch):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out), "--seed", "9"]) == 0
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    # what names the build, the host or the input comes from the file, each value as JSON at its depth
+    fill = {k: json.dumps(doc[k], sort_keys=True, indent=2).replace("\n", "\n  ") for k in ("blas", "input_sha256", "numpy", "python", "version")}
+    fill.update({k: json.dumps(doc["config"][k]) for k in ("data", "out_dir")})
+    assert text == MANIFEST % fill
+
+
+def test_a_command_without_data_exits_1_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--strategy", "mv", "--out", str(out)]) == 1
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["run", "--strategy", "equal_weight"], ["compare", "--strategies", "mv", "equal_weight"]], ids=["run", "compare"]
 )
@@ -257,14 +309,14 @@ def test_run_space_axis_no_model_reads_is_usage_error(prices_csv, tmp_path, caps
 
 
 def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
-    searched = {}
-    walk_forward = cli.walk_forward
+    planned = {}
+    walk_outcomes = cli.walk_outcomes
 
-    def recording(table, schedule, strategy, **kw):
-        searched[strategy] = kw["space"]
-        return walk_forward(table, schedule, strategy, **kw)
+    def recording(table, schedule, walks, pool):
+        planned.update((w.strategy, w) for w in walks)
+        return walk_outcomes(table, schedule, walks, pool)
 
-    monkeypatch.setattr(cli, "walk_forward", recording)
+    monkeypatch.setattr(cli, "walk_outcomes", recording)
     space = tmp_path / "space.json"
     space.write_text('{"lstm": {"axes": {"hidden": [4]}, "budget": 1}, "pt": {"axes": {"d_model": [4]}, "budget": 2}}')
     out = tmp_path / "c"
@@ -273,10 +325,11 @@ def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
          "--space", str(space), "--max-epochs", "1", "--patience", "1"]
     )
     assert code == 0
-    assert (searched["lstm"].axes, searched["lstm"].budget) == ({"hidden": [4]}, 1)
-    assert (searched["pt"].axes, searched["pt"].budget) == ({"d_model": [4]}, 2)
-    # a strategy with no entry gets what it gets with no --space
-    assert searched["mlp"] is None and searched["mv"] is None
+    assert (planned["lstm"].combos, planned["lstm"].budget) == ([{"hidden": 4}], 1)
+    # pt's space holds its --t2v-k setting too
+    assert (planned["pt"].combos, planned["pt"].budget) == ([{"d_model": 4, "t2v_k": PTConfig.t2v_k}], 2)
+    # a strategy with no entry gets what it gets with no --space, and a rule plans no walk
+    assert planned["mlp"].combos is None and "mv" not in planned
 
 
 @pytest.mark.parametrize("key", ["mlp", "mv", "lstmm"])
@@ -475,51 +528,131 @@ def test_compare_runs_every_search_on_one_pool(prices_csv, tmp_path, counted_poo
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
 
-@pytest.mark.parametrize("once", [[], ["--search-once"]], ids=["search_each_split", "search_once"])
-def test_run_results_do_not_depend_on_jobs(once, prices_csv, tmp_path, counted_pools):
+@pytest.mark.parametrize(
+    "flags, rows",
+    [(SEARCH_FLAGS, 5), ([*SEARCH_FLAGS, "--search-once"], 3), (SHORT_FLAGS, 1)],
+    ids=["search_each_split", "search_once", "unsearched"],
+)
+def test_run_results_do_not_depend_on_jobs(flags, rows, prices_csv, tmp_path, counted_pools):
     import csv
 
     outs = {}
     for jobs in ("1", "2"):
         outs[jobs] = tmp_path / f"jobs{jobs}"
         code = cli.main(
-            ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(outs[jobs]), "--jobs", jobs, *SEARCH_FLAGS, *once]
+            ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(outs[jobs]), "--jobs", jobs, *flags]
         )
         assert code == 0
-    # with --search-once the 2016 split fits unsearched while the 2-worker pool is up
+    # each batch holds two fits or more: with --search-once the 2016 split fits on the pool
+    # after the 2015 search, and unsearched, both splits fit on it at once
     assert counted_pools == [[2, True]]
     trials = {}
     for jobs, out in outs.items():
         with open(out / "trials.csv", newline="") as fh:
             trials[jobs] = [row[:-1] for row in csv.reader(fh)]  # all but the seconds column
-    assert len(trials["1"]) == (3 if once else 5) and trials["1"] == trials["2"]
+    assert len(trials["1"]) == rows and trials["1"] == trials["2"]
     for name in ("metrics.json", "equity.csv", "history.csv", "checkpoint_2015.ckpt", "checkpoint_2016.ckpt"):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--budget", "2"], ["--budget", "2", "--search-once"], ["--search-once"]])
+def test_compare_results_do_not_depend_on_jobs(flags, prices_csv, tmp_path):
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        code = cli.main(
+            ["compare", "--strategies", "lstm", "mlp", "mv", "--data", str(prices_csv), "--out", str(outs[jobs]),
+             "--jobs", jobs, *SHORT_FLAGS, *flags]
+        )
+        assert code == 0
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    for name in names:
+        if name == "manifest.json":  # which names its own --out
+            a, b = (json.loads((out / name).read_text()) for out in outs.values())
+            assert a["config"].pop("out_dir") != b["config"].pop("out_dir") and a == b
+        else:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("once, sent", [([], [8] * 8), (["--search-once"], [4] * 4 + [6] * 2)], ids=["search_each_split", "search_once"])
+def test_a_searched_compare_sends_every_task_before_it_reads_a_result(once, sent, prices_csv, tmp_path, monkeypatch):
+    made = record_executors(monkeypatch)
+    seen = []
+    run_trial = tr._run_trial
+
+    def recording(payload, table=None):
+        seen.append(len(made[0].payloads))  # the tasks sent when this one runs
+        return run_trial(payload, table)
+
+    monkeypatch.setattr(tr, "_run_trial", recording)
+    code = cli.main(
+        ["compare", "--strategies", "lstm", "mlp", "mv", "--data", str(prices_csv), "--out", str(tmp_path / "c"),
+         "--jobs", "2", *SEARCH_FLAGS, *once]
+    )
+    assert code == 0
+    # two strategies, two test years and two trials a search: every fit in one batch, or with
+    # --search-once the four first-split trials, then the two later fits, planned on their winners
+    assert seen == sent and len(made) == 1
+
+
+@pytest.mark.parametrize("once", [[], ["--search-once"]], ids=["search_each_split", "search_once"])
+def test_a_searched_command_filters_each_grid_once(once, prices_csv, tmp_path, monkeypatch):
+    calls = []
+    valid_combos = tr.valid_combos
+
+    def counting(space, strategy, *args):
+        calls.append(strategy)
+        return valid_combos(space, strategy, *args)
+
+    monkeypatch.setattr(tr, "valid_combos", counting)
+    code = cli.main(
+        ["compare", "--strategies", "lstm", "pt", "mv", "--data", str(prices_csv), "--out", str(tmp_path / "c"),
+         *SEARCH_FLAGS, *once]
+    )
+    assert code == 0 and calls == ["lstm", "pt"]
+
+
+def test_a_budget_of_one_runs_a_search_of_one_trial(prices_csv, tmp_path):
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "mlp", "--budget", "1", "--data", str(prices_csv), "--out", str(out), *SHORT_FLAGS])
+    assert code == 0
+    with open(out / "trials.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # a search lists its trial, where a walk that does not search lists none
+    assert [row[:2] for row in rows[1:]] == [["2015", "0"], ["2016", "0"]]
+
+
 def test_a_run_without_a_parallel_search_starts_no_pool(prices_csv, tmp_path, counted_pools):
-    base = ["--data", str(prices_csv), "--jobs", "2", *SHORT_FLAGS]
-    assert cli.main(["run", "--strategy", "mv", "--out", str(tmp_path / "mv"), *base]) == 0
-    # one trial per search leaves no second worker to start
-    assert cli.main(["run", "--strategy", "mlp", "--budget", "1", "--out", str(tmp_path / "mlp"), *base]) == 0
+    base = ["--data", str(prices_csv), "--jobs", "2", "--max-epochs", "1", "--patience", "1"]
+    assert cli.main(["run", "--strategy", "mv", "--first-test-year", "2015", "--out", str(tmp_path / "mv"), *base]) == 0
+    # no batch holds two fits, so no second worker could run: one split of one trial,
+    # or --search-once with one trial in the 2015 search and one 2016 fit
+    assert cli.main(["run", "--strategy", "mlp", "--first-test-year", "2016", "--budget", "1", "--out", str(tmp_path / "one"), *base]) == 0
+    assert cli.main(
+        ["run", "--strategy", "mlp", "--first-test-year", "2015", "--budget", "1", "--search-once", "--out", str(tmp_path / "once"), *base]
+    ) == 0
     assert counted_pools == []
 
 
-def test_workers_never_outnumber_the_largest_budget(prices_csv, tmp_path, monkeypatch):
+def test_workers_never_outnumber_the_largest_batch(prices_csv, tmp_path, monkeypatch):
     made = record_executors(monkeypatch)
-    code = cli.main(
-        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(tmp_path / "r"), "--jobs", "10000",
-         *SEARCH_FLAGS]
-    )
-    assert code == 0
     space = tmp_path / "space.json"
     space.write_text('{"lstm": {"axes": {"hidden": [3]}, "budget": 1}, "mlp": {"axes": {"hidden": [[4]]}, "budget": 3}}')
-    code = cli.main(
-        ["compare", "--strategies", "lstm", "mlp", "mv", "--data", str(prices_csv), "--out", str(tmp_path / "c"),
-         "--jobs", "8", "--space", str(space), *SHORT_FLAGS]
-    )
-    assert code == 0
-    assert [e.max_workers for e in made] == [2, 3]
+    compare = ["compare", "--strategies", "lstm", "mlp", "mv", "--data", str(prices_csv), "--space", str(space), *SHORT_FLAGS]
+    runs = [
+        # one batch of two searches of two trials
+        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--jobs", "10000", *SEARCH_FLAGS],
+        # one batch of 2 x 1 + 2 x 3 trials, more than the jobs
+        [*compare, "--jobs", "6"],
+        # 1 + 3 first-split trials, then two later fits
+        [*compare, "--jobs", "8", "--search-once"],
+        # two unsearched fits
+        ["run", "--strategy", "lstm", "--data", str(prices_csv), "--jobs", "8", *SHORT_FLAGS],
+    ]
+    for i, argv in enumerate(runs):
+        assert cli.main([*argv, "--out", str(tmp_path / str(i))]) == 0
+    assert [e.max_workers for e in made] == [4, 6, 4, 2]
     assert all(e.shut for e in made)
 
 
@@ -572,6 +705,28 @@ def test_too_short_a_history_before_the_first_test_year_exits_2(flags, message, 
     argv = ["run", "--strategy", *flags.split(), "--data", str(short_history_csv), "--out", str(out), "--first-test-year", "2016"]
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("order, message", [
+    (["mv", "lstm", "mlp"], "need 50 rows before 2016 for the mean-variance window"),
+    (["lstm", "mv", "mlp"], "training range before 2016 too short for window length 8"),
+], ids=["rule_first", "trained_first"])
+def test_a_compare_raises_the_first_strategy_s_error(order, message, jobs, tmp_path, capsys):
+    # every trained fit goes out before any walk, and with --search-once the first splits are
+    # ranked before any walk too; still no fit's error comes before an earlier strategy's
+    import multiprocessing
+
+    data, out = tmp_path / "prices.csv", tmp_path / "cmp"
+    assert cli.main(["synth", "--assets", "3", "--days", "1060", "--seed", "1", "--out", str(data)]) == 0
+    header, *rows = data.read_text().splitlines(keepends=True)
+    data.write_text(header + "".join(row for row in rows if row[:10] >= "2015-12-01"))  # tested in 2016 and 2017
+    argv = ["compare", "--strategies", *order, "--data", str(data), "--out", str(out),
+            "--first-test-year", "2016", "--budget", "2", "--search-once", "--jobs", jobs]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert multiprocessing.active_children() == []
     assert not out.exists()
 
 

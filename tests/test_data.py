@@ -198,18 +198,21 @@ def test_only_newlines_end_a_line(tmp_path, sep):
 
 @pytest.mark.parametrize("row", [1, 900])
 def test_load_lets_a_decode_error_through(tmp_path, row):
-    # bytes that are not UTF-8 raise the decoder's own error, in the first 8 KiB
-    # the file reads (row 1) or in a later one (row 900), not a ParseError or
-    # DataError about an earlier line. Its position counts within the chunk
-    # being decoded, not within the file.
+    # bytes that are not UTF-8 raise a DataError quoting the decoder's error, in
+    # the first 8 KiB the file reads (row 1) or in a later one (row 900), not a
+    # ParseError about an earlier line. The decoder counts its position within
+    # the chunk being decoded, not within the file.
     lines = [f"2020-01-02,{i}".encode() for i in range(1, 1001)]
     lines[row] = b"2020-01-02,1\xff"
     path = tmp_path / "bytes.csv"
     path.write_bytes(b"date,AAA\n" + b"\n".join(lines) + b"\n")
-    with pytest.raises(UnicodeDecodeError) as err:
+    with pytest.raises(DataError) as err:
         load_csv(path)
-    assert err.value.__context__ is None and err.value.__cause__ is None
-    assert err.value.reason == "invalid start byte" and err.value.object[err.value.start] == 0xFF
+    assert type(err.value) is DataError
+    message = str(err.value)
+    assert message.startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode byte 0xff in position ")
+    assert message.endswith(": invalid start byte")
+    assert err.value.__cause__ is None and err.value.__suppress_context__
 
 
 def test_load_matches_cell_by_cell_oracle(tmp_path):

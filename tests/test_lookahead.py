@@ -42,6 +42,8 @@ from ptopt.data import (
 )
 from ptopt.model import save_checkpoint
 
+from helpers import walk
+
 TAU = 2
 CFG = tr.TrainConfig(batch_size=128, max_epochs=2, patience=1, seed=0)  # two epochs, so early stopping can choose
 SPACES = {"pt": {"d_model": [4], "dropout": [0.0, 0.1]}, "lstm": {"hidden": [2, 3]}, "mlp": {"hidden": [[3], [4]]}}
@@ -55,7 +57,7 @@ SCHEDULE = yearly_splits(TABLE, 2015)
 
 def run(table, strategy, way):
     space = None if way == "fit" else tr.HyperparamSpace(axes=SPACES[strategy], budget=2)
-    return tr.walk_forward(
+    return walk(
         table, SCHEDULE, strategy, tau=TAU, space=space, base_cfg=CFG, seed=3,
         search_each_split=way != "search_once", base_combo={"d_model": 4} if strategy == "pt" else None,
     )

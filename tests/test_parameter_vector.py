@@ -24,6 +24,8 @@ from ptopt.autograd import Tensor
 from ptopt.data import SynthConfig, clean_and_return, synth_generate, yearly_splits
 from ptopt.model import load_checkpoint, save_checkpoint
 
+from helpers import walk
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ptopt"
 # a Tensor sets its data when it is made, and ``_pack`` makes it a view of the model's vector
 ALLOWED = {("autograd", "Tensor.__init__"), ("model", "_pack")}
@@ -136,7 +138,7 @@ def fitted(kind, tmp_path):
 
 def shipped(kind, tmp_path):
     space = tr.HyperparamSpace(axes={name: [value] for name, value in KINDS[kind].items()}, budget=2)
-    result = tr.walk_forward(TABLE, yearly_splits(TABLE, 2015), kind, tau=2, space=space, base_cfg=CFG, seed=1)
+    result = walk(TABLE, yearly_splits(TABLE, 2015), kind, tau=2, space=space, base_cfg=CFG, seed=1)
     (outcome,) = result.outcomes
     assert len(outcome.trials) == 2
     return outcome.model

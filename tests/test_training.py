@@ -19,7 +19,7 @@ from ptopt.metrics import EquityCurve, MetricsReport, WeightStream, run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, _pack
 from ptopt.objective import CostModel
 
-from helpers import NamedAdam, concat, matmul, record_executors
+from helpers import NamedAdam, concat, matmul, record_executors, search, walk
 
 
 def make_table(n_days, n_assets=3, seed=5, momentum=0.0):
@@ -355,7 +355,7 @@ def search_fixture(momentum=0.5):
 def test_search_budget_and_single_combo():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [4]}, budget=3)
-    result = tr.random_grid_search(
+    result = search(
         space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=0
     )
     assert len(result.trials) == 3
@@ -366,7 +366,7 @@ def test_search_budget_and_single_combo():
 def test_search_zero_learning_rate_loses():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [4], "learning_rate": [0.0, 1e-2]}, budget=6)
-    result = tr.random_grid_search(
+    result = search(
         space, "mlp", table, split, 4, tr.TrainConfig(max_epochs=10), seed=1
     )
     sampled = {t.params["learning_rate"] for t in result.trials}
@@ -383,18 +383,18 @@ class TiedPool:
     def __init__(self, table):
         self.table = table
 
-    def run(self, payloads):
-        return [
+    def run(self, payloads, largest=0):
+        return iter([
             (tr.Trial(index=i, params=combo, train_loss=0.0, val_loss=1.0, seconds=0.0), tr.FitResult([], 0, 1.0, np.array([float(i)])))
             for i, combo, *_ in payloads
-        ]
+        ])
 
 
 def test_search_breaks_a_tie_for_the_earliest_trial():
     table, split = search_fixture()
     pool = TiedPool(table)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    result = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=pool)
+    result = search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=pool)
     assert result.params == result.trials[0].params
     assert result.model.config.seed == 7 + 0
     assert set(result.model.vector.tolist()) == {0.0}  # trial 0's one-value vector, broadcast
@@ -402,13 +402,13 @@ def test_search_breaks_a_tie_for_the_earliest_trial():
 
 def test_search_ships_a_trial_that_trained_over_an_earlier_one_that_failed():
     class FirstFailsPool(TiedPool):
-        def run(self, payloads):
+        def run(self, payloads, largest=0):
             (trial, _), *rest = super().run(payloads)
-            return [(replace(trial, train_loss=np.inf, val_loss=np.inf), TrainingError("non-finite loss")), *rest]
+            return iter([(replace(trial, train_loss=np.inf, val_loss=np.inf), TrainingError("non-finite loss")), *rest])
 
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    result = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=FirstFailsPool(table))
+    result = search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=FirstFailsPool(table))
     assert result.params == result.trials[1].params
     assert result.model.config.seed == 7 + 1
     assert set(result.model.vector.tolist()) == {1.0}
@@ -418,7 +418,7 @@ def test_search_filters_invalid_combinations():
     space = tr.HyperparamSpace(
         axes={"d_model": [8], "n_heads": [3, 2], "t2v_k": [2], "n_layers": [1]}, budget=2
     )
-    result = tr.random_grid_search(
+    result = search(
         space, "pt", table, split, 4, tr.TrainConfig(max_epochs=1), seed=0
     )
     assert all(t.params["n_heads"] == 2 for t in result.trials)
@@ -531,10 +531,10 @@ def test_search_rejects_an_axis_no_model_reads(strategy, axes):
     space = tr.HyperparamSpace(axes=axes, budget=2)
     unknown = next(a for a in axes if a not in tr.MODEL_AXES[strategy])
     with pytest.raises(ValueError, match=repr(unknown)):
-        tr.random_grid_search(space, strategy, table, split, 4, tr.TrainConfig(max_epochs=1))
+        search(space, strategy, table, split, 4, tr.TrainConfig(max_epochs=1))
     schedule = yearly_splits(make_table(600), 2015)
     with pytest.raises(ValueError, match=repr(unknown)):
-        tr.walk_forward(make_table(600), schedule, strategy, tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
+        walk(make_table(600), schedule, strategy, tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
 
 
 def test_search_accepts_every_default_axis_and_the_fit_axes():
@@ -547,14 +547,14 @@ def test_search_no_valid_combination_raises():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"d_model": [8], "n_heads": [3], "t2v_k": [2], "n_layers": [1]})
     with pytest.raises(ValueError):
-        tr.random_grid_search(space, "pt", table, split, 4, tr.TrainConfig(max_epochs=1))
+        search(space, "pt", table, split, 4, tr.TrainConfig(max_epochs=1))
 
 
 def test_search_deterministic_across_runs():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=3)
     runs = [
-        tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2)
+        search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2)
         for _ in range(2)
     ]
     a, b = ([(t.params["hidden"], t.train_loss, t.val_loss) for t in r.trials] for r in runs)
@@ -565,8 +565,8 @@ def test_search_parallel_matches_serial():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
     with tr.TrialPool(table, 1) as serial_pool, tr.TrialPool(table, 2) as parallel_pool:
-        serial = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=serial_pool)
-        parallel = tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=parallel_pool)
+        serial = search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=serial_pool)
+        parallel = search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=parallel_pool)
     assert [(t.params, t.train_loss, t.val_loss) for t in serial.trials] == [
         (t.params, t.train_loss, t.val_loss) for t in parallel.trials
     ]
@@ -588,7 +588,7 @@ def test_search_payloads_carry_neither_table_nor_windows(recording_executor):
         table = make_table(n_days, seed=3)
         split = Split(test_year=2014, train_end=n_days - 100, val_start=n_days - 200, test_end=n_days)
         with tr.TrialPool(table, 2) as pool:
-            tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=pool)
+            search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=pool)
         executor = recording_executor[-1]
         assert executor.initargs == (table,)  # the table goes to each worker once, at start-up
         assert len(executor.payloads) == 2
@@ -604,11 +604,11 @@ def test_trial_pool_starts_one_executor_lazily_and_shuts_it(recording_executor):
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
     cfg = tr.TrainConfig(max_epochs=1)
     with tr.TrialPool(table, 1) as pool:
-        serial = [tr.random_grid_search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
+        serial = [search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
     assert recording_executor == []
     with tr.TrialPool(table, 2) as pool:
         assert recording_executor == []  # nothing starts before a search runs
-        pooled = [tr.random_grid_search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
+        pooled = [search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
         assert len(recording_executor) == 1 and not recording_executor[0].shut
     assert recording_executor[0].shut and len(recording_executor[0].payloads) == 4
     for a, b in zip(serial, pooled):
@@ -620,7 +620,7 @@ def test_trial_pool_shuts_down_when_the_block_raises(recording_executor):
     space = tr.HyperparamSpace(axes={"hidden": [3]}, budget=2)
     with pytest.raises(RuntimeError, match="later failure"):
         with tr.TrialPool(table, 2) as pool:
-            tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
+            search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
             raise RuntimeError("later failure")
     assert len(recording_executor) == 1 and recording_executor[0].shut
 
@@ -630,14 +630,14 @@ def test_search_refuses_a_pool_of_another_table():
     space = tr.HyperparamSpace(axes={"hidden": [3]}, budget=1)
     with tr.TrialPool(make_table(170, seed=3), 1) as pool:
         with pytest.raises(ValueError, match="another return table"):
-            tr.random_grid_search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
+            search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
 
 
 def test_walk_forward_refuses_a_pool_of_another_table():
     table = wf_table()
     with tr.TrialPool(make_table(170, seed=3), 1) as pool:
         with pytest.raises(ValueError, match="another return table"):
-            tr.walk_forward(table, yearly_splits(table, 2016), "lstm", tau=4, base_cfg=tr.TrainConfig(max_epochs=1), pool=pool)
+            walk(table, yearly_splits(table, 2016), "lstm", tau=4, base_cfg=tr.TrainConfig(max_epochs=1), pool=pool)
 
 
 def test_trials_csv_roundtrip(tmp_path):
@@ -680,7 +680,7 @@ def test_search_trials_fit_the_final_model_architecture(monkeypatch):
     monkeypatch.setattr(tr, "build_model", recording_build)
     table = wf_table()
     space = tr.HyperparamSpace(axes={"d_model": [8], "n_heads": [2]}, budget=2)
-    result = tr.walk_forward(
+    result = walk(
         table, yearly_splits(table, 2016), "pt", tau=4, space=space,
         base_cfg=tr.TrainConfig(max_epochs=1), base_combo={"t2v_k": 2},
     )
@@ -711,7 +711,7 @@ def test_a_multi_split_stream_is_one_run_of_decision_days(strategy):
     schedule = yearly_splits(table, 2016)
     splits = schedule.splits
     assert len(splits) == 3
-    stream = tr.walk_forward(table, schedule, strategy, tau=4, base_cfg=tr.TrainConfig(max_epochs=1)).stream
+    stream = walk(table, schedule, strategy, tau=4, base_cfg=tr.TrainConfig(max_epochs=1)).stream
     assert stream.dates == table.dates[splits[0].train_end - 1 : splits[-1].test_end - 1]
     assert stream.weights.shape == (len(stream.dates), 4)
 
@@ -748,7 +748,7 @@ def test_walk_forward_mv_ignores_future_rows():
 def test_walk_forward_trained_strategy_unit_gross():
     table = wf_table(n_days=560, seed=8)
     schedule = yearly_splits(table, 2015)
-    result = tr.walk_forward(
+    result = walk(
         table, schedule, "mlp", tau=4, base_cfg=tr.TrainConfig(max_epochs=2, seed=0), seed=3
     )
     gross = np.abs(result.stream.weights).sum(axis=1)
@@ -762,7 +762,7 @@ def test_walk_forward_search_once_reuses_first_split_choice():
     schedule = yearly_splits(table, 2016)
     assert len(schedule.splits) == 2
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    result = tr.walk_forward(
+    result = walk(
         table, schedule, "lstm", tau=4, space=space,
         base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=1, search_each_split=False,
     )
@@ -784,7 +784,7 @@ def test_searched_split_ships_the_winning_trial(jobs):
     space = tr.HyperparamSpace(axes={"hidden": [3, 5], "learning_rate": [1e-3, 1e-2]}, budget=3)
     cfg = tr.TrainConfig(max_epochs=2, seed=0)
     with tr.TrialPool(table, jobs) as pool:
-        result = tr.walk_forward(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, pool=pool)
+        result = walk(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, pool=pool)
     for split_idx, (split, outcome) in enumerate(zip(schedule.splits, result.outcomes)):
         winner = min(outcome.trials, key=lambda t: t.val_loss)
         seed = 1 + 104729 * split_idx + winner.index
@@ -804,14 +804,14 @@ def test_search_where_every_trial_fails_raises(monkeypatch):
     table = wf_table()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=3)
     with pytest.raises(TrainingError, match="all 3 trials for test year 2016 failed; trial 0: non-finite loss"):
-        tr.walk_forward(table, yearly_splits(table, 2016), "lstm", tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
+        walk(table, yearly_splits(table, 2016), "lstm", tau=4, space=space, base_cfg=tr.TrainConfig(max_epochs=1))
 
 
 def test_walk_forward_deterministic():
     table = wf_table()
     schedule = yearly_splits(table, 2016)
-    a = tr.walk_forward(table, schedule, "mv", seed=0).stream
-    b = tr.walk_forward(table, schedule, "mv", seed=0).stream
+    a = walk(table, schedule, "mv", seed=0).stream
+    b = walk(table, schedule, "mv", seed=0).stream
     assert np.array_equal(a.weights, b.weights)
     assert a.dates == b.dates
 
