@@ -226,7 +226,7 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
     with TrialPool(table, args.jobs) as pool:
-        outcomes = dict(zip(walks, walk_outcomes(table, schedule, list(walks.values()), pool)))
+        outcomes = dict(zip(walks, walk_outcomes(schedule, list(walks.values()), pool)))
         for strategy in strategies:
             result = walk_forward(table, schedule, strategy, tau=cfg.window, outcomes=outcomes.get(strategy))
             curve = run_backtest(result.stream, table, costs)

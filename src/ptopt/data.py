@@ -301,6 +301,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_assets < 1 or self.n_days < 2:
             raise ValueError("need n_assets >= 1 and n_days >= 2")
+        if not np.isfinite(self.momentum):
+            raise ValueError(f"momentum must be finite, got {self.momentum}")
 
 
 def trading_days(start: dt.date, n: int) -> list[dt.date]:

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ptopt.autograd import ContractError
 from ptopt.data import ReturnTable
-from ptopt.errors import AlignmentError, DataError
+from ptopt.errors import AlignmentError, DataError, NumericError
 from ptopt.model import blockwise
 from ptopt.objective import CostModel, net_returns
 
@@ -41,8 +41,9 @@ class EquityCurve:
         self.daily_returns = np.asarray(self.daily_returns, dtype=np.float64)
         if len(self.dates) != len(self.daily_returns):
             raise DataError("dates and daily_returns lengths differ")
-        if np.any(self.daily_returns <= -1):
-            raise DataError("daily return <= -100% is not representable as equity")
+        if not np.all(self.daily_returns > -1):  # NaN is not above -1 either
+            day = int(np.argmin(self.daily_returns > -1))
+            raise NumericError(f"net return {self.daily_returns[day]} on {self.dates[day]} is not above -100%")
         self.cumulative = np.cumprod(1.0 + self.daily_returns)
 
 

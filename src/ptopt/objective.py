@@ -30,8 +30,8 @@ class CostModel:
     cost_rate: float = 0.0002
 
     def __post_init__(self):
-        if self.cost_rate < 0:
-            raise ValueError(f"cost_rate must be non-negative, got {self.cost_rate}")
+        if not 0 <= self.cost_rate < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"cost_rate must be finite and non-negative, got {self.cost_rate}")
 
 
 @dataclass

@@ -339,17 +339,14 @@ class TrainedWalk:
     def searches(self, k: int) -> bool:
         return self.combos is not None and (self.search_each_split or k == 0)
 
-    def plans(self, splits: list[Split], first: int = 0, winner: dict | None = None) -> list[list]:
-        """The ``_run_trial`` payloads of each of ``splits``, the first being split ``first``."""
-        plans = []
-        for k, split in enumerate(splits, first):
-            if self.searches(k):
-                combos, budget, seed = self.combos, self.budget, self.seed + 104729 * k
-            else:
-                combos, budget, seed = [winner or self.combo], 1, self.seed + k
-            picks = np.random.default_rng(seed).integers(0, len(combos), size=budget)
-            plans.append([(i, combos[j], self.strategy, split, self.tau, self.base_cfg, self.costs, seed) for i, j in enumerate(picks)])
-        return plans
+    def plan(self, k: int, split: Split, winner: dict | None = None) -> list:
+        """The ``_run_trial`` payloads of split ``k``, ``split``; an unsearched one fits ``winner`` if given."""
+        if self.searches(k):
+            combos, budget, seed = self.combos, self.budget, self.seed + 104729 * k
+        else:
+            combos, budget, seed = [winner or self.combo], 1, self.seed + k
+        picks = np.random.default_rng(seed).integers(0, len(combos), size=budget)
+        return [(i, combos[j], self.strategy, split, self.tau, self.base_cfg, self.costs, seed) for i, j in enumerate(picks)]
 
 
 def plan_walk(
@@ -404,8 +401,6 @@ def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitRes
     index, combo, strategy, split, tau, base_cfg, costs, seed = payload
     table = _worker_table if table is None else table
     train, valid = split_windows(table, split, tau)
-    if not len(train) or not len(valid):
-        raise DataError(f"training range before {split.test_year} too short for window length {tau}")
     cfg = replace(base_cfg, seed=seed + index, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
     start = time.perf_counter()
     try:
@@ -464,51 +459,38 @@ def random_grid_search(plan: list, done: Iterator, n_assets: int) -> SplitOutcom
     return SplitOutcome(split.test_year, best.params, [t for t, _ in done], model, fit_result.history)
 
 
-def _picks(walk: TrainedWalk, plans: list, done: Iterator, n_assets: int, error: Exception | None = None) -> Iterator[SplitOutcome]:
-    if error is not None:  # raised where the walk reads its first outcome, after every earlier walk has run
-        raise error
-    for k, plan in enumerate(plans):
-        outcome = random_grid_search(plan, done, n_assets)
+def _picks(walk: TrainedWalk, splits: list[Split], done: Iterator, n_assets: int) -> Iterator[SplitOutcome]:
+    winner = None
+    for k, split in enumerate(splits):
+        outcome = random_grid_search(walk.plan(k, split, winner), done, n_assets)
+        winner = winner if k else outcome.params
         if not walk.searches(k):
             outcome.trials = []
         yield outcome
 
 
-def walk_outcomes(
-    table: ReturnTable, schedule: WalkForwardSchedule, walks: list[TrainedWalk], pool: TrialPool
-) -> list[Iterator[SplitOutcome]]:
+def walk_outcomes(schedule: WalkForwardSchedule, walks: list[TrainedWalk], pool: TrialPool) -> list[Iterator[SplitOutcome]]:
     """Each walk's outcome of each split of ``schedule``, picked as the walk reads it, from one batch of
-    every walk's tasks, sent to ``pool`` (which must hold ``table``) before any result is read.
+    every walk's tasks, sent to ``pool`` before any result is read.
 
     If a walk searches its first split alone, the batch goes in two rounds: every walk's first split, then
-    every later split, planned on the first splits' winners. A task's error is raised where its walk reads
-    it, so no walk's failure comes before an earlier walk's. A table of fewer than 2 assets raises DataError.
+    every later split, planned on the first splits' winners. A split whose every fit failed raises where its
+    walk reads it, so no walk's failure comes before an earlier walk's. A table of fewer than 2 assets raises DataError.
     """
-    if pool.table is not table:
-        raise ValueError("the trial pool holds another return table")
-    if walks and table.n_assets < 2:
-        raise DataError(f"{walks[0].strategy} needs at least 2 assets, got {table.n_assets}")
-    splits, n = schedule.splits, table.n_assets
+    splits, n = schedule.splits, pool.table.n_assets
+    if walks and n < 2:
+        raise DataError(f"{walks[0].strategy} needs at least 2 assets, got {n}")
     once = len(splits) > 1 and any(w.combos is not None and not w.search_each_split for w in walks)
-    plans = [w.plans(splits[:1] if once else splits) for w in walks]
-    later = sum(w.budget if w.searches(k) else 1 for w in walks for k in range(1, len(splits))) if once else 0
-    largest = max(sum(len(plan) for ps in plans for plan in ps), later)
-    done = pool.run([task for ps in plans for plan in ps for task in plan], largest)
+    batch = [w.plan(k, split) for w in walks for k, split in enumerate(splits[: 1 if once else None])]
+    later = [w.plan(k, split) for w in walks for k, split in enumerate(splits[1:], 1)] if once else []
+    largest = max(sum(map(len, batch)), sum(map(len, later)))
+    done = pool.run([task for plan in batch for task in plan], largest)
     if not once:
-        return [_picks(w, ps, done, n) for w, ps in zip(walks, plans)]
-    firsts, error = [], None
-    for w, ps in zip(walks, plans):
-        try:
-            firsts.append([next(done) for _ in ps[0]])
-        except Exception as exc:  # its walk and every later one raise it when read
-            error = exc
-            break
-        ps += w.plans(splits[1:], 1, _best(firsts[-1])[0].params)  # if every trial failed, the walk raises first
-    done = pool.run([task for ps in plans for plan in ps[1:] for task in plan], largest)
-    return [
-        _picks(w, ps, itertools.chain(*firsts[i : i + 1], done), n, None if i < len(firsts) else error)
-        for i, (w, ps) in enumerate(zip(walks, plans))
-    ]
+        return [_picks(w, splits, done, n) for w in walks]
+    firsts = [[next(done) for _ in plan] for plan in batch]  # if every trial failed, its walk raises first
+    tasks = [t for w, f in zip(walks, firsts) for k, split in enumerate(splits[1:], 1) for t in w.plan(k, split, _best(f)[0].params)]
+    done = pool.run(tasks, largest)
+    return [_picks(w, splits, itertools.chain(f, done), n) for w, f in zip(walks, firsts)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +536,8 @@ def walk_forward(
         blockwise(lambda h: mv_weights(h, mv), histories, weights, max(1, _MV_STACK_BYTES // (8 * n * n)))
     if strategy not in TRAINED_STRATEGIES:
         return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
+    if not all(map(len, split_windows(table, schedule.splits[0], tau))):  # the first split has the fewest windows
+        raise DataError(f"training range before {schedule.splits[0].test_year} too short for window length {tau}")
 
     kept: list[SplitOutcome] = []
     for split, outcome in zip(schedule.splits, outcomes):  # zip reads no outcome past the last split

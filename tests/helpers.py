@@ -385,7 +385,7 @@ def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed
     generator and trials start at ``seed``, planned, sent to ``pool`` (in-process if None) and
     picked as ``ptopt run`` does each split."""
     walk = tr.plan_walk(strategy, tau, space, None, base_cfg, costs, seed, True)
-    [outcomes] = tr.walk_outcomes(table, WalkForwardSchedule([split]), [walk], pool or tr.TrialPool(table))
+    [outcomes] = tr.walk_outcomes(WalkForwardSchedule([split]), [walk], pool or tr.TrialPool(table))
     return next(outcomes)
 
 
@@ -398,7 +398,7 @@ def walk(
     outcomes = None
     if strategy in tr.TRAINED_STRATEGIES:
         walk = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed, search_each_split)
-        [outcomes] = tr.walk_outcomes(table, schedule, [walk], pool or tr.TrialPool(table))
+        [outcomes] = tr.walk_outcomes(schedule, [walk], pool or tr.TrialPool(table))
     return tr.walk_forward(table, schedule, strategy, tau, outcomes)
 
 

@@ -41,10 +41,10 @@ CATALOGUE = [
      "a searched split's generator and trials start at seed + 104729 * split_idx"),
     (TRAINING, "(self.search_each_split or k == 0)", "(self.search_each_split or k <= 1)",
      "--search-once searches the first split only"),
-    (TRAINING, "ps += w.plans(splits[1:], 1, _best(firsts[-1])[0].params)", "ps += w.plans(splits[1:], 1)",
+    (TRAINING, "w.plan(k, split, _best(f)[0].params)", "w.plan(k, split)",
      "with --search-once, the later splits fit the first split's winner"),
-    (TRAINING, "            error = exc\n", "            raise\n",
-     "a first split's error, read before any walk, is raised on its own walk's turn"),
+    (TRAINING, "split_windows(table, schedule.splits[0], tau)", "split_windows(table, schedule.splits[-1], tau)",
+     "a trained walk checks its first split, the one with the fewest windows, before it reads an outcome"),
     (TRAINING, "(isinstance(d[1], TrainingError), d[0].val_loss)", "(not isinstance(d[1], TrainingError), d[0].val_loss)",
      "a trial whose fit raised ranks last"),
     (TRAINING, "d[0].val_loss))", "d[0].val_loss, -d[0].index))",
@@ -86,15 +86,21 @@ CATALOGUE = [
      "a one-ulp change to the Sharpe loss's backward"),
     ("src/ptopt/metrics.py", "np.where(numerator >= 0, math.inf", "np.where(numerator > 0, math.inf",
      "a zero ratio over zero dispersion reads +inf, by the numerator's sign rule"),
+    ("src/ptopt/metrics.py", "if not np.all(self.daily_returns > -1):", "if np.any(self.daily_returns <= -1):",
+     "a NaN net return ruins the equity curve as a day at or below -100% does"),
     # the exit-code map and the checks that pick an exit code
     (CLI, "        return 3\n", "        return 2\n",
      "a NumericError exits 3"),
     ("src/ptopt/errors.py", "class ContractError(NumericError):", "class ContractError(RuntimeError):",
      "a ContractError is a NumericError, so it exits 3"),
-    (TRAINING, "if walks and table.n_assets < 2:", "if walks and table.n_assets < 1:",
+    (TRAINING, "if walks and n < 2:", "if walks and n < 1:",
      "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
     ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
      "a year missing from the data is a data error, not a broken schedule"),
+    (OBJECTIVE, "0 <= self.cost_rate < np.inf:", "0 <= self.cost_rate <= np.inf:",
+     "an infinite --cost-rate is a usage error before the data is read"),
+    ("src/ptopt/data.py", "if not np.isfinite(self.momentum):", "if np.isnan(self.momentum):",
+     "synth refuses an infinite --momentum"),
     (TRAINING, "model_config(strategy, 2, tau, combo, seed=0)", "model_config(strategy, 2, tau, {}, seed=0)",
      "--t2v-k is checked with pt's settings before the data is read"),
     ("src/ptopt/model.py", "except (KeyError, TypeError, ValueError) as err:", "except (TypeError, ValueError) as err:",

@@ -58,6 +58,14 @@ def test_synth_zero_assets_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("momentum", ["nan", "inf"])
+def test_synth_non_finite_momentum_is_usage_error(momentum, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert cli.main(["synth", "--assets", "2", "--days", "10", "--momentum", momentum, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: momentum must be finite, got {momentum}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -312,9 +320,9 @@ def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
     planned = {}
     walk_outcomes = cli.walk_outcomes
 
-    def recording(table, schedule, walks, pool):
+    def recording(schedule, walks, pool):
         planned.update((w.strategy, w) for w in walks)
-        return walk_outcomes(table, schedule, walks, pool)
+        return walk_outcomes(schedule, walks, pool)
 
     monkeypatch.setattr(cli, "walk_outcomes", recording)
     space = tmp_path / "space.json"
@@ -450,6 +458,8 @@ def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeyp
     pytest.param("run --strategy lstm --max-epochs 0", "max_epochs", id="--max-epochs-0-max_epochs"),
     pytest.param("run --strategy lstm --patience 0", "patience", id="--patience-0-patience"),
     pytest.param("run --strategy lstm --cost-rate -1", "cost_rate", id="--cost-rate--1-cost_rate"),
+    pytest.param("run --strategy equal_weight --cost-rate nan", "cost_rate must be finite", id="equal_weight--cost-rate-nan"),
+    pytest.param("run --strategy equal_weight --cost-rate inf", "cost_rate must be finite", id="equal_weight--cost-rate-inf"),
     pytest.param("run --strategy pt --t2v-k 0", "t2v_k must be >= 1, got 0", id="pt--t2v-k-0"),
     pytest.param("run --strategy pt --window 1", "window must be >= 2, got 1", id="pt--window-1"),
     pytest.param("run --strategy mlp --window 1", "window must be >= 2, got 1", id="mlp--window-1"),
@@ -696,7 +706,7 @@ def short_history_csv(tmp_path_factory):
 @pytest.mark.parametrize("flags, message", [
     ("mv", "need 50 rows before 2016 for the mean-variance window"),
     ("lstm", "training range before 2016 too short for window length 8"),
-    # the check runs in each trial, so with --jobs 2 it raises in a worker
+    # the walk checks its first split before it reads an outcome, searched or not, on any pool
     ("lstm --budget 2", "training range before 2016 too short for window length 8"),
     ("lstm --budget 2 --jobs 2", "training range before 2016 too short for window length 8"),
 ])
@@ -727,6 +737,16 @@ def test_a_compare_raises_the_first_strategy_s_error(order, message, jobs, tmp_p
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_a_ruined_strategy_is_a_numeric_error_naming_its_first_ruined_day(prices_csv, tmp_path, capsys):
+    # the first day buys the whole book from cash, at twice its value in costs
+    out = tmp_path / "o"
+    argv = ["run", "--strategy", "equal_weight", "--cost-rate", "2", "--data", str(prices_csv), "--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: net return -2.0") and err.endswith(" on 2016-01-01 is not above -100%\n")
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from ptopt.autograd import ContractError, Tensor
 from ptopt.data import ReturnTable, trading_days
-from ptopt.errors import AlignmentError, DataError
+from ptopt.errors import AlignmentError, DataError, NumericError
 from ptopt.metrics import (
     _BACKTEST_BLOCK,
     _ROLLING_BLOCK,
@@ -111,8 +111,11 @@ def test_mdd_ignores_days_above_historical_trough_ratio():
 def test_equity_curve_validation():
     with pytest.raises(DataError):
         EquityCurve([dt.date(2020, 1, 2)], np.array([0.01, 0.02]))
-    with pytest.raises(DataError):
-        curve_from([0.01, -1.0])
+    # a day at or below -100% ruins the strategy, and so does a NaN return: the first such day is named
+    with pytest.raises(NumericError, match="net return -1.0 on 2020-01-03 is not above -100%"):
+        curve_from([0.01, -1.0, -2.0])
+    with pytest.raises(NumericError, match="net return nan on 2020-01-03 is not above -100%"):
+        curve_from([0.01, np.nan, 0.02])
 
 
 def test_metrics_report_json_is_flat_and_sorted():

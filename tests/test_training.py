@@ -13,8 +13,8 @@ import ptopt.autograd as ag
 import ptopt.cli as cli
 import ptopt.training as tr
 from ptopt.autograd import Tensor
-from ptopt.data import ReturnTable, Split, SynthConfig, clean_and_return, synth_generate, yearly_splits
-from ptopt.errors import TrainingError
+from ptopt.data import ReturnTable, Split, SynthConfig, WalkForwardSchedule, clean_and_return, synth_generate, yearly_splits
+from ptopt.errors import DataError, TrainingError
 from ptopt.metrics import EquityCurve, MetricsReport, WeightStream, run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, _pack
 from ptopt.objective import CostModel
@@ -625,21 +625,6 @@ def test_trial_pool_shuts_down_when_the_block_raises(recording_executor):
     assert len(recording_executor) == 1 and recording_executor[0].shut
 
 
-def test_search_refuses_a_pool_of_another_table():
-    table, split = search_fixture()
-    space = tr.HyperparamSpace(axes={"hidden": [3]}, budget=1)
-    with tr.TrialPool(make_table(170, seed=3), 1) as pool:
-        with pytest.raises(ValueError, match="another return table"):
-            search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
-
-
-def test_walk_forward_refuses_a_pool_of_another_table():
-    table = wf_table()
-    with tr.TrialPool(make_table(170, seed=3), 1) as pool:
-        with pytest.raises(ValueError, match="another return table"):
-            walk(table, yearly_splits(table, 2016), "lstm", tau=4, base_cfg=tr.TrainConfig(max_epochs=1), pool=pool)
-
-
 def test_trials_csv_roundtrip(tmp_path):
     trials = [
         tr.Trial(index=0, params={"hidden": 4, "learning_rate": 1e-3}, train_loss=-0.25, val_loss=-0.125, seconds=1.5),
@@ -821,3 +806,16 @@ def test_walk_forward_rejects_unknown_strategy():
     schedule = yearly_splits(table, 2016)
     with pytest.raises(ValueError, match="equal_weight"):
         tr.walk_forward(table, schedule, "xgboost")
+
+
+def test_walk_forward_checks_its_first_split_before_it_reads_an_outcome():
+    # the first split has a training window but no validation window; the later one has both
+    table = wf_table()
+    schedule = WalkForwardSchedule([Split(2014, 12, 11, 260), Split(2015, 260, 234, 510)])
+
+    def unread():
+        raise AssertionError("an outcome was read before the first split was checked")
+        yield
+
+    with pytest.raises(DataError, match="training range before 2014 too short for window length 4"):
+        tr.walk_forward(table, schedule, "lstm", tau=4, outcomes=unread())
