@@ -209,11 +209,10 @@ def cmd_synth(args) -> int:
 
 
 def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path, str, str, list]:
-    """The pipeline of ``run`` and ``compare``: check the flags and the output
-    path, load and split the data once, send every trained strategy's fits to
-    one trial pool as one batch, then walk each strategy forward and back-test
-    it. ``keep(result, curve, report)`` takes each strategy's turn before the
-    next starts; only what it returns outlives it.
+    """The pipeline of ``run`` and ``compare``: check the flags and the output path, load and split
+    the data once, check every strategy against it, send every trained strategy's fits to one trial
+    pool as one batch, then walk each strategy forward and back-test it. ``keep(result, curve, report)``
+    takes each strategy's turn before the next starts; only what it returns outlives it.
     Returns the config, output path, version, input digest and what was kept.
     """
     cfg = _run_config(args)
@@ -226,7 +225,7 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
     with TrialPool(table, args.jobs) as pool:
-        outcomes = dict(zip(walks, walk_outcomes(schedule, list(walks.values()), pool)))
+        outcomes = walk_outcomes(schedule, strategies, walks, pool)
         for strategy in strategies:
             result = walk_forward(table, schedule, strategy, tau=cfg.window, outcomes=outcomes.get(strategy))
             curve = run_backtest(result.stream, table, costs)

@@ -306,14 +306,8 @@ class SynthConfig:
 
 
 def trading_days(start: dt.date, n: int) -> list[dt.date]:
-    """The next n weekdays starting at or after ``start``."""
-    out = []
-    day = start
-    while len(out) < n:
-        if day.weekday() < 5:
-            out.append(day)
-        day += dt.timedelta(days=1)
-    return out
+    """The next n weekdays starting at or after ``start``, as ``datetime.date``s."""
+    return np.busday_offset(start, np.arange(n), roll="forward").tolist()
 
 
 def synth_generate(cfg: SynthConfig) -> PriceTable:

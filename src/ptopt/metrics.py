@@ -19,9 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ptopt.autograd import ContractError
 from ptopt.data import ReturnTable
-from ptopt.errors import AlignmentError, DataError, NumericError
+from ptopt.errors import AlignmentError, ContractError, DataError, NumericError
 from ptopt.model import blockwise
 from ptopt.objective import CostModel, net_returns
 

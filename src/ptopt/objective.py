@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import ptopt.autograd as ag
-from ptopt.autograd import ContractError, ShapeError, Tensor
+from ptopt.autograd import ShapeError, Tensor
+from ptopt.errors import ContractError
 
 EPS = 1e-12
 

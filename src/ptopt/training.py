@@ -86,10 +86,13 @@ class TrainConfig:
 
 
 def _ending_at(r: np.ndarray, length: int, last: int, count: int) -> np.ndarray:
-    """Read-only (count, length, n) view: the ``length`` rows of ``r`` ending at row last+i, for each i < count."""
+    """Read-only (count, length, n) view: the ``length`` rows of ``r`` ending at row last+i, for each i < count.
+    A view that would start before row 0 raises DataError."""
     if count <= 0:
         return np.empty((0, length, r.shape[1]))
     first = last - length + 1
+    if first < 0:
+        raise DataError(f"{length} rows ending at row {last} start before the first row")
     return sliding_window_view(r, length, axis=0)[first : first + count].transpose(0, 2, 1)
 
 
@@ -423,11 +426,11 @@ class TrialPool(contextlib.AbstractContextManager):
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
 
-    def run(self, payloads: list, largest: int = 0) -> Iterator[tuple[Trial, FitResult | TrainingError]]:
+    def run(self, payloads: list, largest: int) -> Iterator[tuple[Trial, FitResult | TrainingError]]:
         """Each payload's result, lazily and in order; a task's error is raised where its result is read. The
         first batch that can run two tasks at once starts the executor with min(``jobs``, ``largest``) workers,
-        ``largest`` being the caller's largest batch (by default this one). Until then a batch runs in-process."""
-        workers = min(self.jobs, largest or len(payloads))
+        ``largest`` being the caller's largest batch. Until then a batch runs in-process."""
+        workers = min(self.jobs, largest)
         if self._executor is None and workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
             self._executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(self.table,))
@@ -469,28 +472,31 @@ def _picks(walk: TrainedWalk, splits: list[Split], done: Iterator, n_assets: int
         yield outcome
 
 
-def walk_outcomes(schedule: WalkForwardSchedule, walks: list[TrainedWalk], pool: TrialPool) -> list[Iterator[SplitOutcome]]:
-    """Each walk's outcome of each split of ``schedule``, picked as the walk reads it, from one batch of
-    every walk's tasks, sent to ``pool`` before any result is read.
-
-    If a walk searches its first split alone, the batch goes in two rounds: every walk's first split, then
-    every later split, planned on the first splits' winners. A split whose every fit failed raises where its
-    walk reads it, so no walk's failure comes before an earlier walk's. A table of fewer than 2 assets raises DataError.
-    """
+def walk_outcomes(schedule: WalkForwardSchedule, strategies: list[str], walks: dict[str, TrainedWalk], pool: TrialPool) -> dict[str, Iterator]:
+    """Each walk's outcome of each split of ``schedule``, by strategy, picked as the walk reads it, from one
+    batch of every walk's tasks, sent to ``pool`` after each of ``strategies``, in order, passes the first
+    split (the one with the fewest rows): MV needs its lookback rows, a trained strategy 2 assets and a training
+    and a validation window, else DataError. Under a first-split-only search the batch goes in two rounds:
+    every walk's first split, then each later split's one fit of its first split's winner. A split whose every
+    fit failed raises where its walk reads it, so no walk's failure comes before an earlier walk's."""
     splits, n = schedule.splits, pool.table.n_assets
-    if walks and n < 2:
-        raise DataError(f"{walks[0].strategy} needs at least 2 assets, got {n}")
-    once = len(splits) > 1 and any(w.combos is not None and not w.search_each_split for w in walks)
-    batch = [w.plan(k, split) for w in walks for k, split in enumerate(splits[: 1 if once else None])]
-    later = [w.plan(k, split) for w in walks for k, split in enumerate(splits[1:], 1)] if once else []
-    largest = max(sum(map(len, batch)), sum(map(len, later)))
+    for s in strategies:
+        if s == "mv" and splits[0].train_end < MVConfig.lookback:
+            raise DataError(f"need {MVConfig.lookback} rows before {splits[0].test_year} for the mean-variance window")
+        if s in walks and n < 2:
+            raise DataError(f"{s} needs at least 2 assets, got {n}")
+        if s in walks and not all(map(len, split_windows(pool.table, splits[0], walks[s].tau))):
+            raise DataError(f"training range before {splits[0].test_year} too short for window length {walks[s].tau}")
+    once = len(splits) > 1 and any(w.combos is not None and not w.search_each_split for w in walks.values())
+    batch = [w.plan(k, split) for w in walks.values() for k, split in enumerate(splits[: 1 if once else None])]
+    largest = max(sum(map(len, batch)), once * len(walks) * (len(splits) - 1))
     done = pool.run([task for plan in batch for task in plan], largest)
     if not once:
-        return [_picks(w, splits, done, n) for w in walks]
+        return {s: _picks(w, splits, done, n) for s, w in walks.items()}
     firsts = [[next(done) for _ in plan] for plan in batch]  # if every trial failed, its walk raises first
-    tasks = [t for w, f in zip(walks, firsts) for k, split in enumerate(splits[1:], 1) for t in w.plan(k, split, _best(f)[0].params)]
+    tasks = [t for w, f in zip(walks.values(), firsts) for k, split in enumerate(splits[1:], 1) for t in w.plan(k, split, _best(f)[0].params)]
     done = pool.run(tasks, largest)
-    return [_picks(w, splits, itertools.chain(f, done), n) for w, f in zip(walks, firsts)]
+    return {s: _picks(w, splits, itertools.chain(f, done), n) for (s, w), f in zip(walks.items(), firsts)}
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +525,7 @@ def walk_forward(
     in ``_MV_STACK_BYTES``, so its temporaries do not grow with the universe.
     A trained strategy reads one outcome per split from ``outcomes``, as ``walk_outcomes``
     picks them, and fills the split's rows from the outcome's model, retrained on all prior data.
+    The walk checks no data: ``walk_outcomes`` does, before any fit, and a view before row 0 raises.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -530,14 +537,10 @@ def walk_forward(
         weights[:] = equal_weights(n)
     elif strategy == "mv":
         mv = MVConfig()
-        if schedule.splits[0].train_end < mv.lookback:  # the first split has the fewest rows before it
-            raise DataError(f"need {mv.lookback} rows before {schedule.splits[0].test_year} for the mean-variance window")
         histories = _ending_at(table.returns, mv.lookback, start, len(dates))  # each test day's trailing rows, as views
         blockwise(lambda h: mv_weights(h, mv), histories, weights, max(1, _MV_STACK_BYTES // (8 * n * n)))
     if strategy not in TRAINED_STRATEGIES:
         return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
-    if not all(map(len, split_windows(table, schedule.splits[0], tau))):  # the first split has the fewest windows
-        raise DataError(f"training range before {schedule.splits[0].test_year} too short for window length {tau}")
 
     kept: list[SplitOutcome] = []
     for split, outcome in zip(schedule.splits, outcomes):  # zip reads no outcome past the last split

@@ -237,6 +237,17 @@ def clean_and_return_oracle(table: PriceTable) -> ReturnTable:
     return ReturnTable(table.dates[start + 1 :], list(table.tickers), returns)
 
 
+def trading_days_oracle(start: dt.date, n: int) -> list[dt.date]:
+    """The next n weekdays starting at or after ``start``, stepped one calendar day at a time."""
+    out = []
+    day = start
+    while len(out) < n:
+        if day.weekday() < 5:
+            out.append(day)
+        day += dt.timedelta(days=1)
+    return out
+
+
 def write_gapped_csv(path, days: int, assets: int, gaps: float, seed: int = 0) -> None:
     """A synthetic price CSV of ``days`` x ``assets`` with a ``gaps`` share of empty cells."""
     raw = synth_generate(SynthConfig(n_assets=assets, n_days=days, seed=seed))
@@ -385,8 +396,8 @@ def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed
     generator and trials start at ``seed``, planned, sent to ``pool`` (in-process if None) and
     picked as ``ptopt run`` does each split."""
     walk = tr.plan_walk(strategy, tau, space, None, base_cfg, costs, seed, True)
-    [outcomes] = tr.walk_outcomes(WalkForwardSchedule([split]), [walk], pool or tr.TrialPool(table))
-    return next(outcomes)
+    outcomes = tr.walk_outcomes(WalkForwardSchedule([split]), [strategy], {strategy: walk}, pool or tr.TrialPool(table))
+    return next(outcomes[strategy])
 
 
 def walk(
@@ -395,11 +406,11 @@ def walk(
 ) -> tr.WalkForwardResult:
     """``training.walk_forward`` of one strategy, a trained one's walk planned and its fits sent to
     ``pool`` (in-process if None) as ``ptopt run`` plans and sends them."""
-    outcomes = None
+    walks = {}
     if strategy in tr.TRAINED_STRATEGIES:
-        walk = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed, search_each_split)
-        [outcomes] = tr.walk_outcomes(schedule, [walk], pool or tr.TrialPool(table))
-    return tr.walk_forward(table, schedule, strategy, tau, outcomes)
+        walks[strategy] = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed, search_each_split)
+    outcomes = tr.walk_outcomes(schedule, [strategy], walks, pool or tr.TrialPool(table))
+    return tr.walk_forward(table, schedule, strategy, tau, outcomes.get(strategy))
 
 
 # ---------------------------------------------------------------------------

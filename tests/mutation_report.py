@@ -43,8 +43,14 @@ CATALOGUE = [
      "--search-once searches the first split only"),
     (TRAINING, "w.plan(k, split, _best(f)[0].params)", "w.plan(k, split)",
      "with --search-once, the later splits fit the first split's winner"),
-    (TRAINING, "split_windows(table, schedule.splits[0], tau)", "split_windows(table, schedule.splits[-1], tau)",
-     "a trained walk checks its first split, the one with the fewest windows, before it reads an outcome"),
+    (TRAINING, "split_windows(pool.table, splits[0], walks[s].tau)", "split_windows(pool.table, splits[-1], walks[s].tau)",
+     "the pre-flight checks a trained strategy's first split, the one with the fewest windows"),
+    (TRAINING, "    for s in strategies:\n", "    for s in strategies[::-1]:\n",
+     "the pre-flight checks the strategies in listed order, so the first listed strategy's error comes first"),
+    (TRAINING, "splits[0].train_end < MVConfig.lookback", "splits[0].train_end <= MVConfig.lookback",
+     "MV walks a first split with exactly its lookback's rows before it"),
+    (TRAINING, "if first < 0:", "if first < -1:",
+     "a view that would start before row 0 is a data error, not a wrapped read of the last rows"),
     (TRAINING, "(isinstance(d[1], TrainingError), d[0].val_loss)", "(not isinstance(d[1], TrainingError), d[0].val_loss)",
      "a trial whose fit raised ranks last"),
     (TRAINING, "d[0].val_loss))", "d[0].val_loss, -d[0].index))",
@@ -93,7 +99,7 @@ CATALOGUE = [
      "a NumericError exits 3"),
     ("src/ptopt/errors.py", "class ContractError(NumericError):", "class ContractError(RuntimeError):",
      "a ContractError is a NumericError, so it exits 3"),
-    (TRAINING, "if walks and n < 2:", "if walks and n < 1:",
+    (TRAINING, "if s in walks and n < 2:", "if s in walks and n < 1:",
      "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
     ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
      "a year missing from the data is a data error, not a broken schedule"),

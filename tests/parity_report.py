@@ -1,4 +1,4 @@
-"""Byte parity of two source trees: the outputs of eight commands, file by file.
+"""Byte parity of two source trees: the outputs of eight commands and the errors of four, file by file.
 
     python3 tests/parity_report.py PARENT_TREE CHANGE_TREE
 
@@ -13,7 +13,13 @@ subprocess with ``OPENBLAS_NUM_THREADS=1`` and that tree's ``src`` and
   ``compare --strategies pt lstm mlp mv equal_weight --budget 2 --search-once``,
   ``run --strategy mlp --budget 2 --search-once --jobs 2``, ``run --strategy lstm``
   and ``compare --strategies lstm mlp mv --jobs 2``, whose unsearched fits of
-  both test years go to the pool as one batch.
+  both test years go to the pool as one batch;
+- on a short-history market (the 3-asset, 800-day seed-1 synth from
+  2015-12-01 on, tested from 2016), four commands that fail on the data:
+  ``run --strategy mv``, ``run --strategy lstm --budget 2 --jobs 2``,
+  ``compare --strategies lstm mv mlp --budget 2 --search-once --jobs 2`` and
+  ``compare --strategies lstm mv --window 2 --budget 2 --jobs 2``. Each one's
+  exit code and stderr, which names no path, go to ``errors/<name>.txt``.
 
 It then prints one line per file, the markets included: identical, identical
 apart from ignored fields, or how it differs, and a count of each. Ignored are
@@ -23,6 +29,7 @@ the fields that name where and from what checkout a run ran, the manifest's
 or exists on one side only.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -43,11 +50,18 @@ COMMANDS = {
     "run_lstm": ["run", "--strategy", "lstm"],
     "compare_unsearched_jobs": ["compare", "--strategies", "lstm", "mlp", "mv", "--jobs", "2"],
 }
+SHORT = ["--first-test-year", "2016"]  # of the failing commands below, on the short-history market
+FAILING = {
+    "run_mv_short": ["run", "--strategy", "mv"],
+    "run_lstm_short_jobs": ["run", "--strategy", "lstm", "--budget", "2", "--jobs", "2"],
+    "compare_search_once_short": ["compare", "--strategies", "lstm", "mv", "mlp", "--budget", "2", "--search-once", "--jobs", "2"],
+    "compare_mv_after_trained_short": ["compare", "--strategies", "lstm", "mv", "--window", "2", "--budget", "2", "--jobs", "2"],
+}
 IDENTICAL, IGNORED_ONLY = "identical", "identical apart from ignored fields"
 
 
 def run_commands(tree: Path, work: Path) -> None:
-    """Write the markets and run the eight commands on ``tree``'s code, into ``work``."""
+    """Write the markets and run the twelve commands on ``tree``'s code, into ``work``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import ptopt
     from ptopt.cli import main
@@ -66,6 +80,15 @@ def run_commands(tree: Path, work: Path) -> None:
     for name, argv in runs:
         if main(argv) != 0:
             raise SystemExit(f"{name} failed: ptopt {' '.join(argv)}")
+    short = work / "inputs" / "short_history.csv"
+    main(["synth", "--assets", "3", "--days", "800", "--seed", "1", "--out", str(short)])
+    header, *rows = short.read_text().splitlines(keepends=True)
+    short.write_text(header + "".join(row for row in rows if row[:10] >= "2015-12-01"))
+    (work / "errors").mkdir()
+    for name, argv in FAILING.items():
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--data", str(short), "--out", str(work / name), *SHORT])
+        (work / "errors" / f"{name}.txt").write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
 
 
 def _compared(name: str, data: bytes):

@@ -320,9 +320,9 @@ def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
     planned = {}
     walk_outcomes = cli.walk_outcomes
 
-    def recording(schedule, walks, pool):
-        planned.update((w.strategy, w) for w in walks)
-        return walk_outcomes(schedule, walks, pool)
+    def recording(schedule, strategies, walks, pool):
+        planned.update(walks)
+        return walk_outcomes(schedule, strategies, walks, pool)
 
     monkeypatch.setattr(cli, "walk_outcomes", recording)
     space = tmp_path / "space.json"
@@ -737,6 +737,43 @@ def test_a_compare_raises_the_first_strategy_s_error(order, message, jobs, tmp_p
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def mid_history_csv(short_history_csv):
+    """The short-history market's synth run cut to start 2015-11-20: enough rows for a window-2 LSTM, not for MV."""
+    path = short_history_csv.parent / "mid.csv"
+    assert cli.main(["synth", "--assets", "3", "--days", "800", "--seed", "1", "--out", str(path)]) == 0
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(row for row in rows if row[:10] >= "2015-11-20"))
+    return path
+
+
+@pytest.mark.parametrize("market, flags, message", [
+    ("short", "run --strategy lstm --budget 2", "training range before 2016 too short for window length 8"),
+    ("short", "compare --strategies lstm mlp --budget 2 --search-once", "training range before 2016 too short for window length 8"),
+    # MV fails after a trained strategy that passes
+    ("mid", "compare --strategies lstm mv --window 2 --budget 2", "need 50 rows before 2016 for the mean-variance window"),
+], ids=["run", "compare_search_once", "mv_after_trained"])
+def test_a_failing_data_check_starts_no_pool(market, flags, message, short_history_csv, mid_history_csv, tmp_path, capsys, monkeypatch):
+    made = record_executors(monkeypatch)
+    data, out = {"short": short_history_csv, "mid": mid_history_csv}[market], tmp_path / "o"
+    argv = [*flags.split(), "--data", str(data), "--out", str(out), "--first-test-year", "2016", "--jobs", "2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert made == []  # no executor, so no task sent
+    assert not out.exists()
+
+
+def test_a_data_error_comes_before_an_earlier_strategy_s_numeric_failure(short_history_csv, tmp_path, capsys):
+    # equal_weight alone is ruined on its first day at this cost rate (exit 3), but every
+    # strategy's data is checked before any strategy walks
+    out = tmp_path / "o"
+    argv = ["compare", "--strategies", "equal_weight", "lstm", "--cost-rate", "2", "--data", str(short_history_csv),
+            "--out", str(out), "--first-test-year", "2016"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "data error: training range before 2016 too short for window length 8\n"
     assert not out.exists()
 
 

@@ -26,7 +26,9 @@ from ptopt.data import (
 )
 from ptopt.errors import DataError, ParseError
 
-from helpers import clean_and_return_oracle, forward_fill_oracle, lag1_autocorr, load_csv_oracle, traced_peak, write_gapped_csv
+from helpers import (
+    clean_and_return_oracle, forward_fill_oracle, lag1_autocorr, load_csv_oracle, traced_peak, trading_days_oracle, write_gapped_csv,
+)
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -555,3 +557,12 @@ def test_trading_days_skip_weekends():
     assert out[0] == dt.date(2021, 1, 1)  # a Friday
     assert out[1] == dt.date(2021, 1, 4)  # the following Monday
     assert len(out) == 5
+
+
+@pytest.mark.parametrize("weekday", range(7))
+def test_trading_days_match_a_day_by_day_walk(weekday):
+    start = dt.date(2021, 1, 4) + dt.timedelta(days=weekday)  # from Monday 2021-01-04 to Sunday 2021-01-10
+    for n in (0, 1, 5, 5000):
+        out = trading_days(start, n)
+        assert out == trading_days_oracle(start, n)
+        assert all(type(day) is dt.date for day in out)

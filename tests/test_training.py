@@ -383,7 +383,7 @@ class TiedPool:
     def __init__(self, table):
         self.table = table
 
-    def run(self, payloads, largest=0):
+    def run(self, payloads, largest):
         return iter([
             (tr.Trial(index=i, params=combo, train_loss=0.0, val_loss=1.0, seconds=0.0), tr.FitResult([], 0, 1.0, np.array([float(i)])))
             for i, combo, *_ in payloads
@@ -402,8 +402,8 @@ def test_search_breaks_a_tie_for_the_earliest_trial():
 
 def test_search_ships_a_trial_that_trained_over_an_earlier_one_that_failed():
     class FirstFailsPool(TiedPool):
-        def run(self, payloads, largest=0):
-            (trial, _), *rest = super().run(payloads)
+        def run(self, payloads, largest):
+            (trial, _), *rest = super().run(payloads, largest)
             return iter([(replace(trial, train_loss=np.inf, val_loss=np.inf), TrainingError("non-finite loss")), *rest])
 
     table, split = search_fixture()
@@ -808,14 +808,42 @@ def test_walk_forward_rejects_unknown_strategy():
         tr.walk_forward(table, schedule, "xgboost")
 
 
-def test_walk_forward_checks_its_first_split_before_it_reads_an_outcome():
-    # the first split has a training window but no validation window; the later one has both
+@pytest.mark.parametrize("order, message", [
+    (["equal_weight", "lstm", "mv"], "training range before 2014 too short for window length 4"),
+    (["mv", "lstm"], "need 50 rows before 2014 for the mean-variance window"),
+], ids=["trained_first", "rule_first"])
+def test_walk_outcomes_checks_each_strategy_in_order_before_it_plans_a_task(order, message, monkeypatch):
+    # the first split has a training window but no validation window and too few rows for MV;
+    # the later one has both windows and the rows
     table = wf_table()
     schedule = WalkForwardSchedule([Split(2014, 12, 11, 260), Split(2015, 260, 234, 510)])
+    walks = {"lstm": tr.plan_walk("lstm", 4, None, None, tr.TrainConfig(max_epochs=1), CostModel(), 0, True)}
 
-    def unread():
-        raise AssertionError("an outcome was read before the first split was checked")
-        yield
+    def unplanned(*args):
+        raise AssertionError("a task was planned before every strategy was checked")
 
-    with pytest.raises(DataError, match="training range before 2014 too short for window length 4"):
-        tr.walk_forward(table, schedule, "lstm", tau=4, outcomes=unread())
+    monkeypatch.setattr(tr.TrainedWalk, "plan", unplanned)
+    with pytest.raises(DataError, match=message):
+        tr.walk_outcomes(schedule, order, walks, tr.TrialPool(table))
+
+
+def schedule_after(train_end):
+    """One 250-day test year, 2014, after ``train_end`` rows."""
+    return WalkForwardSchedule([Split(2014, train_end, train_end - 10, train_end + 250)])
+
+
+def test_mv_needs_its_lookback_rows_before_the_first_test_day():
+    table, lookback = wf_table(), tr.MVConfig.lookback
+    # exactly the lookback's rows: the first decision reads rows 0 .. lookback - 1
+    assert tr.walk_outcomes(schedule_after(lookback), ["mv"], {}, tr.TrialPool(table)) == {}
+    weights = tr.walk_forward(table, schedule_after(lookback), "mv").stream.weights
+    assert np.array_equal(weights[0], tr.mv_weights(table.returns[None, :lookback], tr.MVConfig())[0])
+    with pytest.raises(DataError, match=f"need {lookback} rows before 2014 for the mean-variance window"):
+        tr.walk_outcomes(schedule_after(lookback - 1), ["mv"], {}, tr.TrialPool(table))
+
+
+def test_a_walk_reads_no_row_before_row_0():
+    # without the pre-flight, MV's first view would start at row -1, a slice index that counts from the end
+    lookback = tr.MVConfig.lookback
+    with pytest.raises(DataError, match=f"{lookback} rows ending at row {lookback - 2} start before the first row"):
+        tr.walk_forward(wf_table(), schedule_after(lookback - 1), "mv")
