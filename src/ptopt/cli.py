@@ -156,23 +156,23 @@ def _plan_walks(cfg: RunConfig, strategies, keys) -> dict[str, TrainedWalk]:
         if space is not None and cfg.budget > 0:
             space.budget = cfg.budget
         base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
-        walks[strategy] = plan_walk(strategy, cfg.window, space, base_combo, base_cfg, costs, cfg.seed, not cfg.search_once)
+        walks[strategy] = plan_walk(strategy, cfg.window, space, base_combo, base_cfg, costs, cfg.seed)
     return walks
 
 
-def _write_run_artifacts(out: Path, result, curve, report: MetricsReport) -> None:
+def _write_run_artifacts(out: Path, outcomes: list, curve, report: MetricsReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_equity_csv(curve, out / "equity.csv")
     write_rolling_sharpe_csv(curve, out / "rolling_sharpe.csv")
     write_rows(out / "trials.csv", ["test_year", "trial", "params", "train_loss", "val_loss", "seconds"], (
         [o.test_year, t.index, json.dumps(t.params, sort_keys=True), repr(t.train_loss), repr(t.val_loss), repr(t.seconds)]
-        for o in result.outcomes for t in o.trials
+        for o in outcomes for t in o.trials
     ))
     write_rows(out / "history.csv", ["test_year", "epoch", "train_loss", "val_loss"], (
-        [o.test_year, e.epoch, repr(e.train_loss), repr(e.val_loss)] for o in result.outcomes for e in o.history
+        [o.test_year, e.epoch, repr(e.train_loss), repr(e.val_loss)] for o in outcomes for e in o.history
     ))
-    for outcome in result.outcomes:
+    for outcome in outcomes:
         save_checkpoint(outcome.model, out / f"checkpoint_{outcome.test_year}.ckpt")
 
 
@@ -211,8 +211,8 @@ def cmd_synth(args) -> int:
 def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path, str, str, list]:
     """The pipeline of ``run`` and ``compare``: check the flags and the output path, load and split
     the data once, check every strategy against it, send every trained strategy's fits to one trial
-    pool as one batch, then walk each strategy forward and back-test it. ``keep(result, curve, report)``
-    takes each strategy's turn before the next starts; only what it returns outlives it.
+    pool as one batch, then walk each strategy forward and back-test it. ``keep(outcomes, curve, report)``
+    takes each strategy's turn before the next strategy's outcomes are picked; only what it returns outlives it.
     Returns the config, output path, version, input digest and what was kept.
     """
     cfg = _run_config(args)
@@ -225,19 +225,17 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
     with TrialPool(table, args.jobs) as pool:
-        outcomes = walk_outcomes(schedule, strategies, walks, pool)
-        for strategy in strategies:
-            result = walk_forward(table, schedule, strategy, tau=cfg.window, outcomes=outcomes.get(strategy))
-            curve = run_backtest(result.stream, table, costs)
-            kept.append(keep(result, curve, compute_metrics(curve)))
-            del result  # its weights and models go before the next strategy runs, unless kept
+        for strategy, outcomes in zip(strategies, walk_outcomes(schedule, strategies, walks, pool, cfg.search_once)):
+            curve = run_backtest(walk_forward(table, schedule, strategy, outcomes), table, costs)
+            kept.append(keep(outcomes, curve, compute_metrics(curve)))
+            del outcomes  # its models go before the next strategy's are picked, unless kept
     return cfg, out, version, digest, kept
 
 
 def cmd_run(args) -> int:
     cfg, out, *provenance, [turn] = _walk_each(args, [args.strategy], TRAINED_STRATEGIES, lambda *turn: turn)
-    result, curve, report = turn
-    _write_run_artifacts(out, result, curve, report)
+    outcomes, curve, report = turn
+    _write_run_artifacts(out, outcomes, curve, report)
     write_manifest(out, "run", {**asdict(cfg), "strategy": args.strategy}, *provenance)
     print(f"{args.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
     return 0

@@ -325,9 +325,9 @@ def valid_combos(space: HyperparamSpace, strategy: str, n_assets: int, tau: int)
 @dataclass(frozen=True)
 class TrainedWalk:
     """How a trained walk fits split ``k``: a search of ``budget`` draws of ``combos`` at seed
-    ``seed + 104729 * k`` (split 0's alone unless ``search_each_split``), or else one trial, listed
-    nowhere, of split 0's winner or ``combo`` at seed ``seed + k``. A search draws uniformly with
-    replacement from its seed's generator, and its trial ``i`` fits at that seed plus ``i``."""
+    ``seed + 104729 * k``, or else one trial, listed nowhere, of a given winner or ``combo`` at seed
+    ``seed + k``. A search draws uniformly with replacement from its seed's generator, and its trial
+    ``i`` fits at that seed plus ``i``."""
 
     strategy: str
     tau: int
@@ -337,14 +337,10 @@ class TrainedWalk:
     base_cfg: TrainConfig
     costs: CostModel
     seed: int
-    search_each_split: bool
-
-    def searches(self, k: int) -> bool:
-        return self.combos is not None and (self.search_each_split or k == 0)
 
     def plan(self, k: int, split: Split, winner: dict | None = None) -> list:
-        """The ``_run_trial`` payloads of split ``k``, ``split``; an unsearched one fits ``winner`` if given."""
-        if self.searches(k):
+        """The ``_run_trial`` payloads of split ``k``, ``split``: a search if the walk has combos and no ``winner`` is given."""
+        if self.combos is not None and winner is None:
             combos, budget, seed = self.combos, self.budget, self.seed + 104729 * k
         else:
             combos, budget, seed = [winner or self.combo], 1, self.seed + k
@@ -353,8 +349,7 @@ class TrainedWalk:
 
 
 def plan_walk(
-    strategy: str, tau: int, space: HyperparamSpace | None, base_combo: dict | None,
-    base_cfg: TrainConfig, costs: CostModel, seed: int, search_each_split: bool,
+    strategy: str, tau: int, space: HyperparamSpace | None, base_combo: dict | None, base_cfg: TrainConfig, costs: CostModel, seed: int,
 ) -> TrainedWalk:
     """The checked plan of a ``strategy`` walk. It searches the combos ``valid_combos`` keeps of ``space``,
     each ``base_combo`` key it leaves out a one-value axis, or without a space, fits the base combo, which
@@ -366,7 +361,7 @@ def plan_walk(
         combos = valid_combos(replace(space, axes=axes), strategy, 2, tau)
     else:  # the base combo's own error, which names its setting
         model_config(strategy, 2, tau, combo, seed=0)
-    return TrainedWalk(strategy, tau, combos, space.budget if space else 1, combo, base_cfg, costs, seed, search_each_split)
+    return TrainedWalk(strategy, tau, combos, space.budget if space else 1, combo, base_cfg, costs, seed)
 
 
 @dataclass
@@ -462,23 +457,16 @@ def random_grid_search(plan: list, done: Iterator, n_assets: int) -> SplitOutcom
     return SplitOutcome(split.test_year, best.params, [t for t, _ in done], model, fit_result.history)
 
 
-def _picks(walk: TrainedWalk, splits: list[Split], done: Iterator, n_assets: int) -> Iterator[SplitOutcome]:
-    winner = None
-    for k, split in enumerate(splits):
-        outcome = random_grid_search(walk.plan(k, split, winner), done, n_assets)
-        winner = winner if k else outcome.params
-        if not walk.searches(k):
-            outcome.trials = []
-        yield outcome
-
-
-def walk_outcomes(schedule: WalkForwardSchedule, strategies: list[str], walks: dict[str, TrainedWalk], pool: TrialPool) -> dict[str, Iterator]:
-    """Each walk's outcome of each split of ``schedule``, by strategy, picked as the walk reads it, from one
-    batch of every walk's tasks, sent to ``pool`` after each of ``strategies``, in order, passes the first
-    split (the one with the fewest rows): MV needs its lookback rows, a trained strategy 2 assets and a training
-    and a validation window, else DataError. Under a first-split-only search the batch goes in two rounds:
-    every walk's first split, then each later split's one fit of its first split's winner. A split whose every
-    fit failed raises where its walk reads it, so no walk's failure comes before an earlier walk's."""
+def walk_outcomes(
+    schedule: WalkForwardSchedule, strategies: list[str], walks: dict[str, TrainedWalk], pool: TrialPool, search_once: bool = False,
+) -> Iterator[list[SplitOutcome]]:
+    """Each of ``strategies``' outcomes of every split of ``schedule``, one list per strategy, in order (``[]`` for a
+    rule), picked as the caller asks for it from one batch of every walk's tasks. The batch goes to ``pool`` after each
+    strategy, in order, passes the first split (the one with the fewest rows): MV needs its lookback rows, a trained
+    strategy 2 assets and a training and a validation window, else DataError. Under ``search_once`` a walk searches its
+    first split only and the batch goes in two rounds: every walk's first split, then each later split's one fit of
+    its first split's winner. The walks read one stream of results in listed order: a list is picked when asked for,
+    after every earlier one, and a split whose every fit failed raises then, never before an earlier walk's failure."""
     splits, n = schedule.splits, pool.table.n_assets
     for s in strategies:
         if s == "mv" and splits[0].train_end < MVConfig.lookback:
@@ -487,48 +475,48 @@ def walk_outcomes(schedule: WalkForwardSchedule, strategies: list[str], walks: d
             raise DataError(f"{s} needs at least 2 assets, got {n}")
         if s in walks and not all(map(len, split_windows(pool.table, splits[0], walks[s].tau))):
             raise DataError(f"training range before {splits[0].test_year} too short for window length {walks[s].tau}")
-    once = len(splits) > 1 and any(w.combos is not None and not w.search_each_split for w in walks.values())
-    batch = [w.plan(k, split) for w in walks.values() for k, split in enumerate(splits[: 1 if once else None])]
-    largest = max(sum(map(len, batch)), once * len(walks) * (len(splits) - 1))
-    done = pool.run([task for plan in batch for task in plan], largest)
-    if not once:
-        return {s: _picks(w, splits, done, n) for s, w in walks.items()}
-    firsts = [[next(done) for _ in plan] for plan in batch]  # if every trial failed, its walk raises first
-    tasks = [t for w, f in zip(walks.values(), firsts) for k, split in enumerate(splits[1:], 1) for t in w.plan(k, split, _best(f)[0].params)]
-    done = pool.run(tasks, largest)
-    return {s: _picks(w, splits, itertools.chain(f, done), n) for (s, w), f in zip(walks.items(), firsts)}
+    trained = {s: walks[s] for s in strategies if s in walks}
+    once = search_once and len(splits) > 1 and any(w.combos is not None for w in trained.values())
+    plans = {s: [w.plan(k, split) for k, split in enumerate(splits[: 1 if once else None])] for s, w in trained.items()}
+    largest = max(sum(len(p) for ps in plans.values() for p in ps), once * len(trained) * (len(splits) - 1))
+    done, firsts = pool.run([t for ps in plans.values() for p in ps for t in p], largest), {}
+    if once:  # if every trial of a first split failed, its walk raises before its later fits are read
+        firsts = {s: [next(done) for _ in ps[0]] for s, ps in plans.items()}
+        for s, w in trained.items():
+            plans[s] += [w.plan(k, split, _best(firsts[s])[0].params) for k, split in enumerate(splits[1:], 1)]
+        done = pool.run([t for ps in plans.values() for p in ps[1:] for t in p], largest)
+    for s in strategies:
+        outcomes, results = [], itertools.chain(firsts.pop(s, ()), done)
+        for k, plan in enumerate(plans.get(s, ())):
+            outcomes.append(random_grid_search(plan, results, n))
+            if trained[s].combos is None or (once and k):  # a split that did not search lists no trial
+                outcomes[-1].trials = []
+        yield outcomes
 
 
 # ---------------------------------------------------------------------------
 # walk-forward
 
 
-@dataclass
-class WalkForwardResult:
-    stream: WeightStream
-    outcomes: list[SplitOutcome]
-
-
 def walk_forward(
-    table: ReturnTable,
-    schedule: WalkForwardSchedule,
-    strategy: str,
-    tau: int = 8,
-    outcomes: Iterator[SplitOutcome] | None = None,
-) -> WalkForwardResult:
+    table: ReturnTable, schedule: WalkForwardSchedule, strategy: str, outcomes: list[SplitOutcome] = (),
+) -> WeightStream:
     """Emit daily allocations over every test year of ``schedule``.
 
     Rows go into one ``(test days, n)`` matrix, dated the decision day and
     earning the following trading day's returns. A rule fills it once, over the
-    whole test stream, and returns no outcomes. MV does so in one ``blockwise``
+    whole test stream, and takes no outcomes. MV does so in one ``blockwise``
     pass of as many days per ``mv_weights`` call as fit one ``(days, n, n)`` stack
     in ``_MV_STACK_BYTES``, so its temporaries do not grow with the universe.
-    A trained strategy reads one outcome per split from ``outcomes``, as ``walk_outcomes``
-    picks them, and fills the split's rows from the outcome's model, retrained on all prior data.
+    A trained strategy takes one outcome per split, as ``walk_outcomes`` picks them,
+    and fills the split's rows from the outcome's model, retrained on all prior data.
     The walk checks no data: ``walk_outcomes`` does, before any fit, and a view before row 0 raises.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    expected = len(schedule.splits) if strategy in TRAINED_STRATEGIES else 0
+    if len(outcomes) != expected:
+        raise ValueError(f"a {strategy} walk of {len(schedule.splits)} splits takes {expected} outcomes, got {len(outcomes)}")
     n = table.n_assets
     start = schedule.splits[0].train_end - 1  # the stream's first decision row; the splits are consecutive
     dates = table.dates[start : schedule.splits[-1].test_end - 1]
@@ -539,15 +527,9 @@ def walk_forward(
         mv = MVConfig()
         histories = _ending_at(table.returns, mv.lookback, start, len(dates))  # each test day's trailing rows, as views
         blockwise(lambda h: mv_weights(h, mv), histories, weights, max(1, _MV_STACK_BYTES // (8 * n * n)))
-    if strategy not in TRAINED_STRATEGIES:
-        return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=[])
-
-    kept: list[SplitOutcome] = []
-    for split, outcome in zip(schedule.splits, outcomes):  # zip reads no outcome past the last split
+    for split, outcome in zip(schedule.splits, outcomes):
         first = split.train_end - 1  # one decision per test-year return row, dated the prior trading day
         rows = weights[first - start : split.test_end - 1 - start]  # this split's rows of the stream
         # every test day of the split, through the gradient-free forwards of ptopt.model.blockwise
-        rows[:] = outcome.model.day_weights(_ending_at(table.returns, 2 * tau, first, len(rows)))
-        kept.append(outcome)
-
-    return WalkForwardResult(stream=WeightStream(dates, weights), outcomes=kept)
+        rows[:] = outcome.model.day_weights(_ending_at(table.returns, 2 * outcome.model.config.window, first, len(rows)))
+    return WeightStream(dates, weights)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 import tracemalloc
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -395,22 +396,22 @@ def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed
     """The outcome of a grid search of ``space`` on ``split`` alone: a one-split walk's, whose
     generator and trials start at ``seed``, planned, sent to ``pool`` (in-process if None) and
     picked as ``ptopt run`` does each split."""
-    walk = tr.plan_walk(strategy, tau, space, None, base_cfg, costs, seed, True)
-    outcomes = tr.walk_outcomes(WalkForwardSchedule([split]), [strategy], {strategy: walk}, pool or tr.TrialPool(table))
-    return next(outcomes[strategy])
+    walk = tr.plan_walk(strategy, tau, space, None, base_cfg, costs, seed)
+    [[outcome]] = tr.walk_outcomes(WalkForwardSchedule([split]), [strategy], {strategy: walk}, pool or tr.TrialPool(table))
+    return outcome
 
 
 def walk(
     table, schedule, strategy, tau=8, space=None, base_cfg=tr.TrainConfig(), costs=CostModel(), seed=0, pool=None,
-    search_each_split=True, base_combo=None,
-) -> tr.WalkForwardResult:
-    """``training.walk_forward`` of one strategy, a trained one's walk planned and its fits sent to
-    ``pool`` (in-process if None) as ``ptopt run`` plans and sends them."""
+    search_once=False, base_combo=None,
+) -> SimpleNamespace:
+    """The ``stream`` of ``training.walk_forward`` of one strategy and the ``outcomes`` it was given, a trained
+    one's walk planned and its fits sent to ``pool`` (in-process if None) as ``ptopt run`` plans and sends them."""
     walks = {}
     if strategy in tr.TRAINED_STRATEGIES:
-        walks[strategy] = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed, search_each_split)
-    outcomes = tr.walk_outcomes(schedule, [strategy], walks, pool or tr.TrialPool(table))
-    return tr.walk_forward(table, schedule, strategy, tau, outcomes.get(strategy))
+        walks[strategy] = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed)
+    [outcomes] = tr.walk_outcomes(schedule, [strategy], walks, pool or tr.TrialPool(table), search_once)
+    return SimpleNamespace(stream=tr.walk_forward(table, schedule, strategy, outcomes), outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------

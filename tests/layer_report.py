@@ -72,7 +72,7 @@ def csv_rows(path) -> tuple[dict, int]:
     prices = load_csv(path)
     table = clean_and_return(prices)
     schedule = yearly_splits(table, table.dates[0].year + 2)
-    stream = tr.walk_forward(table, schedule, "mv").stream
+    stream = tr.walk_forward(table, schedule, "mv")
     curve = run_backtest(stream, table, CostModel())
     return {
         "load_csv": lambda: load_csv(path),

@@ -39,13 +39,15 @@ CATALOGUE = [
      "an unsearched split fits at seed + split_idx"),
     (TRAINING, "self.seed + 104729 * k", "self.seed + 104723 * k",
      "a searched split's generator and trials start at seed + 104729 * split_idx"),
-    (TRAINING, "(self.search_each_split or k == 0)", "(self.search_each_split or k <= 1)",
+    (TRAINING, "once = search_once and len(splits) > 1", "once = False and len(splits) > 1",
      "--search-once searches the first split only"),
-    (TRAINING, "w.plan(k, split, _best(f)[0].params)", "w.plan(k, split)",
+    (TRAINING, "if self.combos is not None and winner is None:", "if self.combos is not None:",
+     "a split given a winner fits it once, whether or not the walk has combos"),
+    (TRAINING, "w.plan(k, split, _best(firsts[s])[0].params)", "w.plan(k, split, firsts[s][-1][0].params)",
      "with --search-once, the later splits fit the first split's winner"),
     (TRAINING, "split_windows(pool.table, splits[0], walks[s].tau)", "split_windows(pool.table, splits[-1], walks[s].tau)",
      "the pre-flight checks a trained strategy's first split, the one with the fewest windows"),
-    (TRAINING, "    for s in strategies:\n", "    for s in strategies[::-1]:\n",
+    (TRAINING, "    for s in strategies:\n        if s == ", "    for s in strategies[::-1]:\n        if s == ",
      "the pre-flight checks the strategies in listed order, so the first listed strategy's error comes first"),
     (TRAINING, "splits[0].train_end < MVConfig.lookback", "splits[0].train_end <= MVConfig.lookback",
      "MV walks a first split with exactly its lookback's rows before it"),
@@ -57,8 +59,12 @@ CATALOGUE = [
      "a tie on validation loss goes to the earliest trial"),
     (TRAINING, "best.params, seed + best.index)", "best.params, seed)",
      "the shipped model is built at its winning trial's seed"),
-    (TRAINING, "outcome.trials = []", "outcome.trials = outcome.trials",
+    (TRAINING, "outcomes[-1].trials = []", "outcomes[-1].trials = outcomes[-1].trials",
      "an unsearched split lists no trial, so trials.csv holds searches only"),
+    (TRAINING, "(once and k)", "(once and k > 1)",
+     "under --search-once, a later split's one fit of the winner lists no trial"),
+    (TRAINING, "if len(outcomes) != expected:", "if len(outcomes) > expected:",
+     "a trained walk given fewer outcomes than splits raises, not returns unfilled rows"),
     (TRAINING, "replace(base_cfg, seed=seed + index,", "replace(base_cfg, seed=seed + 2 * index,",
      "trial i fits at seed + i"),
     # the fit

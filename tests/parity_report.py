@@ -1,19 +1,21 @@
-"""Byte parity of two source trees: the outputs of eight commands and the errors of four, file by file.
+"""Byte parity of two source trees: the outputs of nine commands and the errors of four, file by file.
 
     python3 tests/parity_report.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout or an export of this repository. For each, in its own
 subprocess with ``OPENBLAS_NUM_THREADS=1`` and that tree's ``src`` and
 ``perfbench`` first on the path, the script writes the seed-1 markets of
-``perfbench/workloads.py`` and runs eight commands:
+``perfbench/workloads.py`` and runs nine commands:
 
 - the three perfbench workload commands, each on its own market;
 - on the baseline_search market, with ``--first-test-year 2015 --max-epochs 2``:
   ``run --strategy pt --budget 2 --patience 1``,
   ``compare --strategies pt lstm mlp mv equal_weight --budget 2 --search-once``,
-  ``run --strategy mlp --budget 2 --search-once --jobs 2``, ``run --strategy lstm``
-  and ``compare --strategies lstm mlp mv --jobs 2``, whose unsearched fits of
-  both test years go to the pool as one batch;
+  ``run --strategy mlp --budget 2 --search-once --jobs 2``, ``run --strategy lstm``,
+  ``compare --strategies lstm mlp mv --jobs 2``, whose unsearched fits of
+  both test years go to the pool as one batch, and
+  ``compare --strategies lstm mlp mv --budget 2 --search-once --jobs 2``, whose
+  two searched walks send both rounds of the batch to the pool's workers;
 - on a short-history market (the 3-asset, 800-day seed-1 synth from
   2015-12-01 on, tested from 2016), four commands that fail on the data:
   ``run --strategy mv``, ``run --strategy lstm --budget 2 --jobs 2``,
@@ -41,7 +43,7 @@ from pathlib import Path
 
 WORKLOADS = ("pt_walkforward", "baseline_search", "wide_ingest")
 SEED = 1
-MARKET = "baseline_search"  # the market of the five commands below
+MARKET = "baseline_search"  # the market of the six commands below
 SHARED = ["--first-test-year", "2015", "--max-epochs", "2"]
 COMMANDS = {
     "run_pt_search": ["run", "--strategy", "pt", "--budget", "2", "--patience", "1"],
@@ -49,6 +51,7 @@ COMMANDS = {
     "run_mlp_jobs": ["run", "--strategy", "mlp", "--budget", "2", "--search-once", "--jobs", "2"],
     "run_lstm": ["run", "--strategy", "lstm"],
     "compare_unsearched_jobs": ["compare", "--strategies", "lstm", "mlp", "mv", "--jobs", "2"],
+    "compare_search_once_jobs": ["compare", "--strategies", "lstm", "mlp", "mv", "--budget", "2", "--search-once", "--jobs", "2"],
 }
 SHORT = ["--first-test-year", "2016"]  # of the failing commands below, on the short-history market
 FAILING = {
@@ -61,7 +64,7 @@ IDENTICAL, IGNORED_ONLY = "identical", "identical apart from ignored fields"
 
 
 def run_commands(tree: Path, work: Path) -> None:
-    """Write the markets and run the twelve commands on ``tree``'s code, into ``work``."""
+    """Write the markets and run the thirteen commands on ``tree``'s code, into ``work``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import ptopt
     from ptopt.cli import main

@@ -165,7 +165,7 @@ def test_walk_forward_mv_equals_per_day_oracle():
     first = schedule.splits[0]
     assert (first.test_end - first.train_end) % chunk  # so one chunk holds the last 2015 and the first 2016 days
     cfg = MVConfig()
-    weights = walk_forward(table, schedule, "mv").stream.weights
+    weights = walk_forward(table, schedule, "mv").weights
     decisions = range(schedule.splits[0].train_end - 1, schedule.splits[-1].test_end - 1)
     np.testing.assert_array_equal(weights, mv_weights_oracle(table.returns, decisions, cfg.lookback, cfg.ridge))
 
@@ -180,9 +180,9 @@ def mv_market(days, n, seed=0):
 def test_mv_walk_weights_do_not_depend_on_the_chunk(chunk, monkeypatch):
     table = mv_market(400, 12)
     schedule = WalkForwardSchedule([Split(2020, 250, 225, 400)])  # 150 test days
-    expected = walk_forward(table, schedule, "mv").stream.weights
+    expected = walk_forward(table, schedule, "mv").weights
     monkeypatch.setattr(tr, "_MV_STACK_BYTES", chunk * 8 * 12 * 12)
-    assert np.array_equal(walk_forward(table, schedule, "mv").stream.weights, expected)
+    assert np.array_equal(walk_forward(table, schedule, "mv").weights, expected)
 
 
 def test_mv_walk_peak_does_not_grow_with_assets():
@@ -195,7 +195,7 @@ def test_mv_walk_peak_does_not_grow_with_assets():
         table = mv_market(80, n, seed=n)
         schedule = WalkForwardSchedule([Split(2020, 60, 54, 80)])
         result, peak = traced_peak(lambda: walk_forward(table, schedule, "mv"))
-        temporaries.append(peak - result.stream.weights.nbytes)
+        temporaries.append(peak - result.weights.nbytes)
     assert temporaries[1] <= temporaries[0] + 64 * 1024, temporaries
 
 

@@ -320,9 +320,9 @@ def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
     planned = {}
     walk_outcomes = cli.walk_outcomes
 
-    def recording(schedule, strategies, walks, pool):
+    def recording(schedule, strategies, walks, pool, search_once):
         planned.update(walks)
-        return walk_outcomes(schedule, strategies, walks, pool)
+        return walk_outcomes(schedule, strategies, walks, pool, search_once)
 
     monkeypatch.setattr(cli, "walk_outcomes", recording)
     space = tmp_path / "space.json"
@@ -944,7 +944,7 @@ def test_compare_holds_one_weight_stream_at_a_time(tmp_path, monkeypatch):
     def traced_walk(*args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0])
         result = walk(*args, **kwargs)
-        streams.append(result.stream.weights.nbytes)
+        streams.append(result.weights.nbytes)
         return result
 
     monkeypatch.setattr(cli, "walk_forward", traced_walk)

@@ -59,7 +59,7 @@ def run(table, strategy, way):
     space = None if way == "fit" else tr.HyperparamSpace(axes=SPACES[strategy], budget=2)
     return walk(
         table, SCHEDULE, strategy, tau=TAU, space=space, base_cfg=CFG, seed=3,
-        search_each_split=way != "search_once", base_combo={"d_model": 4} if strategy == "pt" else None,
+        search_once=way == "search_once", base_combo={"d_model": 4} if strategy == "pt" else None,
     )
 
 

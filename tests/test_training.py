@@ -15,7 +15,7 @@ import ptopt.training as tr
 from ptopt.autograd import Tensor
 from ptopt.data import ReturnTable, Split, SynthConfig, WalkForwardSchedule, clean_and_return, synth_generate, yearly_splits
 from ptopt.errors import DataError, TrainingError
-from ptopt.metrics import EquityCurve, MetricsReport, WeightStream, run_backtest
+from ptopt.metrics import EquityCurve, MetricsReport, run_backtest
 from ptopt.model import PTConfig, PortfolioTransformer, _pack
 from ptopt.objective import CostModel
 
@@ -632,8 +632,7 @@ def test_trials_csv_roundtrip(tmp_path):
     ]
     model = tr.build_model("lstm", 2, 4, {"hidden": 4}, seed=0)
     outcome = tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=model, history=[])
-    result = tr.WalkForwardResult(WeightStream([], np.empty((0, 2))), [outcome])
-    cli._write_run_artifacts(tmp_path, result, EquityCurve([], []), MetricsReport(*[0.0] * 7))
+    cli._write_run_artifacts(tmp_path, [outcome], EquityCurve([], []), MetricsReport(*[0.0] * 7))
     path = tmp_path / "trials.csv"
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -679,13 +678,12 @@ def test_walk_forward_equal_weight_dates_and_rows():
     table = wf_table()
     schedule = yearly_splits(table, 2016)
     split = schedule.splits[0]
-    result = tr.walk_forward(table, schedule, "equal_weight")
-    assert result.outcomes == []
+    stream = tr.walk_forward(table, schedule, "equal_weight")
     n_test = split.test_end - split.train_end
-    assert len(result.stream.dates) == n_test
-    assert result.stream.dates[0] == table.dates[split.train_end - 1]
-    assert result.stream.dates[-1] == table.dates[split.test_end - 2]
-    assert np.allclose(result.stream.weights, 1.0 / 3.0)
+    assert len(stream.dates) == n_test
+    assert stream.dates[0] == table.dates[split.train_end - 1]
+    assert stream.dates[-1] == table.dates[split.test_end - 2]
+    assert np.allclose(stream.weights, 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
@@ -705,8 +703,7 @@ def test_walk_forward_curve_covers_exactly_the_test_rows():
     table = wf_table()
     schedule = yearly_splits(table, 2016)
     split = schedule.splits[0]
-    result = tr.walk_forward(table, schedule, "mv")
-    curve = run_backtest(result.stream, table, CostModel())
+    curve = run_backtest(tr.walk_forward(table, schedule, "mv"), table, CostModel())
     assert list(curve.dates) == list(table.dates[split.train_end : split.test_end])
     assert all(d.year == 2016 for d in curve.dates)
 
@@ -721,8 +718,8 @@ def test_walk_forward_mv_ignores_future_rows():
 
     bent = ReturnTable(dates=table.dates, tickers=table.tickers, returns=returns)
     schedule = yearly_splits(table, 2016)
-    a = tr.walk_forward(table, schedule, "mv").stream
-    b = tr.walk_forward(bent, schedule, "mv").stream
+    a = tr.walk_forward(table, schedule, "mv")
+    b = tr.walk_forward(bent, schedule, "mv")
     date_to_row = {d: i for i, d in enumerate(a.dates)}
     for d, i in date_to_row.items():
         decision_row = table.dates.index(d)
@@ -749,7 +746,7 @@ def test_walk_forward_search_once_reuses_first_split_choice():
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
     result = walk(
         table, schedule, "lstm", tau=4, space=space,
-        base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=1, search_each_split=False,
+        base_cfg=tr.TrainConfig(max_epochs=1, seed=0), seed=1, search_once=True,
     )
     assert len(result.outcomes[0].trials) == 2
     assert result.outcomes[1].trials == []
@@ -779,6 +776,44 @@ def test_searched_split_ships_the_winning_trial(jobs):
         assert np.array_equal(outcome.model.vector, solo.vector)
         assert outcome.history == solo.history
         assert solo.best_val == winner.val_loss
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["in_process", "tied_pool"])
+@pytest.mark.parametrize("budget, search_once", [(0, False), (2, False), (2, True)], ids=["unsearched", "budget_2", "budget_2_search_once"])
+def test_one_batch_gives_each_walk_its_solo_outcomes(budget, search_once, tied):
+    # the walks share one stream of results: each list must take its own walk's, in order
+    table = make_table(300, seed=3, momentum=0.5)
+    schedule = WalkForwardSchedule([Split(2014, 200, 160, 250), Split(2015, 250, 210, 300)])
+    axes = {"lstm": {"hidden": [3, 5]}, "mlp": {"hidden": [[3], [4]]}}
+    walks = {
+        s: tr.plan_walk(s, 4, tr.HyperparamSpace(axes[s], budget) if budget else None, None, tr.TrainConfig(max_epochs=1), CostModel(), 1)
+        for s in axes
+    }
+    pool = TiedPool if tied else tr.TrialPool
+    batch = list(tr.walk_outcomes(schedule, ["lstm", "mv", "mlp"], walks, pool(table), search_once))
+    assert len(batch) == 3 and batch[1] == []
+    for strategy, outcomes in (("lstm", batch[0]), ("mlp", batch[2])):
+        [solo] = tr.walk_outcomes(schedule, [strategy], {strategy: walks[strategy]}, pool(table), search_once)
+        assert len(outcomes) == len(solo) == 2
+        for a, b in zip(outcomes, solo):
+            assert (a.test_year, a.params, a.history, a.model.config) == (b.test_year, b.params, b.history, b.model.config)
+            assert [(t.index, t.params, t.train_loss, t.val_loss) for t in a.trials] == [
+                (t.index, t.params, t.train_loss, t.val_loss) for t in b.trials
+            ]
+            assert np.array_equal(a.model.vector, b.model.vector)
+        assert [len(o.trials) for o in outcomes] == [budget, 0 if search_once else budget]
+
+
+@pytest.mark.parametrize("strategy, given", [("lstm", 1), ("lstm", 3), ("mv", 1), ("equal_weight", 2)])
+def test_walk_forward_takes_one_outcome_per_trained_split_and_none_for_a_rule(strategy, given):
+    # given one outcome, a two-split lstm walk returned its second year's rows unfilled
+    table = wf_table(n_days=1050, seed=13)
+    schedule = yearly_splits(table, 2016)
+    model = tr.build_model("lstm", table.n_assets, 4, {}, seed=0)
+    outcomes = [tr.SplitOutcome(2016 + k, {}, [], model, []) for k in range(given)]
+    expected = 2 if strategy == "lstm" else 0
+    with pytest.raises(ValueError, match=f"a {strategy} walk of 2 splits takes {expected} outcomes, got {given}"):
+        tr.walk_forward(table, schedule, strategy, outcomes=outcomes)
 
 
 def test_search_where_every_trial_fails_raises(monkeypatch):
@@ -817,14 +852,14 @@ def test_walk_outcomes_checks_each_strategy_in_order_before_it_plans_a_task(orde
     # the later one has both windows and the rows
     table = wf_table()
     schedule = WalkForwardSchedule([Split(2014, 12, 11, 260), Split(2015, 260, 234, 510)])
-    walks = {"lstm": tr.plan_walk("lstm", 4, None, None, tr.TrainConfig(max_epochs=1), CostModel(), 0, True)}
+    walks = {"lstm": tr.plan_walk("lstm", 4, None, None, tr.TrainConfig(max_epochs=1), CostModel(), 0)}
 
     def unplanned(*args):
         raise AssertionError("a task was planned before every strategy was checked")
 
     monkeypatch.setattr(tr.TrainedWalk, "plan", unplanned)
     with pytest.raises(DataError, match=message):
-        tr.walk_outcomes(schedule, order, walks, tr.TrialPool(table))
+        next(tr.walk_outcomes(schedule, order, walks, tr.TrialPool(table)))
 
 
 def schedule_after(train_end):
@@ -835,11 +870,11 @@ def schedule_after(train_end):
 def test_mv_needs_its_lookback_rows_before_the_first_test_day():
     table, lookback = wf_table(), tr.MVConfig.lookback
     # exactly the lookback's rows: the first decision reads rows 0 .. lookback - 1
-    assert tr.walk_outcomes(schedule_after(lookback), ["mv"], {}, tr.TrialPool(table)) == {}
-    weights = tr.walk_forward(table, schedule_after(lookback), "mv").stream.weights
+    assert list(tr.walk_outcomes(schedule_after(lookback), ["mv"], {}, tr.TrialPool(table))) == [[]]
+    weights = tr.walk_forward(table, schedule_after(lookback), "mv").weights
     assert np.array_equal(weights[0], tr.mv_weights(table.returns[None, :lookback], tr.MVConfig())[0])
     with pytest.raises(DataError, match=f"need {lookback} rows before 2014 for the mean-variance window"):
-        tr.walk_outcomes(schedule_after(lookback - 1), ["mv"], {}, tr.TrialPool(table))
+        next(tr.walk_outcomes(schedule_after(lookback - 1), ["mv"], {}, tr.TrialPool(table)))
 
 
 def test_a_walk_reads_no_row_before_row_0():
