@@ -15,10 +15,12 @@ of the input file, so any result can be traced back to what produced it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -47,7 +49,6 @@ from ptopt.training import (
     TrainConfig,
     TrainedWalk,
     TrialPool,
-    default_space,
     plan_walk,
     walk_forward,
     walk_outcomes,
@@ -97,18 +98,35 @@ def version_string() -> str:
     return f"v{__version__}"
 
 
-def check_out_dir(path: str, force: bool) -> Path:
+def _earlier_output(out: Path) -> bool:
+    """Whether ``out`` holds the ``manifest.json`` of an earlier run or compare: the one directory ``--force`` replaces."""
+    try:
+        return json.loads((out / "manifest.json").read_text(encoding="utf-8")).get("command") in ("run", "compare")
+    except (OSError, ValueError, AttributeError):
+        return False
+
+
+def check_out_dir(path: str, force: bool, data: str) -> Path:
     """Refuse an output path that cannot take this run, before any work.
 
-    The directory is created only when the artifacts are written, so a run
-    that fails on its inputs leaves nothing behind.
+    ``_publishing`` fills an empty directory in place, and else writes a hidden sibling whole and renames it into
+    place, so it needs write access there. ``--force`` replaces only an earlier run's or compare's directory, and
+    never one that holds the input.
     """
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ValueError(f"output path {out}: {existing} exists and is not a directory")
-    if existing == out and any(out.iterdir()) and not force:
-        raise ValueError(f"output directory {out} is not empty; pass --force to overwrite")
+    if existing == out and any(out.iterdir()):
+        if not force:
+            raise ValueError(f"output directory {out} is not empty; pass --force to overwrite")
+        if not _earlier_output(out):
+            raise ValueError(f"output directory {out} holds no manifest.json of a run or compare; --force replaces only those")
+        if os.path.ismount(out) or out.resolve() in Path(data).resolve().parents:
+            raise ValueError(f"output directory {out} is a mount point or holds the input; --force cannot replace it")
+        existing = out.parent
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ValueError(f"output path {out}: cannot write in {existing}")
     return out
 
 
@@ -132,9 +150,9 @@ def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha25
 
 
 def _plan_walks(cfg: RunConfig, strategies, keys) -> dict[str, TrainedWalk]:
-    """The checked ``plan_walk`` of each trained strategy among ``strategies``. It searches its ``--space``
-    entry, else the default grid when ``--budget`` asks for a search. A space file keyed by strategy may
-    name only trained strategies among ``keys``. ``--t2v-k`` sets pt's base combo."""
+    """The checked ``plan_walk`` of each trained strategy among ``strategies``, given its ``--space`` entry and
+    ``--budget``. A space file keyed by strategy may name only trained strategies among ``keys``. ``--t2v-k``
+    sets pt's base combo."""
     given = {}
     if cfg.space_path is not None:
         try:
@@ -148,20 +166,45 @@ def _plan_walks(cfg: RunConfig, strategies, keys) -> dict[str, TrainedWalk]:
             if stray:
                 raise ValueError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
     base_cfg, costs = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience), CostModel(cfg.cost_rate)
-    walks = {}
-    for strategy in (s for s in strategies if s in TRAINED_STRATEGIES):
-        space = given.get(strategy)
-        if space is None and cfg.budget > 0:
-            space = default_space(strategy)
-        if space is not None and cfg.budget > 0:
-            space.budget = cfg.budget
-        base_combo = {"t2v_k": cfg.t2v_k} if strategy == "pt" else None
-        walks[strategy] = plan_walk(strategy, cfg.window, space, base_combo, base_cfg, costs, cfg.seed)
-    return walks
+    return {
+        s: plan_walk(s, cfg.window, given.get(s), cfg.budget, {"t2v_k": cfg.t2v_k} if s == "pt" else None, base_cfg, costs, cfg.seed)
+        for s in strategies if s in TRAINED_STRATEGIES
+    }
+
+
+@contextlib.contextmanager
+def _publishing(out: Path):
+    """Yield the directory to write every file into, ``manifest.json`` last. An empty ``out`` (a mount point,
+    say) is filled in place and emptied again on failure. Else a fresh hidden sibling is filled and renamed to
+    ``out``, after an earlier run or compare there is moved aside; that one is deleted only after the rename and
+    put back on any failure. So ``out`` never holds two runs' files, nor a part of one beside a manifest."""
+    out = out.resolve()
+    if out.is_dir() and not any(out.iterdir()):
+        try:
+            yield out
+        except BaseException:
+            for p in out.iterdir():
+                p.unlink()
+            raise
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}")
+    aside = tmp.with_name(tmp.name + ".old")
+    tmp.mkdir()
+    try:
+        yield tmp
+        if _earlier_output(out):  # any other directory at out makes the rename below fail, and stays as it is
+            out.rename(aside)
+        tmp.rename(out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        if aside.exists():
+            aside.rename(out)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)  # there is none if out was not there
 
 
 def _write_run_artifacts(out: Path, outcomes: list, curve, report: MetricsReport) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
     write_equity_csv(curve, out / "equity.csv")
     write_rolling_sharpe_csv(curve, out / "rolling_sharpe.csv")
@@ -216,7 +259,7 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     Returns the config, output path, version, input digest and what was kept.
     """
     cfg = _run_config(args)
-    out = check_out_dir(cfg.out_dir, args.force)
+    out = check_out_dir(cfg.out_dir, args.force, cfg.data)
     walks = _plan_walks(cfg, strategies, keys)
     costs, kept = CostModel(cfg.cost_rate), []
     version = version_string()
@@ -235,8 +278,9 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
 def cmd_run(args) -> int:
     cfg, out, *provenance, [turn] = _walk_each(args, [args.strategy], TRAINED_STRATEGIES, lambda *turn: turn)
     outcomes, curve, report = turn
-    _write_run_artifacts(out, outcomes, curve, report)
-    write_manifest(out, "run", {**asdict(cfg), "strategy": args.strategy}, *provenance)
+    with _publishing(out) as tmp:
+        _write_run_artifacts(tmp, outcomes, curve, report)
+        write_manifest(tmp, "run", {**asdict(cfg), "strategy": args.strategy}, *provenance)
     print(f"{args.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
     return 0
 
@@ -253,18 +297,14 @@ def cmd_compare(args) -> int:
         raise ValueError("duplicate strategy in compare list")
     cfg, out, *provenance, turns = _walk_each(args, args.strategies, args.strategies, lambda _, curve, report: (curve, report))
     curves, reports = zip(*turns)
-
-    out.mkdir(parents=True, exist_ok=True)
-    columns = {c: [getattr(report, c) for report in reports] for c in METRIC_COLUMNS}
-    write_series_csv(args.strategies, columns, out / "comparison.csv", key="strategy")
-
-    table_text = render_table(list(zip(args.strategies, reports)))
-    (out / "comparison.txt").write_text(table_text, encoding="utf-8")
-
-    cumulative = {s: curve.cumulative for s, curve in zip(args.strategies, curves)}
-    write_series_csv(curves[0].dates, cumulative, out / "equity_curves.csv")
-
-    write_manifest(out, "compare", {**asdict(cfg), "strategies": args.strategies}, *provenance)
+    with _publishing(out) as tmp:
+        columns = {c: [getattr(report, c) for report in reports] for c in METRIC_COLUMNS}
+        write_series_csv(args.strategies, columns, tmp / "comparison.csv", key="strategy")
+        table_text = render_table(list(zip(args.strategies, reports)))
+        (tmp / "comparison.txt").write_text(table_text, encoding="utf-8")
+        cumulative = {s: curve.cumulative for s, curve in zip(args.strategies, curves)}
+        write_series_csv(curves[0].dates, cumulative, tmp / "equity_curves.csv")
+        write_manifest(tmp, "compare", {**asdict(cfg), "strategies": args.strategies}, *provenance)
     print(table_text, end="")
     return 0
 
@@ -300,7 +340,7 @@ def _add_shared_run_flags(p) -> None:
     p.add_argument("--patience", type=int)
     p.add_argument("--jobs", type=int, default=1, help="most worker processes for the fits, one pool per command")
     p.add_argument("--search-once", action="store_true", help="reuse the first split's search result")
-    p.add_argument("--force", action="store_true", help="allow writing into a non-empty directory")
+    p.add_argument("--force", action="store_true", help="replace an earlier run's or compare's output directory")
     p.set_defaults(**{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING})
 
 

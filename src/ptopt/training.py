@@ -275,13 +275,11 @@ _DEFAULT_AXES = {
 
 def default_space(strategy: str) -> HyperparamSpace:
     """The grid a ``--budget`` search samples when no ``--space`` file is given."""
-    if strategy not in _DEFAULT_AXES:
-        raise ValueError(f"no hyperparameter space for strategy {strategy!r}")
     return HyperparamSpace(axes={name: list(values) for name, values in _DEFAULT_AXES[strategy].items()})
 
 
 # the combo keys each trainable strategy's model_config reads: every field of its
-# config but the three a run sets itself. _run_trial reads FIT_AXES.
+# config but the three a run sets itself. fit_config reads FIT_AXES.
 MODEL_AXES = {
     kind: tuple(f.name for f in fields(cls.config_class) if f.name not in ("n_assets", "window", "seed"))
     for kind, cls in MODEL_KINDS.items()
@@ -291,8 +289,6 @@ FIT_AXES = ("learning_rate", "batch_size")
 
 def model_config(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     """The validated architecture config of a trainable strategy; an axis the combo leaves out keeps its default."""
-    if strategy not in MODEL_AXES:
-        raise ValueError(f"not a trainable strategy: {strategy!r}")
     cls = MODEL_KINDS[strategy].config_class
     axes = {name: combo.get(name, getattr(cls, name)) for name in MODEL_AXES[strategy]}
     return cls(n_assets=n_assets, window=tau, seed=seed, **axes)
@@ -303,9 +299,14 @@ def build_model(strategy: str, n_assets: int, tau: int, combo: dict, seed: int):
     return MODEL_KINDS[strategy](model_config(strategy, n_assets, tau, combo, seed))
 
 
-def valid_combos(space: HyperparamSpace, strategy: str, n_assets: int, tau: int) -> list[dict]:
-    """The combos of ``space`` that build a valid ``strategy`` model, in grid order. An axis that
-    neither the model nor its fit reads raises ValueError, and so does a space with no valid combo."""
+def fit_config(base_cfg: TrainConfig, combo: dict, seed: int) -> TrainConfig:
+    """The validated fit config of a trial: ``base_cfg`` at ``seed``, with the combo's FIT_AXES."""
+    return replace(base_cfg, seed=seed, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
+
+
+def valid_combos(space: HyperparamSpace, strategy: str, tau: int) -> list[dict]:
+    """The combos of ``space`` whose model and fit configs build, in grid order, the model's at 2 assets. An
+    axis that neither the model nor its fit reads raises ValueError, and so does a space with no valid combo."""
     known = MODEL_AXES[strategy] + FIT_AXES
     unknown = [name for name in space.axes if name not in known]
     if unknown:
@@ -313,7 +314,8 @@ def valid_combos(space: HyperparamSpace, strategy: str, n_assets: int, tau: int)
     every, combos, first_error = space.combinations(), [], None
     for combo in every:
         try:
-            model_config(strategy, n_assets, tau, combo, seed=0)
+            model_config(strategy, 2, tau, combo, 0)
+            fit_config(TrainConfig(), combo, 0)
             combos.append(combo)
         except ValueError as exc:
             first_error = first_error or exc
@@ -324,44 +326,45 @@ def valid_combos(space: HyperparamSpace, strategy: str, n_assets: int, tau: int)
 
 @dataclass(frozen=True)
 class TrainedWalk:
-    """How a trained walk fits split ``k``: a search of ``budget`` draws of ``combos`` at seed
-    ``seed + 104729 * k``, or else one trial, listed nowhere, of a given winner or ``combo`` at seed
-    ``seed + k``. A search draws uniformly with replacement from its seed's generator, and its trial
-    ``i`` fits at that seed plus ``i``."""
+    """How a trained walk fits split ``k``: a search of ``budget`` draws of ``combos`` at seed ``seed + 104729 * k``, or
+    else one trial, listed nowhere, of a given winner or, at a ``budget`` of 0, of the one combo, at seed ``seed + k``. A
+    search draws uniformly with replacement from its seed's generator, and its trial ``i`` fits at that seed plus ``i``."""
 
     strategy: str
     tau: int
-    combos: list[dict] | None
+    combos: list[dict]
     budget: int
-    combo: dict
     base_cfg: TrainConfig
     costs: CostModel
     seed: int
 
     def plan(self, k: int, split: Split, winner: dict | None = None) -> list:
-        """The ``_run_trial`` payloads of split ``k``, ``split``: a search if the walk has combos and no ``winner`` is given."""
-        if self.combos is not None and winner is None:
+        """The ``_run_trial`` payloads of split ``k``, ``split``: a search if the walk has a budget and no ``winner`` is given."""
+        if self.budget and winner is None:
             combos, budget, seed = self.combos, self.budget, self.seed + 104729 * k
         else:
-            combos, budget, seed = [winner or self.combo], 1, self.seed + k
+            combos, budget, seed = self.combos if winner is None else [winner], 1, self.seed + k
         picks = np.random.default_rng(seed).integers(0, len(combos), size=budget)
         return [(i, combos[j], self.strategy, split, self.tau, self.base_cfg, self.costs, seed) for i, j in enumerate(picks)]
 
 
 def plan_walk(
-    strategy: str, tau: int, space: HyperparamSpace | None, base_combo: dict | None, base_cfg: TrainConfig, costs: CostModel, seed: int,
+    strategy: str, tau: int, space: HyperparamSpace | None, budget: int, base_combo: dict | None, base_cfg: TrainConfig,
+    costs: CostModel, seed: int,
 ) -> TrainedWalk:
-    """The checked plan of a ``strategy`` walk. It searches the combos ``valid_combos`` keeps of ``space``,
-    each ``base_combo`` key it leaves out a one-value axis, or without a space, fits the base combo, which
-    must be valid. Configs are checked at 2 assets, the fewest a model takes: only that bound reads the
-    asset count, and ``walk_outcomes`` checks it against the table."""
-    combo, combos = base_combo or {}, None
-    if space is not None:
-        axes = {**space.axes, **{k: [v] for k, v in combo.items() if k not in space.axes}}
-        combos = valid_combos(replace(space, axes=axes), strategy, 2, tau)
-    else:  # the base combo's own error, which names its setting
+    """The checked plan of a ``strategy`` walk: a search of ``space``, else of the default grid if ``budget`` > 0,
+    of ``budget`` draws a split, else the space's own, from the combos ``valid_combos`` keeps, each ``base_combo``
+    key the space leaves out a one-value axis; else one fit of the base combo, which must be valid, at a budget of
+    0. Configs are checked at 2 assets, the fewest a model takes: ``walk_outcomes`` checks the table's count."""
+    combo = base_combo or {}
+    if space is None and budget > 0:
+        space = default_space(strategy)
+    if space is None:  # the base combo's own error, which names its setting
         model_config(strategy, 2, tau, combo, seed=0)
-    return TrainedWalk(strategy, tau, combos, space.budget if space else 1, combo, base_cfg, costs, seed)
+        return TrainedWalk(strategy, tau, [combo], 0, base_cfg, costs, seed)
+    axes = {**space.axes, **{k: [v] for k, v in combo.items() if k not in space.axes}}
+    combos = valid_combos(replace(space, axes=axes), strategy, tau)
+    return TrainedWalk(strategy, tau, combos, budget or space.budget, base_cfg, costs, seed)
 
 
 @dataclass
@@ -399,7 +402,7 @@ def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitRes
     index, combo, strategy, split, tau, base_cfg, costs, seed = payload
     table = _worker_table if table is None else table
     train, valid = split_windows(table, split, tau)
-    cfg = replace(base_cfg, seed=seed + index, **{name: combo.get(name, getattr(base_cfg, name)) for name in FIT_AXES})
+    cfg = fit_config(base_cfg, combo, seed + index)
     start = time.perf_counter()
     try:
         result = fit(build_model(strategy, table.n_assets, tau, combo, cfg.seed), train, valid, cfg, costs)
@@ -476,7 +479,7 @@ def walk_outcomes(
         if s in walks and not all(map(len, split_windows(pool.table, splits[0], walks[s].tau))):
             raise DataError(f"training range before {splits[0].test_year} too short for window length {walks[s].tau}")
     trained = {s: walks[s] for s in strategies if s in walks}
-    once = search_once and len(splits) > 1 and any(w.combos is not None for w in trained.values())
+    once = search_once and len(splits) > 1 and any(w.budget for w in trained.values())
     plans = {s: [w.plan(k, split) for k, split in enumerate(splits[: 1 if once else None])] for s, w in trained.items()}
     largest = max(sum(len(p) for ps in plans.values() for p in ps), once * len(trained) * (len(splits) - 1))
     done, firsts = pool.run([t for ps in plans.values() for p in ps for t in p], largest), {}
@@ -489,7 +492,7 @@ def walk_outcomes(
         outcomes, results = [], itertools.chain(firsts.pop(s, ()), done)
         for k, plan in enumerate(plans.get(s, ())):
             outcomes.append(random_grid_search(plan, results, n))
-            if trained[s].combos is None or (once and k):  # a split that did not search lists no trial
+            if not trained[s].budget or (once and k):  # a split that did not search lists no trial
                 outcomes[-1].trials = []
         yield outcomes
 

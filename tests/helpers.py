@@ -396,7 +396,7 @@ def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed
     """The outcome of a grid search of ``space`` on ``split`` alone: a one-split walk's, whose
     generator and trials start at ``seed``, planned, sent to ``pool`` (in-process if None) and
     picked as ``ptopt run`` does each split."""
-    walk = tr.plan_walk(strategy, tau, space, None, base_cfg, costs, seed)
+    walk = tr.plan_walk(strategy, tau, space, 0, None, base_cfg, costs, seed)
     [[outcome]] = tr.walk_outcomes(WalkForwardSchedule([split]), [strategy], {strategy: walk}, pool or tr.TrialPool(table))
     return outcome
 
@@ -409,7 +409,7 @@ def walk(
     one's walk planned and its fits sent to ``pool`` (in-process if None) as ``ptopt run`` plans and sends them."""
     walks = {}
     if strategy in tr.TRAINED_STRATEGIES:
-        walks[strategy] = tr.plan_walk(strategy, tau, space, base_combo, base_cfg, costs, seed)
+        walks[strategy] = tr.plan_walk(strategy, tau, space, 0, base_combo, base_cfg, costs, seed)
     [outcomes] = tr.walk_outcomes(schedule, [strategy], walks, pool or tr.TrialPool(table), search_once)
     return SimpleNamespace(stream=tr.walk_forward(table, schedule, strategy, outcomes), outcomes=outcomes)
 

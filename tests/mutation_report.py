@@ -41,8 +41,8 @@ CATALOGUE = [
      "a searched split's generator and trials start at seed + 104729 * split_idx"),
     (TRAINING, "once = search_once and len(splits) > 1", "once = False and len(splits) > 1",
      "--search-once searches the first split only"),
-    (TRAINING, "if self.combos is not None and winner is None:", "if self.combos is not None:",
-     "a split given a winner fits it once, whether or not the walk has combos"),
+    (TRAINING, "if self.budget and winner is None:", "if self.budget:",
+     "a split given a winner fits it once, whether or not the walk searches"),
     (TRAINING, "w.plan(k, split, _best(firsts[s])[0].params)", "w.plan(k, split, firsts[s][-1][0].params)",
      "with --search-once, the later splits fit the first split's winner"),
     (TRAINING, "split_windows(pool.table, splits[0], walks[s].tau)", "split_windows(pool.table, splits[-1], walks[s].tau)",
@@ -65,8 +65,10 @@ CATALOGUE = [
      "under --search-once, a later split's one fit of the winner lists no trial"),
     (TRAINING, "if len(outcomes) != expected:", "if len(outcomes) > expected:",
      "a trained walk given fewer outcomes than splits raises, not returns unfilled rows"),
-    (TRAINING, "replace(base_cfg, seed=seed + index,", "replace(base_cfg, seed=seed + 2 * index,",
+    (TRAINING, "fit_config(base_cfg, combo, seed + index)", "fit_config(base_cfg, combo, seed + 2 * index)",
      "trial i fits at seed + i"),
+    (TRAINING, "budget or space.budget", "space.budget",
+     "--budget sets a search's draws per split over a --space file's budget and the default grid's"),
     # the fit
     (TRAINING, "if val_loss < best_val:", "if val_loss <= best_val:",
      "early stopping keeps the first of tied epochs"),
@@ -115,6 +117,8 @@ CATALOGUE = [
      "synth refuses an infinite --momentum"),
     (TRAINING, "model_config(strategy, 2, tau, combo, seed=0)", "model_config(strategy, 2, tau, {}, seed=0)",
      "--t2v-k is checked with pt's settings before the data is read"),
+    (TRAINING, "            fit_config(TrainConfig(), combo, 0)\n", "",
+     "a search skips a combo whose fit settings cannot build, and a space with none is refused before the data is read"),
     ("src/ptopt/model.py", "except (KeyError, TypeError, ValueError) as err:", "except (TypeError, ValueError) as err:",
      "a checkpoint parameter entry without its shape or data raises ValueError naming it"),
     # the command line
@@ -122,8 +126,14 @@ CATALOGUE = [
      "manifest.json's bytes are pinned, not only its parsed JSON"),
     (CLI, 'p.add_argument("--data", required=True', 'p.add_argument("--data", required=False',
      "a command without --data exits 1 before any output"),
-    (CLI, "if space is None and cfg.budget > 0:", "if space is None and cfg.budget > 1:",
+    (TRAINING, "if space is None and budget > 0:", "if space is None and budget > 1:",
      "--budget 1 runs a search of one trial, which trials.csv lists"),
+    (CLI, "            aside.rename(out)\n", "            pass\n",
+     "a forced run that fails to rename its directory into place puts the old one back"),
+    (CLI, "        if not _earlier_output(out):\n", "        if False:\n",
+     "--force over a directory without an earlier run's or compare's manifest.json exits 1 before any work"),
+    (CLI, "    if out.is_dir() and not any(out.iterdir()):\n", "    if False:\n",
+     "an empty --out that cannot be renamed, a mount point say, is filled in place"),
 ]
 
 

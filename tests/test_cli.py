@@ -258,6 +258,119 @@ def test_run_refuses_nonempty_dir_without_force(prices_csv, tmp_path):
     assert cli.main(base + ["--force"]) == 0
 
 
+RUN_FILES = ["equity.csv", "history.csv", "manifest.json", "metrics.json", "rolling_sharpe.csv", "trials.csv"]
+COMPARE_FILES = ["comparison.csv", "comparison.txt", "equity_curves.csv", "manifest.json"]
+LSTM_RUN = ["run", "--strategy", "lstm", "--max-epochs", "1", "--patience", "1"]
+
+
+def test_a_forced_rerun_leaves_only_its_own_files(prices_csv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a relative --out
+    base = [*LSTM_RUN, "--data", str(prices_csv), "--out", "run"]
+    assert cli.main([*base, "--first-test-year", "2015"]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted([*RUN_FILES, "checkpoint_2015.ckpt", "checkpoint_2016.ckpt"])
+    assert cli.main([*base, "--first-test-year", "2016", "--force"]) == 0
+    # the first run's checkpoint_2015.ckpt is gone with the rest of it, and no hidden sibling is left
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted([*RUN_FILES, "checkpoint_2016.ckpt"])
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["config"]["first_test_year"] == 2016
+
+
+def test_a_forced_compare_over_a_run_leaves_only_its_own_files(prices_csv, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*LSTM_RUN, "--data", str(prices_csv), "--out", str(out)]) == 0
+    assert cli.main(["compare", "--strategies", "mv", "equal_weight", "--data", str(prices_csv), "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == COMPARE_FILES
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def snapshot(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("force", [False, True, None], ids=["fresh", "force", "empty"])
+def test_a_run_that_fails_while_writing_leaves_no_part_of_itself(force, prices_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    if force:
+        assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]) == 0
+    elif force is None:  # an existing empty --out, filled in place
+        out.mkdir()
+    before = snapshot(out) if out.exists() else None
+
+    def full_disk(*a, **k):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "save_checkpoint", full_disk)  # after metrics.json and the CSVs are written
+    argv = [*LSTM_RUN, "--data", str(prices_csv), "--out", str(out), *(["--force"] if force else [])]
+    assert cli.main(argv) == 2
+    assert "no space left on device" in capsys.readouterr().err
+    # no hidden sibling is left, and an existing --out stays as it was
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["out"])
+    assert before is None or snapshot(out) == before
+
+
+def test_a_forced_run_whose_rename_fails_puts_the_old_directory_back(prices_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    base = ["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]
+    assert cli.main(base) == 0
+    before = snapshot(out)
+    renames, rename = [], Path.rename
+
+    def failing_second(self, target):  # the old directory moves aside, then the new one fails to take its name
+        renames.append(self)
+        if len(renames) == 2:
+            raise OSError("injected rename failure")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", failing_second)
+    assert cli.main([*base, "--seed", "1", "--force"]) == 2
+    assert "injected rename failure" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"] and snapshot(out) == before
+
+
+@pytest.mark.parametrize("kind", ["unrelated file", "foreign manifest", "input inside", "mount point"])
+def test_force_replaces_only_an_earlier_output_directory(kind, prices_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    data = out / "prices.csv" if kind == "input inside" else prices_csv
+    if kind in ("input inside", "mount point"):  # an earlier run's directory, but one --force must not replace
+        assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]) == 0
+        if kind == "input inside":
+            shutil.copy(prices_csv, data)
+    else:
+        out.mkdir()
+        (out / ("notes.txt" if kind == "unrelated file" else "manifest.json")).write_text('{"name": "an app"}\n')
+    monkeypatch.setattr(cli.os.path, "ismount", lambda p: kind == "mount point" and Path(p) == out)
+    before = snapshot(out)
+
+    def unread(path):
+        raise AssertionError("load_csv must not be called")
+
+    monkeypatch.setattr(cli, "load_csv", unread)
+    assert cli.main(["run", "--strategy", "mv", "--data", str(data), "--out", str(out), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--force" in err
+    assert snapshot(out) == before and [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_an_empty_out_is_filled_in_place_when_it_cannot_be_renamed_or_its_parent_written(prices_csv, tmp_path, monkeypatch):
+    parent = tmp_path / "ro"
+    (parent / "out").mkdir(parents=True)
+    access = os.access
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != parent and access(p, mode))  # a read-only parent
+
+    def busy(self, target):  # a mount point cannot be renamed
+        raise OSError(16, "Device or resource busy")
+
+    monkeypatch.setattr(Path, "rename", busy)
+    argv = ["run", "--strategy", "equal_weight", "--data", str(prices_csv)]
+    assert cli.main([*argv, "--out", str(parent / "out")]) == 0
+    assert sorted(p.name for p in (parent / "out").iterdir()) == RUN_FILES
+    assert [p.name for p in parent.iterdir()] == ["out"]
+    # a missing --out under that parent is refused before any work
+    monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("load_csv must not be called"))
+    assert cli.main([*argv, "--out", str(parent / "new")]) == 1
+    assert [p.name for p in parent.iterdir()] == ["out"]
+
+
 def test_run_out_naming_a_file_is_usage_error(prices_csv, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
@@ -337,7 +450,7 @@ def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
     # pt's space holds its --t2v-k setting too
     assert (planned["pt"].combos, planned["pt"].budget) == ([{"d_model": 4, "t2v_k": PTConfig.t2v_k}], 2)
     # a strategy with no entry gets what it gets with no --space, and a rule plans no walk
-    assert planned["mlp"].combos is None and "mv" not in planned
+    assert planned["mlp"].budget == 0 and "mv" not in planned
 
 
 @pytest.mark.parametrize("key", ["mlp", "mv", "lstmm"])
@@ -439,6 +552,17 @@ def test_run_space_with_no_valid_combo_is_usage_error(prices_csv, tmp_path, caps
     assert not out.exists()
 
 
+def test_run_space_skips_a_combo_whose_fit_settings_cannot_build(prices_csv, tmp_path):
+    # a learning rate of -1 builds a model but no fit config, so the search drops its combo
+    space = tmp_path / "space.json"
+    space.write_text('{"axes": {"hidden": [4], "learning_rate": [0.001, -1]}, "budget": 4}')
+    out = tmp_path / "o"
+    assert cli.main([*LSTM_RUN, "--data", str(prices_csv), "--out", str(out), "--space", str(space)]) == 0
+    with open(out / "trials.csv", newline="") as fh:
+        params = [json.loads(row["params"]) for row in csv.DictReader(fh)]
+    assert params == [{"hidden": 4, "learning_rate": 0.001}] * 4
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeypatch, jobs):
     def no_work(*a, **k):
@@ -468,6 +592,8 @@ def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeyp
     pytest.param("run --strategy pt --budget 2 --window 1", "no valid combination; the first, {'d_model': 8", id="pt--budget-2--window-1"),
     pytest.param("run --strategy lstm --space LSTM_SPACE", "no valid combination; the first, {'hidden': 0}, fails: hidden must be >= 1, got 0",
                  id="lstm--space"),
+    pytest.param("run --strategy lstm --space BATCH_SPACE",
+                 "no valid combination; the first, {'hidden': 4, 'batch_size': 0}, fails: batch_size must be >= 1, got 0", id="lstm--space-batch-size"),
     pytest.param("compare --strategies lstm pt --space PT_SPACE --budget 2", "the first, {'n_heads': 3, 't2v_k': 3}, fails: n_heads 3 must divide",
                  id="compare-lstm-pt--space"),
 ])
@@ -476,8 +602,11 @@ def test_run_bad_flag_is_usage_error_before_the_data_is_read(prices_csv, tmp_pat
         raise AssertionError(f"the data was read before {flags} was checked")
 
     monkeypatch.setattr(cli, "load_csv", no_work)
-    spaces = {"PT_SPACE": '{"pt": {"axes": {"n_heads": [3]}}}', "LSTM_SPACE": '{"axes": {"hidden": [0, -1]}}'}
-    for name, text in spaces.items():  # no combo of either builds a model
+    spaces = {
+        "PT_SPACE": '{"pt": {"axes": {"n_heads": [3]}}}', "LSTM_SPACE": '{"axes": {"hidden": [0, -1]}}',
+        "BATCH_SPACE": '{"axes": {"hidden": [4], "batch_size": [0]}}',
+    }
+    for name, text in spaces.items():  # no combo of any builds both its model and its fit
         (tmp_path / name).write_text(text)
         flags = flags.replace(name, str(tmp_path / name))
     out = tmp_path / "o"

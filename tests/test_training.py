@@ -435,11 +435,11 @@ def test_combo_filter_validates_configs_like_built_models():
 
     for strategy in tr.TRAINED_STRATEGIES:
         combos = tr.default_space(strategy).combinations()
-        kept = tr.valid_combos(tr.default_space(strategy), strategy, 4, 8)
+        kept = tr.valid_combos(tr.default_space(strategy), strategy, 8)
         assert kept == [c for c in combos if builds(strategy, c)]
         assert len(kept) == len(combos)
     space = tr.HyperparamSpace(axes={"d_model": [8, 12], "n_heads": [2, 3], "t2v_k": [2]})
-    user, kept = space.combinations(), tr.valid_combos(space, "pt", 4, 8)
+    user, kept = space.combinations(), tr.valid_combos(space, "pt", 8)
     assert kept == [c for c in user if builds("pt", c)]
     assert kept == [{"d_model": 8, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 2, "t2v_k": 2}, {"d_model": 12, "n_heads": 3, "t2v_k": 2}]
 
@@ -478,7 +478,7 @@ def test_space_file_numbers_become_declared_field_types():
             tr.TrainConfig(**bad)
     # so a search drops a combo holding one, as it drops any invalid combo
     space = tr.HyperparamSpace(axes={"d_model": [8.5, 8.0], "n_heads": [2]})
-    assert tr.valid_combos(space, "pt", 4, 8) == [{"d_model": 8.0, "n_heads": 2}]
+    assert tr.valid_combos(space, "pt", 8) == [{"d_model": 8.0, "n_heads": 2}]
 
 
 class _ReadKeys(dict):
@@ -509,7 +509,8 @@ def test_axes_are_exactly_the_keys_a_fit_reads(strategy, monkeypatch):
     monkeypatch.setattr(tr, "fit", no_fit)
     table, split = search_fixture()
     combo = _ReadKeys()
-    trial, result = tr._run_trial((0, combo, strategy, split, 8, tr.TrainConfig(), CostModel(), 0), table)
+    [task] = tr.TrainedWalk(strategy, 8, [combo], 0, tr.TrainConfig(), CostModel(), 0).plan(0, split)
+    trial, result = tr._run_trial(task, table)
     assert combo.read == set(tr.MODEL_AXES[strategy]) | set(tr.FIT_AXES)
     # a failed fit comes back as its error, and its trial ranks last
     assert isinstance(result, TrainingError) and "epoch 0, batch 0" in str(result)
@@ -539,8 +540,8 @@ def test_search_rejects_an_axis_no_model_reads(strategy, axes):
 
 def test_search_accepts_every_default_axis_and_the_fit_axes():
     for strategy in tr.TRAINED_STRATEGIES:
-        tr.valid_combos(tr.default_space(strategy), strategy, 4, 8)
-        tr.valid_combos(tr.HyperparamSpace(axes={"learning_rate": [1e-3], "batch_size": [8]}), strategy, 4, 8)
+        tr.valid_combos(tr.default_space(strategy), strategy, 8)
+        tr.valid_combos(tr.HyperparamSpace(axes={"learning_rate": [1e-3], "batch_size": [8]}), strategy, 8)
 
 
 def test_search_no_valid_combination_raises():
@@ -753,7 +754,9 @@ def test_walk_forward_search_once_reuses_first_split_choice():
     assert result.outcomes[1].params == result.outcomes[0].params
     # a split that did not search fits as before, at seed + split_idx
     later = result.outcomes[1]
-    _, fit = tr._run_trial((0, later.params, "lstm", schedule.splits[1], 4, tr.TrainConfig(max_epochs=1, seed=0), CostModel(), 1 + 1), table)
+    walk_at_seed_1 = tr.TrainedWalk("lstm", 4, [later.params], 0, tr.TrainConfig(max_epochs=1, seed=0), CostModel(), 1)
+    [task] = walk_at_seed_1.plan(1, schedule.splits[1], later.params)
+    _, fit = tr._run_trial(task, table)
     assert later.model.config.seed == 2
     assert np.array_equal(later.model.vector, fit.vector)
     assert later.history == fit.history
@@ -772,7 +775,8 @@ def test_searched_split_ships_the_winning_trial(jobs):
         seed = 1 + 104729 * split_idx + winner.index
         assert outcome.model.config.seed == seed
         # the shipped model is the winner's fit, not a refit at another seed
-        _, solo = tr._run_trial((0, winner.params, "lstm", split, 4, cfg, CostModel(), seed), table)
+        [task] = tr.TrainedWalk("lstm", 4, [winner.params], 0, cfg, CostModel(), seed).plan(0, split, winner.params)
+        _, solo = tr._run_trial(task, table)
         assert np.array_equal(outcome.model.vector, solo.vector)
         assert outcome.history == solo.history
         assert solo.best_val == winner.val_loss
@@ -786,7 +790,7 @@ def test_one_batch_gives_each_walk_its_solo_outcomes(budget, search_once, tied):
     schedule = WalkForwardSchedule([Split(2014, 200, 160, 250), Split(2015, 250, 210, 300)])
     axes = {"lstm": {"hidden": [3, 5]}, "mlp": {"hidden": [[3], [4]]}}
     walks = {
-        s: tr.plan_walk(s, 4, tr.HyperparamSpace(axes[s], budget) if budget else None, None, tr.TrainConfig(max_epochs=1), CostModel(), 1)
+        s: tr.plan_walk(s, 4, tr.HyperparamSpace(axes[s], budget) if budget else None, 0, None, tr.TrainConfig(max_epochs=1), CostModel(), 1)
         for s in axes
     }
     pool = TiedPool if tied else tr.TrialPool
@@ -852,7 +856,7 @@ def test_walk_outcomes_checks_each_strategy_in_order_before_it_plans_a_task(orde
     # the later one has both windows and the rows
     table = wf_table()
     schedule = WalkForwardSchedule([Split(2014, 12, 11, 260), Split(2015, 260, 234, 510)])
-    walks = {"lstm": tr.plan_walk("lstm", 4, None, None, tr.TrainConfig(max_epochs=1), CostModel(), 0)}
+    walks = {"lstm": tr.plan_walk("lstm", 4, None, 0, None, tr.TrainConfig(max_epochs=1), CostModel(), 0)}
 
     def unplanned(*args):
         raise AssertionError("a task was planned before every strategy was checked")
