@@ -27,15 +27,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ptopt.errors import ContractError
+from ptopt.errors import NumericError
 
 Array = np.ndarray
 LAYER_NORM_EPS = 1e-5
 MASK_BLOCK = -1e9  # an additive attention-mask entry that blocks a pair
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible with the requested operation."""
 
 
 _TAPES: list = []  # the active tapes, innermost last; None while no_grad suspends recording
@@ -118,7 +114,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     every op output (``loss`` too) ends with ``grad`` None; the tape keeps its nodes.
     """
     if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+        raise NumericError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
     for inputs, out, back in reversed(tape.nodes):
         g, out.grad = out.grad, None
@@ -147,7 +143,7 @@ def _shared_grad(x: Array, g: Array) -> Array:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} * {b.shape}")
+        raise ValueError(f"mul: incompatible shapes {a.shape} * {b.shape}")
     ad, bd = a.data, b.data
     return emit((a, b), ad * bd, lambda g: (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None))
 
@@ -212,7 +208,7 @@ def _row_mean(x: Array) -> Array:
 
 def _affine_check(op: str, x: Array, w: Tensor, b: Tensor) -> None:
     if x.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"{op}: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+        raise ValueError(f"{op}: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -248,10 +244,10 @@ def residual_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
     """Layer norm of ``x + y`` over the last axis (population variance plus
     ``LAYER_NORM_EPS``), then ``* gain + bias``, both 1-D of the last-axis length."""
     if x.shape != y.shape:
-        raise ShapeError(f"residual_layer_norm: incompatible shapes {x.shape} + {y.shape}")
+        raise ValueError(f"residual_layer_norm: incompatible shapes {x.shape} + {y.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"residual_layer_norm: gain/bias {gain.shape}/{bias.shape} do not match width {d}")
+        raise ValueError(f"residual_layer_norm: gain/bias {gain.shape}/{bias.shape} do not match width {d}")
     gd = gain.data
     s = x.data + y.data
     xc = s - _row_mean(s)
@@ -275,7 +271,7 @@ def embed(x: Tensor, omega: Tensor, phi: Tensor, w: Tensor, b: Tensor) -> Tensor
     """
     xd = x.data
     if xd.ndim < 2 or omega.data.ndim != 1 or phi.shape != omega.shape:
-        raise ShapeError(f"embed: incompatible shapes {x.shape}, omega {omega.shape}, phi {phi.shape}")
+        raise ValueError(f"embed: incompatible shapes {x.shape}, omega {omega.shape}, phi {phi.shape}")
     *lead, rows, n = xd.shape
     pos = np.arange(rows, dtype=np.float64)
     a = pos[:, None] * omega.data + phi.data
@@ -317,7 +313,7 @@ def mha(
         xd.ndim < 2 or xd.shape[-1] != d or md.shape[:-2] != lead or md.shape[-1] != d
         or any(w.shape != (d, dk) for w in (*wq, *wk, *wv)) or wo.shape != (h * dk, d)
     ):
-        raise ShapeError(f"mha: incompatible shapes {xd.shape}, {md.shape} with {h} heads of {(d, dk)}")
+        raise ValueError(f"mha: incompatible shapes {xd.shape}, {md.shape} with {h} heads of {(d, dk)}")
     # each input with its roles (0 = q, 1 = k, 2 = v) and their matrices stacked in role order
     roles = [(x, (0, 1, 2))] if memory is None else [(x, (0,)), (memory, (1, 2))]
     groups = [(t, idx, np.array([w.data for i in idx for w in (wq, wk, wv)[i]])) for t, idx in roles]
@@ -365,7 +361,7 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     _affine_check("lstm", xd, wx, b)
     h_size = wx.shape[1] // 4
     if xd.shape[-2] < 1 or h_size < 1 or wx.shape[1] != 4 * h_size or wh.shape != (h_size, 4 * h_size):
-        raise ShapeError(f"lstm: incompatible shapes {x.shape}, wx {wx.shape}, wh {wh.shape}")
+        raise ValueError(f"lstm: incompatible shapes {x.shape}, wx {wx.shape}, wh {wh.shape}")
     inputs = xd @ wxd + b.data
     h = c = np.zeros(xd.shape[:-2] + (1, h_size))
     hs = [h]  # the zero state, then the state after each step

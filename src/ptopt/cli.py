@@ -111,23 +111,23 @@ def check_out_dir(path: str, force: bool, data: str) -> Path:
 
     ``_publishing`` fills an empty directory in place, and else writes a hidden sibling whole and renames it into
     place, so it needs write access there. ``--force`` replaces only an earlier run's or compare's directory, and
-    never one that holds the input.
+    never one that holds the input. Returns the resolved path: the one checked here and written by ``_publishing``.
     """
-    out = Path(path)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    out, real = Path(path), Path(path).resolve()
+    existing = next(p for p in (real, *real.parents) if p.exists())
     if not existing.is_dir():
         raise ValueError(f"output path {out}: {existing} exists and is not a directory")
-    if existing == out and any(out.iterdir()):
+    if existing == real and any(real.iterdir()):
         if not force:
             raise ValueError(f"output directory {out} is not empty; pass --force to overwrite")
-        if not _earlier_output(out):
+        if not _earlier_output(real):
             raise ValueError(f"output directory {out} holds no manifest.json of a run or compare; --force replaces only those")
-        if os.path.ismount(out) or out.resolve() in Path(data).resolve().parents:
+        if os.path.ismount(real) or real in Path(data).resolve().parents:
             raise ValueError(f"output directory {out} is a mount point or holds the input; --force cannot replace it")
-        existing = out.parent
+        existing = real.parent
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ValueError(f"output path {out}: cannot write in {existing}")
-    return out
+    return real
 
 
 def write_manifest(out: Path, command: str, cfg: dict, version: str, input_sha256: str) -> None:
@@ -178,7 +178,6 @@ def _publishing(out: Path):
     say) is filled in place and emptied again on failure. Else a fresh hidden sibling is filled and renamed to
     ``out``, after an earlier run or compare there is moved aside; that one is deleted only after the rename and
     put back on any failure. So ``out`` never holds two runs' files, nor a part of one beside a manifest."""
-    out = out.resolve()
     if out.is_dir() and not any(out.iterdir()):
         try:
             yield out
@@ -281,7 +280,7 @@ def cmd_run(args) -> int:
     with _publishing(out) as tmp:
         _write_run_artifacts(tmp, outcomes, curve, report)
         write_manifest(tmp, "run", {**asdict(cfg), "strategy": args.strategy}, *provenance)
-    print(f"{args.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {out}")
+    print(f"{args.strategy}: sharpe {report.sharpe:.4f} over {len(curve.dates)} test days -> {Path(cfg.out_dir)}")
     return 0
 
 

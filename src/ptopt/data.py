@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ptopt.errors import DataError, ParseError
+from ptopt.errors import DataError
 
 
 @dataclass
@@ -77,18 +77,18 @@ def _first_fault(path, tickers: list[str]) -> DataError:
                 continue
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(tickers) + 1:
-                return ParseError(f"{path}:{lineno}: expected {len(tickers) + 1} fields, got {len(cells)}")
+                return DataError(f"{path}:{lineno}: expected {len(tickers) + 1} fields, got {len(cells)}")
             try:
                 dt.date.fromisoformat(cells[0])
             except ValueError:
-                return ParseError(f"{path}:{lineno}: bad date {cells[0]!r}")
+                return DataError(f"{path}:{lineno}: bad date {cells[0]!r}")
             for ticker, cell in zip(tickers, cells[1:]):
                 if cell == "":
                     continue
                 try:
                     value = float(cell)
                 except ValueError:
-                    return ParseError(f"{path}:{lineno}: bad price {cell!r} for {ticker}")
+                    return DataError(f"{path}:{lineno}: bad price {cell!r} for {ticker}")
                 if not 0 < value < np.inf:
                     return DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
     return DataError(f"{path}: file changed while it was read")
@@ -113,8 +113,8 @@ def load_csv(path) -> PriceTable:
     The header is ``date`` and then each ticker once, none of them empty. Only
     ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Rows are sorted by date
     (stably) when the file lists them out of order. A bad field count, date
-    or price raises a ``ParseError`` or ``DataError`` naming the first bad
-    line in file order; a duplicate date raises a ``DataError`` naming it.
+    or price raises a ``DataError`` naming the first bad line in file order;
+    a duplicate date raises a ``DataError`` naming it.
     Bytes that are not UTF-8 raise a ``DataError`` quoting the decoder's error.
     The table's ``sha256`` is of the bytes parsed, hashed in the same read.
     """
@@ -125,17 +125,17 @@ def load_csv(path) -> PriceTable:
         with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest)), encoding="utf-8") as fh:
             line = fh.readline()
             if not line:
-                raise ParseError(f"{path}: empty file")
+                raise DataError(f"{path}: empty file")
             line = line.rstrip("\n")
             header = line.split(",")
             if len(header) < 2 or header[0] != "date":
-                raise ParseError(f"{path}:1: header must be 'date,<TICKER1>,...', got {line!r}")
+                raise DataError(f"{path}:1: header must be 'date,<TICKER1>,...', got {line!r}")
             tickers = header[1:]
             if any(t == "" for t in tickers):
-                raise ParseError(f"{path}:1: empty ticker name in header")
+                raise DataError(f"{path}:1: empty ticker name in header")
             if len(set(tickers)) < len(tickers):
                 duplicate = next(t for i, t in enumerate(tickers) if t in tickers[:i])
-                raise ParseError(f"{path}:1: duplicate ticker {duplicate!r} in header")
+                raise DataError(f"{path}:1: duplicate ticker {duplicate!r} in header")
 
             dates: list[dt.date] = []
             values = array("d")  # every price, row after row: 8 bytes a cell

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ptopt.data import ReturnTable
-from ptopt.errors import AlignmentError, ContractError, DataError, NumericError
+from ptopt.errors import DataError, NumericError
 from ptopt.model import blockwise
 from ptopt.objective import CostModel, net_returns
 
@@ -91,7 +91,7 @@ def max_drawdown(cumulative: np.ndarray) -> float:
 def compute_metrics(curve: EquityCurve) -> MetricsReport:
     r = curve.daily_returns
     if r.size < 2:
-        raise ContractError(f"need at least 2 daily returns, got {r.size}")
+        raise NumericError(f"need at least 2 daily returns, got {r.size}")
     mean = float(r.mean())
     sd = float(r.std())
     ann_return = mean * TRADING_DAYS
@@ -118,7 +118,7 @@ def rolling_sharpe(curve: EquityCurve, window: int = TRADING_DAYS) -> tuple[list
     """
     r = curve.daily_returns
     if r.size < window:
-        raise ContractError(f"curve length {r.size} shorter than window {window}")
+        raise NumericError(f"curve length {r.size} shorter than window {window}")
     chunks = sliding_window_view(r, window)
     values = np.empty(len(chunks))
     blockwise(lambda b: _ratio_or_sentinel(b.mean(axis=-1), b.std(axis=-1), math.sqrt(TRADING_DAYS)), chunks, values, _ROLLING_BLOCK)
@@ -135,7 +135,7 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
     days at a time; a day's sums do not depend on the blocking.
     """
     if stream.weights.shape[1] != table.n_assets:
-        raise AlignmentError(
+        raise DataError(
             f"weight stream has {stream.weights.shape[1]} assets, return table {table.n_assets}"
         )
     table_days = np.fromiter(map(dt.date.toordinal, table.dates), np.int64)
@@ -146,11 +146,11 @@ def run_backtest(stream: WeightStream, table: ReturnTable, costs: CostModel) -> 
     if bad.size:
         d = stream.dates[bad[0]]
         if not found[bad[0]]:
-            raise AlignmentError(f"weight date {d} not present in the return table")
-        raise AlignmentError(f"no realized return after weight date {d}")
+            raise DataError(f"weight date {d} not present in the return table")
+        raise DataError(f"no realized return after weight date {d}")
     skips = np.flatnonzero(np.diff(rows) != 1)
     if skips.size:
-        raise AlignmentError(f"weight dates skip trading days before {stream.dates[skips[0] + 1]}")
+        raise DataError(f"weight dates skip trading days before {stream.dates[skips[0] + 1]}")
 
     w = stream.weights
     net = np.empty(len(rows))

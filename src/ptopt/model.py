@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 import ptopt.autograd as ag
-from ptopt.autograd import ShapeError, Tensor
+from ptopt.autograd import Tensor
 
 CHECKPOINT_MAGIC = "PTCKPT1"
 _INFER_BLOCK = 64  # default items per gradient-free call of ``blockwise``
@@ -251,7 +251,7 @@ def batched_weights(model, block: np.ndarray, rng: np.random.Generator | None = 
     block = np.asarray(block, dtype=np.float64)
     want = (2 * model.config.window, model.config.n_assets)
     if block.ndim not in (2, 3) or block.shape[-2:] != want:
-        raise ShapeError(f"block shape {block.shape} != {want} or (B, *{want})")
+        raise ValueError(f"block shape {block.shape} != {want} or (B, *{want})")
     single = block.ndim == 2
     weights = model.forward(block[None] if single else block, rng)
     return ag.reshape(weights, weights.shape[1:]) if single else weights
@@ -382,6 +382,6 @@ def load_checkpoint(path):
         except (KeyError, TypeError, ValueError) as err:  # no shape or data, not an object, or data that does not fill its shape
             raise ValueError(f"checkpoint parameter {name!r} is malformed: {type(err).__name__}: {err}") from None
         if data.shape != t.shape:
-            raise ShapeError(f"checkpoint shape {data.shape} != model shape {t.shape} for {name}")
+            raise ValueError(f"checkpoint shape {data.shape} != model shape {t.shape} for {name}")
         t.data[...] = data
     return model

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import ptopt.autograd as ag
-from ptopt.autograd import ShapeError, Tensor
-from ptopt.errors import ContractError
+from ptopt.autograd import Tensor
+from ptopt.errors import NumericError
 
 EPS = 1e-12
 
@@ -50,13 +50,13 @@ class ReturnsWindow:
     def __post_init__(self):
         self.realized = np.asarray(self.realized, dtype=np.float64)
         if self.realized.ndim not in (2, 3):
-            raise ShapeError(
+            raise ValueError(
                 f"realized must be (days, assets) or (windows, days, assets), got shape {self.realized.shape}"
             )
         if self.prev_weights is not None:
             self.prev_weights = np.asarray(self.prev_weights, dtype=np.float64)
             if self.prev_weights.shape != self.realized.shape[-1:]:
-                raise ShapeError(
+                raise ValueError(
                     f"prev_weights shape {self.prev_weights.shape} does not match "
                     f"{self.realized.shape[-1]} assets"
                 )
@@ -80,12 +80,12 @@ def sharpe_loss(weights: Tensor, window: ReturnsWindow, costs: CostModel) -> Ten
     tape node: mean over ``EPS``-guarded population standard deviation, per window."""
     wd, realized = weights.data, window.realized
     if wd.ndim not in (2, 3):
-        raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
+        raise ValueError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
     if realized.shape != wd.shape:
-        raise ShapeError(f"returns shape {realized.shape} does not match weights {weights.shape}")
+        raise ValueError(f"returns shape {realized.shape} does not match weights {weights.shape}")
     t = wd.shape[-2]
     if t < 2:
-        raise ContractError(f"sharpe needs at least 2 returns per window, got {t}")
+        raise NumericError(f"sharpe needs at least 2 returns per window, got {t}")
     cost_rate = costs.cost_rate
     net, diff = net_returns(wd, realized, 0.0 if window.prev_weights is None else window.prev_weights, cost_rate)
     m = np.add.reduce(net, axis=-1) / t

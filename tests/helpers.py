@@ -22,9 +22,9 @@ import numpy as np
 
 import ptopt.autograd as ag
 import ptopt.training as tr
-from ptopt.autograd import ContractError, ShapeError, Tensor
+from ptopt.autograd import Tensor
 from ptopt.data import PriceTable, ReturnTable, SynthConfig, WalkForwardSchedule, synth_generate, write_csv
-from ptopt.errors import DataError
+from ptopt.errors import DataError, NumericError
 from ptopt.objective import CostModel
 
 FD_STEP = 1e-5
@@ -103,23 +103,21 @@ def portfolio_returns_oracle(
 def run_backtest_oracle(stream, table, cost_rate: float):
     """``metrics.run_backtest`` as a date dict and a Python contiguity loop.
 
-    Returns ``(earn_dates, net)``; raises the library's ``AlignmentError``
+    Returns ``(earn_dates, net)``; raises the library's ``DataError``
     with the library's messages.
     """
-    from ptopt.errors import AlignmentError
-
     index = {d: i for i, d in enumerate(table.dates)}
     rows = []
     for d in stream.dates:
         i = index.get(d)
         if i is None:
-            raise AlignmentError(f"weight date {d} not present in the return table")
+            raise DataError(f"weight date {d} not present in the return table")
         if i + 1 >= len(table.dates):
-            raise AlignmentError(f"no realized return after weight date {d}")
+            raise DataError(f"no realized return after weight date {d}")
         rows.append(i)
     for prev_row, row, d in zip(rows, rows[1:], stream.dates[1:]):
         if row != prev_row + 1:
-            raise AlignmentError(f"weight dates skip trading days before {d}")
+            raise DataError(f"weight dates skip trading days before {d}")
     w = stream.weights
     realized = table.returns[[i + 1 for i in rows]]
     prev = np.vstack([np.zeros(table.n_assets), w[:-1]])
@@ -431,7 +429,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         or ad.shape[-1] != bd.shape[-2]
         or (bd.ndim > 2 and bd.shape[:-2] != ad.shape[:-2])
     ):
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+        raise ValueError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
 
     def back(g):
         ga = g @ np.swapaxes(bd, -1, -2)
@@ -450,12 +448,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     extra = a.data.ndim - b.data.ndim
     if extra >= 0 and a.shape[extra:] == b.shape:
         return ag.emit((a, b), a.data + b.data, lambda g: (g, g.sum(axis=tuple(range(extra))) if extra else g))
-    raise ShapeError(f"add: incompatible shapes {a.shape} + {b.shape}")
+    raise ValueError(f"add: incompatible shapes {a.shape} + {b.shape}")
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
-        raise ShapeError("concat: empty input list")
+        raise ValueError("concat: empty input list")
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum(sizes)[:-1]
 
@@ -483,7 +481,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim or not (0 <= start < stop <= x.shape[axis]):
-        raise ShapeError(f"slice: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
+        raise ValueError(f"slice: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
     key = (slice(None),) * (axis % x.data.ndim) + (slice(start, stop),)
 
     def back(g):
@@ -520,13 +518,13 @@ def sign_const(x: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} - {b.shape}")
+        raise ValueError(f"sub: incompatible shapes {a.shape} - {b.shape}")
     return ag.emit((a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeError(f"div: incompatible shapes {a.shape} / {b.shape}")
+        raise ValueError(f"div: incompatible shapes {a.shape} / {b.shape}")
     ad, bd = a.data, b.data
     return ag.emit((a, b), ad / bd, lambda g: (g / bd, -g * ad / (bd * bd)))
 
@@ -568,7 +566,7 @@ def sin(x: Tensor) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.data.ndim < 2:
-        raise ShapeError(f"transpose: expected a tensor of rank >= 2, got shape {x.shape}")
+        raise ValueError(f"transpose: expected a tensor of rank >= 2, got shape {x.shape}")
     return ag.emit((x,), np.swapaxes(x.data, -1, -2).copy(), lambda g: (np.swapaxes(g, -1, -2),))
 
 
@@ -577,7 +575,7 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     shape = tuple(shape)
     extra = len(shape) - x.data.ndim
     if extra < 0 or shape[extra:] != x.shape:
-        raise ShapeError(f"broadcast_to: cannot broadcast {x.shape} to {shape}")
+        raise ValueError(f"broadcast_to: cannot broadcast {x.shape} to {shape}")
     return ag.emit((x,), np.broadcast_to(x.data, shape), lambda g: (g.sum(axis=tuple(range(extra))),))
 
 
@@ -623,16 +621,16 @@ def embed_composed(x: Tensor, time2vec, proj) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with an optional additive (rows, rows) mask."""
     if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key width mismatch: {q.shape} vs {k.shape}")
+        raise ValueError(f"query/key width mismatch: {q.shape} vs {k.shape}")
     if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value row mismatch: {k.shape} vs {v.shape}")
+        raise ValueError(f"key/value row mismatch: {k.shape} vs {v.shape}")
     raw = matmul(q, transpose(k))
     scores = ag.mul(raw, Tensor(np.full(raw.shape, 1.0 / scale)))  # the argument shadows the primitive scale()
     if mask is not None:
         if mask.shape != scores.shape[-2:]:
-            raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
+            raise ValueError(f"mask shape {mask.shape} does not match scores {scores.shape}")
         if np.any(np.all(mask <= ag.MASK_BLOCK / 2, axis=1)):
-            raise ContractError("attention mask blocks an entire row")
+            raise NumericError("attention mask blocks an entire row")
         scores = add(scores, Tensor(mask))
     return matmul(softmax(scores), v)
 
@@ -738,10 +736,10 @@ def portfolio_returns(weights: Tensor, window, costs) -> Tensor:
     drops the asset axis: (days,) or (windows, days).
     """
     if weights.data.ndim not in (2, 3):
-        raise ShapeError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
+        raise ValueError(f"weights must be (days, assets) or (windows, days, assets), got shape {weights.shape}")
     *lead, t, n = weights.shape
     if window.realized.shape != weights.shape:
-        raise ShapeError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
+        raise ValueError(f"returns shape {window.realized.shape} does not match weights {weights.shape}")
     prev0 = window.prev_weights if window.prev_weights is not None else np.zeros(n)
 
     gross = reduce_sum(ag.mul(weights, Tensor(window.realized)), axis=-1)
@@ -754,7 +752,7 @@ def portfolio_returns(weights: Tensor, window, costs) -> Tensor:
 def sharpe(returns: Tensor, eps: float = 1e-12) -> Tensor:
     """Per-period Sharpe ratio over the last axis, ``eps``-guarded variance, on the tape."""
     if returns.data.ndim not in (1, 2) or returns.shape[-1] < 2:
-        raise ContractError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
+        raise NumericError(f"sharpe needs at least 2 returns per window, got shape {returns.shape}")
     m = mean_axis(returns, -1)
     var = sub(mean_axis(ag.mul(returns, returns), -1), ag.mul(m, m))
     return div(m, sqrt(shift(var, eps)))

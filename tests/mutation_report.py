@@ -105,8 +105,8 @@ CATALOGUE = [
     # the exit-code map and the checks that pick an exit code
     (CLI, "        return 3\n", "        return 2\n",
      "a NumericError exits 3"),
-    ("src/ptopt/errors.py", "class ContractError(NumericError):", "class ContractError(RuntimeError):",
-     "a ContractError is a NumericError, so it exits 3"),
+    ("src/ptopt/metrics.py", 'raise NumericError(f"need at least 2 daily returns', 'raise ValueError(f"need at least 2 daily returns',
+     "too short a curve for its statistics is a numeric failure (exit 3), not a usage error"),
     (TRAINING, "if s in walks and n < 2:", "if s in walks and n < 1:",
      "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
     ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
@@ -130,10 +130,12 @@ CATALOGUE = [
      "--budget 1 runs a search of one trial, which trials.csv lists"),
     (CLI, "            aside.rename(out)\n", "            pass\n",
      "a forced run that fails to rename its directory into place puts the old one back"),
-    (CLI, "        if not _earlier_output(out):\n", "        if False:\n",
+    (CLI, "        if not _earlier_output(real):\n", "        if False:\n",
      "--force over a directory without an earlier run's or compare's manifest.json exits 1 before any work"),
     (CLI, "    if out.is_dir() and not any(out.iterdir()):\n", "    if False:\n",
      "an empty --out that cannot be renamed, a mount point say, is filled in place"),
+    (CLI, "Path(path), Path(path).resolve()", "Path(path), Path(path)",
+     "--out is checked as the path it resolves to, the one the run writes: '.' or a symlink"),
 ]
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import ptopt.autograd as ag
-from ptopt.autograd import ContractError, ShapeError, Tape, Tensor
+from ptopt.autograd import Tape, Tensor
+from ptopt.errors import NumericError
 from ptopt.model import PTConfig, PortfolioTransformer
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
 
@@ -325,7 +326,7 @@ def test_backward_rejects_nonscalar_loss():
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = ag.mul(x, x)
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError, match=r"backward needs a scalar loss, got shape \(2,\)"):
             ag.backward(y, tape)
 
 
@@ -396,7 +397,8 @@ def test_backward_is_deterministic():
     ],
 )
 def test_shape_violations_raise(bad):
-    with pytest.raises(ShapeError):
+    # the op's own check, which names the op, and not numpy's ValueError from deeper in
+    with pytest.raises(ValueError, match=r"^(matmul|add|sub|mul|div|transpose|broadcast_to|slice|concat|residual_layer_norm): "):
         bad()
 
 
@@ -557,6 +559,6 @@ def test_mha_rejects_bad_shapes():
     _, _, inputs = mha_case(2, (), "cross")
     x, w = Tensor(inputs["x"]), Tensor(inputs["wq0"])
     memory = Tensor(inputs["kv"][:, :6])  # 6 columns where the model is 8 wide
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="mha: incompatible shapes"):
         ag.mha(x, memory, [w, w], [w, w], [w, w], Tensor(inputs["wo"]), 1.0)
 

@@ -167,7 +167,7 @@ def test_batched_loss_gradients_match_finite_differences(kind):
 def test_block_stack_rejects_bad_shapes(kind):
     model = MODELS[kind]()
     for bad in (np.zeros((2 * TAU, N + 1)), np.zeros((3, 2 * TAU - 1, N)), np.zeros((1, 1, 2 * TAU, N))):
-        with pytest.raises(ag.ShapeError):
+        with pytest.raises(ValueError, match="block shape"):
             model.window_weights(bad)
 
 

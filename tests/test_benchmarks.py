@@ -11,7 +11,7 @@ import pytest
 
 import ptopt
 import ptopt.autograd as ag
-from ptopt.autograd import ShapeError, Tensor
+from ptopt.autograd import Tensor
 from ptopt.benchmarks import (
     LSTMConfig,
     LSTMModel,
@@ -251,9 +251,9 @@ def test_mlp_gradients_match_finite_differences():
 
 def test_mlp_shape_errors():
     model = MLPModel(MLPConfig(n_assets=3, window=4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"block shape \(8, 2\) != \(8, 3\)"):
         model.window_weights(np.zeros((8, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"block shape \(7, 3\) != \(8, 3\)"):
         model.window_weights(np.zeros((7, 3)))
 
 
@@ -309,9 +309,9 @@ def test_lstm_deterministic_init():
 
 def test_lstm_shape_errors():
     model = LSTMModel(LSTMConfig(n_assets=3, window=4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="lstm: incompatible shapes"):
         lstm_forward(np.zeros((4, 2)), model)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"block shape \(4, 3\) != \(8, 3\)"):
         model.window_weights(np.zeros((4, 3)))
 
 
@@ -365,7 +365,7 @@ def test_lstm_rejects_bad_shapes():
         (x, wx, wh, Tensor(np.zeros(4))),  # b != 4 * hidden
         (Tensor(np.zeros(3)), wx, wh, b),  # no row axis
     ):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError, match="lstm: incompatible shapes"):
             ag.lstm(*bad)
 
 

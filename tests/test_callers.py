@@ -8,9 +8,14 @@ name inside the module that defines it that no enclosing function binds (a
 parameter ``scale`` is not the function ``scale``). A bare name elsewhere is
 not matched, because names collide across modules (``np.sqrt``, argparse's
 ``sub``).
+
+Likewise every exception class that ``src/ptopt`` defines is named by an
+``except`` clause or an ``isinstance`` call there: a type that nothing acts on
+only renames its parent.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,3 +115,38 @@ def test_caller_matching_is_qualified_by_module(tmp_path):
     own = references(source, "ptopt.x")
     assert ("ptopt.x", "sub") in own
     assert ("ptopt.x", "scale") not in own
+
+
+def exception_classes(tree) -> set[str]:
+    """The classes ``tree`` defines that derive, through its own classes, from a builtin exception."""
+    known = {name for name, obj in vars(builtins).items() if isinstance(obj, type) and issubclass(obj, BaseException)}
+    defined = {node.name: node.bases for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found: set[str] = set()
+    while True:
+        more = {name for name, bases in defined.items() if any(dotted(b) in known | found for b in bases)} - found
+        if not more:
+            return found
+        found |= more
+
+
+def caught_names(tree) -> set[str]:
+    """The last part of each name an ``except`` clause or an ``isinstance`` call tests against."""
+    tested = [node.type for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type]
+    tested += [
+        node.args[1] for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and dotted(node.func) == "isinstance" and len(node.args) == 2
+    ]
+    names = set()
+    for node in tested:
+        for part in node.elts if isinstance(node, ast.Tuple) else [node]:
+            if dotted(part):
+                names.add(dotted(part).rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_exception_class_is_caught_or_tested_somewhere_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    defined = set().union(*map(exception_classes, trees))
+    caught = set().union(*map(caught_names, trees))
+    assert defined, "no exception class found in the package"
+    assert not defined - caught, f"exception types nothing in src/ptopt acts on (raise their parent): {sorted(defined - caught)}"

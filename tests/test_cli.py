@@ -15,7 +15,6 @@ import pytest
 import ptopt.cli as cli
 import ptopt.training as tr
 from ptopt import __version__
-from ptopt.autograd import ContractError
 from ptopt.errors import NumericError, TrainingError
 from ptopt.metrics import MetricsReport
 from ptopt.model import PTConfig
@@ -369,6 +368,26 @@ def test_an_empty_out_is_filled_in_place_when_it_cannot_be_renamed_or_its_parent
     monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("load_csv must not be called"))
     assert cli.main([*argv, "--out", str(parent / "new")]) == 1
     assert [p.name for p in parent.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("given", ["dot", "symlink"])
+def test_force_checks_the_parent_of_the_directory_out_resolves_to(given, prices_csv, tmp_path, capsys, monkeypatch):
+    parent = tmp_path.resolve() / "ro"
+    out = parent / "out"
+    assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]) == 0
+    before = snapshot(out)
+    if given == "dot":
+        monkeypatch.chdir(out)
+        arg = "."
+    else:
+        arg = str(tmp_path / "link")
+        os.symlink(out, arg)
+    access = os.access
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: Path(p) != parent and access(p, mode))  # a read-only parent
+    monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("load_csv must not be called"))
+    assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", arg, "--force"]) == 1
+    assert capsys.readouterr().err == f"error: output path {arg}: cannot write in {parent}\n"
+    assert snapshot(out) == before and [p.name for p in parent.iterdir()] == ["out"]
 
 
 def test_run_out_naming_a_file_is_usage_error(prices_csv, tmp_path, capsys):
@@ -960,7 +979,7 @@ def test_a_one_trial_search_that_fails_exits_3_naming_its_year(prices_csv, tmp_p
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error", [NumericError, TrainingError, ContractError])
+@pytest.mark.parametrize("error", [NumericError, TrainingError])
 def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch, capsys, error):
     def explode(*a, **k):
         raise error("boom")

@@ -24,7 +24,7 @@ from ptopt.data import (
     write_csv,
     yearly_splits,
 )
-from ptopt.errors import DataError, ParseError
+from ptopt.errors import DataError
 
 from helpers import (
     clean_and_return_oracle, forward_fill_oracle, lag1_autocorr, load_csv_oracle, traced_peak, trading_days_oracle, write_gapped_csv,
@@ -80,7 +80,7 @@ def test_load_missing_cells_become_nan(tmp_path):
 )
 def test_load_parse_errors_carry_line_numbers(tmp_path, text, line):
     path = write(tmp_path, text)
-    with pytest.raises(ParseError, match=f":{line}" if line > 1 else "header"):
+    with pytest.raises(DataError, match=f":{line}" if line > 1 else "header"):
         load_csv(path)
 
 
@@ -124,18 +124,18 @@ def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
         ("date,AAA\n2020-01-02,-5\n2020-01-03,1,2\n", DataError, ":2: non-positive price -5 for AAA"),
         ("date,AAA\n2020-01-02,-5\nxx,1\n", DataError, ":2: non-positive price -5 for AAA"),
         ("date,AAA,BBB\n2020-01-02,-5,abc\n", DataError, ":2: non-positive price -5 for AAA"),
-        ("date,AAA,BBB\n2020-01-02,abc,-5\n", ParseError, ":2: bad price 'abc' for AAA"),
+        ("date,AAA,BBB\n2020-01-02,abc,-5\n", DataError, ":2: bad price 'abc' for AAA"),
         ("date,AAA\n2020-01-02,-5\n2020-01-02,1\n", DataError, ":2: non-positive price -5 for AAA"),
-        ("", ParseError, ": empty file"),
-        ("\n2020-01-02,1\n", ParseError, ":1: header must be 'date,<TICKER1>,...', got ''"),
+        ("", DataError, ": empty file"),
+        ("\n2020-01-02,1\n", DataError, ":1: header must be 'date,<TICKER1>,...', got ''"),
         # the header names each ticker once, none of them empty
-        ("date,A,,B\n2020-01-02,1,2,3\n", ParseError, ":1: empty ticker name in header"),
-        ("date,A,A\n2020-01-02,1,2\n", ParseError, ":1: duplicate ticker 'A' in header"),
-        ("date,B,A,C,A,B\n", ParseError, ":1: duplicate ticker 'A' in header"),
+        ("date,A,,B\n2020-01-02,1,2,3\n", DataError, ":1: empty ticker name in header"),
+        ("date,A,A\n2020-01-02,1,2\n", DataError, ":1: duplicate ticker 'A' in header"),
+        ("date,B,A,C,A,B\n", DataError, ":1: duplicate ticker 'A' in header"),
         # line numbers count blank lines, whatever ends a line
         ("date,AAA\r\n\r\n2020-01-02,100\r\n2020-01-03,0\r\n", DataError, ":4: non-positive price 0 for AAA"),
-        ("date,AAA\n\n\n2020-01-02,1,2\n", ParseError, ":4: expected 2 fields, got 3"),
-        ("date,AAA\n2020-01-02,1\n\n2020-01-03,\n2020-01-06,x\n", ParseError, ":5: bad price 'x' for AAA"),
+        ("date,AAA\n\n\n2020-01-02,1,2\n", DataError, ":4: expected 2 fields, got 3"),
+        ("date,AAA\n2020-01-02,1\n\n2020-01-03,\n2020-01-06,x\n", DataError, ":5: bad price 'x' for AAA"),
         # a duplicate is found among the sorted dates
         ("date,AAA\n2020-01-03,1\n2020-01-02,2\n2020-01-03,3\n", DataError, ": duplicate date 2020-01-03"),
         # a literal nan or inf is a bad price, also beside empty cells and before a duplicate date
@@ -144,7 +144,7 @@ def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
         # the first fault in file order wins: a bad price on an earlier line than a
         # field-count error, and a field-count error on an earlier line than a bad price
         ("date,AAA\n2020-01-02,1\n2020-01-03,-1\n2020-01-06,1,2\n", DataError, ":3: non-positive price -1 for AAA"),
-        ("date,AAA\n2020-01-02,1,2\n2020-01-03,-1\n", ParseError, ":2: expected 2 fields, got 3"),
+        ("date,AAA\n2020-01-02,1,2\n2020-01-03,-1\n", DataError, ":2: expected 2 fields, got 3"),
     ],
 )
 def test_load_reports_the_first_fault_in_file_order(tmp_path, text, error, message):
@@ -193,7 +193,7 @@ def test_first_fault_of_a_file_that_no_longer_has_one(tmp_path):
 def test_only_newlines_end_a_line(tmp_path, sep):
     # str.splitlines() would end a line at each of these; reading a file's lines does not
     path = write(tmp_path, f"date,AAA\n2020-01-02,100{sep}2020-01-03,101\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(DataError) as err:
         load_csv(path)
     assert str(err.value) == f"{path}:2: expected 2 fields, got 3"
 
@@ -202,7 +202,7 @@ def test_only_newlines_end_a_line(tmp_path, sep):
 def test_load_lets_a_decode_error_through(tmp_path, row):
     # bytes that are not UTF-8 raise a DataError quoting the decoder's error, in
     # the first 8 KiB the file reads (row 1) or in a later one (row 900), not a
-    # ParseError about an earlier line. The decoder counts its position within
+    # bad-field error about an earlier line. The decoder counts its position within
     # the chunk being decoded, not within the file.
     lines = [f"2020-01-02,{i}".encode() for i in range(1, 1001)]
     lines[row] = b"2020-01-02,1\xff"

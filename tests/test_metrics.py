@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from ptopt.autograd import ContractError, Tensor
+from ptopt.autograd import Tensor
 from ptopt.data import ReturnTable, trading_days
-from ptopt.errors import AlignmentError, DataError, NumericError
+from ptopt.errors import DataError, NumericError
 from ptopt.metrics import (
     _BACKTEST_BLOCK,
     _ROLLING_BLOCK,
@@ -87,7 +87,7 @@ def test_zero_dispersion_sentinels():
 
 
 def test_metrics_needs_two_returns():
-    with pytest.raises(ContractError):
+    with pytest.raises(NumericError, match="need at least 2 daily returns, got 1"):
         compute_metrics(curve_from([0.01]))
 
 
@@ -189,7 +189,7 @@ def test_rolling_sharpe_peak_does_not_grow_with_curve_length():
 
 
 def test_rolling_sharpe_rejects_short_curve():
-    with pytest.raises(ContractError):
+    with pytest.raises(NumericError, match="curve length 2 shorter than window 5"):
         rolling_sharpe(curve_from([0.01, 0.02]), window=5)
 
 
@@ -309,12 +309,12 @@ def test_alignment_errors():
     ]
     for dates, message in cases:
         stream = WeightStream(dates, np.zeros((len(dates), 2)))
-        with pytest.raises(AlignmentError, match=message) as caught:
+        with pytest.raises(DataError, match=message) as caught:
             run_backtest(stream, table, CostModel())
-        with pytest.raises(AlignmentError) as expected:
+        with pytest.raises(DataError) as expected:
             run_backtest_oracle(stream, table, 0.0002)
         assert str(caught.value) == str(expected.value)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(DataError, match="weight stream has 3 assets, return table 2"):
         run_backtest(WeightStream(days[:2], np.zeros((2, 3))), table, CostModel())
 
 

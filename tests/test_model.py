@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptopt.autograd as ag
-from ptopt.autograd import ContractError, ShapeError, Tensor
+from ptopt.autograd import Tensor
+from ptopt.errors import NumericError
 from ptopt.model import (
     GRNLayer,
     MHALayer,
@@ -160,7 +161,7 @@ def test_embed_window_matches_composition(lead):
 
 
 def test_embed_window_rejects_wrong_width():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="embed: incompatible shapes"):
         embed_window(np.zeros((4, 5)), tiny_model())
 
 
@@ -199,14 +200,14 @@ def test_attention_causal_first_row_sees_only_itself():
 def test_attention_rejects_fully_masked_row():
     mask = np.full((2, 2), -1e9)
     x = Tensor(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
+    with pytest.raises(NumericError, match="attention mask blocks an entire row"):
         attention(x, x, x, 1.0, mask)
 
 
 def test_attention_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="query/key width mismatch"):
         attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 2))), 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="key/value row mismatch"):
         attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), 1.0)
 
 
@@ -351,9 +352,9 @@ def test_forward_shape_and_constraint():
 
 def test_forward_rejects_bad_shapes():
     model = tiny_model()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"block shape \(8, 2\) != \(8, 3\)"):
         model.window_weights(np.zeros((8, 2)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"block shape \(7, 3\) != \(8, 3\)"):
         model.window_weights(np.zeros((7, 3)))
 
 
