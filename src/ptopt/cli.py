@@ -5,11 +5,12 @@ Three subcommands share one pipeline. ``synth`` writes a price CSV,
 output directory, ``compare`` does the same for several strategies against
 identical splits and cost model and renders a side-by-side table.
 
-Exit codes map the ``ptopt.errors`` hierarchy: 0 success, 1 usage (any other
-ValueError), 2 DataError or OSError, 3 NumericError. Every ``run``/``compare``
-writes a manifest.json recording the effective config (every flag that
-changes results), seed, package, Python and numpy versions, and a checksum
-of the input file, so any result can be traced back to what produced it.
+Exit codes, all chosen by ``main``, map the ``ptopt.errors`` hierarchy: 0
+success, 1 usage (argparse's, or any other ValueError), 2 DataError or
+OSError, 3 NumericError. Every ``run``/``compare`` writes a manifest.json
+recording the effective config (every flag that changes results), seed,
+package, Python and numpy versions, and a checksum of the input file, so any
+result can be traced back to what produced it.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def check_out_dir(path: str, force: bool, data: str) -> Path:
 
     ``_publishing`` fills an empty directory in place, and else writes a hidden sibling whole and renames it into
     place, so it needs write access there. ``--force`` replaces only an earlier run's or compare's directory, and
-    never one that holds the input. Returns the resolved path: the one checked here and written by ``_publishing``.
+    never one that holds the input or the working directory. Returns the resolved path: the one checked here and
+    written by ``_publishing``.
     """
     out, real = Path(path), Path(path).resolve()
     existing = next(p for p in (real, *real.parents) if p.exists())
@@ -122,8 +124,12 @@ def check_out_dir(path: str, force: bool, data: str) -> Path:
             raise ValueError(f"output directory {out} is not empty; pass --force to overwrite")
         if not _earlier_output(real):
             raise ValueError(f"output directory {out} holds no manifest.json of a run or compare; --force replaces only those")
-        if os.path.ismount(real) or real in Path(data).resolve().parents:
-            raise ValueError(f"output directory {out} is a mount point or holds the input; --force cannot replace it")
+        try:
+            holds_cwd = Path.cwd().is_relative_to(real)
+        except FileNotFoundError:  # a working directory that no longer exists holds nothing
+            holds_cwd = False
+        if os.path.ismount(real) or real in Path(data).resolve().parents or holds_cwd:
+            raise ValueError(f"--force cannot replace {real}: it is a mount point or holds the input or the working directory")
         existing = real.parent
     if not os.access(existing, os.W_OK | os.X_OK):
         raise ValueError(f"output path {out}: cannot write in {existing}")
@@ -316,14 +322,6 @@ def _run_config(args) -> RunConfig:
 # argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _add_shared_run_flags(p) -> None:
     """The run/compare flags; each one that sets a RunConfig field shares its name and default."""
     p.add_argument("--data", required=True, help="input price CSV")
@@ -344,7 +342,7 @@ def _add_shared_run_flags(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ptopt", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="ptopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic price CSV")
@@ -372,8 +370,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        return int(exit_.code or 0)
+    except SystemExit as exit_:  # argparse's usage error (status 2) is a usage error here; --help exits 0
+        return 1 if exit_.code else 0
     try:
         if getattr(args, "jobs", 1) < 1:  # checked here, not in RunConfig: --jobs never changes results
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")

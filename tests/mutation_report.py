@@ -105,6 +105,8 @@ CATALOGUE = [
     # the exit-code map and the checks that pick an exit code
     (CLI, "        return 3\n", "        return 2\n",
      "a NumericError exits 3"),
+    (CLI, "return 1 if exit_.code else 0", "return exit_.code",
+     "argparse's usage error exits 1, not argparse's own status 2"),
     ("src/ptopt/metrics.py", 'raise NumericError(f"need at least 2 daily returns', 'raise ValueError(f"need at least 2 daily returns',
      "too short a curve for its statistics is a numeric failure (exit 3), not a usage error"),
     (TRAINING, "if s in walks and n < 2:", "if s in walks and n < 1:",
@@ -136,6 +138,8 @@ CATALOGUE = [
      "an empty --out that cannot be renamed, a mount point say, is filled in place"),
     (CLI, "Path(path), Path(path).resolve()", "Path(path), Path(path)",
      "--out is checked as the path it resolves to, the one the run writes: '.' or a symlink"),
+    (CLI, " or holds_cwd:", ":",
+     "--force never replaces the working directory or one of its ancestors: the caller's shell would sit in a deleted directory"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Byte parity of two source trees: the outputs of nine commands and the errors of four, file by file.
+"""Byte parity of two source trees: the outputs of nine commands and the errors of six, file by file.
 
     python3 tests/parity_report.py PARENT_TREE CHANGE_TREE
 
@@ -20,8 +20,9 @@ subprocess with ``OPENBLAS_NUM_THREADS=1`` and that tree's ``src`` and
   2015-12-01 on, tested from 2016), four commands that fail on the data:
   ``run --strategy mv``, ``run --strategy lstm --budget 2 --jobs 2``,
   ``compare --strategies lstm mv mlp --budget 2 --search-once --jobs 2`` and
-  ``compare --strategies lstm mv --window 2 --budget 2 --jobs 2``. Each one's
-  exit code and stderr, which names no path, go to ``errors/<name>.txt``.
+  ``compare --strategies lstm mv --window 2 --budget 2 --jobs 2``, and two
+  usage errors: ``run --strategy nope`` and ``run --strategy mv --bogus``. Each
+  one's exit code and stderr, which names no path, go to ``errors/<name>.txt``.
 
 It then prints one line per file, the markets included: identical, identical
 apart from ignored fields, or how it differs, and a count of each. Ignored are
@@ -59,12 +60,14 @@ FAILING = {
     "run_lstm_short_jobs": ["run", "--strategy", "lstm", "--budget", "2", "--jobs", "2"],
     "compare_search_once_short": ["compare", "--strategies", "lstm", "mv", "mlp", "--budget", "2", "--search-once", "--jobs", "2"],
     "compare_mv_after_trained_short": ["compare", "--strategies", "lstm", "mv", "--window", "2", "--budget", "2", "--jobs", "2"],
+    "run_invalid_choice": ["run", "--strategy", "nope"],
+    "run_unknown_flag": ["run", "--strategy", "mv", "--bogus"],
 }
 IDENTICAL, IGNORED_ONLY = "identical", "identical apart from ignored fields"
 
 
 def run_commands(tree: Path, work: Path) -> None:
-    """Write the markets and run the thirteen commands on ``tree``'s code, into ``work``."""
+    """Write the markets and run the fifteen commands on ``tree``'s code, into ``work``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import ptopt
     from ptopt.cli import main

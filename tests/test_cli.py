@@ -370,15 +370,16 @@ def test_an_empty_out_is_filled_in_place_when_it_cannot_be_renamed_or_its_parent
     assert [p.name for p in parent.iterdir()] == ["out"]
 
 
-@pytest.mark.parametrize("given", ["dot", "symlink"])
+@pytest.mark.parametrize("given", ["relative", "symlink"])
 def test_force_checks_the_parent_of_the_directory_out_resolves_to(given, prices_csv, tmp_path, capsys, monkeypatch):
     parent = tmp_path.resolve() / "ro"
     out = parent / "out"
     assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]) == 0
     before = snapshot(out)
-    if given == "dot":
-        monkeypatch.chdir(out)
-        arg = "."
+    if given == "relative":  # given from a sibling of ro, its parent is checked as what "../ro" resolves to
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        arg = "../ro/out"
     else:
         arg = str(tmp_path / "link")
         os.symlink(out, arg)
@@ -388,6 +389,36 @@ def test_force_checks_the_parent_of_the_directory_out_resolves_to(given, prices_
     assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", arg, "--force"]) == 1
     assert capsys.readouterr().err == f"error: output path {arg}: cannot write in {parent}\n"
     assert snapshot(out) == before and [p.name for p in parent.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("given", [".", ".."], ids=["dot", "dotdot"])
+def test_force_refuses_an_out_that_holds_the_working_directory(given, prices_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path.resolve() / "out"
+    assert cli.main(["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]) == 0
+    before = snapshot(out)
+    here = out if given == "." else out / "sub"  # inside the earlier run, or a directory made inside it
+    here.mkdir(exist_ok=True)
+    monkeypatch.chdir(here)
+    monkeypatch.setattr(cli, "load_csv", lambda path: pytest.fail("load_csv must not be called"))
+    assert cli.main(["run", "--strategy", "mv", "--data", str(prices_csv), "--out", given, "--force"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --force cannot replace {out}: it is a mount point or holds the input or the working directory\n"
+    )
+    # the caller's directory is still there, and the old run as it was
+    assert Path.cwd() == here and here.is_dir()
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, *(["sub"] if given == ".." else [])])
+
+
+def test_force_from_a_working_directory_that_no_longer_exists_replaces_the_earlier_run(prices_csv, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]
+    assert cli.main(argv) == 0
+    (tmp_path / "gone").mkdir()
+    monkeypatch.chdir(tmp_path / "gone")
+    (tmp_path / "gone").rmdir()
+    assert cli.main([*argv, "--seed", "1", "--force"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 1
 
 
 def test_run_out_naming_a_file_is_usage_error(prices_csv, tmp_path, capsys):
@@ -991,6 +1022,26 @@ def test_numeric_failure_exits_3(prices_csv, tmp_path, monkeypatch, capsys, erro
 
 def test_missing_subcommand_is_usage_error():
     assert cli.main([]) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["run"]], ids=["ptopt", "run"])
+def test_help_exits_0_with_usage_on_stdout(argv, capsys):
+    assert cli.main([*argv, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: ptopt", *argv]) + " ") and err == ""
+
+
+@pytest.mark.parametrize("argv, prog, error", [
+    (["--strategy", "nope"], ["run"], "ptopt run: error: argument --strategy: invalid choice: 'nope' (choose from "),
+    (["--strategy", "mv", "--bogus"], [], "ptopt: error: unrecognized arguments: --bogus\n"),
+], ids=["invalid_choice", "unknown_flag"])
+def test_a_usage_error_exits_1_with_argparse_s_usage_and_error_lines(argv, prog, error, prices_csv, tmp_path, capsys):
+    assert cli.main([*prog, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0] + "\n"  # the usage lines that open the help of the parser that errs
+    assert cli.main(["run", *argv, "--data", str(prices_csv), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(usage + error) and err[len(usage):].count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_trained_strategy_writes_checkpoint(prices_csv, tmp_path):
