@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
-from ptopt.errors import DataError, NumericError
+from ptopt.errors import DataError, NumericError, check_bounds
 from ptopt.model import Dense, Layer, PortfolioTransformer, WindowConfig, _pack, _uniform_init, batched_weights, last_rows
 
 # ---------------------------------------------------------------------------
@@ -35,10 +35,7 @@ class MVConfig:
     ridge: float = 1e-6
 
     def __post_init__(self):
-        if self.lookback < 2:
-            raise ValueError(f"lookback must be >= 2, got {self.lookback}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        check_bounds(self, lookback=2, ridge=0)
 
 
 def equal_weights(n_assets: int) -> np.ndarray:
@@ -144,8 +141,7 @@ class LSTMConfig(WindowConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        check_bounds(self, hidden=1)
 
 
 class LSTMModel(Layer):

@@ -31,7 +31,7 @@ import numpy as np
 
 from ptopt import __version__
 from ptopt.data import SynthConfig, clean_and_return, load_csv, synth_generate, write_csv, yearly_splits
-from ptopt.errors import DataError, NumericError
+from ptopt.errors import DataError, NumericError, check_bounds
 from ptopt.metrics import (
     MetricsReport,
     compute_metrics,
@@ -77,9 +77,7 @@ class RunConfig:
     search_once: bool = False
 
     def __post_init__(self):
-        for name in ("seed", "budget"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_bounds(self, seed=0, budget=0)
 
 
 @functools.cache  # the code a process runs is the tree it imported

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ptopt.errors import DataError
+from ptopt.errors import DataError, check_bounds
 
 
 @dataclass
@@ -299,10 +299,7 @@ class SynthConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.n_assets < 1 or self.n_days < 2:
-            raise ValueError("need n_assets >= 1 and n_days >= 2")
-        if not np.isfinite(self.momentum):
-            raise ValueError(f"momentum must be finite, got {self.momentum}")
+        check_bounds(self, n_assets=1, n_days=2, momentum=-np.inf)
 
 
 def trading_days(start: dt.date, n: int) -> list[dt.date]:

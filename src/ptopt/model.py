@@ -29,6 +29,7 @@ import numpy as np
 
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
+from ptopt.errors import check_bounds
 
 CHECKPOINT_MAGIC = "PTCKPT1"
 _INFER_BLOCK = 64  # default items per gradient-free call of ``blockwise``
@@ -39,11 +40,12 @@ def _cast(name: str, type_name: str, value):
     """``value`` as the type named ``int``, ``float`` or ``str``.
 
     A space file may give ``8.0`` or ``"2"`` for an int. A bool, or a number
-    the type cannot hold exactly (``8.5`` for an int), raises ValueError.
+    the type cannot hold exactly (``8.5`` for an int), raises ValueError; a
+    float NaN stays NaN, for ``check_bounds`` or the field's own check to refuse.
     """
     try:
         cast = _CASTS[type_name](value)
-        exact = not isinstance(value, bool) and (isinstance(value, str) or cast == value)
+        exact = not isinstance(value, bool) and (isinstance(value, str) or cast == value or cast != cast)
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
@@ -72,9 +74,7 @@ class WindowConfig:
 
     def __post_init__(self):
         _cast_fields(self)
-        for name in ("n_assets", "window"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        check_bounds(self, n_assets=2, window=2)
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,7 @@ class PTConfig(WindowConfig):
             raise ValueError(f"need d_model >= n_heads >= 1, got {self.d_model}/{self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
-        if self.t2v_k < 1:
-            raise ValueError(f"t2v_k must be >= 1, got {self.t2v_k}")
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        check_bounds(self, t2v_k=1, n_layers=1)
         if self.attention_scale_mode not in ("d_model", "d_k"):
             raise ValueError(f"attention_scale_mode must be 'd_model' or 'd_k', got {self.attention_scale_mode!r}")
         if not 0.0 <= self.dropout < 1.0:

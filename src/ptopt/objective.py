@@ -19,7 +19,7 @@ import numpy as np
 
 import ptopt.autograd as ag
 from ptopt.autograd import Tensor
-from ptopt.errors import NumericError
+from ptopt.errors import NumericError, check_bounds
 
 EPS = 1e-12
 
@@ -31,8 +31,7 @@ class CostModel:
     cost_rate: float = 0.0002
 
     def __post_init__(self):
-        if not 0 <= self.cost_rate < np.inf:  # NaN fails both comparisons
-            raise ValueError(f"cost_rate must be finite and non-negative, got {self.cost_rate}")
+        check_bounds(self, cost_rate=0)
 
 
 @dataclass

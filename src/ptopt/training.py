@@ -28,7 +28,7 @@ import ptopt.autograd as ag
 from ptopt.autograd import Tensor
 from ptopt.benchmarks import MODEL_KINDS, MVConfig, equal_weights, mv_weights
 from ptopt.data import ReturnTable, Split, WalkForwardSchedule
-from ptopt.errors import DataError, TrainingError
+from ptopt.errors import DataError, TrainingError, check_bounds
 from ptopt.metrics import WeightStream
 from ptopt.model import _cast_fields, blockwise
 from ptopt.objective import CostModel, ReturnsWindow, sharpe_loss
@@ -75,14 +75,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _cast_fields(self)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        check_bounds(self, batch_size=1, learning_rate=0, max_epochs=1, patience=1)
 
 
 def _ending_at(r: np.ndarray, length: int, last: int, count: int) -> np.ndarray:
@@ -221,8 +214,7 @@ class HyperparamSpace:
     budget: int = 100
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        check_bounds(self, budget=1)
         if any(not values for values in self.axes.values()):
             raise ValueError("every axis needs at least one candidate")
 

@@ -32,7 +32,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 # the catalogue check is left out: on a mutant's copy it fails by construction
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutation_report.py"]
 
-TRAINING, OBJECTIVE, CLI = "src/ptopt/training.py", "src/ptopt/objective.py", "src/ptopt/cli.py"
+TRAINING, OBJECTIVE, CLI, ERRORS = "src/ptopt/training.py", "src/ptopt/objective.py", "src/ptopt/cli.py", "src/ptopt/errors.py"
 CATALOGUE = [
     # the split's fit: one random_grid_search pick per trained split
     (TRAINING, "1, self.seed + k\n", "1, self.seed + k + 1\n",
@@ -113,10 +113,15 @@ CATALOGUE = [
      "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
     ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
      "a year missing from the data is a data error, not a broken schedule"),
-    (OBJECTIVE, "0 <= self.cost_rate < np.inf:", "0 <= self.cost_rate <= np.inf:",
+    # the one range rule of every config
+    (ERRORS, "value < math.inf:", "value <= math.inf:",
      "an infinite --cost-rate is a usage error before the data is read"),
-    ("src/ptopt/data.py", "if not np.isfinite(self.momentum):", "if np.isnan(self.momentum):",
+    (ERRORS, "if not -math.inf < value < math.inf:", "if value != value:",
      "synth refuses an infinite --momentum"),
+    (ERRORS, "if value < lo:", "if value <= lo:",
+     "a config field at its lower bound builds"),
+    ("src/ptopt/model.py", "cast == value or cast != cast)", "cast == value)",
+     "a float NaN in a config is refused as not finite, not as not a float"),
     (TRAINING, "model_config(strategy, 2, tau, combo, seed=0)", "model_config(strategy, 2, tau, {}, seed=0)",
      "--t2v-k is checked with pt's settings before the data is read"),
     (TRAINING, "            fit_config(TrainConfig(), combo, 0)\n", "",

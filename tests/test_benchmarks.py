@@ -199,13 +199,6 @@ def test_mv_walk_peak_does_not_grow_with_assets():
     assert temporaries[1] <= temporaries[0] + 64 * 1024, temporaries
 
 
-def test_mv_config_validation():
-    with pytest.raises(ValueError):
-        MVConfig(lookback=1)
-    with pytest.raises(ValueError):
-        MVConfig(ridge=-1e-9)
-
-
 # ---------------------------------------------------------------------------
 # MLP
 

@@ -603,9 +603,9 @@ def test_run_space_with_no_valid_combo_is_usage_error(prices_csv, tmp_path, caps
 
 
 def test_run_space_skips_a_combo_whose_fit_settings_cannot_build(prices_csv, tmp_path):
-    # a learning rate of -1 builds a model but no fit config, so the search drops its combo
+    # a negative or non-finite learning rate builds a model but no fit config, so the search drops its combo
     space = tmp_path / "space.json"
-    space.write_text('{"axes": {"hidden": [4], "learning_rate": [0.001, -1]}, "budget": 4}')
+    space.write_text('{"axes": {"hidden": [4], "learning_rate": [0.001, -1, Infinity, "nan"]}, "budget": 4}')
     out = tmp_path / "o"
     assert cli.main([*LSTM_RUN, "--data", str(prices_csv), "--out", str(out), "--space", str(space)]) == 0
     with open(out / "trials.csv", newline="") as fh:
@@ -644,6 +644,10 @@ def test_run_jobs_below_one_is_usage_error(prices_csv, tmp_path, capsys, monkeyp
                  id="lstm--space"),
     pytest.param("run --strategy lstm --space BATCH_SPACE",
                  "no valid combination; the first, {'hidden': 4, 'batch_size': 0}, fails: batch_size must be >= 1, got 0", id="lstm--space-batch-size"),
+    pytest.param("run --strategy lstm --space INF_RATE_SPACE",
+                 "the first, {'hidden': 4, 'learning_rate': inf}, fails: learning_rate must be finite, got inf", id="lstm--space-inf-rate"),
+    pytest.param("run --strategy lstm --space NAN_RATE_SPACE",
+                 "the first, {'hidden': 4, 'learning_rate': 'nan'}, fails: learning_rate must be finite, got nan", id="lstm--space-nan-rate"),
     pytest.param("compare --strategies lstm pt --space PT_SPACE --budget 2", "the first, {'n_heads': 3, 't2v_k': 3}, fails: n_heads 3 must divide",
                  id="compare-lstm-pt--space"),
 ])
@@ -655,6 +659,8 @@ def test_run_bad_flag_is_usage_error_before_the_data_is_read(prices_csv, tmp_pat
     spaces = {
         "PT_SPACE": '{"pt": {"axes": {"n_heads": [3]}}}', "LSTM_SPACE": '{"axes": {"hidden": [0, -1]}}',
         "BATCH_SPACE": '{"axes": {"hidden": [4], "batch_size": [0]}}',
+        "INF_RATE_SPACE": '{"axes": {"hidden": [4], "learning_rate": [Infinity]}}',
+        "NAN_RATE_SPACE": '{"axes": {"hidden": [4], "learning_rate": ["nan"]}}',
     }
     for name, text in spaces.items():  # no combo of any builds both its model and its fit
         (tmp_path / name).write_text(text)

@@ -29,11 +29,6 @@ from helpers import (
 RNG = np.random.default_rng(7)
 
 
-def test_cost_model_rejects_negative_rate():
-    with pytest.raises(ValueError):
-        CostModel(cost_rate=-0.0001)
-
-
 def test_single_day_without_turnover():
     w = Tensor([[0.5, -0.5]])
     window = ReturnsWindow(realized=[[0.02, 0.01]], prev_weights=[0.5, -0.5])

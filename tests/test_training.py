@@ -101,20 +101,6 @@ def test_one_training_step_gives_every_parameter_a_gradient(strategy, combo):
     assert not missing
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"batch_size": 0},
-        {"learning_rate": -0.1},
-        {"max_epochs": 0},
-        {"patience": 0},
-    ],
-)
-def test_train_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
-        tr.TrainConfig(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # window building and batching
 
@@ -316,11 +302,9 @@ def test_space_combinations_cross_product():
     assert {"a": 2, "b": 30} in combos
 
 
-def test_space_rejects_empty_axis_and_bad_budget():
+def test_space_rejects_an_empty_axis():
     with pytest.raises(ValueError):
         tr.HyperparamSpace(axes={"a": []})
-    with pytest.raises(ValueError):
-        tr.HyperparamSpace(axes={"a": [1]}, budget=0)
 
 
 def test_space_json_roundtrip():
