@@ -2,8 +2,8 @@
 
 CSV schema (bit-exact round trip): header ``date,<TICKER1>,...``, ISO-8601
 dates, decimal price literals, empty cell = missing value, UTF-8, comma
-separated. ``load_csv`` streams the file line by line into one flat buffer
-of packed doubles, so ingest holds the price matrix, never the file text.
+separated. ``load_csv`` reads the file once, a batch of lines at a time, into
+one flat buffer of packed doubles: ingest holds the price matrix and one batch.
 Missing prices are forward-filled (never backward: that would leak the
 future into the past) and leading rows before every ticker's first
 observation are dropped.
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptopt.errors import DataError, check_bounds
+
+BATCH_CHARS = 1 << 16  # ``load_csv`` parses and checks the file's lines in batches of about this many characters
 
 
 @dataclass
@@ -63,35 +65,32 @@ class ReturnTable:
         return len(self.tickers)
 
 
-def _first_fault(path, tickers: list[str]) -> DataError:
-    """The error of the first bad line of a CSV that failed to load, found by reading it again.
+def _first_fault(path, lines: list[str], lineno: int, tickers: list[str]) -> DataError:
+    """The error of the first bad line of ``lines``, a batch ``load_csv`` refused whose first line is ``lineno``.
 
-    Lines are checked in file order, each for its field count, then its
-    date, then its prices left to right: an empty cell is missing, anything
-    else must be a finite positive number.
+    Each line is checked, by ``load_csv``'s rules, for its field count, then its date, then its prices
+    left to right: an empty cell is missing, anything else must be a finite positive number. No file
+    is read: the batch that failed holds the line that fails.
     """
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # the header, already checked
-        for lineno, line in enumerate(fh, start=2):
-            if line == "\n":
+    for lineno, line in enumerate(lines, start=lineno):
+        if line == "\n":
+            continue
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(tickers) + 1:
+            return DataError(f"{path}:{lineno}: expected {len(tickers) + 1} fields, got {len(cells)}")
+        try:
+            dt.date.fromisoformat(cells[0])
+        except ValueError:
+            return DataError(f"{path}:{lineno}: bad date {cells[0]!r}")
+        for ticker, cell in zip(tickers, cells[1:]):
+            if cell == "":
                 continue
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(tickers) + 1:
-                return DataError(f"{path}:{lineno}: expected {len(tickers) + 1} fields, got {len(cells)}")
             try:
-                dt.date.fromisoformat(cells[0])
+                value = float(cell)
             except ValueError:
-                return DataError(f"{path}:{lineno}: bad date {cells[0]!r}")
-            for ticker, cell in zip(tickers, cells[1:]):
-                if cell == "":
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    return DataError(f"{path}:{lineno}: bad price {cell!r} for {ticker}")
-                if not 0 < value < np.inf:
-                    return DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
-    return DataError(f"{path}: file changed while it was read")
+                return DataError(f"{path}:{lineno}: bad price {cell!r} for {ticker}")
+            if not 0 < value < np.inf:
+                return DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
 
 
 class _Hashed(io.FileIO):
@@ -108,21 +107,21 @@ class _Hashed(io.FileIO):
 
 
 def load_csv(path) -> PriceTable:
-    """Read a price CSV, streaming its rows into one flat buffer of packed doubles.
+    """Read a price CSV once, a batch of lines at a time, into one flat buffer of packed doubles.
 
-    The header is ``date`` and then each ticker once, none of them empty. Only
-    ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Rows are sorted by date
-    (stably) when the file lists them out of order. A bad field count, date
-    or price raises a ``DataError`` naming the first bad line in file order;
-    a duplicate date raises a ``DataError`` naming it.
-    Bytes that are not UTF-8 raise a ``DataError`` quoting the decoder's error.
-    The table's ``sha256`` is of the bytes parsed, hashed in the same read.
+    The header is ``date`` and then each ticker once, none of them empty, after
+    an optional UTF-8 byte-order mark. Only ``\\n``, ``\\r\\n`` and ``\\r`` end a
+    line. Rows are sorted by date (stably) when the file lists them out of
+    order. A bad field count, date or price raises a ``DataError`` naming the
+    first bad line in file order; a duplicate date raises one naming it. Bytes
+    that are not UTF-8 raise a ``DataError`` quoting the decoder's error, before
+    any bad line of the same batch. The table's ``sha256`` is of the bytes read.
     """
     import hashlib  # here, not at import: only a load needs libcrypto
 
     digest = hashlib.sha256()
     try:
-        with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest)), encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest)), encoding="utf-8-sig") as fh:
             line = fh.readline()
             if not line:
                 raise DataError(f"{path}: empty file")
@@ -139,29 +138,30 @@ def load_csv(path) -> PriceTable:
 
             dates: list[dt.date] = []
             values = array("d")  # every price, row after row: 8 bytes a cell
-            empty = 0  # empty cells, each parsed to NaN; a literal nan would be one NaN more
-            try:
-                for line in fh:
-                    if line == "\n":
-                        continue
-                    cells = line.rstrip("\n").split(",")
-                    if len(cells) != len(header):
-                        raise ValueError  # like a bad date or price: named below
-                    dates.append(dt.date.fromisoformat(cells[0]))
-                    del cells[0]
-                    empty += cells.count("")
-                    values.fromlist([float(cell) if cell else np.nan for cell in cells])
-            except UnicodeDecodeError:
-                raise  # not a bad cell: caught below
-            except ValueError:
-                raise _first_fault(path, tickers) from None  # an earlier bad price comes first
+            lineno = 2  # the batch's first line
+            while lines := fh.readlines(BATCH_CHARS):
+                start, empty = len(values), 0  # empty cells, each parsed to NaN; a literal nan would be one NaN more
+                try:
+                    for line in lines:
+                        if line == "\n":
+                            continue
+                        cells = line.rstrip("\n").split(",")
+                        if len(cells) != len(header):
+                            raise ValueError  # like a bad date or price: named below
+                        dates.append(dt.date.fromisoformat(cells[0]))
+                        del cells[0]
+                        empty += cells.count("")
+                        values.fromlist([float(cell) if cell else np.nan for cell in cells])
+                except ValueError:
+                    raise _first_fault(path, lines, lineno, tickers) from None  # an earlier bad price of the batch comes first
+                batch = np.frombuffer(values[start:])  # a copy: a view would stop ``values`` growing
+                if np.count_nonzero(batch > 0) - np.count_nonzero(batch == np.inf) + empty != batch.size:
+                    raise _first_fault(path, lines, lineno, tickers)  # a cell neither empty nor a finite positive price
+                lineno += len(lines)
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8: {err}") from None
 
     prices = np.frombuffer(values).reshape(len(dates), len(tickers))
-    # every cell is empty or a finite positive price; NaN fails both comparisons
-    if np.count_nonzero(prices > 0) - np.count_nonzero(prices == np.inf) + empty != prices.size:
-        raise _first_fault(path, tickers)
     if any(a >= b for a, b in zip(dates, dates[1:])):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates = [dates[i] for i in order]

@@ -358,10 +358,12 @@ def load_checkpoint(path):
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint is a JSON {type(doc).__name__}, not an object")
     missing = [key for key in ("kind", "config", "params") if key not in doc]
     if missing:
         raise ValueError(f"checkpoint has no {missing[0]!r} entry")
-    cls = MODEL_KINDS.get(doc["kind"])
+    cls = MODEL_KINDS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
     if cls is None:
         raise ValueError(f"unknown model kind {doc['kind']!r} in checkpoint")
     try:
@@ -370,6 +372,8 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint config does not fit {doc['kind']!r}: {err}") from None
     model = cls(config)
     params = model.parameters()
+    if not isinstance(doc["params"], dict):
+        raise ValueError(f"checkpoint 'params' entry is a JSON {type(doc['params']).__name__}, not an object")
     if set(params) != set(doc["params"]):
         raise ValueError("checkpoint parameter names do not match the model")
     for name, t in params.items():
@@ -380,5 +384,7 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint parameter {name!r} is malformed: {type(err).__name__}: {err}") from None
         if data.shape != t.shape:
             raise ValueError(f"checkpoint shape {data.shape} != model shape {t.shape} for {name}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"checkpoint parameter {name!r} is not finite")
         t.data[...] = data
     return model

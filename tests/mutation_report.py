@@ -113,6 +113,11 @@ CATALOGUE = [
      "a trained strategy on fewer than 2 assets is a data error (exit 2), not a setting error"),
     ("src/ptopt/data.py", 'raise DataError(f"no data for test year {year}")', "continue",
      "a year missing from the data is a data error, not a broken schedule"),
+    # the one read of the input
+    ("src/ptopt/data.py", "lineno += len(lines)", 'lineno += len(lines) - lines.count("\\n")',
+     "a batch's first line number counts every line before it, blank lines too"),
+    ("src/ptopt/data.py", "np.frombuffer(values[start:])", "np.frombuffer(values[len(values):])",
+     "each batch's price check covers every cell that batch parsed"),
     # the one range rule of every config
     (ERRORS, "value < math.inf:", "value <= math.inf:",
      "an infinite --cost-rate is a usage error before the data is read"),

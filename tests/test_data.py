@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, cleaning, calendar splits, and synthetic data."""
 
 import datetime as dt
+import hashlib
 import json
 import os
 import subprocess
@@ -145,6 +146,9 @@ def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
         # field-count error, and a field-count error on an earlier line than a bad price
         ("date,AAA\n2020-01-02,1\n2020-01-03,-1\n2020-01-06,1,2\n", DataError, ":3: non-positive price -1 for AAA"),
         ("date,AAA\n2020-01-02,1,2\n2020-01-03,-1\n", DataError, ":2: expected 2 fields, got 3"),
+        # a byte-order mark after the start of the file is part of a cell
+        ("\ufeffdate,AAA\n2020-01-02,\ufeff1\n", DataError, ":2: bad price '\\ufeff1' for AAA"),
+        ("\ufeff\ufeffdate,AAA\n", DataError, ":1: header must be 'date,<TICKER1>,...', got '\\ufeffdate,AAA'"),
     ],
 )
 def test_load_reports_the_first_fault_in_file_order(tmp_path, text, error, message):
@@ -182,11 +186,65 @@ def test_load_edge_cases_give_exact_tables(tmp_path, text, dates, prices):
     np.testing.assert_array_equal(table.prices, prices, strict=True)
 
 
-def test_first_fault_of_a_file_that_no_longer_has_one(tmp_path):
-    # the error path reads the file again; a file rewritten in between is named as such
-    path = write(tmp_path, "date,AAA\n2020-01-02,1\n")
-    err = data._first_fault(path, ["AAA"])
-    assert type(err) is DataError and str(err) == f"{path}: file changed while it was read"
+def test_a_bad_price_in_a_later_batch_is_named_by_its_file_line(tmp_path):
+    # a batch holds at least BATCH_CHARS characters of lines, each line ending in one \n once
+    # read, so the bad line is in the third batch; each batch before it holds blank lines
+    row = "2020-01-02,100,100\r\n"
+    block = ["\r\n"] * 100 + [row] * (data.BATCH_CHARS // (len(row) - 1) + 10)
+    text = "date,AAA,BBB\r\n" + "".join(2 * block) + "2020-01-02,100,-5\r\n" + row
+    assert 2 * data.BATCH_CHARS < text.replace("\r\n", "\n").index("-5") < 3 * data.BATCH_CHARS
+    lineno = text.count("\n") - 1
+    for bad, message in (("-5", "non-positive price -5"), ("x", "bad price 'x'")):
+        path = tmp_path / "batches.csv"
+        path.write_bytes(text.replace("-5", bad).encode("utf-8"))
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:{lineno}: {message} for BBB"
+
+
+LOAD = """import sys
+from ptopt.data import load_csv
+from ptopt.errors import DataError
+try:
+    load_csv(sys.argv[1])
+except DataError as err:
+    print(err)
+"""
+
+
+def _load_in_a_subprocess(path, prelude="", **run):
+    env = {**os.environ, "PYTHONPATH": str(Path(data.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", prelude + LOAD, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60, **run)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    return done.stdout
+
+
+def test_a_bad_line_read_from_a_pipe_is_named():
+    # the input is read once: a pipe cannot be read again to find the bad line
+    text = "date,AAA\n2020-01-02,1\n\n2020-01-03,0\n2020-01-06,2\n"
+    assert _load_in_a_subprocess("/dev/stdin", input=text) == "/dev/stdin:4: non-positive price 0 for AAA\n"
+
+
+def test_a_bad_line_read_from_a_fifo_is_named(tmp_path):
+    # a named pipe opened a second time would wait for a writer that never comes
+    fifo = tmp_path / "prices.fifo"
+    os.mkfifo(fifo)
+    feed = ("import sys, threading\n"
+            "def feed():\n"
+            "    with open(sys.argv[1], 'w', encoding='utf-8') as fh:\n"
+            "        fh.write('date,AAA\\n2020-01-02,1\\n2020-01-03,abc\\n')\n"
+            "threading.Thread(target=feed, daemon=True).start()\n")
+    assert _load_in_a_subprocess(fifo, feed) == f"{fifo}:3: bad price 'abc' for AAA\n"
+
+
+def test_a_byte_order_mark_before_the_header_is_skipped(tmp_path):
+    text = "date,AAA,BBB\n2020-01-02,100,\n2020-01-03,101,50\n"
+    plain, marked = write(tmp_path, text), write(tmp_path, "\ufeff" + text, name="bom.csv")
+    table, again = load_csv(plain), load_csv(marked)
+    assert again.dates == table.dates and again.tickers == table.tickers
+    np.testing.assert_array_equal(again.prices, table.prices, strict=True)
+    assert again.sha256 == hashlib.sha256(marked.read_bytes()).hexdigest() != table.sha256
 
 
 @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])

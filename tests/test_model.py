@@ -603,11 +603,22 @@ def test_checkpoint_config_with_a_bool_for_an_int_is_rejected(tmp_path):
     (lambda doc: doc["params"]["wh"].pop("data"), "parameter 'wh' is malformed: KeyError: 'data'"),
     (lambda doc: doc["params"].update(b=[0.0] * 12), "parameter 'b' is malformed: TypeError"),
     (lambda doc: doc["params"]["head.W"]["data"].pop(), "parameter 'head.W' is malformed: ValueError: cannot reshape"),
-], ids=["no_kind", "no_params", "unknown_field", "missing_field", "no_shape", "no_data", "not_an_object", "short_data"])
+    # a whole document in place of the object
+    (["kind", "config", "params"], "checkpoint is a JSON list, not an object"),
+    (5, "checkpoint is a JSON int, not an object"),
+    (lambda doc: doc.update(kind=["lstm"]), r"unknown model kind \['lstm'\] in checkpoint"),
+    (lambda doc: doc.update(params=list(doc["params"])), "checkpoint 'params' entry is a JSON list, not an object"),
+    (lambda doc: doc["params"]["wh"]["data"].__setitem__(1, float("nan")), "checkpoint parameter 'wh' is not finite"),
+    (lambda doc: doc["params"]["b"]["data"].__setitem__(0, -float("inf")), "checkpoint parameter 'b' is not finite"),
+], ids=["no_kind", "no_params", "unknown_field", "missing_field", "no_shape", "no_data", "not_an_object", "short_data",
+        "list_document", "number_document", "list_kind", "list_params", "nan_data", "infinite_data"])
 def test_malformed_checkpoint_raises_value_error(edit, match, tmp_path):
     magic, body = (Path(__file__).parent / "data" / "lstm.ckpt").read_text().split("\n", 1)
     doc = json.loads(body)
-    edit(doc)
+    if callable(edit):
+        edit(doc)
+    else:
+        doc = edit
     path = tmp_path / "bad.ckpt"
     path.write_text(f"{magic}\n{json.dumps(doc)}\n")
     with pytest.raises(ValueError, match=match):
