@@ -49,7 +49,6 @@ from ptopt.training import (
     HyperparamSpace,
     TrainConfig,
     TrainedWalk,
-    TrialPool,
     plan_walk,
     walk_forward,
     walk_outcomes,
@@ -256,8 +255,8 @@ def cmd_synth(args) -> int:
 
 def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path, str, str, list]:
     """The pipeline of ``run`` and ``compare``: check the flags and the output path, load and split
-    the data once, check every strategy against it, send every trained strategy's fits to one trial
-    pool as one batch, then walk each strategy forward and back-test it. ``keep(outcomes, curve, report)``
+    the data once, check every strategy against it, send every trained strategy's fits out as one
+    batch, then walk each strategy forward and back-test it. ``keep(outcomes, curve, report)``
     takes each strategy's turn before the next strategy's outcomes are picked; only what it returns outlives it.
     Returns the config, output path, version, input digest and what was kept.
     """
@@ -270,8 +269,9 @@ def _walk_each(args, strategies: list[str], keys, keep) -> tuple[RunConfig, Path
     digest, table = prices.sha256, clean_and_return(prices)
     del prices  # the raw matrix is not held through the walks
     schedule = yearly_splits(table, cfg.first_test_year)
-    with TrialPool(table, args.jobs) as pool:
-        for strategy, outcomes in zip(strategies, walk_outcomes(schedule, strategies, walks, pool, cfg.search_once)):
+    # closed, so its executor is shut, even though zip stops before the generator runs past its last yield
+    with contextlib.closing(walk_outcomes(table, schedule, strategies, walks, args.jobs, cfg.search_once)) as walked:
+        for strategy, outcomes in zip(strategies, walked):
             curve = run_backtest(walk_forward(table, schedule, strategy, outcomes), table, costs)
             kept.append(keep(outcomes, curve, compute_metrics(curve)))
             del outcomes  # its models go before the next strategy's are picked, unless kept

@@ -40,8 +40,8 @@ class PriceTable:
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise DataError(f"dates not strictly increasing at {b}")
-        if np.any(self.prices <= 0):  # NaN, a missing price, compares False
-            raise DataError("prices must be positive")
+        if np.any(self.prices <= 0) or np.any(self.prices == np.inf):  # NaN, a missing price, compares False
+            raise DataError("prices must be finite and positive")
 
 
 @dataclass
@@ -90,7 +90,7 @@ def _first_fault(path, lines: list[str], lineno: int, tickers: list[str]) -> Dat
             except ValueError:
                 return DataError(f"{path}:{lineno}: bad price {cell!r} for {ticker}")
             if not 0 < value < np.inf:
-                return DataError(f"{path}:{lineno}: non-positive price {cell} for {ticker}")
+                return DataError(f"{path}:{lineno}: {'non-positive' if value <= 0 else 'non-finite'} price {cell} for {ticker}")
 
 
 class _Hashed(io.FileIO):
@@ -196,9 +196,7 @@ def clean_and_return(table: PriceTable) -> ReturnTable:
         if np.count_nonzero(seen) < 2:
             raise DataError(f"ticker {table.tickers[j]} has fewer than 2 observations")
         first[j] = seen.argmax()
-    start = int(first.max())
-    if t - start < 2:
-        raise DataError("fewer than 2 rows after aligning ticker starts")
+    start = int(first.max())  # at least 2 rows from the end: the latest-starting ticker has 2 observations
 
     returns = np.empty((t - start - 1, n))
     for j in range(n):

@@ -379,6 +379,9 @@ def load_checkpoint(path):
     for name, t in params.items():
         entry = doc["params"][name]
         try:
+            stray = [x for x in entry["data"] if type(x) not in (int, float)]  # a bool or a string would cast to a number
+            if stray:
+                raise ValueError(f"data cell {stray[0]!r} is not a JSON number")
             data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as err:  # no shape or data, not an object, or data that does not fill its shape
             raise ValueError(f"checkpoint parameter {name!r} is malformed: {type(err).__name__}: {err}") from None

@@ -404,31 +404,6 @@ def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitRes
     return Trial(index=index, params=combo, train_loss=train_loss, val_loss=val_loss, seconds=time.perf_counter() - start), result
 
 
-class TrialPool(contextlib.AbstractContextManager):
-    """Runs ``_run_trial`` tasks on ``table``: in-process, or on one lazily started
-    ``ProcessPoolExecutor`` of at most ``jobs`` workers, which get the table once, through
-    the initializer, and serve every later batch. Leaving the context shuts it down."""
-
-    def __init__(self, table: ReturnTable, jobs: int = 1):
-        self.table, self.jobs, self._executor = table, jobs, None
-
-    def __exit__(self, *exc) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-
-    def run(self, payloads: list, largest: int) -> Iterator[tuple[Trial, FitResult | TrainingError]]:
-        """Each payload's result, lazily and in order; a task's error is raised where its result is read. The
-        first batch that can run two tasks at once starts the executor with min(``jobs``, ``largest``) workers,
-        ``largest`` being the caller's largest batch. Until then a batch runs in-process."""
-        workers = min(self.jobs, largest)
-        if self._executor is None and workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
-            self._executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(self.table,))
-        if self._executor is None:
-            return map(_run_trial, payloads, itertools.repeat(self.table))
-        return self._executor.map(_run_trial, payloads)
-
-
 def _best(done: list) -> tuple:
     """The split's winning ``(Trial, result)``: least validation loss, then earliest; a failed fit ranks last."""
     return min(done, key=lambda d: (isinstance(d[1], TrainingError), d[0].val_loss))
@@ -453,40 +428,51 @@ def random_grid_search(plan: list, done: Iterator, n_assets: int) -> SplitOutcom
 
 
 def walk_outcomes(
-    schedule: WalkForwardSchedule, strategies: list[str], walks: dict[str, TrainedWalk], pool: TrialPool, search_once: bool = False,
+    table: ReturnTable, schedule: WalkForwardSchedule, strategies: list[str], walks: dict[str, TrainedWalk], jobs: int = 1,
+    search_once: bool = False,
 ) -> Iterator[list[SplitOutcome]]:
     """Each of ``strategies``' outcomes of every split of ``schedule``, one list per strategy, in order (``[]`` for a
-    rule), picked as the caller asks for it from one batch of every walk's tasks. The batch goes to ``pool`` after each
-    strategy, in order, passes the first split (the one with the fewest rows): MV needs its lookback rows, a trained
-    strategy 2 assets and a training and a validation window, else DataError. Under ``search_once`` a walk searches its
-    first split only and the batch goes in two rounds: every walk's first split, then each later split's one fit of
-    its first split's winner. The walks read one stream of results in listed order: a list is picked when asked for,
-    after every earlier one, and a split whose every fit failed raises then, never before an earlier walk's failure."""
-    splits, n = schedule.splits, pool.table.n_assets
+    rule), picked as the caller asks for it from one batch of every walk's ``_run_trial`` tasks on ``table``. The batch
+    goes out after each strategy, in order, passes the first split (the one with the fewest rows): MV needs its lookback
+    rows, a trained strategy 2 assets and a training and a validation window, else DataError. Under ``search_once`` a
+    walk searches its first split only and the batch goes in two rounds: every walk's first split, then each later
+    split's one fit of its first split's winner. If a round can run two fits at once, every round runs on one
+    ``ProcessPoolExecutor`` of min(``jobs``, largest round) workers, which get the table once, through the initializer;
+    else in-process. The executor is shut when the walk ends, raises or is closed. The walks read one stream of results
+    in listed order: a list is picked when asked for, after every earlier one, and a split whose every fit failed raises
+    then, never before an earlier walk's failure."""
+    splits, n = schedule.splits, table.n_assets
     for s in strategies:
         if s == "mv" and splits[0].train_end < MVConfig.lookback:
             raise DataError(f"need {MVConfig.lookback} rows before {splits[0].test_year} for the mean-variance window")
         if s in walks and n < 2:
             raise DataError(f"{s} needs at least 2 assets, got {n}")
-        if s in walks and not all(map(len, split_windows(pool.table, splits[0], walks[s].tau))):
+        if s in walks and not all(map(len, split_windows(table, splits[0], walks[s].tau))):
             raise DataError(f"training range before {splits[0].test_year} too short for window length {walks[s].tau}")
     trained = {s: walks[s] for s in strategies if s in walks}
     once = search_once and len(splits) > 1 and any(w.budget for w in trained.values())
     plans = {s: [w.plan(k, split) for k, split in enumerate(splits[: 1 if once else None])] for s, w in trained.items()}
-    largest = max(sum(len(p) for ps in plans.values() for p in ps), once * len(trained) * (len(splits) - 1))
-    done, firsts = pool.run([t for ps in plans.values() for p in ps for t in p], largest), {}
-    if once:  # if every trial of a first split failed, its walk raises before its later fits are read
-        firsts = {s: [next(done) for _ in ps[0]] for s, ps in plans.items()}
-        for s, w in trained.items():
-            plans[s] += [w.plan(k, split, _best(firsts[s])[0].params) for k, split in enumerate(splits[1:], 1)]
-        done = pool.run([t for ps in plans.values() for p in ps[1:] for t in p], largest)
-    for s in strategies:
-        outcomes, results = [], itertools.chain(firsts.pop(s, ()), done)
-        for k, plan in enumerate(plans.get(s, ())):
-            outcomes.append(random_grid_search(plan, results, n))
-            if not trained[s].budget or (once and k):  # a split that did not search lists no trial
-                outcomes[-1].trials = []
-        yield outcomes
+    workers = min(jobs, max(sum(len(p) for ps in plans.values() for p in ps), once * len(trained) * (len(splits) - 1)))
+    with contextlib.ExitStack() as stack:
+        send = lambda payloads: map(_run_trial, payloads, itertools.repeat(table))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
+            executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(table,))
+            stack.callback(executor.shutdown, cancel_futures=True)
+            send = lambda payloads: executor.map(_run_trial, payloads)
+        done, firsts = send([t for ps in plans.values() for p in ps for t in p]), {}
+        if once:  # if every trial of a first split failed, its walk raises before its later fits are read
+            firsts = {s: [next(done) for _ in ps[0]] for s, ps in plans.items()}
+            for s, w in trained.items():
+                plans[s] += [w.plan(k, split, _best(firsts[s])[0].params) for k, split in enumerate(splits[1:], 1)]
+            done = send([t for ps in plans.values() for p in ps[1:] for t in p])
+        for s in strategies:
+            outcomes, results = [], itertools.chain(firsts.pop(s, ()), done)
+            for k, plan in enumerate(plans.get(s, ())):
+                outcomes.append(random_grid_search(plan, results, n))
+                if not trained[s].budget or (once and k):  # a split that did not search lists no trial
+                    outcomes[-1].trials = []
+            yield outcomes
 
 
 # ---------------------------------------------------------------------------

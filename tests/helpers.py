@@ -390,25 +390,25 @@ def record_executors(monkeypatch) -> list:
     return made
 
 
-def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed=0, pool=None) -> tr.SplitOutcome:
+def search(space, strategy, table, split, tau, base_cfg, costs=CostModel(), seed=0, jobs=1) -> tr.SplitOutcome:
     """The outcome of a grid search of ``space`` on ``split`` alone: a one-split walk's, whose
-    generator and trials start at ``seed``, planned, sent to ``pool`` (in-process if None) and
+    generator and trials start at ``seed``, planned, run on at most ``jobs`` workers and
     picked as ``ptopt run`` does each split."""
     walk = tr.plan_walk(strategy, tau, space, 0, None, base_cfg, costs, seed)
-    [[outcome]] = tr.walk_outcomes(WalkForwardSchedule([split]), [strategy], {strategy: walk}, pool or tr.TrialPool(table))
+    [[outcome]] = tr.walk_outcomes(table, WalkForwardSchedule([split]), [strategy], {strategy: walk}, jobs)
     return outcome
 
 
 def walk(
-    table, schedule, strategy, tau=8, space=None, base_cfg=tr.TrainConfig(), costs=CostModel(), seed=0, pool=None,
+    table, schedule, strategy, tau=8, space=None, base_cfg=tr.TrainConfig(), costs=CostModel(), seed=0, jobs=1,
     search_once=False, base_combo=None,
 ) -> SimpleNamespace:
     """The ``stream`` of ``training.walk_forward`` of one strategy and the ``outcomes`` it was given, a trained
-    one's walk planned and its fits sent to ``pool`` (in-process if None) as ``ptopt run`` plans and sends them."""
+    one's walk planned and its fits run on at most ``jobs`` workers as ``ptopt run`` plans and runs them."""
     walks = {}
     if strategy in tr.TRAINED_STRATEGIES:
         walks[strategy] = tr.plan_walk(strategy, tau, space, 0, base_combo, base_cfg, costs, seed)
-    [outcomes] = tr.walk_outcomes(schedule, [strategy], walks, pool or tr.TrialPool(table), search_once)
+    [outcomes] = tr.walk_outcomes(table, schedule, [strategy], walks, jobs, search_once)
     return SimpleNamespace(stream=tr.walk_forward(table, schedule, strategy, outcomes), outcomes=outcomes)
 
 

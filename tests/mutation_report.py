@@ -45,8 +45,10 @@ CATALOGUE = [
      "a split given a winner fits it once, whether or not the walk searches"),
     (TRAINING, "w.plan(k, split, _best(firsts[s])[0].params)", "w.plan(k, split, firsts[s][-1][0].params)",
      "with --search-once, the later splits fit the first split's winner"),
-    (TRAINING, "split_windows(pool.table, splits[0], walks[s].tau)", "split_windows(pool.table, splits[-1], walks[s].tau)",
+    (TRAINING, "split_windows(table, splits[0], walks[s].tau)", "split_windows(table, splits[-1], walks[s].tau)",
      "the pre-flight checks a trained strategy's first split, the one with the fewest windows"),
+    (TRAINING, "            stack.callback(executor.shutdown, cancel_futures=True)\n", "",
+     "a walk shuts the executor it started when it ends, raises or is closed: no worker outlives the command"),
     (TRAINING, "    for s in strategies:\n        if s == ", "    for s in strategies[::-1]:\n        if s == ",
      "the pre-flight checks the strategies in listed order, so the first listed strategy's error comes first"),
     (TRAINING, "splits[0].train_end < MVConfig.lookback", "splits[0].train_end <= MVConfig.lookback",
@@ -118,6 +120,8 @@ CATALOGUE = [
      "a batch's first line number counts every line before it, blank lines too"),
     ("src/ptopt/data.py", "np.frombuffer(values[start:])", "np.frombuffer(values[len(values):])",
      "each batch's price check covers every cell that batch parsed"),
+    ("src/ptopt/data.py", " or np.any(self.prices == np.inf)", "",
+     "a price table holds no infinite price: synth refuses a market whose prices overflow, as the loader would"),
     # the one range rule of every config
     (ERRORS, "value < math.inf:", "value <= math.inf:",
      "an infinite --cost-rate is a usage error before the data is read"),
@@ -133,7 +137,12 @@ CATALOGUE = [
      "a search skips a combo whose fit settings cannot build, and a space with none is refused before the data is read"),
     ("src/ptopt/model.py", "except (KeyError, TypeError, ValueError) as err:", "except (TypeError, ValueError) as err:",
      "a checkpoint parameter entry without its shape or data raises ValueError naming it"),
+    ("src/ptopt/model.py", "type(x) not in (int, float)]", "type(x) not in (int, float, bool, str)]",
+     "checkpoint data are JSON numbers: a string or a boolean is refused, not cast"),
     # the command line
+    (CLI, "with contextlib.closing(walk_outcomes(table, schedule, strategies, walks, args.jobs, cfg.search_once)) as walked:",
+     "if walked := walk_outcomes(table, schedule, strategies, walks, args.jobs, cfg.search_once):",
+     "a pipeline that fails between two walks shuts the workers before its error leaves, not when its traceback goes"),
     (CLI, "sort_keys=True, indent=2)", "sort_keys=True, indent=3)",
      "manifest.json's bytes are pinned, not only its parsed JSON"),
     (CLI, 'p.add_argument("--data", required=True', 'p.add_argument("--data", required=False',

@@ -290,6 +290,15 @@ def test_sign_const_blocks_gradient():
 # tape mechanics
 
 
+def test_backward_skips_a_node_off_the_loss_s_path():
+    x = Tensor([2.0, -3.0], requires_grad=True)
+    with Tape() as tape:
+        off = ag.mul(x, x)  # taped, but no gradient reaches it: its backward must not run on None
+        ag.backward(reduce_sum(scale(x, 3.0)), tape)
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    assert off.grad is None
+
+
 def test_fanout_gradients_accumulate():
     with Tape() as tape:
         x = Tensor([2.0, -3.0], requires_grad=True)
@@ -394,11 +403,12 @@ def test_backward_is_deterministic():
         lambda: ag.residual_layer_norm(
             Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3))
         ),
+        lambda: ag.embed(Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), Tensor(np.zeros((5, 4))), Tensor(np.zeros(4))),
     ],
 )
 def test_shape_violations_raise(bad):
     # the op's own check, which names the op, and not numpy's ValueError from deeper in
-    with pytest.raises(ValueError, match=r"^(matmul|add|sub|mul|div|transpose|broadcast_to|slice|concat|residual_layer_norm): "):
+    with pytest.raises(ValueError, match=r"^(matmul|add|sub|mul|div|transpose|broadcast_to|slice|concat|residual_layer_norm|embed): "):
         bad()
 
 

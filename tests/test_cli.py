@@ -65,6 +65,15 @@ def test_synth_non_finite_momentum_is_usage_error(momentum, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_synth_refuses_a_market_whose_prices_overflow(tmp_path, capsys):
+    # the planted momentum compounds past the largest double: the loader would refuse the file
+    out = tmp_path / "p.csv"
+    assert cli.main(["synth", "--assets", "1", "--days", "2000", "--seed", "0", "--momentum", "1.05", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: prices must be finite and positive\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -483,9 +492,9 @@ def test_compare_space_keyed_by_strategy(prices_csv, tmp_path, monkeypatch):
     planned = {}
     walk_outcomes = cli.walk_outcomes
 
-    def recording(schedule, strategies, walks, pool, search_once):
+    def recording(table, schedule, strategies, walks, jobs, search_once):
         planned.update(walks)
-        return walk_outcomes(schedule, strategies, walks, pool, search_once)
+        return walk_outcomes(table, schedule, strategies, walks, jobs, search_once)
 
     monkeypatch.setattr(cli, "walk_outcomes", recording)
     space = tmp_path / "space.json"
@@ -868,6 +877,22 @@ def test_no_worker_outlives_a_run_whose_trials_all_fail(prices_csv, tmp_path, ca
     assert counted_pools == [[2, True]]
     assert multiprocessing.active_children() == []
     assert not out.exists()
+
+
+def test_a_pipeline_that_fails_between_two_walks_shuts_the_workers_before_its_error_leaves(prices_csv, tmp_path, counted_pools):
+    import multiprocessing
+
+    argv = ["compare", "--strategies", "lstm", "mlp", "--data", str(prices_csv), "--out", str(tmp_path / "c"), "--jobs", "2", *SEARCH_FLAGS]
+    args = cli.build_parser().parse_args(argv)
+
+    def keep(outcomes, curve, report):  # lstm's turn, with mlp's outcomes not yet picked
+        raise RuntimeError("first turn")
+
+    with pytest.raises(RuntimeError, match="first turn") as caught:
+        cli._walk_each(args, args.strategies, args.strategies, keep)
+    # the kept traceback holds the pipeline's frame, and so the walk it left suspended, alive
+    assert caught.tb is not None and counted_pools == [[2, True]]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("data", ["no.csv", "file.csv/x"], ids=["missing", "under_a_file"])

@@ -97,21 +97,22 @@ def test_load_rejects_nonpositive_price(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e400", "-0", "0.0", "-5"])
 def test_load_rejects_non_finite_and_non_positive_cells(tmp_path, cell):
     path = write(tmp_path, f"date,AAA,BBB\n2020-01-02,100,50\n2020-01-03,101,{cell}\n")
-    with pytest.raises(DataError, match=f":3: non-positive price {cell} for BBB$"):
+    kind = "non-finite" if cell in ("nan", "NaN", "inf", "1e400") else "non-positive"  # -inf is both: it is not > 0
+    with pytest.raises(DataError, match=f":3: {kind} price {cell} for BBB$"):
         load_csv(path)
 
 
 def test_load_rejects_literal_nan_beside_an_empty_cell(tmp_path):
     # an empty cell and a literal nan parse to the same NaN
     path = write(tmp_path, "date,AAA,BBB,CCC\n2020-01-02,100,50,20\n2020-01-03,,nan,21\n")
-    with pytest.raises(DataError, match=":3: non-positive price nan for BBB$"):
+    with pytest.raises(DataError, match=":3: non-finite price nan for BBB$"):
         load_csv(path)
 
 
 def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
     # line 4 sorts first by date, but line 3 comes first in the file
     text = "date,AAA,BBB\n2020-01-03,100,50\n2020-01-06,inf,51\n2020-01-02,99,-5\n"
-    with pytest.raises(DataError, match=":3: non-positive price inf for AAA$"):
+    with pytest.raises(DataError, match=":3: non-finite price inf for AAA$"):
         load_csv(write(tmp_path, text))
     # within a row, the leftmost bad cell
     with pytest.raises(DataError, match=":2: non-positive price 0 for AAA$"):
@@ -140,8 +141,8 @@ def test_load_reports_the_first_bad_cell_in_file_order(tmp_path):
         # a duplicate is found among the sorted dates
         ("date,AAA\n2020-01-03,1\n2020-01-02,2\n2020-01-03,3\n", DataError, ": duplicate date 2020-01-03"),
         # a literal nan or inf is a bad price, also beside empty cells and before a duplicate date
-        ("date,AAA,BBB\n2020-01-02,,nan\n", DataError, ":2: non-positive price nan for BBB"),
-        ("date,AAA,BBB\n2020-01-02,1,2\n2020-01-02,Infinity,\n", DataError, ":3: non-positive price Infinity for AAA"),
+        ("date,AAA,BBB\n2020-01-02,,nan\n", DataError, ":2: non-finite price nan for BBB"),
+        ("date,AAA,BBB\n2020-01-02,1,2\n2020-01-02,Infinity,\n", DataError, ":3: non-finite price Infinity for AAA"),
         # the first fault in file order wins: a bad price on an earlier line than a
         # field-count error, and a field-count error on an earlier line than a bad price
         ("date,AAA\n2020-01-02,1\n2020-01-03,-1\n2020-01-06,1,2\n", DataError, ":3: non-positive price -1 for AAA"),
@@ -348,6 +349,22 @@ def days(n, start=dt.date(2020, 1, 2)):
     return trading_days(start, n)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PriceTable(days(2), ["A"], np.ones((3, 1))), r"price matrix shape \(3, 1\) != \(2, 1\)"),
+    (lambda: PriceTable(days(2)[::-1], ["A"], np.ones((2, 1))), "dates not strictly increasing at 2020-01-02"),
+    # NaN is a missing price; infinity, like zero, is no price
+    (lambda: PriceTable(days(2), ["A", "B"], [[1.0, np.nan], [np.inf, 1.0]]), "prices must be finite and positive"),
+    (lambda: PriceTable(days(2), ["A", "B"], [[1.0, np.nan], [0.0, 1.0]]), "prices must be finite and positive"),
+    (lambda: ReturnTable(days(2), ["A"], np.zeros((2, 2))), "return matrix shape does not match dates/tickers"),
+    (lambda: ReturnTable(days(2), ["A"], [[0.0], [-1.0]]), "returns must be finite and > -1"),
+    (lambda: ReturnTable(days(2), ["A"], [[np.nan], [0.0]]), "returns must be finite and > -1"),
+    (lambda: ReturnTable(days(2), ["A"], [[0.0], [np.inf]]), "returns must be finite and > -1"),
+], ids=["price_shape", "price_dates", "infinite_price", "zero_price", "return_shape", "total_loss", "nan_return", "infinite_return"])
+def test_tables_refuse_what_they_cannot_hold(make, message):
+    with pytest.raises(DataError, match=message):
+        make()
+
+
 def test_forward_fill_and_returns():
     table = PriceTable(days(3), ["AAA"], np.array([[100.0], [np.nan], [102.0]]))
     out = clean_and_return(table)
@@ -546,6 +563,9 @@ def test_insufficient_span_rejected():
         yearly_splits(table, 2016)
     with pytest.raises(DataError):
         yearly_splits(synthetic_table(start=dt.date(2016, 3, 1)), 2016)
+    # six rows before 2016: too few for a tenth of them to be a validation slice
+    with pytest.raises(DataError, match="training range before 2016 too short for a validation slice"):
+        yearly_splits(synthetic_table(start=dt.date(2015, 12, 24)), 2016)
 
 
 def test_splits_cover_test_years_disjointly():
@@ -564,8 +584,9 @@ def test_splits_cover_test_years_disjointly():
         ([], "at least one split"),
         ([Split(2016, 250, 225, 500), Split(2017, 490, 441, 750)], "not consecutive at 2017"),
         ([Split(2016, 250, 225, 500), Split(2018, 500, 450, 750)], "not consecutive at 2018"),
+        ([Split(2016, 250, 250, 500)], "malformed split for 2016"),
     ],
-    ids=["empty", "overlapping", "skipped_year"],
+    ids=["empty", "overlapping", "skipped_year", "empty_validation"],
 )
 def test_schedule_refuses_what_is_not_one_run_of_test_years(splits, message):
     # walk_forward dates its whole stream as one slice of the table, from the first split on

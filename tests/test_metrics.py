@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,9 @@ def test_alignment_errors():
         assert str(caught.value) == str(expected.value)
     with pytest.raises(DataError, match="weight stream has 3 assets, return table 2"):
         run_backtest(WeightStream(days[:2], np.zeros((2, 3))), table, CostModel())
+    for weights in (np.zeros(2), np.zeros((3, 2))):  # one row a date, each a row of weights
+        with pytest.raises(DataError, match=re.escape(f"weight matrix shape {weights.shape} does not match 2 dates")):
+            WeightStream(days[:2], weights)
 
 
 # ---------------------------------------------------------------------------

@@ -610,8 +610,15 @@ def test_checkpoint_config_with_a_bool_for_an_int_is_rejected(tmp_path):
     (lambda doc: doc.update(params=list(doc["params"])), "checkpoint 'params' entry is a JSON list, not an object"),
     (lambda doc: doc["params"]["wh"]["data"].__setitem__(1, float("nan")), "checkpoint parameter 'wh' is not finite"),
     (lambda doc: doc["params"]["b"]["data"].__setitem__(0, -float("inf")), "checkpoint parameter 'b' is not finite"),
+    # numpy would cast each to a float: "0.5" to 0.5, true to 1.0
+    (lambda doc: doc["params"]["b"].update(data=list(map(str, doc["params"]["b"]["data"]))),
+     "parameter 'b' is malformed: ValueError: data cell '[-0-9.e]+' is not a JSON number"),
+    (lambda doc: doc["params"]["wh"]["data"].__setitem__(0, True), "parameter 'wh' is malformed: ValueError: data cell True is not"),
+    (lambda doc: doc["params"].pop("wh"), "checkpoint parameter names do not match the model"),
+    (lambda doc: doc["params"]["wx"].update(shape=[12, 2]), r"checkpoint shape \(12, 2\) != model shape \(2, 12\) for wx"),
 ], ids=["no_kind", "no_params", "unknown_field", "missing_field", "no_shape", "no_data", "not_an_object", "short_data",
-        "list_document", "number_document", "list_kind", "list_params", "nan_data", "infinite_data"])
+        "list_document", "number_document", "list_kind", "list_params", "nan_data", "infinite_data", "string_data", "bool_data",
+        "missing_parameter", "transposed_shape"])
 def test_malformed_checkpoint_raises_value_error(edit, match, tmp_path):
     magic, body = (Path(__file__).parent / "data" / "lstm.ckpt").read_text().split("\n", 1)
     doc = json.loads(body)

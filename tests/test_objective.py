@@ -73,6 +73,8 @@ def test_portfolio_returns_shape_mismatch():
         portfolio_returns(Tensor(np.zeros((3, 2))), ReturnsWindow(realized=np.zeros((3, 3))), CostModel())
     with pytest.raises(ValueError, match=r"prev_weights shape \(3,\) does not match 2 assets"):
         ReturnsWindow(realized=np.zeros((3, 2)), prev_weights=np.zeros(3))
+    with pytest.raises(ValueError, match=r"realized must be \(days, assets\) or \(windows, days, assets\), got shape \(3,\)"):
+        ReturnsWindow(realized=np.zeros(3))
 
 
 def test_sharpe_hand_case():

@@ -361,38 +361,33 @@ def test_search_zero_learning_rate_loses():
     assert moving < frozen
 
 
-class TiedPool:
-    """A trial pool whose every trial ends at the same validation loss, each with its own fit."""
+def tie_trials(monkeypatch, fail_first=False):
+    """Make every trial end at the same validation loss, each with its own one-value fit; with
+    ``fail_first``, trial 0's fit fails instead."""
+    def tied(payload, table=None):
+        i, combo, *_ = payload
+        if fail_first and i == 0:
+            return tr.Trial(index=i, params=combo, train_loss=np.inf, val_loss=np.inf, seconds=0.0), TrainingError("non-finite loss")
+        return tr.Trial(index=i, params=combo, train_loss=0.0, val_loss=1.0, seconds=0.0), tr.FitResult([], 0, 1.0, np.array([float(i)]))
 
-    def __init__(self, table):
-        self.table = table
-
-    def run(self, payloads, largest):
-        return iter([
-            (tr.Trial(index=i, params=combo, train_loss=0.0, val_loss=1.0, seconds=0.0), tr.FitResult([], 0, 1.0, np.array([float(i)])))
-            for i, combo, *_ in payloads
-        ])
+    monkeypatch.setattr(tr, "_run_trial", tied)
 
 
-def test_search_breaks_a_tie_for_the_earliest_trial():
+def test_search_breaks_a_tie_for_the_earliest_trial(monkeypatch):
     table, split = search_fixture()
-    pool = TiedPool(table)
+    tie_trials(monkeypatch)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    result = search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=pool)
+    result = search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7)
     assert result.params == result.trials[0].params
     assert result.model.config.seed == 7 + 0
     assert set(result.model.vector.tolist()) == {0.0}  # trial 0's one-value vector, broadcast
 
 
-def test_search_ships_a_trial_that_trained_over_an_earlier_one_that_failed():
-    class FirstFailsPool(TiedPool):
-        def run(self, payloads, largest):
-            (trial, _), *rest = super().run(payloads, largest)
-            return iter([(replace(trial, train_loss=np.inf, val_loss=np.inf), TrainingError("non-finite loss")), *rest])
-
+def test_search_ships_a_trial_that_trained_over_an_earlier_one_that_failed(monkeypatch):
     table, split = search_fixture()
+    tie_trials(monkeypatch, fail_first=True)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    result = search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7, pool=FirstFailsPool(table))
+    result = search(space, "lstm", table, split, 4, tr.TrainConfig(), seed=7)
     assert result.params == result.trials[1].params
     assert result.model.config.seed == 7 + 1
     assert set(result.model.vector.tolist()) == {1.0}
@@ -549,9 +544,8 @@ def test_search_deterministic_across_runs():
 def test_search_parallel_matches_serial():
     table, split = search_fixture()
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
-    with tr.TrialPool(table, 1) as serial_pool, tr.TrialPool(table, 2) as parallel_pool:
-        serial = search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=serial_pool)
-        parallel = search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=parallel_pool)
+    serial = search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=1)
+    parallel = search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
     assert [(t.params, t.train_loss, t.val_loss) for t in serial.trials] == [
         (t.params, t.train_loss, t.val_loss) for t in parallel.trials
     ]
@@ -572,8 +566,7 @@ def test_search_payloads_carry_neither_table_nor_windows(recording_executor):
     for n_days in (800, 1600):
         table = make_table(n_days, seed=3)
         split = Split(test_year=2014, train_end=n_days - 100, val_start=n_days - 200, test_end=n_days)
-        with tr.TrialPool(table, 2) as pool:
-            search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, pool=pool)
+        search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), seed=2, jobs=2)
         executor = recording_executor[-1]
         assert executor.initargs == (table,)  # the table goes to each worker once, at start-up
         assert len(executor.payloads) == 2
@@ -584,30 +577,42 @@ def test_search_payloads_carry_neither_table_nor_windows(recording_executor):
     assert sizes[0] == sizes[1]
 
 
-def test_trial_pool_starts_one_executor_lazily_and_shuts_it(recording_executor):
-    table, split = search_fixture()
+def test_a_walk_starts_one_executor_only_for_a_round_of_two_fits_and_shuts_it(recording_executor):
+    table = make_table(300, seed=3, momentum=0.5)
+    schedule = WalkForwardSchedule([Split(2014, 200, 160, 250), Split(2015, 250, 210, 300)])
     space = tr.HyperparamSpace(axes={"hidden": [3, 5]}, budget=2)
     cfg = tr.TrainConfig(max_epochs=1)
-    with tr.TrialPool(table, 1) as pool:
-        serial = [search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
+    serial = walk(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=2, jobs=1).outcomes
+    # one fit a round: a one-trial search of one split, or --search-once's one-trial search and one later fit
+    walk(table, WalkForwardSchedule(schedule.splits[:1]), "lstm", tau=4, space=replace(space, budget=1), base_cfg=cfg, jobs=2)
+    walk(table, schedule, "lstm", tau=4, space=replace(space, budget=1), base_cfg=cfg, jobs=2, search_once=True)
     assert recording_executor == []
-    with tr.TrialPool(table, 2) as pool:
-        assert recording_executor == []  # nothing starts before a search runs
-        pooled = [search(space, "lstm", table, split, 4, cfg, seed=s, pool=pool) for s in (2, 3)]
-        assert len(recording_executor) == 1 and not recording_executor[0].shut
-    assert recording_executor[0].shut and len(recording_executor[0].payloads) == 4
+    pooled = walk(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=2, jobs=8).outcomes
+    [executor] = recording_executor
+    # both splits' searches on one executor of as many workers as the round has fits, shut when the walk ends
+    assert executor.max_workers == 4 and executor.shut and len(executor.payloads) == 4
     for a, b in zip(serial, pooled):
         assert [(t.params, t.val_loss) for t in a.trials] == [(t.params, t.val_loss) for t in b.trials]
 
 
-def test_trial_pool_shuts_down_when_the_block_raises(recording_executor):
-    table, split = search_fixture()
-    space = tr.HyperparamSpace(axes={"hidden": [3]}, budget=2)
-    with pytest.raises(RuntimeError, match="later failure"):
-        with tr.TrialPool(table, 2) as pool:
-            search(space, "lstm", table, split, 4, tr.TrainConfig(max_epochs=1), pool=pool)
-            raise RuntimeError("later failure")
-    assert len(recording_executor) == 1 and recording_executor[0].shut
+def test_a_walk_shuts_its_executor_when_a_fit_fails_or_it_is_closed(recording_executor, monkeypatch):
+    table = make_table(300, seed=3, momentum=0.5)
+    schedule = WalkForwardSchedule([Split(2014, 200, 160, 250), Split(2015, 250, 210, 300)])
+    walks = {s: tr.plan_walk(s, 4, None, 2, None, tr.TrainConfig(max_epochs=1), CostModel(), 0) for s in ("lstm", "mlp")}
+    walked = tr.walk_outcomes(table, schedule, ["lstm", "mlp"], walks, 2)
+    assert recording_executor == []  # nothing starts before the first list is asked for
+    assert len(next(walked)) == 2
+    assert len(recording_executor) == 1 and not recording_executor[0].shut
+    walked.close()
+    assert recording_executor[0].shut
+
+    def explode(*a, **k):
+        raise TrainingError("non-finite loss")
+
+    monkeypatch.setattr(tr, "fit", explode)
+    with pytest.raises(TrainingError, match="all 2 trials for test year 2014 failed"):
+        next(tr.walk_outcomes(table, schedule, ["lstm"], walks, 2))
+    assert len(recording_executor) == 2 and recording_executor[1].shut
 
 
 def test_trials_csv_roundtrip(tmp_path):
@@ -752,8 +757,7 @@ def test_searched_split_ships_the_winning_trial(jobs):
     schedule = yearly_splits(table, 2016)
     space = tr.HyperparamSpace(axes={"hidden": [3, 5], "learning_rate": [1e-3, 1e-2]}, budget=3)
     cfg = tr.TrainConfig(max_epochs=2, seed=0)
-    with tr.TrialPool(table, jobs) as pool:
-        result = walk(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, pool=pool)
+    result = walk(table, schedule, "lstm", tau=4, space=space, base_cfg=cfg, seed=1, jobs=jobs)
     for split_idx, (split, outcome) in enumerate(zip(schedule.splits, result.outcomes)):
         winner = min(outcome.trials, key=lambda t: t.val_loss)
         seed = 1 + 104729 * split_idx + winner.index
@@ -768,7 +772,7 @@ def test_searched_split_ships_the_winning_trial(jobs):
 
 @pytest.mark.parametrize("tied", [False, True], ids=["in_process", "tied_pool"])
 @pytest.mark.parametrize("budget, search_once", [(0, False), (2, False), (2, True)], ids=["unsearched", "budget_2", "budget_2_search_once"])
-def test_one_batch_gives_each_walk_its_solo_outcomes(budget, search_once, tied):
+def test_one_batch_gives_each_walk_its_solo_outcomes(budget, search_once, tied, monkeypatch):
     # the walks share one stream of results: each list must take its own walk's, in order
     table = make_table(300, seed=3, momentum=0.5)
     schedule = WalkForwardSchedule([Split(2014, 200, 160, 250), Split(2015, 250, 210, 300)])
@@ -777,11 +781,12 @@ def test_one_batch_gives_each_walk_its_solo_outcomes(budget, search_once, tied):
         s: tr.plan_walk(s, 4, tr.HyperparamSpace(axes[s], budget) if budget else None, 0, None, tr.TrainConfig(max_epochs=1), CostModel(), 1)
         for s in axes
     }
-    pool = TiedPool if tied else tr.TrialPool
-    batch = list(tr.walk_outcomes(schedule, ["lstm", "mv", "mlp"], walks, pool(table), search_once))
+    if tied:
+        tie_trials(monkeypatch)
+    batch = list(tr.walk_outcomes(table, schedule, ["lstm", "mv", "mlp"], walks, 1, search_once))
     assert len(batch) == 3 and batch[1] == []
     for strategy, outcomes in (("lstm", batch[0]), ("mlp", batch[2])):
-        [solo] = tr.walk_outcomes(schedule, [strategy], {strategy: walks[strategy]}, pool(table), search_once)
+        [solo] = tr.walk_outcomes(table, schedule, [strategy], {strategy: walks[strategy]}, 1, search_once)
         assert len(outcomes) == len(solo) == 2
         for a, b in zip(outcomes, solo):
             assert (a.test_year, a.params, a.history, a.model.config) == (b.test_year, b.params, b.history, b.model.config)
@@ -847,7 +852,7 @@ def test_walk_outcomes_checks_each_strategy_in_order_before_it_plans_a_task(orde
 
     monkeypatch.setattr(tr.TrainedWalk, "plan", unplanned)
     with pytest.raises(DataError, match=message):
-        next(tr.walk_outcomes(schedule, order, walks, tr.TrialPool(table)))
+        next(tr.walk_outcomes(table, schedule, order, walks))
 
 
 def schedule_after(train_end):
@@ -858,11 +863,11 @@ def schedule_after(train_end):
 def test_mv_needs_its_lookback_rows_before_the_first_test_day():
     table, lookback = wf_table(), tr.MVConfig.lookback
     # exactly the lookback's rows: the first decision reads rows 0 .. lookback - 1
-    assert list(tr.walk_outcomes(schedule_after(lookback), ["mv"], {}, tr.TrialPool(table))) == [[]]
+    assert list(tr.walk_outcomes(table, schedule_after(lookback), ["mv"], {})) == [[]]
     weights = tr.walk_forward(table, schedule_after(lookback), "mv").weights
     assert np.array_equal(weights[0], tr.mv_weights(table.returns[None, :lookback], tr.MVConfig())[0])
     with pytest.raises(DataError, match=f"need {lookback} rows before 2014 for the mean-variance window"):
-        next(tr.walk_outcomes(schedule_after(lookback - 1), ["mv"], {}, tr.TrialPool(table)))
+        next(tr.walk_outcomes(table, schedule_after(lookback - 1), ["mv"], {}))
 
 
 def test_a_walk_reads_no_row_before_row_0():
