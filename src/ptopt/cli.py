@@ -24,6 +24,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -158,16 +159,11 @@ def _plan_walks(cfg: RunConfig, strategies, keys) -> dict[str, TrainedWalk]:
     sets pt's base combo."""
     given = {}
     if cfg.space_path is not None:
+        names = tuple(s for s in keys if s in TRAINED_STRATEGIES)
         try:
-            given = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"))
-        except ValueError as err:  # bad bytes, bad JSON or a malformed space
+            given = HyperparamSpace.from_json(Path(cfg.space_path).read_text(encoding="utf-8"), names)
+        except ValueError as err:  # bad bytes, bad JSON, a malformed space or an entry for no trained strategy of keys
             raise ValueError(f"--space {cfg.space_path}: {err}") from None
-        if isinstance(given, HyperparamSpace):
-            given = dict.fromkeys(strategies, given)
-        else:
-            stray = [name for name in given if name not in keys or name not in TRAINED_STRATEGIES]
-            if stray:
-                raise ValueError(f"--space has an entry for {stray[0]!r}, not a trained strategy of this command")
     base_cfg, costs = TrainConfig(max_epochs=cfg.max_epochs, patience=cfg.patience), CostModel(cfg.cost_rate)
     return {
         s: plan_walk(s, cfg.window, given.get(s), cfg.budget, {"t2v_k": cfg.t2v_k} if s == "pt" else None, base_cfg, costs, cfg.seed)
@@ -178,9 +174,9 @@ def _plan_walks(cfg: RunConfig, strategies, keys) -> dict[str, TrainedWalk]:
 @contextlib.contextmanager
 def _publishing(out: Path):
     """Yield the directory to write every file into, ``manifest.json`` last. An empty ``out`` (a mount point,
-    say) is filled in place and emptied again on failure. Else a fresh hidden sibling is filled and renamed to
-    ``out``, after an earlier run or compare there is moved aside; that one is deleted only after the rename and
-    put back on any failure. So ``out`` never holds two runs' files, nor a part of one beside a manifest."""
+    say) is filled in place and emptied again on failure. Else a directory in a hidden sibling unique to the run is
+    filled and renamed to ``out``, after an earlier run or compare there is moved aside into that sibling, deleted
+    after the rename or put back first on any failure. So ``out`` never holds two runs' files, nor a part of one."""
     if out.is_dir() and not any(out.iterdir()):
         try:
             yield out
@@ -190,20 +186,20 @@ def _publishing(out: Path):
             raise
         return
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}")
-    aside = tmp.with_name(tmp.name + ".old")
-    tmp.mkdir()
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))  # so no killed run's leftovers block it
+    tmp, aside = stage / "new", stage / "old"  # tmp, not mkdtemp's 0700 stage, becomes out: a plain mkdir's mode
     try:
+        tmp.mkdir()
         yield tmp
         if _earlier_output(out):  # any other directory at out makes the rename below fail, and stays as it is
             out.rename(aside)
         tmp.rename(out)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if aside.exists():
+        if aside.exists():  # an earlier run that cannot go back stays in stage
             aside.rename(out)
+        shutil.rmtree(stage, ignore_errors=True)
         raise
-    shutil.rmtree(aside, ignore_errors=True)  # there is none if out was not there
+    shutil.rmtree(stage, ignore_errors=True)
 
 
 def _write_run_artifacts(out: Path, outcomes: list, curve, report: MetricsReport) -> None:

@@ -318,7 +318,8 @@ def synth_generate(cfg: SynthConfig) -> PriceTable:
         log_r[t] = drift + cfg.momentum * signal + vol * shocks[t]
 
     levels = np.vstack([np.zeros(cfg.n_assets), np.cumsum(log_r, axis=0)])
-    prices = SYNTH_START_PRICE * np.exp(levels)
+    with np.errstate(over="ignore"):  # an overflow is an infinite price, which PriceTable refuses
+        prices = SYNTH_START_PRICE * np.exp(levels)
     dates = trading_days(SYNTH_START, cfg.n_days)
     tickers = [f"A{i + 1}" for i in range(cfg.n_assets)]
     return PriceTable(dates, tickers, prices)

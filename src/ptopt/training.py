@@ -222,13 +222,17 @@ class HyperparamSpace:
         return [dict(zip(self.axes, combo)) for combo in itertools.product(*self.axes.values())]
 
     @classmethod
-    def from_json(cls, text: str) -> "HyperparamSpace | dict[str, HyperparamSpace]":
-        """Parse a space file: one space, ``{"axes": {...}, "budget": n}``, or an
-        object of such spaces keyed by strategy name."""
+    def from_json(cls, text: str, names: tuple[str, ...]) -> dict[str, "HyperparamSpace"]:
+        """Parse a space file: one space, ``{"axes": {...}, "budget": n}``, for each of ``names``, or an object of such
+        spaces keyed by strategy name, every entry parsed before a key outside ``names`` is refused."""
         doc = json.loads(text)
-        if isinstance(doc, dict) and doc and "axes" not in doc and all(isinstance(v, dict) for v in doc.values()):
-            return {name: cls._from_doc(entry, f"{name}: ") for name, entry in doc.items()}
-        return cls._from_doc(doc)
+        if not (isinstance(doc, dict) and doc and "axes" not in doc and all(isinstance(v, dict) for v in doc.values())):
+            return dict.fromkeys(names, cls._from_doc(doc))
+        spaces = {name: cls._from_doc(entry, f"{name}: ") for name, entry in doc.items()}
+        stray = [name for name in spaces if name not in names]
+        if stray:
+            raise ValueError(f"has an entry for {stray[0]!r}, not a trained strategy of this command")
+        return spaces
 
     @classmethod
     def _from_doc(cls, doc, where: str = "") -> "HyperparamSpace":
@@ -366,6 +370,7 @@ class Trial:
     train_loss: float
     val_loss: float
     seconds: float
+    seed: int  # the seed its model was built and fitted at
 
 
 @dataclass
@@ -401,7 +406,7 @@ def _run_trial(payload, table: ReturnTable | None = None) -> tuple[Trial, FitRes
         train_loss, val_loss = result.history[result.best_epoch].train_loss, result.best_val
     except TrainingError as exc:  # without its traceback, which would hold the fit's frames alive
         result, train_loss, val_loss = exc.with_traceback(None), np.inf, np.inf
-    return Trial(index=index, params=combo, train_loss=train_loss, val_loss=val_loss, seconds=time.perf_counter() - start), result
+    return Trial(index, combo, train_loss, val_loss, time.perf_counter() - start, cfg.seed), result
 
 
 def _best(done: list) -> tuple:
@@ -409,22 +414,20 @@ def _best(done: list) -> tuple:
     return min(done, key=lambda d: (isinstance(d[1], TrainingError), d[0].val_loss))
 
 
-def random_grid_search(plan: list, done: Iterator, n_assets: int) -> SplitOutcome:
-    """The pick of a planned split: read its trials' results from ``done``, in plan order, and ship the best.
+def random_grid_search(walk: TrainedWalk, split: Split, done: list, n_assets: int, searched: bool) -> SplitOutcome:
+    """The pick of ``walk``'s ``split`` from its ``(Trial, result)`` pairs in plan order: the best, listing all if ``searched``.
 
     If the ``_best`` trial's fit failed, so did every one's: raise TrainingError naming the test year and
-    its error. The winner's model is built from its combo and seed and takes the fitted vector.
+    its error. The winner's model is built from its combo at its trial's seed and takes the fitted vector.
     """
-    done = [next(done) for _ in plan]
     best, fit_result = _best(done)
-    _, _, strategy, split, tau, _, _, seed = plan[0]
     if isinstance(fit_result, TrainingError):
         year = f"test year {split.test_year}"
         where = year if len(done) == 1 else f"all {len(done)} trials for {year} failed; trial {best.index}"
         raise TrainingError(f"{where}: {fit_result}")
-    model = build_model(strategy, n_assets, tau, best.params, seed + best.index)
+    model = build_model(walk.strategy, n_assets, walk.tau, best.params, best.seed)
     model.vector[:] = fit_result.vector
-    return SplitOutcome(split.test_year, best.params, [t for t, _ in done], model, fit_result.history)
+    return SplitOutcome(split.test_year, best.params, [t for t, _ in done] if searched else [], model, fit_result.history)
 
 
 def walk_outcomes(
@@ -456,23 +459,27 @@ def walk_outcomes(
     with contextlib.ExitStack() as stack:
         send = lambda payloads: map(_run_trial, payloads, itertools.repeat(table))
         if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # here, so an import of ptopt loads no pool
+            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # here, so an import of ptopt loads no pool
             executor = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(table,))
             stack.callback(executor.shutdown, cancel_futures=True)
-            send = lambda payloads: executor.map(_run_trial, payloads)
+            def reading(results):  # a worker the OS killed breaks the pool: an OSError, so cli.main exits 2
+                try:
+                    yield from results
+                except BrokenExecutor as err:
+                    raise OSError(f"a trial worker died: {err}") from None
+            send = lambda payloads: reading(executor.map(_run_trial, payloads))
         done, firsts = send([t for ps in plans.values() for p in ps for t in p]), {}
         if once:  # if every trial of a first split failed, its walk raises before its later fits are read
             firsts = {s: [next(done) for _ in ps[0]] for s, ps in plans.items()}
             for s, w in trained.items():
                 plans[s] += [w.plan(k, split, _best(firsts[s])[0].params) for k, split in enumerate(splits[1:], 1)]
             done = send([t for ps in plans.values() for p in ps[1:] for t in p])
-        for s in strategies:
-            outcomes, results = [], itertools.chain(firsts.pop(s, ()), done)
-            for k, plan in enumerate(plans.get(s, ())):
-                outcomes.append(random_grid_search(plan, results, n))
-                if not trained[s].budget or (once and k):  # a split that did not search lists no trial
-                    outcomes[-1].trials = []
-            yield outcomes
+        for s in strategies:  # a split searches if its walk has a budget, unless it fits the first split's winner
+            results, w = itertools.chain(firsts.pop(s, ()), done), trained.get(s)
+            yield [
+                random_grid_search(w, split, [next(results) for _ in plan], n, bool(w.budget) and not (once and k))
+                for k, (split, plan) in enumerate(zip(splits, plans.get(s, ())))
+            ]
 
 
 # ---------------------------------------------------------------------------

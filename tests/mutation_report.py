@@ -59,16 +59,20 @@ CATALOGUE = [
      "a trial whose fit raised ranks last"),
     (TRAINING, "d[0].val_loss))", "d[0].val_loss, -d[0].index))",
      "a tie on validation loss goes to the earliest trial"),
-    (TRAINING, "best.params, seed + best.index)", "best.params, seed)",
+    (TRAINING, "best.params, best.seed)", "best.params, best.seed - best.index)",
      "the shipped model is built at its winning trial's seed"),
-    (TRAINING, "outcomes[-1].trials = []", "outcomes[-1].trials = outcomes[-1].trials",
-     "an unsearched split lists no trial, so trials.csv holds searches only"),
+    (TRAINING, "[t for t, _ in done] if searched else []", "[t for t, _ in done]",
+     "a split that did not search lists no trial, so trials.csv holds searches only"),
+    (TRAINING, "bool(w.budget) and not", "not",
+     "a walk without a budget searches no split"),
     (TRAINING, "(once and k)", "(once and k > 1)",
      "under --search-once, a later split's one fit of the winner lists no trial"),
     (TRAINING, "if len(outcomes) != expected:", "if len(outcomes) > expected:",
      "a trained walk given fewer outcomes than splits raises, not returns unfilled rows"),
     (TRAINING, "fit_config(base_cfg, combo, seed + index)", "fit_config(base_cfg, combo, seed + 2 * index)",
      "trial i fits at seed + i"),
+    (TRAINING, "raise OSError(f\"a trial worker died: {err}\") from None", "raise",
+     "a trial worker the OS killed is a data error (exit 2), not a traceback out of cli.main"),
     (TRAINING, "budget or space.budget", "space.budget",
      "--budget sets a search's draws per split over a --space file's budget and the default grid's"),
     # the fit
@@ -109,6 +113,8 @@ CATALOGUE = [
      "a NumericError exits 3"),
     (CLI, "return 1 if exit_.code else 0", "return exit_.code",
      "argparse's usage error exits 1, not argparse's own status 2"),
+    (TRAINING, "        if stray:\n", "        if False:\n",
+     "a --space entry for no trained strategy of the command is a usage error naming it and the file"),
     ("src/ptopt/metrics.py", 'raise NumericError(f"need at least 2 daily returns', 'raise ValueError(f"need at least 2 daily returns',
      "too short a curve for its statistics is a numeric failure (exit 3), not a usage error"),
     (TRAINING, "if s in walks and n < 2:", "if s in walks and n < 1:",
@@ -122,6 +128,8 @@ CATALOGUE = [
      "each batch's price check covers every cell that batch parsed"),
     ("src/ptopt/data.py", " or np.any(self.prices == np.inf)", "",
      "a price table holds no infinite price: synth refuses a market whose prices overflow, as the loader would"),
+    ("src/ptopt/data.py", 'np.errstate(over="ignore")', 'np.errstate(over="warn")',
+     "synth's overflowing market prints its one data error line, not numpy's warning before it"),
     # the one range rule of every config
     (ERRORS, "value < math.inf:", "value <= math.inf:",
      "an infinite --cost-rate is a usage error before the data is read"),
@@ -151,6 +159,11 @@ CATALOGUE = [
      "--budget 1 runs a search of one trial, which trials.csv lists"),
     (CLI, "            aside.rename(out)\n", "            pass\n",
      "a forced run that fails to rename its directory into place puts the old one back"),
+    (CLI, 'Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))',
+     'out.with_name(f".{out.name}.{os.getpid()}"); stage.mkdir()',
+     "a run stages in a directory unique to it: what a killed run with the same pid left behind blocks nothing"),
+    (CLI, "        tmp.mkdir()\n", "        tmp.mkdir(0o700)\n",
+     "the published directory has a plain mkdir's mode, not the 0700 of the staging directory"),
     (CLI, "        if not _earlier_output(real):\n", "        if False:\n",
      "--force over a directory without an earlier run's or compare's manifest.json exits 1 before any work"),
     (CLI, "    if out.is_dir() and not any(out.iterdir()):\n", "    if False:\n",

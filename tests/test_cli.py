@@ -65,9 +65,10 @@ def test_synth_non_finite_momentum_is_usage_error(momentum, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_synth_refuses_a_market_whose_prices_overflow(tmp_path, capsys):
-    # the planted momentum compounds past the largest double: the loader would refuse the file
+    # the planted momentum compounds past the largest double: the loader would refuse the file, and numpy's
+    # overflow warning, an error here, is not printed before the command's one line
     out = tmp_path / "p.csv"
     assert cli.main(["synth", "--assets", "1", "--days", "2000", "--seed", "0", "--momentum", "1.05", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "data error: prices must be finite and positive\n"
@@ -316,6 +317,27 @@ def test_a_run_that_fails_while_writing_leaves_no_part_of_itself(force, prices_c
     assert before is None or snapshot(out) == before
 
 
+@pytest.mark.parametrize("force", [False, True], ids=["fresh", "force"])
+def test_a_killed_run_s_staging_directories_block_no_later_run(force, prices_csv, tmp_path):
+    # a run killed after staging leaves .out.<pid> and .out.<pid>.old: a later run with the same pid must not mind
+    out, plain = tmp_path / "out", tmp_path / "plain"
+    stale = [tmp_path / f".out.{os.getpid()}", tmp_path / f".out.{os.getpid()}.old"]
+    for d in stale:
+        d.mkdir()
+        (d / "metrics.json").write_text("stale")
+    base = ["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]
+    assert cli.main(base) == 0
+    if force:
+        assert cli.main([*base, "--force"]) == 0
+    # both are left as they were, no new hidden sibling is left, and out has the mode a plain mkdir gives
+    assert [sorted(p.name for p in d.iterdir()) for d in stale] == [["metrics.json"]] * 2
+    assert all((d / "metrics.json").read_text() == "stale" for d in stale)
+    plain.mkdir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out", "plain", *(d.name for d in stale)])
+    assert out.stat().st_mode == plain.stat().st_mode
+    assert json.loads((out / "manifest.json").read_text())["command"] == "run"
+
+
 def test_a_forced_run_whose_rename_fails_puts_the_old_directory_back(prices_csv, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     base = ["run", "--strategy", "equal_weight", "--data", str(prices_csv), "--out", str(out)]
@@ -527,6 +549,7 @@ def test_compare_space_entry_for_no_listed_trained_strategy_is_usage_error(price
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1 and repr(key) in err
+    assert err.startswith(f"error: --space {space}: has an entry for {key!r}")  # the path, as every --space error
     assert not out.exists()
 
 
@@ -874,6 +897,20 @@ def test_no_worker_outlives_a_run_whose_trials_all_fail(prices_csv, tmp_path, ca
     code = cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--jobs", "2", *SEARCH_FLAGS])
     assert code == 3
     assert "all 2 trials for test year 2015 failed" in capsys.readouterr().err
+    assert counted_pools == [[2, True]]
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_a_killed_trial_worker_exits_2(prices_csv, tmp_path, capsys, monkeypatch, counted_pools):
+    import multiprocessing
+
+    monkeypatch.setattr(tr, "fit", lambda *a, **k: os._exit(9))  # before the workers fork, so they inherit it
+    out = tmp_path / "o"
+    code = cli.main(["run", "--strategy", "lstm", "--data", str(prices_csv), "--out", str(out), "--jobs", "2", *SEARCH_FLAGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: a trial worker died: ") and len(err.splitlines()) == 1
     assert counted_pools == [[2, True]]
     assert multiprocessing.active_children() == []
     assert not out.exists()

@@ -308,27 +308,36 @@ def test_space_rejects_an_empty_axis():
 
 
 def test_space_json_roundtrip():
-    space = tr.HyperparamSpace.from_json('{"axes": {"hidden": [4, 8]}, "budget": 7}')
+    spaces = tr.HyperparamSpace.from_json('{"axes": {"hidden": [4, 8]}, "budget": 7}', ("lstm", "mlp"))
+    space = spaces["lstm"]
     assert space.axes == {"hidden": [4, 8]}
     assert space.budget == 7
+    # one space is every name's
+    assert spaces == {"lstm": space, "mlp": space}
     for bad in (
         "{}", "[1, 2]", '{"axes": [4, 8]}', '{"axes": {"hidden": 4}}',
         '{"axes": {"hidden": [4]}, "budget": null}', '{"axes": {"hidden": [4]}, "budget": [1]}',
         '{"axes": {"hidden": [4]}, "budget": true}', '{"axes": {"hidden": [4]}, "budget": 2.5}',
     ):
         with pytest.raises(ValueError):
-            tr.HyperparamSpace.from_json(bad)
+            tr.HyperparamSpace.from_json(bad, ("lstm",))
 
 
 def test_space_json_keyed_by_strategy():
-    spaces = tr.HyperparamSpace.from_json('{"lstm": {"axes": {"hidden": [4]}, "budget": 3}, "pt": {"axes": {"d_model": [8]}}}')
+    text = '{"lstm": {"axes": {"hidden": [4]}, "budget": 3}, "pt": {"axes": {"d_model": [8]}}}'
+    spaces = tr.HyperparamSpace.from_json(text, ("pt", "lstm", "mlp"))
     assert spaces == {
         "lstm": tr.HyperparamSpace(axes={"hidden": [4]}, budget=3),
         "pt": tr.HyperparamSpace(axes={"d_model": [8]}),
     }
     # a bad entry is named
     with pytest.raises(ValueError, match="^pt: "):
-        tr.HyperparamSpace.from_json('{"lstm": {"axes": {"hidden": [4]}}, "pt": {"axes": {"d_model": 8}}}')
+        tr.HyperparamSpace.from_json('{"lstm": {"axes": {"hidden": [4]}}, "pt": {"axes": {"d_model": 8}}}', ("pt", "lstm"))
+    # a key outside the names is refused, but only after every entry parsed: a bad entry is reported first
+    with pytest.raises(ValueError, match="^has an entry for 'pt', not a trained strategy of this command$"):
+        tr.HyperparamSpace.from_json(text, ("lstm",))
+    with pytest.raises(ValueError, match="^pt: "):
+        tr.HyperparamSpace.from_json('{"pt": {"axes": {"d_model": 8}}, "lstm": {"axes": {"hidden": [4]}}}', ("lstm",))
 
 
 def search_fixture(momentum=0.5):
@@ -365,10 +374,10 @@ def tie_trials(monkeypatch, fail_first=False):
     """Make every trial end at the same validation loss, each with its own one-value fit; with
     ``fail_first``, trial 0's fit fails instead."""
     def tied(payload, table=None):
-        i, combo, *_ = payload
+        i, combo, *_, seed = payload  # each trial at the seed _run_trial fits it at
         if fail_first and i == 0:
-            return tr.Trial(index=i, params=combo, train_loss=np.inf, val_loss=np.inf, seconds=0.0), TrainingError("non-finite loss")
-        return tr.Trial(index=i, params=combo, train_loss=0.0, val_loss=1.0, seconds=0.0), tr.FitResult([], 0, 1.0, np.array([float(i)]))
+            return tr.Trial(i, combo, np.inf, np.inf, 0.0, seed + i), TrainingError("non-finite loss")
+        return tr.Trial(i, combo, 0.0, 1.0, 0.0, seed + i), tr.FitResult([], 0, 1.0, np.array([float(i)]))
 
     monkeypatch.setattr(tr, "_run_trial", tied)
 
@@ -391,6 +400,38 @@ def test_search_ships_a_trial_that_trained_over_an_earlier_one_that_failed(monke
     assert result.params == result.trials[1].params
     assert result.model.config.seed == 7 + 1
     assert set(result.model.vector.tolist()) == {1.0}
+
+
+def test_the_pick_reads_its_walk_split_and_trials_alone():
+    # hand-made (Trial, result) pairs: no payload anywhere, and seeds no plan would give
+    walk = tr.plan_walk("lstm", 4, tr.HyperparamSpace({"hidden": [3, 5]}, 3), 0, None, tr.TrainConfig(), CostModel(), 0)
+    split = Split(test_year=2014, train_end=150, val_start=110, test_end=170)
+
+    def pair(index, hidden, val_loss, seed, failed=False):
+        trial = tr.Trial(index, {"hidden": hidden}, 0.0, val_loss, 0.0, seed)
+        if failed:
+            return trial, TrainingError("non-finite loss")
+        vector = np.full(tr.build_model("lstm", 3, 4, {"hidden": hidden}, 0).vector.size, float(index))
+        return trial, tr.FitResult([tr.EpochStats(0, 0.5, val_loss)], 0, val_loss, vector)
+
+    done = [pair(0, 3, 2.0, 11), pair(1, 5, 1.0, 42), pair(2, 3, 1.0, 43)]
+    outcome = tr.random_grid_search(walk, split, done, 3, True)
+    # trials 1 and 2 tie: the earlier ships, built at its own trial's seed, with its fitted vector and curve
+    assert (outcome.test_year, outcome.params) == (2014, {"hidden": 5})
+    assert (outcome.model.config.seed, outcome.model.config.hidden, outcome.model.config.n_assets) == (42, 5, 3)
+    assert set(outcome.model.vector.tolist()) == {1.0}
+    assert outcome.history == done[1][1].history
+    # the trials are listed only when the split searched
+    assert outcome.trials == [t for t, _ in done]
+    assert tr.random_grid_search(walk, split, done, 3, False).trials == []
+    # a failed fit ranks last, and an all-failed split raises naming its year
+    assert tr.random_grid_search(walk, split, [pair(0, 5, -np.inf, 7, failed=True), *done], 3, True).model.config.seed == 42
+    failed = [pair(0, 3, np.inf, 11, failed=True), pair(1, 5, np.inf, 12, failed=True)]
+    with pytest.raises(TrainingError, match="^all 2 trials for test year 2014 failed; trial 0: non-finite loss$"):
+        tr.random_grid_search(walk, split, failed, 3, True)
+    with pytest.raises(TrainingError, match="^test year 2014: non-finite loss$"):
+        tr.random_grid_search(walk, split, failed[1:], 3, False)
+
 
 def test_search_filters_invalid_combinations():
     table, split = search_fixture()
@@ -617,8 +658,8 @@ def test_a_walk_shuts_its_executor_when_a_fit_fails_or_it_is_closed(recording_ex
 
 def test_trials_csv_roundtrip(tmp_path):
     trials = [
-        tr.Trial(index=0, params={"hidden": 4, "learning_rate": 1e-3}, train_loss=-0.25, val_loss=-0.125, seconds=1.5),
-        tr.Trial(index=1, params={"hidden": 8, "learning_rate": 3e-3}, train_loss=-0.3, val_loss=np.inf, seconds=0.75),
+        tr.Trial(index=0, params={"hidden": 4, "learning_rate": 1e-3}, train_loss=-0.25, val_loss=-0.125, seconds=1.5, seed=3),
+        tr.Trial(index=1, params={"hidden": 8, "learning_rate": 3e-3}, train_loss=-0.3, val_loss=np.inf, seconds=0.75, seed=4),
     ]
     model = tr.build_model("lstm", 2, 4, {"hidden": 4}, seed=0)
     outcome = tr.SplitOutcome(test_year=2016, params={}, trials=trials, model=model, history=[])
